@@ -32,7 +32,6 @@ from .moments import (
 from .numerics import CPoly, DEFAULT_CONTEXT, Poly, PrecisionContext
 from .pfafflattice import LaxL, build_lax, flow_check, lattice_rhs, project_pik
 from .potentials import Potential, WeightTable, get_weight_table, pi_polynomial
-from .quadrature import cauchy_pv, cauchy_transform
 from .rhp import (
     JumpMatrix,
     RHProblem,
@@ -96,8 +95,6 @@ __all__ = [
     "build_lax",
     "build_odd",
     "build_skew_moment_matrix",
-    "cauchy_pv",
-    "cauchy_transform",
     "det_residual",
     "empirical_distribution",
     "flow_check",

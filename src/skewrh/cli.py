@@ -24,8 +24,8 @@ from mpmath import mp
 
 from .errors import IntegrabilityError, SkewRHError, UnsupportedRegime
 from .moments import build_skew_moment_matrix
-from .numerics import PrecisionContext, determinant
-from .pfafflattice import build_lax, flow_check
+from .numerics import PrecisionContext, determinant, loglog_slope
+from .pfafflattice import band_deviation, build_lax, flow_check
 from .potentials import Potential, get_weight_table, truncation_radius
 from .rhp import (
     RHProblem,
@@ -462,28 +462,13 @@ def cmd_pfaff_check(cfg: RunConfig, args, emitter: _Emitter):
         if not t0 > 0:
             raise ValueError("--t-step must be positive")
         family = skew_orthogonal_family(cfg.potential, cfg.beta, band_k, ctx)
-        lax = build_lax(family, ctx=ctx)
-        win = lax.n - 4
-        above = mp.mpf(0)
-        unit_dev = mp.mpf(0)
-        for i in range(win + 1):
-            for j in range(i + 2, win + 1):
-                above = max(above, abs(lax[i, j]))
-        for b in range((win + 1) // 2):
-            unit_dev = max(unit_dev, abs(lax[2 * b, 2 * b + 1] - 1))
+        win, above, unit_dev = band_deviation(build_lax(family, ctx=ctx), ctx)
         flows = []
         for j in flow_js:
             steps = [t0 / 2 ** h for h in range(args.halvings + 1)]
             residuals = [flow_check(cfg.potential, j, t, args.window,
                                     cfg.beta, ctx) for t in steps]
-            logs = [mp.log(r) for r in residuals]
-            logt = [mp.log(t) for t in steps]
-            mt = mp.fsum(logt) / len(logt)
-            mr = mp.fsum(logs) / len(logs)
-            num = mp.fsum((lt - mt) * (lr - mr)
-                          for lt, lr in zip(logt, logs))
-            den = mp.fsum((lt - mt) ** 2 for lt in logt)
-            slope = num / den
+            slope = loglog_slope(steps, residuals)
             flows.append({"j": j, "window_m": args.window,
                           "t_steps": [cfg.fmt_r(t) for t in steps],
                           "residuals": [cfg.fmt_r(r) for r in residuals],

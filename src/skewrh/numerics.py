@@ -175,15 +175,21 @@ class CPoly(Poly):
     _scalar = staticmethod(_to_mpc)
 
 
-def poly_eval(p: Poly, z):
-    """Horner evaluation at a real or complex point."""
-    return p(z)
-
-
 def poly_derivative(p: Poly) -> Poly:
     if p.degree == 0:
         return p._wrap([0])
     return p._wrap([i * c for i, c in enumerate(p.coeffs)][1:])
+
+
+def loglog_slope(xs, ys):
+    """Least-squares slope of log y against log x for positive samples,
+    at the working precision of the caller."""
+    lx = [mp.log(x) for x in xs]
+    ly = [mp.log(y) for y in ys]
+    mx = mp.fsum(lx) / len(lx)
+    my = mp.fsum(ly) / len(ly)
+    num = mp.fsum((a - mx) * (b - my) for a, b in zip(lx, ly))
+    return num / mp.fsum((a - mx) ** 2 for a in lx)
 
 
 # ---------------------------------------------------------------------------

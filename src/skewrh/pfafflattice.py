@@ -66,6 +66,21 @@ def build_lax(family: SkewFamily, size: int = None,
         return LaxL(rows=tuple(tuple(r) for r in rows), n=n, family=family)
 
 
+def band_deviation(L: LaxL, ctx: PrecisionContext = DEFAULT_CONTEXT):
+    """(window rows, max |L_ij| above the superdiagonal, max |L_(2b,2b+1) - 1|)
+    over the leading rows 0..n-4, which basis truncation leaves intact."""
+    win = L.n - 4
+    above = mp.mpf(0)
+    unit_dev = mp.mpf(0)
+    with ctx.workprec():
+        for i in range(win + 1):
+            for j in range(i + 2, win + 1):
+                above = max(above, abs(L[i, j]))
+        for b in range((win + 1) // 2):
+            unit_dev = max(unit_dev, abs(L[2 * b, 2 * b + 1] - 1))
+    return win, above, unit_dev
+
+
 def j_block_matrix(n: int):
     """Block diagonal of [[0, 1], [-1, 0]]."""
     J = [[mp.mpf(0)] * n for _ in range(n)]

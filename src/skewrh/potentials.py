@@ -13,12 +13,13 @@ the discarded terms are below the validated error scale by construction.
 from __future__ import annotations
 
 import bisect
+import weakref
 
 from mpmath import mp
 
 from .errors import IntegrabilityError, MomentRangeExceeded, QuadratureFailure
 from .numerics import DEFAULT_CONTEXT, Poly, PrecisionContext, poly_derivative
-from .quadrature import QuadraturePlan, legendre_nodes, ts_mapped_level
+from .quadrature import legendre_nodes, ts_mapped_level
 
 
 class Potential:
@@ -61,7 +62,9 @@ class Potential:
         return self.poly(x)
 
     def key(self):
-        return tuple(mp.nstr(c, 40) for c in self.poly.coeffs)
+        """The exact coefficients: potentials differing in any bit get
+        separate weight tables."""
+        return tuple(c._mpf_ for c in self.poly.coeffs)
 
     def deformed(self, j: int, t) -> "Potential":
         """Potential with t*x^j added (validity re-checked)."""
@@ -443,21 +446,7 @@ class WeightTable:
         sabs = mp.fdot(wpa, self._aw_vec_abs[j])
         return fine, coarse, sabs
 
-    def grid_dot(self, values):
-        """Quadrature sum of a vector sampled on the active nodes."""
-        return mp.fdot(self.awq, values)
-
-    def grid_dot_coarse(self, values):
-        return mp.fsum(2 * self.awq[k] * values[k] for k in self.acoarse)
-
     # -- pointwise evaluation ---------------------------------------------
-
-    def half_integral(self, j: int, x):
-        """Integral of y^j exp(-V) from the lower truncation point to x."""
-        if not 0 <= j <= self.w_max:
-            raise MomentRangeExceeded(f"F_{j} beyond table ({self.w_max})")
-        with mp.workprec(self._prec):
-            return self._F_at(x, j + 1)[j]
 
     def _F_at(self, x, j_count):
         x = mp.mpf(x)
@@ -494,25 +483,28 @@ class WeightTable:
         self._weights_at_memo[key] = out
         return out
 
-    def plan(self, rule: str = "tanh-sinh") -> QuadraturePlan:
-        return QuadraturePlan(radius=self.radius, target_tol=self.tol,
-                              prec=self._prec, rule=rule,
-                              max_level=self.max_level)
 
-
+# The tables used last, most recent at the end; at tens of MB each, four
+# cover a flow check's V0 and V0 +- t x^j plus one more.  A table a family
+# or solution still holds stays in _LIVE_TABLES and is never built twice.
+_TABLE_REGISTRY_SIZE = 4
 _TABLE_REGISTRY = {}
+_LIVE_TABLES = weakref.WeakValueDictionary()
 
 
 def get_weight_table(V: Potential, ctx: PrecisionContext = DEFAULT_CONTEXT,
                      i_max: int = 8, w_max=None) -> WeightTable:
     """Shared, growable WeightTable per (potential, context)."""
     key = (V.key(), ctx.mantissa_bits, float(ctx.quad_tol))
-    table = _TABLE_REGISTRY.get(key)
+    table = _LIVE_TABLES.get(key)
     if table is None:
-        table = WeightTable(V, ctx, i_max=i_max, w_max=w_max)
-        _TABLE_REGISTRY[key] = table
+        table = _LIVE_TABLES[key] = WeightTable(V, ctx, i_max=i_max, w_max=w_max)
     else:
         table.ensure_ranges(i_max=i_max, w_max=w_max)
+    _TABLE_REGISTRY.pop(key, None)
+    _TABLE_REGISTRY[key] = table
+    if len(_TABLE_REGISTRY) > _TABLE_REGISTRY_SIZE:
+        del _TABLE_REGISTRY[next(iter(_TABLE_REGISTRY))]
     return table
 
 

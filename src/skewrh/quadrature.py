@@ -1,9 +1,9 @@
-"""Adaptive quadrature on a truncated line and Cauchy-type integrals.
+"""Quadrature nodes and rules, and boundary-limit extrapolation.
 
-Two independent rules are provided: a doubling tanh-sinh scheme (primary)
-and a composite Gauss-Legendre scheme (cross-check).  Cauchy transforms
-near the axis use singularity subtraction with an exact log term so the
-same real-axis nodes serve every evaluation height.
+The tanh-sinh nodes and Gauss-Legendre panels here underlie the weight
+tables (rhp's Cauchy transforms are grid sums over them).  integrate_line
+runs either rule adaptively and apart from the tables: the tests use it
+as the reference for table moments and pairings.
 """
 from __future__ import annotations
 
@@ -32,7 +32,6 @@ class QuadraturePlan:
     max_level: int = 11
     gl_order: int = 32
     gl_max_doublings: int = 9
-    near_distance: float = 1.0
 
     def __post_init__(self):
         if self.rule not in _RULES:
@@ -235,92 +234,11 @@ def _gl_integrate(f, a, b, plan: QuadraturePlan):
     )
 
 
-def _integrate_interval(f, a, b, plan: QuadraturePlan):
-    if plan.rule == "tanh-sinh":
-        return _ts_integrate(f, a, b, plan)
-    return _gl_integrate(f, a, b, plan)
-
-
-# ---------------------------------------------------------------------------
-# public line/half-line entry points
-
 def integrate_line(f, plan: QuadraturePlan):
     """Integral of f over the truncated support [-R, R]."""
+    integrate = _ts_integrate if plan.rule == "tanh-sinh" else _gl_integrate
     with mp.workprec(plan.prec):
-        return _integrate_interval(f, -plan.R, plan.R, plan)
-
-
-def integrate_half(f, x, plan: QuadraturePlan):
-    """Integral of f from the lower truncation point up to x."""
-    with mp.workprec(plan.prec):
-        R = plan.R
-        x = mp.mpf(x)
-        if x <= -R:
-            return mp.mpf(0)
-        return _integrate_interval(f, -R, min(x, R), plan)
-
-
-# ---------------------------------------------------------------------------
-# Cauchy transforms
-
-def _axis_distance(z, R):
-    dx = abs(mp.re(z)) - R
-    if dx <= 0:
-        return abs(mp.im(z))
-    return mp.hypot(dx, mp.im(z))
-
-
-def cauchy_transform(f, z, plan: QuadraturePlan):
-    """(2 pi i)^-1 times the integral of f(x)/(x - z) over [-R, R].
-
-    Far from the interval the kernel is integrated directly; near it the
-    value f(x0) at the foot point is subtracted and its kernel integral
-    added back in closed form, which keeps the integrand bounded
-    uniformly in the distance to the axis.
-    """
-    with mp.workprec(plan.prec):
-        z = mp.mpc(z)
-        if mp.im(z) == 0:
-            raise ValueError("cauchy_transform needs z off the real axis")
-        R = plan.R
-        twopii = 2 * mp.pi * mp.mpc(0, 1)
-        if _axis_distance(z, R) >= mp.mpf(plan.near_distance):
-            val = _integrate_interval(lambda x: f(x) / (x - z), -R, R, plan)
-            return val / twopii
-        x0 = min(max(mp.re(z), -R), R)
-        f0 = f(x0)
-
-        def g(x):
-            if x == x0:
-                return mp.mpc(0)
-            return (f(x) - f0) / (x - z)
-
-        total = mp.mpc(0)
-        if x0 > -R:
-            total += _integrate_interval(g, -R, x0, plan)
-        if x0 < R:
-            total += _integrate_interval(g, x0, R, plan)
-        total += f0 * (mp.log(R - z) - mp.log(-R - z))
-        return total / twopii
-
-
-def cauchy_pv(f, x0, plan: QuadraturePlan):
-    """Principal value of the integral of f(x)/(x - x0) over [-R, R]."""
-    with mp.workprec(plan.prec):
-        x0 = mp.mpf(x0)
-        R = plan.R
-        if not (-R < x0 < R):
-            raise ValueError("principal value point must lie inside (-R, R)")
-        f0 = f(x0)
-
-        def g(x):
-            if x == x0:
-                return mp.mpf(0)
-            return (f(x) - f0) / (x - x0)
-
-        val = _integrate_interval(g, -R, x0, plan)
-        val += _integrate_interval(g, x0, R, plan)
-        return val + f0 * mp.log((R - x0) / (x0 + R))
+        return integrate(f, -plan.R, plan.R, plan)
 
 
 # ---------------------------------------------------------------------------

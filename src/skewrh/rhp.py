@@ -30,7 +30,7 @@ from .numerics import (
     PrecisionContext,
     determinant,
     linear_solve,
-    poly_eval,
+    loglog_slope,
 )
 from .potentials import Potential, WeightTable, _tail_radius, get_weight_table, pi_polynomial
 from .quadrature import boundary_deltas, richardson_limit, ts_mapped_level
@@ -102,8 +102,9 @@ class RHSolution:
     polynomials, evaluated via grid Cauchy transforms.
 
     Far from the axis the shared master grid is used directly; near it
-    the integrand is split at the foot point with local subtraction, on
-    tanh-sinh panels whose nodes are shared across a whole delta ladder.
+    `_boundary_pair` splits the integrand at the foot point with local
+    subtraction, on tanh-sinh panels whose nodes are shared across a
+    whole delta ladder, and gives both boundary values at once.
     """
 
     def __init__(self, problem: RHProblem, family: SkewFamily,
@@ -195,7 +196,7 @@ class RHSolution:
             for factor, poly in terms:
                 if factor == 0:
                     continue
-                Y[r][0] += factor * poly_eval(poly, z)
+                Y[r][0] += factor * poly(z)
                 for c in range(1, n):
                     dot = mp.fdot(self._far_fu_vec(poly, c), kern)
                     Y[r][c] += factor * dot / _two_pi_i()
@@ -269,27 +270,38 @@ class RHSolution:
             oki.append(w * delta / den)
         return ikr, iki, okr, oki, mp.fsum(ikr), mp.fsum(iki)
 
-    def _eval_near(self, z, x0, level):
-        delta = mp.im(z)
-        ikr, iki, okr, oki, sr, si = self._near_kernels(x0, abs(delta), level)
-        sgn = 1 if delta > 0 else -1
-        logterm = mp.log(x0 + 1 - z) - mp.log(x0 - 1 - z)
+    def _boundary_pair(self, x0, delta, level):
+        """(Y(x0 + i delta), Y(x0 - i delta)) from one shared kernel build,
+        for delta > 0.
+
+        Row polynomials are real, so every grid sum for the lower boundary
+        value is the conjugate of the upper one; only the complex row
+        factors break the symmetry, and they multiply at the end.
+        """
+        zp = mp.mpc(x0, delta)
+        ikr, iki, okr, oki, sr, si = self._near_kernels(x0, delta, level)
+        lt = mp.log(x0 + 1 - zp) - mp.log(x0 - 1 - zp)
         n = self.size
-        Y = [[mp.mpc(0)] * n for _ in range(n)]
+        Yp = [[mp.mpc(0)] * n for _ in range(n)]
+        Ym = [[mp.mpc(0)] * n for _ in range(n)]
         for r, terms in enumerate(self.row_terms):
             for factor, poly in terms:
                 if factor == 0:
                     continue
-                Y[r][0] += factor * poly_eval(poly, z)
+                v0 = poly(zp)
+                Yp[r][0] += factor * v0
+                Ym[r][0] += factor * mp.conj(v0)
                 p0 = poly(x0)
                 for c in range(1, n):
                     ivec, ovec = self._near_fu_vec(poly, c, x0, level)
                     f0 = p0 * self._u_at(x0, c)
-                    val = mp.mpc(mp.fdot(ivec, ikr) + mp.fdot(ovec, okr) - f0 * sr,
-                                 sgn * (mp.fdot(ivec, iki) + mp.fdot(ovec, oki) - f0 * si))
-                    val += f0 * logterm
-                    Y[r][c] += factor * val / _two_pi_i()
-        return Y
+                    re = mp.fdot(ivec, ikr) + mp.fdot(ovec, okr) - f0 * sr
+                    im = mp.fdot(ivec, iki) + mp.fdot(ovec, oki) - f0 * si
+                    base = mp.mpc(re, im) + f0 * lt
+                    conj = mp.mpc(re, -im) + f0 * mp.conj(lt)
+                    Yp[r][c] += factor * base / _two_pi_i()
+                    Ym[r][c] += factor * conj / _two_pi_i()
+        return Yp, Ym
 
     def _near_level_for(self, x0, delta):
         """Smallest panel level whose matrices agree at the given offset."""
@@ -297,11 +309,10 @@ class RHSolution:
         lvl = self._near_level.get(key)
         if lvl is not None:
             return lvl
-        zp = mp.mpc(x0, delta)
-        prev = self._eval_near(zp, x0, 7)
+        prev = self._boundary_pair(x0, delta, 7)[0]
         tol = self.table.tol
         for level in range(8, self.table.max_level + 1):
-            cur = self._eval_near(zp, x0, level)
+            cur = self._boundary_pair(x0, delta, level)[0]
             scale = max(max(abs(v) for v in row) for row in cur)
             dev = max(max(abs(a - b) for a, b in zip(ra, rb))
                       for ra, rb in zip(cur, prev))
@@ -326,9 +337,10 @@ class RHSolution:
             dist = abs(mp.im(z)) if dx <= 0 else mp.hypot(dx, mp.im(z))
             if dist >= 1:
                 return self._eval_far(z)
-            x0 = mp.mpf(mp.re(z))
-            level = self._near_level_for(x0, abs(mp.im(z)))
-            return self._eval_near(z, x0, level)
+            x0, delta = mp.mpf(mp.re(z)), abs(mp.im(z))
+            upper, lower = self._boundary_pair(
+                x0, delta, self._near_level_for(x0, delta))
+            return upper if mp.im(z) > 0 else lower
 
     def __repr__(self):
         return (f"RHSolution(parity={self.parity!r}, k={self.k}, "
@@ -460,42 +472,9 @@ def build(problem: RHProblem, ctx: PrecisionContext = DEFAULT_CONTEXT) -> RHSolu
 # ---------------------------------------------------------------------------
 # verification
 
-def _boundary_pair(sol: RHSolution, x0, delta, level):
-    """(Y(x0 + i delta), Y(x0 - i delta)) from one shared kernel build.
-
-    Row polynomials are real, so every grid sum for the lower boundary
-    value is the conjugate of the upper one; only the complex row
-    factors break the symmetry, and they multiply at the end.
-    """
-    zp = mp.mpc(x0, delta)
-    ikr, iki, okr, oki, sr, si = sol._near_kernels(x0, delta, level)
-    lt = mp.log(x0 + 1 - zp) - mp.log(x0 - 1 - zp)
-    n = sol.size
-    Yp = [[mp.mpc(0)] * n for _ in range(n)]
-    Ym = [[mp.mpc(0)] * n for _ in range(n)]
-    for r, terms in enumerate(sol.row_terms):
-        for factor, poly in terms:
-            if factor == 0:
-                continue
-            v0 = poly_eval(poly, zp)
-            Yp[r][0] += factor * v0
-            Ym[r][0] += factor * mp.conj(v0)
-            p0 = poly(x0)
-            for c in range(1, n):
-                ivec, ovec = sol._near_fu_vec(poly, c, x0, level)
-                f0 = p0 * sol._u_at(x0, c)
-                re = mp.fdot(ivec, ikr) + mp.fdot(ovec, okr) - f0 * sr
-                im = mp.fdot(ivec, iki) + mp.fdot(ovec, oki) - f0 * si
-                base = mp.mpc(re, im) + f0 * lt
-                conj = mp.mpc(re, -im) + f0 * mp.conj(lt)
-                Yp[r][c] += factor * base / _two_pi_i()
-                Ym[r][c] += factor * conj / _two_pi_i()
-    return Yp, Ym
-
-
 def _jump_pair(sol: RHSolution, x0, delta, level, jump_row):
     """Y(x0 + i delta) - Y(x0 - i delta) M(x0) and the magnitude scale."""
-    Yp, Ym = _boundary_pair(sol, x0, delta, level)
+    Yp, Ym = sol._boundary_pair(x0, delta, level)
     n = sol.size
     D = [[mp.mpc(0)] * n for _ in range(n)]
     scale = mp.mpf(1)
@@ -553,20 +532,12 @@ def asymptotic_exponents(sol: RHSolution, theta, radii,
         mags = [sol._eval_far(R * ray) for R in radii]
         floor = mp.mpf(2) ** (-sol.ctx.mantissa_bits // 2)
         n = sol.size
-        logr = [mp.log(R) for R in radii]
-        rbar = mp.fsum(logr) / len(logr)
-        var = mp.fsum((L - rbar) ** 2 for L in logr)
         out = [[None] * n for _ in range(n)]
         for r in range(n):
             for c in range(n):
                 vals = [abs(m[r][c]) for m in mags]
-                if min(vals) < floor:
-                    continue
-                logy = [mp.log(v) for v in vals]
-                ybar = mp.fsum(logy) / len(logy)
-                slope = mp.fsum((L - rbar) * (y - ybar)
-                                for L, y in zip(logr, logy)) / var
-                out[r][c] = slope
+                if min(vals) >= floor:
+                    out[r][c] = loglog_slope(radii, vals)
         return out
 
 

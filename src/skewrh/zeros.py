@@ -19,7 +19,7 @@ import dataclasses
 from mpmath import mp
 
 from .errors import NoConvergence, NotReal
-from .numerics import DEFAULT_CONTEXT, Poly, PrecisionContext
+from .numerics import CPoly, DEFAULT_CONTEXT, Poly, PrecisionContext, poly_derivative
 
 REALITY_FACTOR = "1e-10"
 
@@ -60,20 +60,14 @@ class Histogram:
         return mp.fsum(self.mass)
 
 
-def _horner(coeffs, z):
-    acc = coeffs[-1]
-    for c in reversed(coeffs[:-1]):
-        acc = acc * z + c
-    return acc
+def _aberth(poly: CPoly, tol, max_iter):
+    """Simultaneous root iteration for a polynomial of degree >= 1 with
+    a nonzero constant term.
 
-
-def _aberth(coeffs, tol, max_iter):
-    """Simultaneous root iteration for a coefficient list, low power first.
-
-    Assumes len(coeffs) >= 2 with nonzero leading and constant terms.
     Returns the converged approximations in arbitrary order.
     """
-    n = len(coeffs) - 1
+    coeffs = poly.coeffs
+    n = poly.degree
     lead = coeffs[-1]
     radius = 1 + max(abs(c / lead) for c in coeffs[:-1])
     zs = []
@@ -81,18 +75,18 @@ def _aberth(coeffs, tol, max_iter):
         ang = 2 * mp.pi * i / n + mp.mpf("0.7") / n + mp.mpf("0.25")
         rad = radius * (1 + mp.mpf(i % 7 + 1) / (50 * (n + 6)))
         zs.append(rad * mp.mpc(mp.cos(ang), mp.sin(ang)))
-    dcoeffs = [i * c for i, c in enumerate(coeffs)][1:]
+    dpoly = poly_derivative(poly)
     tiny = mp.mpf(2) ** (-mp.prec)
     for _ in range(max_iter):
         max_step = mp.mpf(0)
         for i in range(n):
             z = zs[i]
-            dv = _horner(dcoeffs, z)
+            dv = dpoly(z)
             if dv == 0:
                 zs[i] = z + radius * tiny + tol
                 max_step = radius
                 continue
-            newton = _horner(coeffs, z) / dv
+            newton = poly(z) / dv
             repulse = mp.mpc(0)
             for j in range(n):
                 if j == i:
@@ -128,18 +122,17 @@ def roots(p: Poly, ctx: PrecisionContext = DEFAULT_CONTEXT, verify_tol=None,
     with mp.workprec(prec):
         tol = (mp.mpf(2) ** (16 - ctx.mantissa_bits) if verify_tol is None
                else mp.mpf(verify_tol))
-        coeffs = [mp.mpc(c) for c in p.coeffs]
-        found = []
-        while len(coeffs) > 1 and coeffs[0] == 0:
-            coeffs.pop(0)
-            found.append(mp.mpc(0))
-        if len(coeffs) > 1:
-            found.extend(_aberth(coeffs, tol, max_iter))
+        cp = CPoly(p.coeffs)
+        low = 0
+        while cp.coeffs[low] == 0:
+            low += 1
+        found = [mp.mpc(0)] * low
+        if low < cp.degree:
+            found.extend(_aberth(CPoly(cp.coeffs[low:]), tol, max_iter))
         found.sort(key=lambda z: (z.real, z.imag))
         scale = max(1, max(abs(z) for z in found))
         norm = mp.fsum(abs(c) * scale ** s for s, c in enumerate(p.coeffs))
-        worst = max(abs(_horner([mp.mpc(c) for c in p.coeffs], z))
-                    for z in found)
+        worst = max(abs(cp(z)) for z in found)
         if not worst <= tol * norm:
             raise NoConvergence(
                 f"root residual {mp.nstr(worst, 6)} exceeds "

@@ -12,8 +12,8 @@ from mpmath import mp
 
 from skewrh.errors import SkewRHError
 from skewrh.moments import skew_inner_1, skew_inner_4
-from skewrh.numerics import Poly, determinant
-from skewrh.pfafflattice import build_lax, flow_check
+from skewrh.numerics import Poly, determinant, loglog_slope
+from skewrh.pfafflattice import band_deviation, build_lax, flow_check
 from skewrh.potentials import Potential, get_weight_table, truncation_radius
 from skewrh.rhp import (
     JumpMatrix,
@@ -297,28 +297,13 @@ def test_criterion_10_determinant_normalization(capsys, even_sols, gauss,
 def test_criterion_11_lattice_band_and_flow(capsys, fam1_quartic, quartic,
                                             ctx):
     band_tol = mp.mpf("1e-20")
-    lax = build_lax(fam1_quartic, ctx=ctx)
-    win = lax.n - 4
-    above = mp.mpf(0)
-    unit_dev = mp.mpf(0)
-    with ctx.workprec():
-        for i in range(win + 1):
-            for j in range(i + 2, win + 1):
-                above = max(above, abs(lax[i, j]))
-        for b in range((win + 1) // 2):
-            unit_dev = max(unit_dev, abs(lax[2 * b, 2 * b + 1] - 1))
+    _, above, unit_dev = band_deviation(build_lax(fam1_quartic, ctx=ctx), ctx)
     slopes = {}
     with ctx.workprec():
         for j in (2, 4):
             steps = [mp.mpf("1e-5") / 2 ** h for h in range(4)]
             res = [flow_check(quartic, j, t, 4, 1, ctx) for t in steps]
-            logt = [mp.log(t) for t in steps]
-            logr = [mp.log(r) for r in res]
-            mt = mp.fsum(logt) / len(logt)
-            mr = mp.fsum(logr) / len(logr)
-            slopes[j] = (mp.fsum((a - mt) * (b - mr)
-                                 for a, b in zip(logt, logr))
-                         / mp.fsum((a - mt) ** 2 for a in logt))
+            slopes[j] = loglog_slope(steps, res)
     ok = (above <= band_tol and unit_dev <= band_tol
           and all(abs(s - 2) <= mp.mpf("0.2") for s in slopes.values()))
     _line(capsys, 11, ok,

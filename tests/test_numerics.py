@@ -19,25 +19,24 @@ from skewrh.numerics import (
     mat_transpose,
     mat_vec,
     poly_derivative,
-    poly_eval,
 )
 
 
 def test_poly_eval_constant_term():
     p = Poly([mp.mpf("-0.5"), 0, 1])
-    assert poly_eval(p, mp.mpf(0)) == mp.mpf("-0.5")
+    assert p(mp.mpf(0)) == mp.mpf("-0.5")
 
 
 def test_poly_eval_identity_polynomial():
     p = Poly([0, 1])
     z = mp.mpc(3, 4)
-    assert poly_eval(p, z) == z
+    assert p(z) == z
 
 
 def test_poly_eval_at_root():
     p = Poly([mp.mpf("-0.5"), 0, 1])
     r = mp.sqrt(mp.mpf("0.5"))
-    assert abs(poly_eval(p, r)) <= mp.mpf(2) ** -300
+    assert abs(p(r)) <= mp.mpf(2) ** -300
 
 
 def test_poly_derivative_constant():
@@ -59,8 +58,8 @@ def test_poly_eval_additive_random():
         p = Poly([rng.randint(-40, 40) for _ in range(rng.randint(1, 9))])
         q = Poly([rng.randint(-40, 40) for _ in range(rng.randint(1, 9))])
         z = mp.mpc(rng.randint(-300, 300), rng.randint(-300, 300)) / 64
-        lhs = poly_eval(p + q, z)
-        rhs = poly_eval(p, z) + poly_eval(q, z)
+        lhs = (p + q)(z)
+        rhs = p(z) + q(z)
         scale = 1 + abs(lhs) + abs(rhs)
         assert abs(lhs - rhs) <= mp.mpf(2) ** -290 * scale
 

@@ -1,8 +1,12 @@
 """Potential validation, derived weights, and the cached weight table."""
 
+import gc
+import weakref
+
 import pytest
 from mpmath import mp
 
+from skewrh import potentials
 from skewrh.errors import IntegrabilityError, MomentRangeExceeded
 from skewrh.numerics import Poly
 from skewrh.potentials import (
@@ -144,6 +148,36 @@ def test_weight_table_cache_and_growth(gauss, ctx):
     b.moment(6)
     with pytest.raises(MomentRangeExceeded):
         b.moment(40)
+
+
+@pytest.fixture
+def own_registry(monkeypatch):
+    """Empty table registries for this test; the session's come back
+    afterwards, so the tables other tests grow are left as they were."""
+    monkeypatch.setattr(potentials, "_TABLE_REGISTRY", {})
+    monkeypatch.setattr(potentials, "_LIVE_TABLES", weakref.WeakValueDictionary())
+
+
+def test_weight_table_per_exact_potential(ctx, own_registry):
+    # the two coefficients agree to 46 digits; a shared table would give
+    # the second one the first one's moments, off by 2.5e-46
+    with ctx.workprec():
+        cs = (mp.mpf("0.5"), mp.mpf("0.5") + mp.mpf("1e-46"))
+    tables = [get_weight_table(Potential([0, 0, c]), ctx) for c in cs]
+    assert tables[0] is not tables[1]
+    for c, table in zip(cs, tables):
+        assert abs(table.moment(0) - mp.sqrt(mp.pi / c)) <= mp.mpf("1e-60")
+
+
+def test_weight_table_registry_bounded(ctx, own_registry):
+    Vs = [Potential([0, 0, mp.mpf(n) / 16]) for n in range(5, 11)]
+    held = get_weight_table(Vs[0], ctx)
+    dropped = [weakref.ref(get_weight_table(V, ctx)) for V in Vs[1:]]
+    gc.collect()
+    assert len(potentials._TABLE_REGISTRY) == potentials._TABLE_REGISTRY_SIZE
+    # older tables nobody holds are released; a held one is reused
+    assert dropped[0]() is None and dropped[-1]() is not None
+    assert get_weight_table(Vs[0], ctx) is held
 
 
 def test_weights_at_consistent_with_w_function(gauss, ctx):

@@ -1,4 +1,4 @@
-"""Line/half-line integration, Cauchy transforms, and boundary limits."""
+"""Line integration and boundary limits."""
 
 import random
 
@@ -9,9 +9,6 @@ from skewrh.errors import QuadratureFailure
 from skewrh.quadrature import (
     QuadraturePlan,
     boundary_deltas,
-    cauchy_pv,
-    cauchy_transform,
-    integrate_half,
     integrate_line,
     richardson_limit,
 )
@@ -69,80 +66,6 @@ def test_integrate_line_linear_in_integrand(plan):
             lambda x: sum(c * f(x) for c, f in zip(cs, base)), plan)
         expect = sum(c * p for c, p in zip(cs, parts))
         assert abs(v - expect) <= mp.mpf("1e-27") * (1 + abs(expect))
-
-
-def test_integrate_half_antiderivative(plan):
-    v = integrate_half(lambda y: y * mp.e ** (-y * y / 2), mp.mpf(0), plan)
-    assert abs(v + 1) <= mp.mpf("1e-28")
-
-
-def test_integrate_half_full_cap(plan):
-    v = integrate_half(gauss2, plan.R, plan)
-    assert abs(v - mp.sqrt(mp.pi)) <= mp.mpf("1e-28")
-
-
-def test_integrate_half_even_split(plan):
-    v = integrate_half(gauss2, mp.mpf(0), plan)
-    assert abs(v - mp.sqrt(mp.pi) / 2) <= mp.mpf("1e-28")
-
-
-def test_cauchy_transform_large_z_expansion(plan):
-    z = mp.mpc(0, 10 ** 6)
-    v = cauchy_transform(gauss2, z, plan)
-    moments = [integrate_line(lambda x, j=j: x ** j * gauss2(x), plan)
-               for j in range(9)]
-    series = -sum(m / z ** (j + 1) for j, m in enumerate(moments)) \
-        / (2 * mp.pi * mp.mpc(0, 1))
-    assert abs(v - series) <= mp.mpf("1e-25") * abs(series)
-
-
-def test_cauchy_transform_imaginary_axis_symmetry(plan):
-    # for even real f the value on the imaginary axis is real:
-    # C(f)(it) = t/(2pi) * integral of f(x)/(x^2+t^2)
-    t = mp.mpf(3)
-    v = cauchy_transform(gauss2, mp.mpc(0, t), plan)
-    expect = t / (2 * mp.pi) * integrate_line(
-        lambda x: gauss2(x) / (x * x + t * t), plan)
-    assert v.imag == 0
-    assert abs(v.real - expect) <= mp.mpf("1e-27") * abs(expect)
-
-
-def test_cauchy_transform_zero_integrand(plan):
-    v = cauchy_transform(lambda x: mp.mpf(0), mp.mpc(1, 2), plan)
-    assert v == 0
-
-
-def test_cauchy_pv_even_integrand(plan):
-    assert abs(cauchy_pv(gauss2, mp.mpf(0), plan)) <= mp.mpf("1e-29")
-
-
-def test_cauchy_pv_lorentzian(plan):
-    v = cauchy_pv(lambda x: 1 / (1 + x * x), mp.mpf(0), plan)
-    assert abs(v) <= mp.mpf("1e-29")
-
-
-def test_cauchy_pv_matches_boundary_average(plan):
-    # C(f)(x+i d) + C(f)(x-i d) -> 2 * (1/2pi i) * PV as d -> 0
-    x0 = mp.mpf(1)
-    pv = cauchy_pv(gauss2, x0, plan)
-    ds = boundary_deltas(10, 16)
-    sums = [cauchy_transform(gauss2, mp.mpc(x0, d), plan)
-            + cauchy_transform(gauss2, mp.mpc(x0, -d), plan) for d in ds]
-    lim = richardson_limit(ds, sums)
-    expect = pv / (mp.pi * mp.mpc(0, 1))
-    assert abs(lim - expect) <= mp.mpf("1e-24") * (1 + abs(expect))
-
-
-def test_plemelj_jump_recovers_integrand(plan):
-    # C(f)(x+i d) - C(f)(x-i d) -> f(x), Richardson-extrapolated in d
-    ds = boundary_deltas(10, 16)
-    xs = [mp.mpf(n) / 4 for n in range(-9, 10, 2)]
-    assert len(xs) == 10
-    for x in xs:
-        vals = [cauchy_transform(gauss2, mp.mpc(x, d), plan)
-                - cauchy_transform(gauss2, mp.mpc(x, -d), plan) for d in ds]
-        lim = richardson_limit(ds, vals)
-        assert abs(lim - gauss2(x)) <= mp.mpf("1e-24")
 
 
 def test_boundary_deltas_ladder():

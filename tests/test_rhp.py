@@ -82,6 +82,9 @@ def test_ambient_precision_independence(gauss, ctx):
 def test_determinant_normalization(sol_gauss, sol_gauss_odd, ctx):
     pts = [mp.mpc("1.3", "1.1"), mp.mpc("-0.7", "1.6"), mp.mpc("0.4", "-1.3")]
     assert det_residual(sol_gauss, pts, ctx) <= mp.mpf("1e-40")
+    # |Im z| < 1 takes the near-axis evaluator, on both sides of the axis
+    near = [mp.mpc("0.3", "0.5"), mp.mpc("-0.6", "-0.25")]
+    assert det_residual(sol_gauss, near, ctx) <= mp.mpf("1e-35")
     # odd parity: det deviates from a single monic linear z + c
     assert det_residual(sol_gauss_odd, pts, ctx) <= mp.mpf("1e-38")
     with pytest.raises(ValueError):
