@@ -101,10 +101,12 @@ class RHSolution:
     """Constructed solution: rows stored as complex combinations of real
     polynomials, evaluated via grid Cauchy transforms.
 
-    Far from the axis the shared master grid is used directly; near it
-    `_boundary_pair` splits the integrand at the foot point with local
-    subtraction, on tanh-sinh panels whose nodes are shared across a
-    whole delta ladder, and gives both boundary values at once.
+    Far from the axis the shared master grid is used directly, with the
+    product vectors of each (row polynomial, column) cached per table
+    version.  Near it `_near_pairs` splits the integrand at the foot
+    point with local subtraction, on tanh-sinh panels built once for a
+    whole delta ladder, and gives both boundary values at every delta;
+    nothing per point outlives the call except its last result.
     """
 
     def __init__(self, problem: RHProblem, family: SkewFamily,
@@ -118,9 +120,7 @@ class RHSolution:
         self.collapse_residual = collapse_residual
         self.ctx = ctx
         self._far_fu = {}
-        self._near_nodes = {}
-        self._near_fu = {}
-        self._near_level = {}
+        self._near = None
 
     # -- structure ---------------------------------------------------------
 
@@ -205,12 +205,8 @@ class RHSolution:
     # -- near-field evaluation --------------------------------------------
 
     def _split_nodes(self, x0, level):
-        """Inner panels around x0 plus pruned outer panels, with the
-        per-node column densities and foot-point offsets attached."""
-        key = (x0, level, self.table.version)
-        hit = self._near_nodes.get(key)
-        if hit is not None:
-            return hit
+        """Inner panels around x0 and pruned outer panels, each as (nodes,
+        weights, per-column densities, foot-point offsets)."""
         t = self.table
         prec = t._prec
         with mp.workprec(prec):
@@ -229,99 +225,105 @@ class RHSolution:
                 # edge clusters carry weight below the tail bound scale
                 outer.extend(p for p in zip(xs, ws)
                              if abs(p[0]) <= P - margin or abs(p[0]) <= 1 + abs(x0))
-            ixs = [p[0] for p in inner]
-            iws = [p[1] for p in inner]
-            oxs = [p[0] for p in outer]
-            ows = [p[1] for p in outer]
-            ncols = self.size - 1
-            t.weights_batch(ixs + oxs + [x0], max(1, self.d - 1))
-            iu = [[self._u_at(x, c + 1) for x in ixs] for c in range(ncols)]
-            ou = [[self._u_at(x, c + 1) for x in oxs] for c in range(ncols)]
-            ia = [x - x0 for x in ixs]
-            oa = [x - x0 for x in oxs]
-        out = (ixs, iws, oxs, ows, iu, ou, ia, oa)
-        self._near_nodes[key] = out
-        return out
+            t.weights_batch([p[0] for p in inner + outer] + [x0],
+                            max(1, self.d - 1))
+            parts = []
+            for nodes in (inner, outer):
+                xs = [p[0] for p in nodes]
+                us = [[self._u_at(x, c) for x in xs] for c in range(1, self.size)]
+                parts.append((xs, [p[1] for p in nodes], us, [x - x0 for x in xs]))
+        return parts
 
-    def _near_fu_vec(self, poly: Poly, col: int, x0, level):
-        key = (poly, col, x0, level, self.table.version)
-        hit = self._near_fu.get(key)
-        if hit is None:
-            ixs, iws, oxs, ows, iu, ou, ia, oa = self._split_nodes(x0, level)
-            ivec = [poly(x) * u for x, u in zip(ixs, iu[col - 1])]
-            ovec = [poly(x) * u for x, u in zip(oxs, ou[col - 1])]
-            hit = (ivec, ovec)
-            self._near_fu[key] = hit
-        return hit
-
-    def _near_kernels(self, x0, delta, level):
-        """Weighted kernel parts for z = x0 + i delta: the boundary value
-        from below is the conjugate, so one build serves both sides."""
-        ixs, iws, oxs, ows, iu, ou, ia, oa = self._split_nodes(x0, level)
-        ikr, iki = [], []
-        for a, w in zip(ia, iws):
+    @staticmethod
+    def _near_kernels(offsets, weights, delta):
+        """Real and imaginary parts of w / (x - z) for z = x0 + i delta at
+        the nodes x = x0 + offset: the boundary value from below is the
+        conjugate, so one build serves both sides."""
+        kr, ki = [], []
+        for a, w in zip(offsets, weights):
             den = a * a + delta * delta
-            ikr.append(w * a / den)
-            iki.append(w * delta / den)
-        okr, oki = [], []
-        for a, w in zip(oa, ows):
-            den = a * a + delta * delta
-            okr.append(w * a / den)
-            oki.append(w * delta / den)
-        return ikr, iki, okr, oki, mp.fsum(ikr), mp.fsum(iki)
+            kr.append(w * a / den)
+            ki.append(w * delta / den)
+        return kr, ki
 
-    def _boundary_pair(self, x0, delta, level):
-        """(Y(x0 + i delta), Y(x0 - i delta)) from one shared kernel build,
-        for delta > 0.
+    def _boundary_pairs(self, x0, deltas, level):
+        """[(Y(x0 + i delta), Y(x0 - i delta)) for each delta > 0], all
+        from one node build at the given panel level.
 
         Row polynomials are real, so every grid sum for the lower boundary
         value is the conjugate of the upper one; only the complex row
-        factors break the symmetry, and they multiply at the end.
+        factors break the symmetry, and they multiply at the end.  Each
+        polynomial's product vectors are formed once, reduced for every
+        delta, and dropped before the next polynomial's.
         """
-        zp = mp.mpc(x0, delta)
-        ikr, iki, okr, oki, sr, si = self._near_kernels(x0, delta, level)
-        lt = mp.log(x0 + 1 - zp) - mp.log(x0 - 1 - zp)
+        (ixs, iws, ius, ia), (oxs, ows, ous, oa) = self._split_nodes(x0, level)
+        kerns = []
+        for delta in deltas:
+            ikr, iki = self._near_kernels(ia, iws, delta)
+            okr, oki = self._near_kernels(oa, ows, delta)
+            zp = mp.mpc(x0, delta)
+            lt = mp.log(x0 + 1 - zp) - mp.log(x0 - 1 - zp)
+            kerns.append((ikr, iki, okr, oki, mp.fsum(ikr), mp.fsum(iki), lt))
         n = self.size
-        Yp = [[mp.mpc(0)] * n for _ in range(n)]
-        Ym = [[mp.mpc(0)] * n for _ in range(n)]
-        for r, terms in enumerate(self.row_terms):
+        sides = {}  # poly -> per column, per delta: (upper, lower) sums
+        for terms in self.row_terms:
             for factor, poly in terms:
-                if factor == 0:
+                if factor == 0 or poly in sides:
                     continue
-                v0 = poly(zp)
-                Yp[r][0] += factor * v0
-                Ym[r][0] += factor * mp.conj(v0)
                 p0 = poly(x0)
+                ipv = [poly(x) for x in ixs]
+                opv = [poly(x) for x in oxs]
+                sides[poly] = cols = []
                 for c in range(1, n):
-                    ivec, ovec = self._near_fu_vec(poly, c, x0, level)
+                    ivec = [p * u for p, u in zip(ipv, ius[c - 1])]
+                    ovec = [p * u for p, u in zip(opv, ous[c - 1])]
                     f0 = p0 * self._u_at(x0, c)
-                    re = mp.fdot(ivec, ikr) + mp.fdot(ovec, okr) - f0 * sr
-                    im = mp.fdot(ivec, iki) + mp.fdot(ovec, oki) - f0 * si
-                    base = mp.mpc(re, im) + f0 * lt
-                    conj = mp.mpc(re, -im) + f0 * mp.conj(lt)
-                    Yp[r][c] += factor * base / _two_pi_i()
-                    Ym[r][c] += factor * conj / _two_pi_i()
-        return Yp, Ym
+                    col = []
+                    for ikr, iki, okr, oki, sr, si, lt in kerns:
+                        re = mp.fdot(ivec, ikr) + mp.fdot(ovec, okr) - f0 * sr
+                        im = mp.fdot(ivec, iki) + mp.fdot(ovec, oki) - f0 * si
+                        col.append((mp.mpc(re, im) + f0 * lt,
+                                    mp.mpc(re, -im) + f0 * mp.conj(lt)))
+                    cols.append(col)
+        pairs = []
+        for i, delta in enumerate(deltas):
+            zp = mp.mpc(x0, delta)
+            Yp = [[mp.mpc(0)] * n for _ in range(n)]
+            Ym = [[mp.mpc(0)] * n for _ in range(n)]
+            for r, terms in enumerate(self.row_terms):
+                for factor, poly in terms:
+                    if factor == 0:
+                        continue
+                    v0 = poly(zp)
+                    Yp[r][0] += factor * v0
+                    Ym[r][0] += factor * mp.conj(v0)
+                    for c in range(1, n):
+                        base, conj = sides[poly][c - 1][i]
+                        Yp[r][c] += factor * base / _two_pi_i()
+                        Ym[r][c] += factor * conj / _two_pi_i()
+            pairs.append((Yp, Ym))
+        return pairs
 
-    def _near_level_for(self, x0, delta):
-        """Smallest panel level whose matrices agree at the given offset."""
-        key = (x0, self.table.version)
-        lvl = self._near_level.get(key)
-        if lvl is not None:
-            return lvl
-        prev = self._boundary_pair(x0, delta, 7)[0]
+    def _near_pairs(self, x0, deltas):
+        """Boundary-value pairs along a delta ladder, at the smallest panel
+        level whose upper matrix agrees with the next finer level's at
+        the last delta.  The last result is kept for a repeat call."""
+        key = (x0, tuple(deltas), self.table.version)
+        if self._near is not None and self._near[0] == key:
+            return self._near[1]
         tol = self.table.tol
-        for level in range(8, self.table.max_level + 1):
-            cur = self._boundary_pair(x0, delta, level)[0]
+        for level in range(7, self.table.max_level):
+            pairs = self._boundary_pairs(x0, deltas, level)
+            prev = pairs[-1][0]
+            cur = self._boundary_pairs(x0, deltas[-1:], level + 1)[0][0]
             scale = max(max(abs(v) for v in row) for row in cur)
             dev = max(max(abs(a - b) for a, b in zip(ra, rb))
                       for ra, rb in zip(cur, prev))
             if dev <= tol * max(1, scale):
                 # the coarser level already sits within tolerance of the
                 # finer one, so the whole ladder may run at it
-                self._near_level[key] = level - 1
-                return level - 1
-            prev = cur
+                self._near = (key, pairs)
+                return pairs
         raise QuadratureFailure(
             f"near-axis evaluation did not stabilize at x0={mp.nstr(x0, 8)}")
 
@@ -338,8 +340,7 @@ class RHSolution:
             if dist >= 1:
                 return self._eval_far(z)
             x0, delta = mp.mpf(mp.re(z)), abs(mp.im(z))
-            upper, lower = self._boundary_pair(
-                x0, delta, self._near_level_for(x0, delta))
+            upper, lower = self._near_pairs(x0, (delta,))[0]
             return upper if mp.im(z) > 0 else lower
 
     def __repr__(self):
@@ -472,20 +473,16 @@ def build(problem: RHProblem, ctx: PrecisionContext = DEFAULT_CONTEXT) -> RHSolu
 # ---------------------------------------------------------------------------
 # verification
 
-def _jump_pair(sol: RHSolution, x0, delta, level, jump_row):
-    """Y(x0 + i delta) - Y(x0 - i delta) M(x0) and the magnitude scale."""
-    Yp, Ym = sol._boundary_pair(x0, delta, level)
-    n = sol.size
+def _jump_pair(Yp, Ym, jump_row):
+    """The mismatch Y(x0 + i delta) - Y(x0 - i delta) M(x0)."""
+    n = len(Yp)
     D = [[mp.mpc(0)] * n for _ in range(n)]
-    scale = mp.mpf(1)
     for r in range(n):
         lead = Ym[r][0]
         D[r][0] = Yp[r][0] - lead
         for c in range(1, n):
             D[r][c] = Yp[r][c] - Ym[r][c] - lead * jump_row[c]
-            scale = max(scale, abs(Yp[r][c]))
-        scale = max(scale, abs(lead))
-    return D, scale
+    return D
 
 
 def jump_residual(sol: RHSolution, x,
@@ -499,9 +496,8 @@ def jump_residual(sol: RHSolution, x,
         jump_row = JumpMatrix(sol.problem.potential, sol.ctx,
                               table=table).first_row(x0)
         deltas = boundary_deltas()
-        level = sol._near_level_for(x0, deltas[-1])
-        mats = [_jump_pair(sol, x0, delta, level, jump_row)[0]
-                for delta in deltas]
+        mats = [_jump_pair(Yp, Ym, jump_row)
+                for Yp, Ym in sol._near_pairs(x0, deltas)]
         n = sol.size
         worst = mp.mpf(0)
         for r in range(n):

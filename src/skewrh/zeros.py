@@ -64,7 +64,9 @@ def _aberth(poly: CPoly, tol, max_iter):
     """Simultaneous root iteration for a polynomial of degree >= 1 with
     a nonzero constant term.
 
-    Returns the converged approximations in arbitrary order.
+    Stops once every step is below tol, measured relative to the root
+    outside the unit disk.  Returns the converged approximations in
+    arbitrary order.
     """
     coeffs = poly.coeffs
     n = poly.degree
@@ -98,7 +100,8 @@ def _aberth(poly: CPoly, tol, max_iter):
             den = 1 - newton * repulse
             step = newton if den == 0 else newton / den
             zs[i] = z - step
-            max_step = max(max_step, abs(step))
+            # an absolute step of tol is out of reach for a root of size 1e45
+            max_step = max(max_step, abs(step) / max(1, abs(z)))
         if max_step < tol:
             return zs
     raise NoConvergence(

@@ -40,6 +40,17 @@ def test_cubic_roots_exact_origin(ctx):
     assert abs(rep.sorted_real_parts[2] - target) <= mp.mpf("1e-50")
 
 
+def test_huge_spurious_root_converges(ctx):
+    # quadrature noise in a top coefficient puts a root near -5e44, where
+    # an absolute step test can never pass
+    rep = roots(Poly([-0.5, 3e-45, 1, 2e-45]), ctx)
+    target = 1 / mp.sqrt(2)
+    finite = [x for x in rep.sorted_real_parts if abs(x) < 10]
+    assert len(finite) == 2
+    assert abs(finite[0] + target) <= mp.mpf("1e-40")
+    assert abs(finite[1] - target) <= mp.mpf("1e-40")
+
+
 def test_complex_pair(ctx):
     rep = roots(Poly([1, 0, 1]), ctx)
     assert abs(rep.roots[0] + mp.mpc(0, 1)) <= mp.mpf("1e-50")
