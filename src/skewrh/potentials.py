@@ -18,7 +18,7 @@ import weakref
 from mpmath import mp
 
 from .errors import IntegrabilityError, MomentRangeExceeded, QuadratureFailure
-from .numerics import DEFAULT_CONTEXT, Poly, PrecisionContext, poly_derivative
+from .numerics import DEFAULT_CONTEXT, Poly, PrecisionContext
 from .quadrature import legendre_nodes, ts_mapped_level
 
 
@@ -41,7 +41,9 @@ class Potential:
         if not poly.leading > 0:
             raise IntegrabilityError("leading coefficient must be positive")
         self.poly = poly
-        self.dpoly = poly_derivative(poly)
+        # exact products keep pi_polynomial's leading -d*v_d at any mp.prec
+        self.dpoly = Poly([mp.fmul(i, c, exact=True)
+                           for i, c in enumerate(poly.coeffs)][1:])
 
     @classmethod
     def parse(cls, text: str, scale_n=1) -> "Potential":
@@ -130,8 +132,10 @@ def truncation_radius(V: Potential, i_max: int, tol):
 class WeightTable:
     """Grid data, moments, and half-line integral tables for one potential.
 
-    Grown on demand (ensure_ranges / ensure_level); consumers holding
-    derived vectors should compare `version` before reusing them.
+    Holds master-grid data only: densities at other points are return
+    values of weights_at / weights_batch.  Grown on demand (ensure_ranges
+    / ensure_level); consumers holding derived vectors should compare
+    `version` before reusing them.
     """
 
     panel_order = 20
@@ -159,6 +163,8 @@ class WeightTable:
     # -- construction ------------------------------------------------------
 
     def _ew(self, x):
+        # nested levels share nodes, so the memo is bounded by the node
+        # count of the finest level built
         v = self._ew_memo.get(x)
         if v is None:
             v = mp.e ** (-self.potential(x))
@@ -239,7 +245,6 @@ class WeightTable:
         self._aw_vec = {}
         self._aw_vec_c = {}
         self._aw_vec_abs = {}
-        self._weights_at_memo = {}
 
     # -- half-line integral tables ----------------------------------------
 
@@ -262,7 +267,7 @@ class WeightTable:
         """Integrals of y^j exp(-V) over [a, b] for j = 0..j_count-1."""
         totals = [mp.mpf(0)] * j_count
         for ys, ws in self._panel_nodes(a, b):
-            cur = [w * self._ew(y) for w, y in zip(ws, ys)]
+            cur = [w * mp.e ** (-self.potential(y)) for w, y in zip(ws, ys)]
             for j in range(j_count):
                 if j > 0:
                     cur = [c * y for c, y in zip(cur, ys)]
@@ -289,7 +294,7 @@ class WeightTable:
         gx, gw = legendre_nodes(self._order_for(width), self._prec)
         c, r = (a + b) / 2, width / 2
         ys = [c + r * x for x in gx]
-        cur = [r * w * self._ew(y) for w, y in zip(gw, ys)]
+        cur = [r * w * mp.e ** (-self.potential(y)) for w, y in zip(gw, ys)]
         totals = []
         for j in range(j_count):
             if j > 0:
@@ -298,19 +303,20 @@ class WeightTable:
         return totals
 
     def weights_batch(self, points, n_count: int):
-        """Prime the weights_at memo for many nearby points at once.
+        """{x: (exp(-V), exp(-2V), [w_0 .. w_{n_count-1}]) at x} for many
+        nearby points at once.
 
-        Consecutive gaps are integrated incrementally, so clustered
-        ladders of nodes cost one short low-order panel per gap instead
-        of one anchored panel per point.
+        Only the lowest point is anchored on the master grid; each later
+        one adds its gap, so clustered ladders of nodes cost one short
+        low-order panel per gap instead of one anchored panel per point.
         """
         if n_count - 1 > self.w_max:
             raise MomentRangeExceeded(f"w_{n_count-1} beyond table ({self.w_max})")
-        todo = sorted({mp.mpf(x) for x in points}
-                      - {x for x, n in self._weights_at_memo if n == n_count})
-        if not todo:
-            return
+        out = {}
         with mp.workprec(self._prec):
+            todo = sorted({mp.mpf(x) for x in points})
+            if not todo:
+                return out
             nf = max(1, n_count)
             Fs = self._F_at(todo[0], nf)
             prev = todo[0]
@@ -319,12 +325,10 @@ class WeightTable:
                     step = self._panel_F_step(prev, x, nf)
                     Fs = [f + s for f, s in zip(Fs, step)]
                     prev = x
-                key = (x, n_count)
-                if key in self._weights_at_memo:
-                    continue
-                ex = self._ew(x)
+                ex = mp.e ** (-self.potential(x))
                 ws = [ex * (2 * Fs[n] - self.m[n]) for n in range(n_count)]
-                self._weights_at_memo[key] = (ex, ex * ex, ws)
+                out[x] = (ex, ex * ex, ws)
+        return out
 
     def _build_F(self):
         n_j = self.w_max + 1
@@ -463,25 +467,11 @@ class WeightTable:
     def weights_at(self, x, n_count: int):
         """(exp(-V(x)), exp(-2V(x)), [w_0(x) .. w_{n_count-1}(x)]).
 
-        One shared panel per point serves every w_n, so ladders of
-        evaluations at common nodes stay cheap.
+        Anchored on the master grid; one shared panel serves every w_n.
         """
-        if n_count - 1 > self.w_max:
-            raise MomentRangeExceeded(f"w_{n_count-1} beyond table ({self.w_max})")
-        key = (x, n_count)
-        hit = self._weights_at_memo.get(key)
-        if hit is not None:
-            return hit
         with mp.workprec(self._prec):
             x = mp.mpf(x)
-            ex = self._ew(x)
-            Fs = self._F_at(x, max(1, n_count))
-            ws = [ex * (2 * Fs[n] - self.m[n]) for n in range(n_count)]
-            out = (ex, ex * ex, ws)
-        if len(self._weights_at_memo) > 200000:
-            self._weights_at_memo.clear()
-        self._weights_at_memo[key] = out
-        return out
+        return self.weights_batch([x], n_count)[x]
 
 
 # The tables used last, most recent at the end; at tens of MB each, four

@@ -172,10 +172,6 @@ class RHSolution:
             return self.table.aew2
         return self.table.w_values(col - 2)
 
-    def _u_at(self, x, col: int):
-        ex, ex2, ws = self.table.weights_at(x, max(1, self.d - 1))
-        return ex2 if col == 1 else ws[col - 2]
-
     # -- far-field evaluation ---------------------------------------------
 
     def _far_fu_vec(self, poly: Poly, col: int):
@@ -204,9 +200,10 @@ class RHSolution:
 
     # -- near-field evaluation --------------------------------------------
 
-    def _split_nodes(self, x0, level):
+    def _split_nodes(self, x0, level, dens):
         """Inner panels around x0 and pruned outer panels, each as (nodes,
-        weights, per-column densities, foot-point offsets)."""
+        weights, per-column densities, foot-point offsets); dens maps a
+        point to its column densities and gains the nodes it lacks."""
         t = self.table
         prec = t._prec
         with mp.workprec(prec):
@@ -225,12 +222,13 @@ class RHSolution:
                 # edge clusters carry weight below the tail bound scale
                 outer.extend(p for p in zip(xs, ws)
                              if abs(p[0]) <= P - margin or abs(p[0]) <= 1 + abs(x0))
-            t.weights_batch([p[0] for p in inner + outer] + [x0],
-                            max(1, self.d - 1))
+            new = [p[0] for p in inner + outer if p[0] not in dens]
+            for x, (ex, ex2, ws) in t.weights_batch(new, self.d - 1).items():
+                dens[x] = [ex2] + ws
             parts = []
             for nodes in (inner, outer):
                 xs = [p[0] for p in nodes]
-                us = [[self._u_at(x, c) for x in xs] for c in range(1, self.size)]
+                us = [[dens[x][c] for x in xs] for c in range(self.d)]
                 parts.append((xs, [p[1] for p in nodes], us, [x - x0 for x in xs]))
         return parts
 
@@ -246,7 +244,7 @@ class RHSolution:
             ki.append(w * delta / den)
         return kr, ki
 
-    def _boundary_pairs(self, x0, deltas, level):
+    def _boundary_pairs(self, x0, deltas, level, dens):
         """[(Y(x0 + i delta), Y(x0 - i delta)) for each delta > 0], all
         from one node build at the given panel level.
 
@@ -256,7 +254,7 @@ class RHSolution:
         polynomial's product vectors are formed once, reduced for every
         delta, and dropped before the next polynomial's.
         """
-        (ixs, iws, ius, ia), (oxs, ows, ous, oa) = self._split_nodes(x0, level)
+        (ixs, iws, ius, ia), (oxs, ows, ous, oa) = self._split_nodes(x0, level, dens)
         kerns = []
         for delta in deltas:
             ikr, iki = self._near_kernels(ia, iws, delta)
@@ -277,7 +275,7 @@ class RHSolution:
                 for c in range(1, n):
                     ivec = [p * u for p, u in zip(ipv, ius[c - 1])]
                     ovec = [p * u for p, u in zip(opv, ous[c - 1])]
-                    f0 = p0 * self._u_at(x0, c)
+                    f0 = p0 * dens[x0][c - 1]
                     col = []
                     for ikr, iki, okr, oki, sr, si, lt in kerns:
                         re = mp.fdot(ivec, ikr) + mp.fdot(ovec, okr) - f0 * sr
@@ -307,15 +305,19 @@ class RHSolution:
     def _near_pairs(self, x0, deltas):
         """Boundary-value pairs along a delta ladder, at the smallest panel
         level whose upper matrix agrees with the next finer level's at
-        the last delta.  The last result is kept for a repeat call."""
+        the last delta.  The last result is kept for a repeat call; the
+        column densities live only in this call."""
         key = (x0, tuple(deltas), self.table.version)
         if self._near is not None and self._near[0] == key:
             return self._near[1]
+        # x0 anchored on the master grid, as in the jump row
+        ex, ex2, ws = self.table.weights_at(x0, self.d - 1)
+        dens = {x0: [ex2] + ws}
         tol = self.table.tol
         for level in range(7, self.table.max_level):
-            pairs = self._boundary_pairs(x0, deltas, level)
+            pairs = self._boundary_pairs(x0, deltas, level, dens)
             prev = pairs[-1][0]
-            cur = self._boundary_pairs(x0, deltas[-1:], level + 1)[0][0]
+            cur = self._boundary_pairs(x0, deltas[-1:], level + 1, dens)[0][0]
             scale = max(max(abs(v) for v in row) for row in cur)
             dev = max(max(abs(a - b) for a, b in zip(ra, rb))
                       for ra, rb in zip(cur, prev))

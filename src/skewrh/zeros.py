@@ -29,14 +29,12 @@ class RootReport:
     """All roots of one polynomial, with reality metadata.
 
     roots are sorted by (real, imag); sorted_real_parts carries just the
-    real parts in increasing order; interlaces_with optionally records
-    the outcome of a pairing check against another report.
+    real parts in increasing order.
     """
 
     roots: tuple
     max_imag: object
     sorted_real_parts: tuple
-    interlaces_with: bool | None = None
 
     @property
     def degree(self) -> int:

@@ -8,7 +8,7 @@ from mpmath import mp
 
 from skewrh.errors import UnsupportedRegime
 from skewrh.numerics import Poly, determinant
-from skewrh.potentials import w_function, weight_W
+from skewrh.potentials import Potential, w_function, weight_W
 from skewrh.rhp import (
     JumpMatrix,
     RHProblem,
@@ -78,6 +78,7 @@ def _deep_size(obj, seen):
 
 
 def test_jump_residual_even(sol_gauss, ctx):
+    table_before = _deep_size(vars(sol_gauss.table), set())
     for xs in ("-1.2", "0.8"):
         r = jump_residual(sol_gauss, mp.mpf(xs), ctx)
         assert r <= mp.mpf("1e-45")
@@ -88,6 +89,8 @@ def test_jump_residual_even(sol_gauss, ctx):
               "collapse_residual"}
     own = {k: v for k, v in vars(sol_gauss).items() if k not in shared}
     assert _deep_size(own, set()) < 2 ** 20
+    # nor on the shared weight table, which keeps master-grid data only
+    assert _deep_size(vars(sol_gauss.table), set()) - table_before < 2 ** 20
 
 
 def test_jump_residual_odd(sol_gauss_odd, ctx):
@@ -188,6 +191,14 @@ def test_identity_2_1_small_cases(gauss, quartic, ctx):
         <= mp.mpf("1e-27")
     assert identity_2_1_residual(quartic, Poly([0, 0, 1]), 0, ctx) \
         <= mp.mpf("1e-27")
+
+
+def test_identity_2_1_potential_built_at_53_bits(ctx):
+    # 6 * 0.1 needs 56 bits: V' must not round at the precision V was
+    # built at, or pi_polynomial loses its exact leading -d*v_d
+    with mp.workprec(53):
+        V = Potential([0, 0, 0.5, 0, 0.3, 0, 0.1])
+    assert identity_2_1_residual(V, Poly([1]), 1, ctx) <= mp.mpf("1e-27")
 
 
 def test_unsupported_regime(gauss, quartic, ctx):
