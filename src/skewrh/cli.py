@@ -26,7 +26,7 @@ from .errors import IntegrabilityError, SkewRHError, UnsupportedRegime
 from .moments import build_skew_moment_matrix
 from .numerics import PrecisionContext, determinant, loglog_slope
 from .pfafflattice import band_deviation, build_lax, flow_check
-from .potentials import Potential, get_weight_table, truncation_radius
+from .potentials import Potential, truncation_radius
 from .rhp import (
     RHProblem,
     asymptotic_exponents,
@@ -283,9 +283,7 @@ def cmd_moments(cfg: RunConfig, args, emitter: _Emitter):
     n = _resolve_n(cfg, args)
     ctx = cfg.ctx
     matrix = build_skew_moment_matrix(cfg.potential, cfg.beta, n, ctx)
-    table = get_weight_table(cfg.potential, ctx, i_max=max(2 * n - 1, 4),
-                             w_max=0)
-    one_d = [table.moment(i) for i in range(2 * n)]
+    one_d = [matrix.table.moment(i) for i in range(2 * n)]
     if cfg.fmt == "csv":
         rows = [["table", "i", "j", "value"]]
         for i in range(n):

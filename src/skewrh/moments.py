@@ -1,9 +1,12 @@
 """Skew moment matrices, Hankel matrices, and the three inner products.
 
-Matrix entries are weighted dot products over a WeightTable master grid,
-each validated by coarse/fine level agreement with automatic grid
-escalation.  Antisymmetry is exact because each (i, j) pair is computed
-once and reflected.
+The beta = 1 entries <x^i, y^j>_1 = int x^i w_j(x) dx are weighted dot
+products over a WeightTable's active master grid.  The matrix build forms
+the pairing vectors itself, once per grid level, and validates each entry
+by coarse/fine level agreement, escalating the table's grid when the check
+fails.  Antisymmetry is exact because each (i, j) pair is computed once
+and reflected.  The build also owns the table ranges a size-n matrix
+needs; callers reach that table as `matrix.table`.
 """
 from __future__ import annotations
 
@@ -24,6 +27,8 @@ class SkewMomentMatrix:
     n: int
     rows: tuple
     potential: Potential
+    # the weight table the entries came from, grown to the ranges they need
+    table: WeightTable = dataclasses.field(compare=False, repr=False)
 
     def entry(self, i: int, j: int):
         return self.rows[i][j]
@@ -55,25 +60,61 @@ class HankelMatrix:
         return [list(r) for r in self.rows]
 
 
-def _checked_grid_moment(table: WeightTable, i: int, j: int):
-    """Integral of x^i w_j(x) dx with two-level agreement, escalating the
-    grid when the check fails."""
-    tol = table.tol
-    for _ in range(3):
-        fine, coarse, sabs = table.w_entry(i, j)
-        # absolute floor at the integrand mass: parity-zero entries cancel
-        # only to round-off, which anything below sabs would never accept
-        scale = max(abs(fine), sabs)
-        if abs(fine - coarse) <= tol * scale:
-            return fine
-        table.ensure_level(table.level + 1)
-    raise QuadratureFailure(f"moment entry ({i},{j}) did not stabilize")
+class _GridPairings:
+    """<x^i, y^j>_1 = int x^i w_j(x) dx as sums over a weight table's active
+    nodes, each checked against the coarse half of the level (every second
+    node, step doubled).  The vectors behind the sums are built on first
+    use and kept for the table's current level only."""
+
+    def __init__(self, table: WeightTable):
+        self.table = table
+        self._level = None
+
+    def _vectors(self, cache, key, make):
+        vec = cache.get(key)
+        if vec is None:
+            full = make(key)
+            vec = cache[key] = (full, [full[k] for k in self.table.acoarse],
+                                [abs(v) for v in full])
+        return vec
+
+    def _weighted_power(self, i: int):
+        t = self.table
+        while len(self._pows) <= i:
+            self._pows.append([c * x for c, x in zip(self._pows[-1], t.axs)])
+        return [w * p for w, p in zip(t.awq, self._pows[i])]
+
+    def checked(self, i: int, j: int):
+        """The entry (i, j), from the table's level or, when the check
+        fails there, from one of the next two finer levels."""
+        t = self.table
+        for attempt in range(3):
+            if attempt:
+                t.ensure_level(t.level + 1)
+            if self._level != t.level:
+                self._level, self._wq, self._w = t.level, {}, {}
+                self._pows = [[mp.mpf(1)] * len(t.axs)]
+            wp, wpc, wpa = self._vectors(self._wq, i, self._weighted_power)
+            w, wc, wa = self._vectors(self._w, j, t.w_values)
+            fine = mp.fdot(wp, w)
+            # absolute floor at the integrand mass: parity-zero entries
+            # cancel only to round-off, which anything below it would never
+            # accept
+            scale = max(abs(fine), mp.fdot(wpa, wa))
+            if abs(fine - 2 * mp.fdot(wpc, wc)) <= t.tol * scale:
+                return fine
+        raise QuadratureFailure(f"moment entry ({i},{j}) did not stabilize")
 
 
 def build_skew_moment_matrix(V: Potential, beta: int, n: int,
                              ctx: PrecisionContext = DEFAULT_CONTEXT,
                              table: WeightTable = None) -> SkewMomentMatrix:
-    """n x n matrix of monomial pairings under the beta = 1 or 4 product."""
+    """n x n matrix of monomial pairings under the beta = 1 or 4 product.
+
+    Without a table, the shared one for (V, ctx) is grown to the ranges
+    a size-n matrix needs: moments up to 2n-1, and w_0 .. w_{n-1} for
+    beta = 1.
+    """
     if beta not in (1, 4):
         raise ValueError("beta must be 1 or 4")
     if n < 1:
@@ -86,9 +127,10 @@ def build_skew_moment_matrix(V: Potential, beta: int, n: int,
         rows = [[zero] * n for _ in range(n)]
         if beta == 1:
             table.ensure_ranges(i_max=n - 1, w_max=n - 1)
+            pairings = _GridPairings(table)
             for j in range(n):
                 for i in range(j):
-                    v = _checked_grid_moment(table, i, j)
+                    v = pairings.checked(i, j)
                     rows[i][j] = v
                     rows[j][i] = -v
         else:
@@ -99,7 +141,8 @@ def build_skew_moment_matrix(V: Potential, beta: int, n: int,
                     rows[i][j] = v
                     rows[j][i] = -v
     return SkewMomentMatrix(beta=beta, n=n,
-                            rows=tuple(tuple(r) for r in rows), potential=V)
+                            rows=tuple(tuple(r) for r in rows), potential=V,
+                            table=table)
 
 
 def build_hankel_matrix(V: Potential, n: int,

@@ -2,9 +2,11 @@
 
 A WeightTable holds, for one potential and precision context, a shared
 tanh-sinh master grid over the truncated support together with running
-half-line integrals of y^j exp(-V).  Every moment-type integral then
-reduces to a weighted dot product over that grid, and the half-line
-integrals at arbitrary points cost one short Gauss-Legendre panel.
+half-line integrals of y^j exp(-V).  It keeps grid data only: callers that
+reduce integrals to weighted dot products over the grid (the beta = 1
+pairings in `moments`, the far-field Cauchy sums in `rhp`) form their own
+vectors from it, and the half-line integrals at arbitrary points cost one
+short Gauss-Legendre panel.
 
 Grid sums for integrands carrying exp(-V) run over the active slice
 |x| <= cut only, where cut satisfies x^i_max exp(-V(x)) < quad_tol*1e-4;
@@ -129,13 +131,23 @@ def truncation_radius(V: Potential, i_max: int, tol):
     return base, 2 * base
 
 
+def _power_ladder(xs, cur, count):
+    """cur, cur * x, cur * x^2, ...: count vectors over the nodes xs, each
+    formed from the one before."""
+    for i in range(count):
+        if i > 0:
+            cur = [c * x for c, x in zip(cur, xs)]
+        yield cur
+
+
 class WeightTable:
     """Grid data, moments, and half-line integral tables for one potential.
 
-    Holds master-grid data only: densities at other points are return
-    values of weights_at / weights_batch.  Grown on demand (ensure_ranges
-    / ensure_level); consumers holding derived vectors should compare
-    `version` before reusing them.
+    Holds master-grid data only, and no caches: densities at other points
+    are return values of weights_at / weights_batch, and vectors over the
+    active nodes (w_values) are built per call.  Grown on demand
+    (ensure_ranges / ensure_level); `version` changes whenever the grid
+    data does, for consumers that key results on it.
     """
 
     panel_order = 20
@@ -147,52 +159,43 @@ class WeightTable:
                  i_max: int = 8, w_max=None):
         self.potential = potential
         self.ctx = ctx
-        self.i_max = max(2, int(i_max))
-        w_max = self.i_max if w_max is None else max(0, int(w_max))
-        self.w_max = min(w_max, self.i_max)
+        self.w_max = max(2, int(i_max)) if w_max is None else max(0, int(w_max))
+        # the w_n need the moments m_n, so i_max grows to w_max as in
+        # ensure_ranges
+        self.i_max = max(2, int(i_max), self.w_max)
         self._prec = ctx.mantissa_bits + 16
         self.version = 0
-        self._ew_memo = {}
         with mp.workprec(self._prec):
             self.tol = mp.mpf(ctx.quad_tol)
             self.base_radius, self.radius = truncation_radius(
                 potential, self.i_max, self.tol)
             self._build_grid()
-            self._build_F()
 
     # -- construction ------------------------------------------------------
 
-    def _ew(self, x):
-        # nested levels share nodes, so the memo is bounded by the node
-        # count of the finest level built
-        v = self._ew_memo.get(x)
-        if v is None:
-            v = mp.e ** (-self.potential(x))
-            self._ew_memo[x] = v
-        return v
-
-    def _grid_at_level(self, level):
+    def _grid_at_level(self, level, known):
+        """Sorted nodes, weights and exp(-V) of one level; known maps the
+        nodes of a coarser level (nested levels share them bit-exactly) to
+        their exp(-V)."""
         xs, ws = ts_mapped_level(-self.radius, self.radius, self._prec, level)
         order = sorted(range(len(xs)), key=lambda i: xs[i])
         xs = [xs[i] for i in order]
         ws = [ws[i] for i in order]
-        ew = [self._ew(x) for x in xs]
+        ew = [known[x] if x in known else mp.e ** (-self.potential(x))
+              for x in xs]
         return xs, ws, ew
 
     def _moments_on(self, xs, ws, ew, count):
-        out = []
-        cur = [w * e for w, e in zip(ws, ew)]
-        for i in range(count):
-            if i > 0:
-                cur = [c * x for c, x in zip(cur, xs)]
-            out.append((mp.fsum(cur), mp.fsum(abs(c) for c in cur)))
-        return out
+        vecs = _power_ladder(xs, [w * e for w, e in zip(ws, ew)], count)
+        return [(mp.fsum(c), mp.fsum(abs(v) for v in c)) for c in vecs]
 
     def _build_grid(self):
         n_m = self.i_max + 1
         prev = None
+        known = {}
         for level in range(self.min_level, self.max_level + 1):
-            xs, ws, ew = self._grid_at_level(level)
+            xs, ws, ew = self._grid_at_level(level, known)
+            known = dict(zip(xs, ew))
             cur = self._moments_on(xs, ws, ew, n_m)
             if prev is not None:
                 ok = True
@@ -202,31 +205,22 @@ class WeightTable:
                         ok = False
                         break
                 if ok:
-                    self.level = level
-                    self._install_grid(xs, ws, ew, cur)
+                    self._install_grid(level, xs, ws, ew, cur)
                     return
             prev = cur
         raise QuadratureFailure("moment grid did not stabilize")
 
-    def _install_grid(self, xs, ws, ew, moments):
+    def _install_grid(self, level, xs, ws, ew, moments):
+        """Make one level the table's grid: moments, active slice and the
+        half-line integral tables."""
+        self.level = level
         self.xs = xs
         self.wq = ws
         self.ew = ew
         self.ew2 = [e * e for e in ew]
         self.m = [v for v, _ in moments]
-        cur = [w * e for w, e in zip(ws, self.ew2)]
-        self.m2 = []
-        for i in range(self.i_max + 1):
-            if i > 0:
-                cur = [c * x for c, x in zip(cur, xs)]
-            self.m2.append(mp.fsum(cur))
-        coarse_x = set(ts_mapped_level(-self.radius, self.radius,
-                                       self._prec, self.level - 1)[0])
-        self._coarse_full = [x in coarse_x for x in xs]
-        self._install_active()
-        self.version += 1
-
-    def _install_active(self):
+        self.m2 = [mp.fsum(c) for c in _power_ladder(
+            xs, [w * e for w, e in zip(ws, self.ew2)], self.i_max + 1)]
         self.active_radius = _tail_radius(self.potential, self.i_max,
                                           self.tol * mp.mpf('1e-4'))
         self.active_radius = min(self.active_radius, self.radius)
@@ -237,14 +231,11 @@ class WeightTable:
         self.awq = self.wq[lo:hi]
         self.aew = self.ew[lo:hi]
         self.aew2 = self.ew2[lo:hi]
-        self.acoarse = [k for k, c in enumerate(self._coarse_full[lo:hi]) if c]
-        self._apow = {0: [mp.mpf(1)] * len(self.axs)}
-        self._awq_pow = {}
-        self._awq_pow_c = {}
-        self._awq_pow_abs = {}
-        self._aw_vec = {}
-        self._aw_vec_c = {}
-        self._aw_vec_abs = {}
+        # the next coarser level is every second node counted from the
+        # centre node x = 0 (ts_halfline_nodes nests the levels)
+        self.acoarse = range((lo - len(self.xs) // 2) % 2, hi - lo, 2)
+        self._build_F()
+        self.version += 1
 
     # -- half-line integral tables ----------------------------------------
 
@@ -268,10 +259,8 @@ class WeightTable:
         totals = [mp.mpf(0)] * j_count
         for ys, ws in self._panel_nodes(a, b):
             cur = [w * mp.e ** (-self.potential(y)) for w, y in zip(ws, ys)]
-            for j in range(j_count):
-                if j > 0:
-                    cur = [c * y for c, y in zip(cur, ys)]
-                totals[j] += mp.fsum(cur)
+            for j, c in enumerate(_power_ladder(ys, cur, j_count)):
+                totals[j] += mp.fsum(c)
         return totals
 
     def _order_for(self, width):
@@ -295,12 +284,7 @@ class WeightTable:
         c, r = (a + b) / 2, width / 2
         ys = [c + r * x for x in gx]
         cur = [r * w * mp.e ** (-self.potential(y)) for w, y in zip(gw, ys)]
-        totals = []
-        for j in range(j_count):
-            if j > 0:
-                cur = [v * y for v, y in zip(cur, ys)]
-            totals.append(mp.fsum(cur))
-        return totals
+        return [mp.fsum(c) for c in _power_ladder(ys, cur, j_count)]
 
     def weights_batch(self, points, n_count: int):
         """{x: (exp(-V), exp(-2V), [w_0 .. w_{n_count-1}]) at x} for many
@@ -350,9 +334,6 @@ class WeightTable:
                 F[j][k] = run[j]
             prev_x = x
         self.F = F
-        self._aw_vec = {}
-        self._aw_vec_c = {}
-        self._aw_vec_abs = {}
 
     # -- growth ------------------------------------------------------------
 
@@ -362,11 +343,9 @@ class WeightTable:
         if level > self.max_level:
             raise QuadratureFailure("grid level cap reached")
         with mp.workprec(self._prec):
-            xs, ws, ew = self._grid_at_level(level)
+            xs, ws, ew = self._grid_at_level(level, dict(zip(self.xs, self.ew)))
             cur = self._moments_on(xs, ws, ew, self.i_max + 1)
-            self.level = level
-            self._install_grid(xs, ws, ew, cur)
-            self._build_F()
+            self._install_grid(level, xs, ws, ew, cur)
 
     def ensure_ranges(self, i_max=None, w_max=None):
         i_max = self.i_max if i_max is None else max(self.i_max, int(i_max))
@@ -375,25 +354,21 @@ class WeightTable:
         if i_max == self.i_max and w_max == self.w_max:
             return
         with mp.workprec(self._prec):
-            if i_max > self.i_max:
-                base, doubled = truncation_radius(self.potential, i_max, self.tol)
-                self.i_max = i_max
-                self.w_max = w_max
-                if doubled > self.radius:
-                    # wider support: rebuild everything from scratch
-                    self.base_radius, self.radius = base, doubled
-                    self._ew_memo = {}
-                    self._build_grid()
-                    self._build_F()
-                    return
-                moms = self._moments_on(self.xs, self.wq, self.ew, self.i_max + 1)
-                self._install_grid(self.xs, self.wq, self.ew, moms)
-                self._build_F()
-                return
-            if w_max > self.w_max:
+            if i_max == self.i_max:
                 self.w_max = w_max
                 self._build_F()
                 self.version += 1
+                return
+            base, doubled = truncation_radius(self.potential, i_max, self.tol)
+            self.i_max = i_max
+            self.w_max = w_max
+            if doubled > self.radius:
+                # wider support: rebuild everything from scratch
+                self.base_radius, self.radius = base, doubled
+                self._build_grid()
+                return
+            moms = self._moments_on(self.xs, self.wq, self.ew, self.i_max + 1)
+            self._install_grid(self.level, self.xs, self.wq, self.ew, moms)
 
     # -- moments and grid sums --------------------------------------------
 
@@ -409,46 +384,13 @@ class WeightTable:
             raise MomentRangeExceeded(f"moment2 {i} beyond table ({self.i_max})")
         return self.m2[i]
 
-    def power_vector(self, i: int):
-        """x^i at the active grid nodes (cached, built incrementally)."""
-        if i not in self._apow:
-            lo = max(k for k in self._apow if k <= i)
-            cur = self._apow[lo]
-            for k in range(lo + 1, i + 1):
-                cur = [c * x for c, x in zip(cur, self.axs)]
-                self._apow[k] = cur
-        return self._apow[i]
-
-    def _wq_pow(self, i: int):
-        if i not in self._awq_pow:
-            pv = self.power_vector(i)
-            full = [w * p for w, p in zip(self.awq, pv)]
-            self._awq_pow[i] = full
-            self._awq_pow_c[i] = [2 * full[k] for k in self.acoarse]
-            self._awq_pow_abs[i] = [abs(v) for v in full]
-        return (self._awq_pow[i], self._awq_pow_c[i], self._awq_pow_abs[i])
-
     def w_values(self, n: int):
         """w_n at the active grid nodes: exp(-V) * (2 F_n - m_n)."""
         if not 0 <= n <= self.w_max:
             raise MomentRangeExceeded(f"w_{n} beyond table ({self.w_max})")
-        if n not in self._aw_vec:
-            mn = self.m[n]
-            Fn = self.F[n][self._alo:self._ahi]
-            vec = [e * (2 * f - mn) for e, f in zip(self.aew, Fn)]
-            self._aw_vec[n] = vec
-            self._aw_vec_c[n] = [vec[k] for k in self.acoarse]
-            self._aw_vec_abs[n] = [abs(v) for v in vec]
-        return self._aw_vec[n]
-
-    def w_entry(self, i: int, j: int):
-        """(fine, coarse, abs-sum) for the pairing integral x^i w_j."""
-        wp, wpc, wpa = self._wq_pow(i)
-        self.w_values(j)
-        fine = mp.fdot(wp, self._aw_vec[j])
-        coarse = mp.fdot(wpc, self._aw_vec_c[j])
-        sabs = mp.fdot(wpa, self._aw_vec_abs[j])
-        return fine, coarse, sabs
+        mn = self.m[n]
+        Fn = self.F[n][self._alo:self._ahi]
+        return [e * (2 * f - mn) for e, f in zip(self.aew, Fn)]
 
     # -- pointwise evaluation ---------------------------------------------
 

@@ -389,30 +389,29 @@ def _solve_row(table: WeightTable, matrix, k: int, d: int, row: int,
     return Poly(linear_solve(A, b, ctx))
 
 
-def _prepare(V: Potential, k: int, ctx: PrecisionContext):
+def _solved_rows(V: Potential, k: int, ctx: PrecisionContext):
+    """The data both parities share: the table, the family, the row-1
+    normalization alpha with its collapse residual, and the row-1..d
+    polynomials c_1 .. c_d before the -2*pi*i scaling."""
     d = V.degree
-    table = get_weight_table(V, ctx, i_max=max(4 * k + 3, 4),
-                             w_max=2 * k + 1)
-    family = skew_orthogonal_family(V, 1, k, ctx, table=table)
-    matrix = family.matrix
+    family = skew_orthogonal_family(V, 1, k, ctx)
+    table, matrix = family.table, family.matrix
     den = skew_inner_1(family.polys[2 * k - 2], _monomial(2 * k - 1), matrix)
     scale = abs(matrix.entry(2 * k - 2, 2 * k - 1)) + abs(den)
     if not abs(den) > scale * mp.mpf(2) ** (-ctx.mantissa_bits + 16):
         raise DegenerateInnerProduct(
             "pairing of p_{2k-2} against y^{2k-1} degenerates")
-    return d, table, family, matrix, den
-
-
-def _row_one_data(table, matrix, family, k, d, ctx):
-    """Row-1 solve plus its collapse onto the lower even family member."""
-    c = _solve_row(table, matrix, k, d, 1, ctx)
-    alpha = -_two_pi_i() * c.coeff(2 * k - 2)
+    # row 1 collapses onto the lower even family member
+    c1 = _solve_row(table, matrix, k, d, 1, ctx)
+    alpha = -_two_pi_i() * c1.coeff(2 * k - 2)
     target = family.polys[2 * k - 2]
     dev = mp.mpf(0)
     for s in range(2 * k - 1):
-        dev = max(dev, abs(-_two_pi_i() * c.coeff(s) - alpha * target.coeff(s)))
+        dev = max(dev, abs(-_two_pi_i() * c1.coeff(s) - alpha * target.coeff(s)))
     collapse = dev / max(abs(alpha), mp.mpf(1))
-    return c, alpha, collapse
+    lower = [c1] + [_solve_row(table, matrix, k, d, r, ctx)
+                    for r in range(2, d + 1)]
+    return table, family, alpha, collapse, lower
 
 
 def build_even(V: Potential, k: int,
@@ -424,12 +423,9 @@ def build_even(V: Potential, k: int,
         raise UnsupportedRegime(
             f"need 2k >= d for a square condition system (k={k}, d={d})")
     with ctx.workprec():
-        d, table, family, matrix, den = _prepare(V, k, ctx)
-        c1, alpha, collapse = _row_one_data(table, matrix, family, k, d, ctx)
-        rows = [((mp.mpc(1), family.polys[2 * k]),),
-                ((-_two_pi_i(), c1),)]
-        for r in range(2, d + 1):
-            rows.append(((-_two_pi_i(), _solve_row(table, matrix, k, d, r, ctx)),))
+        table, family, alpha, collapse, lower = _solved_rows(V, k, ctx)
+        rows = [((mp.mpc(1), family.polys[2 * k]),)]
+        rows += [((-_two_pi_i(), c),) for c in lower]
     problem = RHProblem(potential=V, k=k, parity="even")
     return RHSolution(problem, family, table, rows, alpha, collapse, ctx)
 
@@ -452,15 +448,10 @@ def build_odd(V: Potential, k: int, free_params=None,
         raise ValueError(f"at most d+1 = {d + 1} free parameters")
     params += [mp.mpc(0)] * (d + 1 - len(params))
     with ctx.workprec():
-        d, table, family, matrix, den = _prepare(V, k, ctx)
-        c1, alpha, collapse = _row_one_data(table, matrix, family, k, d, ctx)
+        table, family, alpha, collapse, lower = _solved_rows(V, k, ctx)
         p2k = family.polys[2 * k]
-        a_k, bs = params[0], params[1:]
-        rows = [((mp.mpc(1), family.polys[2 * k + 1]), (a_k, p2k)),
-                ((-_two_pi_i(), c1), (bs[0], p2k))]
-        for r in range(2, d + 1):
-            rows.append(((-_two_pi_i(), _solve_row(table, matrix, k, d, r, ctx)),
-                         (bs[r - 1], p2k)))
+        rows = [((mp.mpc(1), family.polys[2 * k + 1]), (params[0], p2k))]
+        rows += [((-_two_pi_i(), c), (b, p2k)) for c, b in zip(lower, params[1:])]
     problem = RHProblem(potential=V, k=k, parity="odd",
                         free_params=tuple(params))
     return RHSolution(problem, family, table, rows, alpha, collapse, ctx)
@@ -563,10 +554,7 @@ def identity_2_1_residual(V: Potential, f: Poly, j: int,
     with ctx.workprec():
         pi = pi_polynomial(V, j)
         n = max(f.degree, pi.degree) + 1
-        if table is None:
-            table = get_weight_table(V, ctx, i_max=max(2 * n - 1, 4),
-                                     w_max=n - 1)
         matrix = build_skew_moment_matrix(V, 1, n, ctx, table=table)
         lhs = skew_inner_1(f, pi, matrix)
-        rhs = 2 * inner_2(f, _monomial(j), table)
+        rhs = 2 * inner_2(f, _monomial(j), matrix.table)
         return abs(lhs - rhs)

@@ -16,7 +16,7 @@ from .errors import DegenerateInnerProduct
 from .numerics import DEFAULT_CONTEXT, Poly, PrecisionContext, mat_inf_norm
 from .moments import (HankelMatrix, SkewMomentMatrix, build_hankel_matrix,
                       build_skew_moment_matrix, skew_inner)
-from .potentials import Potential, WeightTable, get_weight_table
+from .potentials import Potential, WeightTable
 
 
 @dataclasses.dataclass(frozen=True)
@@ -198,9 +198,6 @@ def skew_orthogonal_family(V: Potential, beta: int, k_max: int,
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     n = 2 * k_max + 2
-    if table is None:
-        table = get_weight_table(V, ctx, i_max=max(2 * n - 1, 4),
-                                 w_max=(n - 1 if beta == 1 else 0))
     if matrix is None:
         matrix = build_skew_moment_matrix(V, beta, n, ctx, table=table)
     if matrix.n < n or matrix.beta != beta:
@@ -210,7 +207,8 @@ def skew_orthogonal_family(V: Potential, beta: int, k_max: int,
         fact = skew_eliminate(rows, ctx)
         polys = _family_from_factorization(fact)
     return SkewFamily(beta=beta, polys=tuple(polys), h=fact.d,
-                      potential=V, matrix=matrix, table=table)
+                      potential=V, matrix=matrix,
+                      table=matrix.table if table is None else table)
 
 
 def _index_minor(rows, idx):

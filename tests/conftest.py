@@ -10,10 +10,12 @@ matter: at the interpreter default of 53 bits a subtraction of two
 the duration of each test.
 """
 
+import sys
+
 import pytest
 from mpmath import mp
 
-from skewrh.numerics import PrecisionContext
+from skewrh.numerics import Poly, PrecisionContext
 from skewrh.potentials import Potential
 from skewrh.skewalg import skew_orthogonal_family
 
@@ -68,3 +70,30 @@ def fam4_gauss(gauss, ctx):
 @pytest.fixture(scope="session")
 def fam4_quartic(quartic, ctx):
     return skew_orthogonal_family(quartic, 4, 8, ctx)
+
+
+def _deep_size(obj, seen):
+    """Bytes reachable from obj through containers and mpmath numbers."""
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    if isinstance(obj, dict):
+        parts = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        parts = obj
+    elif isinstance(obj, mp.mpf):
+        parts = [obj._mpf_]
+    elif isinstance(obj, mp.mpc):
+        parts = [obj._mpc_]
+    elif isinstance(obj, Poly):
+        parts = [obj.coeffs]
+    else:
+        parts = ()
+    return sys.getsizeof(obj) + sum(_deep_size(p, seen) for p in parts)
+
+
+@pytest.fixture(scope="session")
+def deep_size():
+    """Bytes reachable from an object through containers and mpmath
+    numbers, for tests that bound what a call leaves behind."""
+    return lambda obj: _deep_size(obj, set())

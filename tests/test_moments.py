@@ -5,7 +5,7 @@ import random
 import pytest
 from mpmath import mp
 
-from skewrh.errors import MomentRangeExceeded
+from skewrh.errors import MomentRangeExceeded, QuadratureFailure
 from skewrh.moments import (
     HankelMatrix,
     SkewMomentMatrix,
@@ -17,7 +17,7 @@ from skewrh.moments import (
     skew_inner_4,
 )
 from skewrh.numerics import Poly, determinant, poly_derivative
-from skewrh.potentials import get_weight_table, truncation_radius
+from skewrh.potentials import WeightTable, get_weight_table, truncation_radius
 from skewrh.quadrature import legendre_nodes
 
 
@@ -225,3 +225,33 @@ def test_build_validates_arguments(gauss, ctx):
         build_skew_moment_matrix(gauss, 1, 0, ctx)
     with pytest.raises(ValueError):
         build_skew_moment_matrix(gauss, 3, 4, ctx)
+
+
+def test_entry_check_stops_at_two_escalations(gauss, ctx, monkeypatch):
+    table = WeightTable(gauss, ctx, i_max=4, w_max=3)
+    start, asked = table.level, []
+
+    def ensure_level(level):
+        # records the request and keeps the grid; past two levels up the
+        # real table would stop at its level cap
+        if level > start + 2:
+            raise QuadratureFailure("grid level cap reached")
+        asked.append(level)
+        table.level = level
+
+    monkeypatch.setattr(table, "ensure_level", ensure_level)
+    table.tol = mp.mpf(-1)  # no entry passes its check
+    with pytest.raises(QuadratureFailure, match=r"moment entry \(0,1\)"):
+        build_skew_moment_matrix(gauss, 1, 4, ctx, table=table)
+    assert asked == [start + 1, start + 2]
+
+
+def test_build_leaves_settled_table_as_it_was(quartic, ctx, deep_size):
+    # the pairing vectors belong to the build: a table already at the level
+    # the build settles on gains nothing from it
+    table = WeightTable(quartic, ctx, i_max=27, w_max=13)
+    table.ensure_level(9)
+    before = deep_size(vars(table))
+    build_skew_moment_matrix(quartic, 1, 14, ctx, table=table)
+    assert table.level == 9
+    assert deep_size(vars(table)) - before < 2 ** 20

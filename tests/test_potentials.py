@@ -9,8 +9,10 @@ from mpmath import mp
 from skewrh import potentials
 from skewrh.errors import IntegrabilityError, MomentRangeExceeded
 from skewrh.numerics import Poly
+from skewrh.quadrature import ts_mapped_level
 from skewrh.potentials import (
     Potential,
+    WeightTable,
     get_weight_table,
     pi_polynomial,
     truncation_radius,
@@ -190,3 +192,29 @@ def test_weights_at_consistent_with_w_function(gauss, ctx):
     for n, w in enumerate(ws):
         direct = w_function(gauss, n, x, ctx)
         assert abs(w - direct) <= mp.mpf("1e-28") * max(1, abs(direct))
+
+
+def test_weight_table_raises_i_max_to_w_max(gauss, ctx):
+    # w_n needs the moment m_n: the constructor widens i_max the way
+    # ensure_ranges does instead of clamping w_max down
+    table = WeightTable(gauss, ctx, i_max=2, w_max=5)
+    assert (table.i_max, table.w_max) == (5, 5)
+    x = mp.mpf("0.3")
+    ws = table.weights_at(x, 6)[2]
+    for n, w in enumerate(ws):
+        direct = w_function(gauss, n, x, ctx)
+        assert abs(w - direct) <= mp.mpf("1e-28") * max(1, abs(direct))
+
+
+def test_coarse_nodes_are_the_coarser_level(gauss, quartic, ctx):
+    def reference(t):
+        # the active nodes that the next coarser level also has
+        with mp.workprec(t._prec):
+            xs = set(ts_mapped_level(-t.radius, t.radius, t._prec, t.level - 1)[0])
+        return [k for k, x in enumerate(t.axs) if x in xs]
+
+    for V in (gauss, quartic):
+        table = WeightTable(V, ctx, i_max=4, w_max=0)
+        assert list(table.acoarse) == reference(table)
+        table.ensure_level(table.level + 1)
+        assert list(table.acoarse) == reference(table)

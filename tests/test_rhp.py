@@ -1,8 +1,6 @@
 """Boundary-matrix construction: jump, asymptotics, normalization,
 gauge freedom, and the degenerate-collapse identity."""
 
-import sys
-
 import pytest
 from mpmath import mp
 
@@ -57,28 +55,8 @@ def test_collapse_residual_tiny(sol_gauss):
     assert sol_gauss.collapse_residual <= mp.mpf("1e-30")
 
 
-def _deep_size(obj, seen):
-    """Bytes reachable from obj through containers and mpmath numbers."""
-    if id(obj) in seen:
-        return 0
-    seen.add(id(obj))
-    if isinstance(obj, dict):
-        parts = [*obj.keys(), *obj.values()]
-    elif isinstance(obj, (list, tuple, set, frozenset)):
-        parts = obj
-    elif isinstance(obj, mp.mpf):
-        parts = [obj._mpf_]
-    elif isinstance(obj, mp.mpc):
-        parts = [obj._mpc_]
-    elif isinstance(obj, Poly):
-        parts = [obj.coeffs]
-    else:
-        parts = ()
-    return sys.getsizeof(obj) + sum(_deep_size(p, seen) for p in parts)
-
-
-def test_jump_residual_even(sol_gauss, ctx):
-    table_before = _deep_size(vars(sol_gauss.table), set())
+def test_jump_residual_even(sol_gauss, ctx, deep_size):
+    table_before = deep_size(vars(sol_gauss.table))
     for xs in ("-1.2", "0.8"):
         r = jump_residual(sol_gauss, mp.mpf(xs), ctx)
         assert r <= mp.mpf("1e-45")
@@ -88,9 +66,9 @@ def test_jump_residual_even(sol_gauss, ctx):
     shared = {"family", "table", "problem", "row_terms", "ctx", "alpha",
               "collapse_residual"}
     own = {k: v for k, v in vars(sol_gauss).items() if k not in shared}
-    assert _deep_size(own, set()) < 2 ** 20
+    assert deep_size(own) < 2 ** 20
     # nor on the shared weight table, which keeps master-grid data only
-    assert _deep_size(vars(sol_gauss.table), set()) - table_before < 2 ** 20
+    assert deep_size(vars(sol_gauss.table)) - table_before < 2 ** 20
 
 
 def test_jump_residual_odd(sol_gauss_odd, ctx):
