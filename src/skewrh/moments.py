@@ -13,9 +13,10 @@ from __future__ import annotations
 import dataclasses
 
 from mpmath import mp
+from mpmath.libmp import fone, mpf_abs
 
 from .errors import MomentRangeExceeded, QuadratureFailure
-from .numerics import DEFAULT_CONTEXT, Poly, PrecisionContext
+from .numerics import DEFAULT_CONTEXT, Poly, PrecisionContext, fdot_raw, vmul_raw
 from .potentials import Potential, WeightTable, get_weight_table
 
 
@@ -64,7 +65,7 @@ class _GridPairings:
     """<x^i, y^j>_1 = int x^i w_j(x) dx as sums over a weight table's active
     nodes, each checked against the coarse half of the level (every second
     node, step doubled).  The vectors behind the sums are built on first
-    use and kept for the table's current level only."""
+    use, as raw tuples, and kept for the table's current level only."""
 
     def __init__(self, table: WeightTable):
         self.table = table
@@ -74,15 +75,18 @@ class _GridPairings:
         vec = cache.get(key)
         if vec is None:
             full = make(key)
+            # entries are rounded at the working precision, so |v| is exact
             vec = cache[key] = (full, [full[k] for k in self.table.acoarse],
-                                [abs(v) for v in full])
+                                [mpf_abs(v) for v in full])
         return vec
 
     def _weighted_power(self, i: int):
-        t = self.table
         while len(self._pows) <= i:
-            self._pows.append([c * x for c, x in zip(self._pows[-1], t.axs)])
-        return [w * p for w, p in zip(t.awq, self._pows[i])]
+            self._pows.append(vmul_raw(self._pows[-1], self._axs))
+        return vmul_raw(self._awq, self._pows[i])
+
+    def _w_column(self, j: int):
+        return [v._mpf_ for v in self.table.w_values(j)]
 
     def checked(self, i: int, j: int):
         """The entry (i, j), from the table's level or, when the check
@@ -93,15 +97,17 @@ class _GridPairings:
                 t.ensure_level(t.level + 1)
             if self._level != t.level:
                 self._level, self._wq, self._w = t.level, {}, {}
-                self._pows = [[mp.mpf(1)] * len(t.axs)]
+                self._axs = [x._mpf_ for x in t.axs]
+                self._awq = [w._mpf_ for w in t.awq]
+                self._pows = [[fone] * len(t.axs)]
             wp, wpc, wpa = self._vectors(self._wq, i, self._weighted_power)
-            w, wc, wa = self._vectors(self._w, j, t.w_values)
-            fine = mp.fdot(wp, w)
+            w, wc, wa = self._vectors(self._w, j, self._w_column)
+            fine = fdot_raw(wp, w)
             # absolute floor at the integrand mass: parity-zero entries
             # cancel only to round-off, which anything below it would never
             # accept
-            scale = max(abs(fine), mp.fdot(wpa, wa))
-            if abs(fine - 2 * mp.fdot(wpc, wc)) <= t.tol * scale:
+            scale = max(abs(fine), fdot_raw(wpa, wa))
+            if abs(fine - 2 * fdot_raw(wpc, wc)) <= t.tol * scale:
                 return fine
         raise QuadratureFailure(f"moment entry ({i},{j}) did not stabilize")
 

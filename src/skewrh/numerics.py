@@ -7,9 +7,11 @@ internal helpers assume the caller already did.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Iterable, Sequence
 
 from mpmath import mp
+from mpmath.libmp import mpf_add, mpf_e, mpf_exp, mpf_log, mpf_mul, mpf_pow, mpf_sum
 
 from .errors import SingularSystem
 
@@ -96,8 +98,17 @@ class Poly:
         return self.coeffs[-1]
 
     def __call__(self, z):
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
+        cs = self.coeffs
+        if type(z) is mp.mpf and type(self) is Poly:
+            # acc * z + c on raw tuples, rounded as the mpf operators round
+            prec, rnd = mp._prec_rounding
+            z = z._mpf_
+            acc = cs[-1]._mpf_
+            for c in reversed(cs[:-1]):
+                acc = mpf_add(mpf_mul(acc, z, prec, rnd), c._mpf_, prec, rnd)
+            return mp.make_mpf(acc)
+        acc = cs[-1]
+        for c in reversed(cs[:-1]):
             acc = acc * z + c
         return acc
 
@@ -190,6 +201,49 @@ def loglog_slope(xs, ys):
     my = mp.fsum(ly) / len(ly)
     num = mp.fsum((a - mx) * (b - my) for a, b in zip(lx, ly))
     return num / mp.fsum((a - mx) ** 2 for a in lx)
+
+
+# ---------------------------------------------------------------------------
+# raw-mpf fast paths: the same mpmath operations, with the same roundings and
+# in the same order, as the expressions they stand for, so every result is
+# bit-identical to it; they skip the per-operation type dispatch and object
+# allocation of the mpf layer.  Raw values are `_mpf_` tuples, rounded at the
+# working precision (mp._prec_rounding).
+
+@functools.lru_cache(maxsize=8)
+def _log_e(prec, rnd):
+    # as mpf_pow forms it: e rounded at prec, its log at prec + 10 bits
+    return mpf_log(mpf_e(prec, rnd), prec + 10, rnd)
+
+
+def exp_e(t):
+    """mp.e ** t for an mpf t.  mpf_pow's general branch is
+    exp(t * log(e)) with log(e) re-derived on every call; here it is
+    formed once per (prec, rounding).  Integer, half-integer and special t
+    take mpf_pow's own branches."""
+    prec, rnd = mp._prec_rounding
+    t = t._mpf_
+    if t[2] >= -1 or not t[1]:
+        return mp.make_mpf(mpf_pow(mpf_e(prec, rnd), t, prec, rnd))
+    return mp.make_mpf(mpf_exp(mpf_mul(t, _log_e(prec, rnd)), prec, rnd))
+
+
+def fsum_raw(xs, absolute=False):
+    """mp.fsum(xs), or with absolute the fsum of |x|, for raw real xs."""
+    prec, rnd = mp._prec_rounding
+    return mp.make_mpf(mpf_sum(xs, prec, rnd, absolute))
+
+
+def fdot_raw(A, B):
+    """mp.fdot(A, B) for raw real vectors: its real branch, exact products
+    summed by mpf_sum.  Real times complex is one such dot per part."""
+    return fsum_raw([mpf_mul(a, b) for a, b in zip(A, B)])
+
+
+def vmul_raw(A, B):
+    """[a * b for a, b in zip(A, B)] for raw real vectors, as raw tuples."""
+    prec, rnd = mp._prec_rounding
+    return [mpf_mul(a, b, prec, rnd) for a, b in zip(A, B)]
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import weakref
 from mpmath import mp
 
 from .errors import IntegrabilityError, MomentRangeExceeded, QuadratureFailure
-from .numerics import DEFAULT_CONTEXT, Poly, PrecisionContext
+from .numerics import DEFAULT_CONTEXT, Poly, PrecisionContext, exp_e, fsum_raw, vmul_raw
 from .quadrature import legendre_nodes, ts_mapped_level
 
 
@@ -85,7 +85,7 @@ class Potential:
 def weight_W(V: Potential, x, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """The squared-exponent weight exp(-2 V(x))."""
     with ctx.workprec():
-        return mp.e ** (-2 * V(mp.mpf(x)))
+        return exp_e(-2 * V(mp.mpf(x)))
 
 
 def pi_polynomial(V: Potential, j: int) -> Poly:
@@ -107,7 +107,7 @@ def _tail_radius(V: Potential, i_max: int, tol):
     tol = mp.mpf(tol)
 
     def small(r):
-        return r ** i_max * mp.e ** (-V(r)) < tol
+        return r ** i_max * exp_e(-V(r)) < tol
 
     lo, hi = mp.mpf(1), mp.mpf(1)
     while not small(hi):
@@ -131,13 +131,19 @@ def truncation_radius(V: Potential, i_max: int, tol):
     return base, 2 * base
 
 
-def _power_ladder(xs, cur, count):
-    """cur, cur * x, cur * x^2, ...: count vectors over the nodes xs, each
-    formed from the one before."""
+def _power_sums(xs, cur, count, absolute=False):
+    """mp.fsum of cur, cur * x, cur * x^2, ...: count vectors over the nodes
+    xs, each formed from the one before, on raw tuples.  With absolute,
+    each sum comes paired with the sum of absolute values."""
+    xs = [x._mpf_ for x in xs]
+    cur = [c._mpf_ for c in cur]
+    out = []
     for i in range(count):
         if i > 0:
-            cur = [c * x for c, x in zip(cur, xs)]
-        yield cur
+            cur = vmul_raw(cur, xs)
+        out.append((fsum_raw(cur), fsum_raw(cur, True)) if absolute
+                   else fsum_raw(cur))
+    return out
 
 
 class WeightTable:
@@ -167,6 +173,8 @@ class WeightTable:
         self.version = 0
         with mp.workprec(self._prec):
             self.tol = mp.mpf(ctx.quad_tol)
+            # bits _order_for asks of a panel: the tolerance with margin
+            self._order_bits = -mp.log(self.tol, 2) + 40
             self.base_radius, self.radius = truncation_radius(
                 potential, self.i_max, self.tol)
             self._build_grid()
@@ -181,13 +189,13 @@ class WeightTable:
         order = sorted(range(len(xs)), key=lambda i: xs[i])
         xs = [xs[i] for i in order]
         ws = [ws[i] for i in order]
-        ew = [known[x] if x in known else mp.e ** (-self.potential(x))
+        ew = [known[x] if x in known else exp_e(-self.potential(x))
               for x in xs]
         return xs, ws, ew
 
     def _moments_on(self, xs, ws, ew, count):
-        vecs = _power_ladder(xs, [w * e for w, e in zip(ws, ew)], count)
-        return [(mp.fsum(c), mp.fsum(abs(v) for v in c)) for c in vecs]
+        return _power_sums(xs, [w * e for w, e in zip(ws, ew)], count,
+                           absolute=True)
 
     def _build_grid(self):
         n_m = self.i_max + 1
@@ -219,8 +227,8 @@ class WeightTable:
         self.ew = ew
         self.ew2 = [e * e for e in ew]
         self.m = [v for v, _ in moments]
-        self.m2 = [mp.fsum(c) for c in _power_ladder(
-            xs, [w * e for w, e in zip(ws, self.ew2)], self.i_max + 1)]
+        self.m2 = _power_sums(xs, [w * e for w, e in zip(ws, self.ew2)],
+                              self.i_max + 1)
         self.active_radius = _tail_radius(self.potential, self.i_max,
                                           self.tol * mp.mpf('1e-4'))
         self.active_radius = min(self.active_radius, self.radius)
@@ -258,9 +266,9 @@ class WeightTable:
         """Integrals of y^j exp(-V) over [a, b] for j = 0..j_count-1."""
         totals = [mp.mpf(0)] * j_count
         for ys, ws in self._panel_nodes(a, b):
-            cur = [w * mp.e ** (-self.potential(y)) for w, y in zip(ws, ys)]
-            for j, c in enumerate(_power_ladder(ys, cur, j_count)):
-                totals[j] += mp.fsum(c)
+            cur = [w * exp_e(-self.potential(y)) for w, y in zip(ws, ys)]
+            for j, s in enumerate(_power_sums(ys, cur, j_count)):
+                totals[j] += s
         return totals
 
     def _order_for(self, width):
@@ -269,8 +277,7 @@ class WeightTable:
         # table tolerance with two decades of margin.
         if width > mp.mpf('0.05'):
             return self.panel_order
-        bits = -mp.log(self.tol, 2) + 40
-        need = int(mp.ceil(bits / (2 * mp.log(2 / width, 2))))
+        need = int(mp.ceil(self._order_bits / (2 * mp.log(2 / width, 2))))
         return min(self.panel_order, max(4, need))
 
     def _panel_F_step(self, a, b, j_count):
@@ -283,8 +290,8 @@ class WeightTable:
         gx, gw = legendre_nodes(self._order_for(width), self._prec)
         c, r = (a + b) / 2, width / 2
         ys = [c + r * x for x in gx]
-        cur = [r * w * mp.e ** (-self.potential(y)) for w, y in zip(gw, ys)]
-        return [mp.fsum(c) for c in _power_ladder(ys, cur, j_count)]
+        cur = [r * w * exp_e(-self.potential(y)) for w, y in zip(gw, ys)]
+        return _power_sums(ys, cur, j_count)
 
     def weights_batch(self, points, n_count: int):
         """{x: (exp(-V), exp(-2V), [w_0 .. w_{n_count-1}]) at x} for many
@@ -309,7 +316,7 @@ class WeightTable:
                     step = self._panel_F_step(prev, x, nf)
                     Fs = [f + s for f, s in zip(Fs, step)]
                     prev = x
-                ex = mp.e ** (-self.potential(x))
+                ex = exp_e(-self.potential(x))
                 ws = [ex * (2 * Fs[n] - self.m[n]) for n in range(n_count)]
                 out[x] = (ex, ex * ex, ws)
         return out

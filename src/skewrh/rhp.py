@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 
 from mpmath import mp
+from mpmath.libmp import mpf_add, mpf_div, mpf_mul
 
 from .errors import (
     DegenerateInnerProduct,
@@ -29,8 +30,11 @@ from .numerics import (
     Poly,
     PrecisionContext,
     determinant,
+    fdot_raw,
+    fsum_raw,
     linear_solve,
     loglog_slope,
+    vmul_raw,
 )
 from .potentials import Potential, WeightTable, _tail_radius, get_weight_table, pi_polynomial
 from .quadrature import boundary_deltas, richardson_limit, ts_mapped_level
@@ -175,17 +179,19 @@ class RHSolution:
     # -- far-field evaluation ---------------------------------------------
 
     def _far_fu_vec(self, poly: Poly, col: int):
+        """poly(x) * u_col(x) on the active nodes, as raw tuples."""
         key = (poly, col, self.table.version)
         vec = self._far_fu.get(key)
         if vec is None:
-            uvals = self._u_active(col)
-            vec = [poly(x) * u for x, u in zip(self.table.axs, uvals)]
-            self._far_fu[key] = vec
+            vec = self._far_fu[key] = vmul_raw(
+                [poly(x)._mpf_ for x in self.table.axs],
+                [u._mpf_ for u in self._u_active(col)])
         return vec
 
     def _eval_far(self, z):
         t = self.table
-        kern = [w / (x - z) for w, x in zip(t.awq, t.axs)]
+        kern = [(w / (x - z))._mpc_ for w, x in zip(t.awq, t.axs)]
+        kr, ki = [k[0] for k in kern], [k[1] for k in kern]
         n = self.size
         Y = [[mp.mpc(0)] * n for _ in range(n)]
         for r, terms in enumerate(self.row_terms):
@@ -194,7 +200,9 @@ class RHSolution:
                     continue
                 Y[r][0] += factor * poly(z)
                 for c in range(1, n):
-                    dot = mp.fdot(self._far_fu_vec(poly, c), kern)
+                    # mp.fdot of real against complex: one dot per part
+                    fu = self._far_fu_vec(poly, c)
+                    dot = mp.mpc(fdot_raw(fu, kr), fdot_raw(fu, ki))
                     Y[r][c] += factor * dot / _two_pi_i()
         return Y
 
@@ -202,8 +210,9 @@ class RHSolution:
 
     def _split_nodes(self, x0, level, dens):
         """Inner panels around x0 and pruned outer panels, each as (nodes,
-        weights, per-column densities, foot-point offsets); dens maps a
-        point to its column densities and gains the nodes it lacks."""
+        weights, per-column densities as raw tuples, foot-point offsets);
+        dens maps a point to its column densities and gains the nodes it
+        lacks."""
         t = self.table
         prec = t._prec
         with mp.workprec(prec):
@@ -228,21 +237,34 @@ class RHSolution:
             parts = []
             for nodes in (inner, outer):
                 xs = [p[0] for p in nodes]
-                us = [[dens[x][c] for x in xs] for c in range(self.d)]
+                us = [[dens[x][c]._mpf_ for x in xs] for c in range(self.d)]
                 parts.append((xs, [p[1] for p in nodes], us, [x - x0 for x in xs]))
         return parts
 
     @staticmethod
-    def _near_kernels(offsets, weights, delta):
-        """Real and imaginary parts of w / (x - z) for z = x0 + i delta at
-        the nodes x = x0 + offset: the boundary value from below is the
-        conjugate, so one build serves both sides."""
-        kr, ki = [], []
+    def _near_kernels(offsets, weights, deltas):
+        """For each delta, the real and imaginary parts of w / (x - z) for
+        z = x0 + i delta at the nodes x = x0 + offset, as raw tuples: the
+        boundary value from below is the conjugate, so one build serves
+        both sides.  Each part is (w * a) / (a * a + delta * delta) or
+        (w * delta) / (a * a + delta * delta), rounded as the mpf
+        operators round; a * a and w * a are formed once per node."""
+        prec, rnd = mp._prec_rounding
+        nodes = []
         for a, w in zip(offsets, weights):
-            den = a * a + delta * delta
-            kr.append(w * a / den)
-            ki.append(w * delta / den)
-        return kr, ki
+            a, w = a._mpf_, w._mpf_
+            nodes.append((mpf_mul(a, a, prec, rnd), mpf_mul(w, a, prec, rnd), w))
+        out = []
+        for delta in deltas:
+            d = delta._mpf_
+            dd = mpf_mul(d, d, prec, rnd)
+            kr, ki = [], []
+            for aa, wa, w in nodes:
+                den = mpf_add(aa, dd, prec, rnd)
+                kr.append(mpf_div(wa, den, prec, rnd))
+                ki.append(mpf_div(mpf_mul(w, d, prec, rnd), den, prec, rnd))
+            out.append((kr, ki))
+        return out
 
     def _boundary_pairs(self, x0, deltas, level, dens):
         """[(Y(x0 + i delta), Y(x0 - i delta)) for each delta > 0], all
@@ -256,12 +278,12 @@ class RHSolution:
         """
         (ixs, iws, ius, ia), (oxs, ows, ous, oa) = self._split_nodes(x0, level, dens)
         kerns = []
-        for delta in deltas:
-            ikr, iki = self._near_kernels(ia, iws, delta)
-            okr, oki = self._near_kernels(oa, ows, delta)
+        for delta, (ikr, iki), (okr, oki) in zip(
+                deltas, self._near_kernels(ia, iws, deltas),
+                self._near_kernels(oa, ows, deltas)):
             zp = mp.mpc(x0, delta)
             lt = mp.log(x0 + 1 - zp) - mp.log(x0 - 1 - zp)
-            kerns.append((ikr, iki, okr, oki, mp.fsum(ikr), mp.fsum(iki), lt))
+            kerns.append((ikr, iki, okr, oki, fsum_raw(ikr), fsum_raw(iki), lt))
         n = self.size
         sides = {}  # poly -> per column, per delta: (upper, lower) sums
         for terms in self.row_terms:
@@ -269,17 +291,17 @@ class RHSolution:
                 if factor == 0 or poly in sides:
                     continue
                 p0 = poly(x0)
-                ipv = [poly(x) for x in ixs]
-                opv = [poly(x) for x in oxs]
+                ipv = [poly(x)._mpf_ for x in ixs]
+                opv = [poly(x)._mpf_ for x in oxs]
                 sides[poly] = cols = []
                 for c in range(1, n):
-                    ivec = [p * u for p, u in zip(ipv, ius[c - 1])]
-                    ovec = [p * u for p, u in zip(opv, ous[c - 1])]
+                    ivec = vmul_raw(ipv, ius[c - 1])
+                    ovec = vmul_raw(opv, ous[c - 1])
                     f0 = p0 * dens[x0][c - 1]
                     col = []
                     for ikr, iki, okr, oki, sr, si, lt in kerns:
-                        re = mp.fdot(ivec, ikr) + mp.fdot(ovec, okr) - f0 * sr
-                        im = mp.fdot(ivec, iki) + mp.fdot(ovec, oki) - f0 * si
+                        re = fdot_raw(ivec, ikr) + fdot_raw(ovec, okr) - f0 * sr
+                        im = fdot_raw(ivec, iki) + fdot_raw(ovec, oki) - f0 * si
                         col.append((mp.mpc(re, im) + f0 * lt,
                                     mp.mpc(re, -im) + f0 * mp.conj(lt)))
                     cols.append(col)
@@ -466,6 +488,13 @@ def build(problem: RHProblem, ctx: PrecisionContext = DEFAULT_CONTEXT) -> RHSolu
 # ---------------------------------------------------------------------------
 # verification
 
+def _check_ctx(sol: RHSolution, ctx):
+    """Verification runs at the solution's own context; a different one
+    would be ignored, so it is refused."""
+    if ctx is not None and ctx != sol.ctx:
+        raise ValueError(f"ctx {ctx} differs from the solution's {sol.ctx}")
+
+
 def _jump_pair(Yp, Ym, jump_row):
     """The mismatch Y(x0 + i delta) - Y(x0 - i delta) M(x0)."""
     n = len(Yp)
@@ -481,6 +510,7 @@ def _jump_pair(Yp, Ym, jump_row):
 def jump_residual(sol: RHSolution, x,
                   ctx: PrecisionContext = None):
     """Max entry of the delta -> 0 extrapolated two-sided mismatch."""
+    _check_ctx(sol, ctx)
     table = sol.table
     with mp.workprec(table._prec):
         x0 = mp.mpf(x)
@@ -507,6 +537,7 @@ def asymptotic_exponents(sol: RHSolution, theta, radii,
     Entries with magnitudes at the noise floor come back as None; the
     caller compares the diagonal against expected_exponents().
     """
+    _check_ctx(sol, ctx)
     table = sol.table
     with mp.workprec(table._prec):
         theta = mp.mpf(theta)
@@ -534,6 +565,7 @@ def det_residual(sol: RHSolution, z_samples,
                  ctx: PrecisionContext = None):
     """Even: max |det Y - 1|.  Odd: deviation of det Y from the best
     monic linear z + c* over the samples."""
+    _check_ctx(sol, ctx)
     with mp.workprec(sol.table._prec):
         zs = [mp.mpc(z) for z in z_samples]
         if any(mp.im(z) == 0 for z in zs):

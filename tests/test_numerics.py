@@ -11,6 +11,9 @@ from skewrh.numerics import (
     Poly,
     PrecisionContext,
     determinant,
+    exp_e,
+    fdot_raw,
+    fsum_raw,
     linear_solve,
     mat_identity,
     mat_inf_norm,
@@ -19,7 +22,33 @@ from skewrh.numerics import (
     mat_transpose,
     mat_vec,
     poly_derivative,
+    vmul_raw,
 )
+from skewrh.potentials import _power_sums
+from skewrh.quadrature import boundary_deltas
+from skewrh.rhp import RHSolution
+
+# The raw-tuple fast paths must give the bits of the mpmath expressions
+# they stand for, at every working precision; they lean on mpmath.libmp
+# and mp._prec_rounding, so these tests also catch a change there.
+RAW_PRECS = (53, 128, 272)
+
+
+def _random_reals(rng, n, zeros=True):
+    """n reals with full mantissas over a wide exponent range, some
+    negative, a few exactly zero."""
+    out = []
+    for _ in range(n):
+        if zeros and rng.random() < 0.1:
+            out.append(mp.mpf(0))
+            continue
+        man = rng.randint(-(2 ** 300), 2 ** 300)
+        out.append(mp.mpf(man) * mp.mpf(2) ** rng.randint(-340, -280))
+    return out
+
+
+def _bits(values):
+    return [v._mpf_ for v in values]
 
 
 def test_poly_eval_constant_term():
@@ -158,3 +187,93 @@ def test_precision_context_protocol(ctx):
     c2 = PrecisionContext(mantissa_bits=128, quad_tol=mp.mpf("1e-20"),
                           verify_tol=mp.mpf("1e-12"))
     assert c2.eps == mp.mpf(2) ** (-128 + 4)  # four guard bits
+
+
+@pytest.mark.parametrize("prec", RAW_PRECS)
+def test_exp_e_matches_mpmath_bit_for_bit(prec):
+    rng = random.Random(4004 + prec)
+    with mp.workprec(prec):
+        ts = [mp.mpf(v) for v in (0, 1, -1, 2, -3, 7, -40,
+                                  "0.5", "-0.5", "1.5", "-2.5", "7.5",
+                                  "-0.3", "-1.7", "-12.345", "3.25", "-700.1")]
+        # mpf_pow's own branches for these differ from exp(t * log(e)) in
+        # the last bit at some |t| of a few hundred
+        ts += [mp.mpf(k) / 2 for k in range(-800, 801)]
+        ts += [mp.mpf(2) ** -300, -mp.mpf(2) ** -200, mp.mpf("1e-30"),
+               mp.inf, -mp.inf, mp.nan]
+        ts += [v * 60 for v in _random_reals(rng, 200, zeros=False)]
+        for t in ts:
+            assert exp_e(t)._mpf_ == (mp.e ** t)._mpf_, (prec, t)
+
+
+@pytest.mark.parametrize("prec", RAW_PRECS)
+def test_raw_sums_dots_and_products_match_mpmath_bit_for_bit(prec):
+    rng = random.Random(5005 + prec)
+    with mp.workprec(prec):
+        for n in (0, 1, 7, 300):
+            A, B, C = (_random_reals(rng, n) for _ in range(3))
+            assert fsum_raw(_bits(A))._mpf_ == mp.fsum(A)._mpf_
+            assert fsum_raw(_bits(A), True)._mpf_ == \
+                mp.fsum(abs(a) for a in A)._mpf_
+            assert fdot_raw(_bits(A), _bits(B))._mpf_ == mp.fdot(A, B)._mpf_
+            assert vmul_raw(_bits(A), _bits(B)) == \
+                _bits([a * b for a, b in zip(A, B)])
+            if n:
+                # real times complex: one real dot per part
+                Z = [mp.mpc(b, c) for b, c in zip(B, C)]
+                got = (fdot_raw(_bits(A), _bits(B))._mpf_,
+                       fdot_raw(_bits(A), _bits(C))._mpf_)
+                assert got == mp.fdot(A, Z)._mpc_
+
+
+@pytest.mark.parametrize("prec", RAW_PRECS)
+def test_real_horner_matches_object_loop_bit_for_bit(prec):
+    def reference(p, z):
+        acc = p.coeffs[-1]
+        for c in reversed(p.coeffs[:-1]):
+            acc = acc * z + c
+        return acc
+
+    rng = random.Random(6006 + prec)
+    polys = [Poly([0]), Poly(_random_reals(rng, 1, zeros=False)),
+             Poly([mp.mpf(rng.randint(1, 2 ** 200)) / 3 ** 50 for _ in range(7)]),
+             Poly(_random_reals(rng, 7, zeros=False))]
+    assert [p.degree for p in polys] == [0, 0, 6, 6]
+    with mp.workprec(prec):
+        zs = [mp.mpf(0), mp.mpf(-1), mp.mpf("0.40625"), mp.mpf("-7.3")]
+        zs += [v * 2 ** 300 for v in _random_reals(rng, 6)]
+        for p in polys:
+            for z in zs:
+                assert p(z)._mpf_ == reference(p, z)._mpf_, (prec, p, z)
+
+
+@pytest.mark.parametrize("prec", RAW_PRECS)
+def test_batched_near_kernels_match_per_delta_formula(prec):
+    rng = random.Random(7007 + prec)
+    with mp.workprec(prec):
+        offsets = [v * 2 ** 300 for v in _random_reals(rng, 40)]
+        weights = [abs(v) * 2 ** 300 for v in _random_reals(rng, 40, zeros=False)]
+        deltas = boundary_deltas()
+        batched = RHSolution._near_kernels(offsets, weights, deltas)
+        assert len(batched) == len(deltas)
+        for delta, (kr, ki) in zip(deltas, batched):
+            den = [a * a + delta * delta for a in offsets]
+            assert kr == _bits([w * a / d for a, w, d in zip(offsets, weights, den)])
+            assert ki == _bits([w * delta / d for w, d in zip(weights, den)])
+
+
+@pytest.mark.parametrize("prec", RAW_PRECS)
+def test_power_sums_match_object_ladder_bit_for_bit(prec):
+    rng = random.Random(8008 + prec)
+    with mp.workprec(prec):
+        xs = [v * 2 ** 302 for v in _random_reals(rng, 60)]
+        first = [abs(v) * 2 ** 300 for v in _random_reals(rng, 60)]
+        want, cur = [], first
+        for i in range(9):
+            if i:
+                cur = [c * x for c, x in zip(cur, xs)]
+            want.append((mp.fsum(cur), mp.fsum(abs(v) for v in cur)))
+        got = _power_sums(xs, first, 9, absolute=True)
+        assert [(s._mpf_, a._mpf_) for s, a in got] == \
+            [(s._mpf_, a._mpf_) for s, a in want]
+        assert _bits(_power_sums(xs, first, 9)) == [s._mpf_ for s, _ in want]

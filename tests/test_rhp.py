@@ -5,7 +5,7 @@ import pytest
 from mpmath import mp
 
 from skewrh.errors import UnsupportedRegime
-from skewrh.numerics import Poly, determinant
+from skewrh.numerics import Poly, PrecisionContext, determinant
 from skewrh.potentials import Potential, w_function, weight_W
 from skewrh.rhp import (
     JumpMatrix,
@@ -87,6 +87,22 @@ def test_ambient_precision_independence(gauss, ctx):
     finally:
         mp.prec = old
     assert r <= mp.mpf("1e-45")
+
+
+def test_verification_refuses_a_foreign_ctx(sol_gauss, ctx):
+    # the checks run at sol.ctx, so another context is refused, not ignored
+    other = PrecisionContext(mantissa_bits=128)
+    ray = (2 * mp.pi / 3, [mp.mpf(2000), mp.mpf(20000)])
+    with pytest.raises(ValueError, match="differs"):
+        jump_residual(sol_gauss, mp.mpf("0.35"), other)
+    with pytest.raises(ValueError, match="differs"):
+        det_residual(sol_gauss, [mp.mpc(0.5, 2)], other)
+    with pytest.raises(ValueError, match="differs"):
+        asymptotic_exponents(sol_gauss, *ray, other)
+    # an equal context, or none, is the solution's own
+    same = PrecisionContext(256, ctx.quad_tol, ctx.verify_tol)
+    assert asymptotic_exponents(sol_gauss, *ray, same) == \
+        asymptotic_exponents(sol_gauss, *ray)
 
 
 def test_determinant_normalization(sol_gauss, sol_gauss_odd, ctx):

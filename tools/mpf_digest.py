@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""SHA-256 over the exact bits of fixed internal results.
+
+The CLI rounds what it prints to --precision-bits, and the weight tables
+work 16 guard bits above that, so two checkouts can print the same digits
+and still differ in their last bits.  This tool hashes the raw mpmath
+values (`_mpf_` / `_mpc_`: sign, mantissa, exponent, bit count) of
+
+  near      boundary-value pairs on the full delta ladder and the jump
+            residual, at x = 0.40625 (x^2/2 + x^4, k = 2) and at
+            x = -0.359375 (x^2/2, k = 1)
+  matrix    the beta = 1 skew moment matrix of x^2/2 + x^4 at n = 14
+  table     that matrix's weight table: m, m2 and the half-line
+            integrals F
+  odd       the rows, alpha and collapse residual of build_odd on x^2/2,
+            k = 2, free parameters (0.3+0.2j, 1.5, -0.4)
+  far       Y(z) at z = 0.5+3j and z = -4+2j on the quartic solution
+
+and prints one line per part, then the digest of all of them.  It imports
+skewrh from the src/ next to it, so two checkouts compare with
+
+    python3 tools/mpf_digest.py     (in checkout A, then in checkout B)
+
+and a look at the last lines.  A run takes well under a minute.
+"""
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from mpmath import mp  # noqa: E402
+
+from skewrh import Potential, PrecisionContext  # noqa: E402
+from skewrh.moments import build_skew_moment_matrix  # noqa: E402
+from skewrh.quadrature import boundary_deltas  # noqa: E402
+from skewrh.rhp import build_even, build_odd, jump_residual  # noqa: E402
+
+
+def raw(v):
+    """The exact bits of v, recursively through lists, tuples and Polys."""
+    if hasattr(v, "_mpf_"):
+        return v._mpf_
+    if hasattr(v, "_mpc_"):
+        return v._mpc_
+    if hasattr(v, "coeffs"):
+        return raw(v.coeffs)
+    if isinstance(v, (list, tuple)):
+        return tuple(raw(x) for x in v)
+    if isinstance(v, (int, str)):
+        return v
+    raise TypeError(f"cannot digest {type(v).__name__}")
+
+
+def sha(v) -> str:
+    return hashlib.sha256(repr(raw(v)).encode()).hexdigest()
+
+
+def parts():
+    ctx = PrecisionContext()
+    quartic = Potential.parse("0,0,0.5,0,1")
+    gauss = Potential.parse("0,0,0.5")
+    deltas = boundary_deltas()
+
+    sq = build_even(quartic, 2, ctx)
+    sg = build_even(gauss, 1, ctx)
+    near = []
+    for sol, x in ((sq, "0.40625"), (sg, "-0.359375")):
+        res = jump_residual(sol, x, ctx)
+        with mp.workprec(sol.table._prec):
+            near.append((res, sol._near_pairs(mp.mpf(x), deltas)))
+    yield "near", near
+
+    matrix = build_skew_moment_matrix(quartic, 1, 14, ctx)
+    yield "matrix", matrix.rows
+    t = matrix.table
+    yield "table", (t.level, t.m, t.m2, t.F)
+
+    with mp.workprec(ctx.mantissa_bits):
+        params = (mp.mpc("0.3", "0.2"), mp.mpf("1.5"), mp.mpf("-0.4"))
+    so = build_odd(gauss, 2, params, ctx)
+    yield "odd", (so.row_terms, so.alpha, so.collapse_residual)
+
+    yield "far", [sq.evaluate(z) for z in (mp.mpc(0.5, 3), mp.mpc(-4, 2))]
+
+
+def main():
+    total = hashlib.sha256()
+    for name, value in parts():
+        h = sha(value)
+        total.update(h.encode())
+        print(f"{name:8s} {h}", flush=True)
+    print(f"{'total':8s} {total.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
