@@ -11,10 +11,14 @@ short Gauss-Legendre panel.
 Grid sums for integrands carrying exp(-V) run over the active slice
 |x| <= cut only, where cut satisfies x^i_max exp(-V(x)) < quad_tol*1e-4;
 the discarded terms are below the validated error scale by construction.
+The half-line integrals and the squared weights exp(-2V) are read on that
+slice only, so the table keeps them there alone: a few hundred of the
+master grid's thousands of nodes.
 """
 from __future__ import annotations
 
 import bisect
+import math
 import weakref
 
 from mpmath import mp
@@ -151,9 +155,11 @@ class WeightTable:
 
     Holds master-grid data only, and no caches: densities at other points
     are return values of weights_at / weights_batch, and vectors over the
-    active nodes (w_values) are built per call.  Grown on demand
-    (ensure_ranges / ensure_level); `version` changes whenever the grid
-    data does, for consumers that key results on it.
+    active nodes (w_values) are built per call.  Nodes, weights and exp(-V)
+    cover the whole master grid; exp(-2V) (aew2) and the half-line
+    integrals F cover the active slice, F from the node just below it.
+    Grown on demand (ensure_ranges / ensure_level); `version` changes
+    whenever the grid data does, for consumers that key results on it.
     """
 
     panel_order = 20
@@ -175,6 +181,8 @@ class WeightTable:
             self.tol = mp.mpf(ctx.quad_tol)
             # bits _order_for asks of a panel: the tolerance with margin
             self._order_bits = -mp.log(self.tol, 2) + 40
+            self._order_bits_f = float(self._order_bits)
+            self._order_max_width = mp.mpf('0.05')
             self.base_radius, self.radius = truncation_radius(
                 potential, self.i_max, self.tol)
             self._build_grid()
@@ -225,9 +233,9 @@ class WeightTable:
         self.xs = xs
         self.wq = ws
         self.ew = ew
-        self.ew2 = [e * e for e in ew]
+        ew2 = [e * e for e in ew]
         self.m = [v for v, _ in moments]
-        self.m2 = _power_sums(xs, [w * e for w, e in zip(ws, self.ew2)],
+        self.m2 = _power_sums(xs, [w * e for w, e in zip(ws, ew2)],
                               self.i_max + 1)
         self.active_radius = _tail_radius(self.potential, self.i_max,
                                           self.tol * mp.mpf('1e-4'))
@@ -238,7 +246,7 @@ class WeightTable:
         self.axs = self.xs[lo:hi]
         self.awq = self.wq[lo:hi]
         self.aew = self.ew[lo:hi]
-        self.aew2 = self.ew2[lo:hi]
+        self.aew2 = ew2[lo:hi]
         # the next coarser level is every second node counted from the
         # centre node x = 0 (ts_halfline_nodes nests the levels)
         self.acoarse = range((lo - len(self.xs) // 2) % 2, hi - lo, 2)
@@ -275,9 +283,17 @@ class WeightTable:
         # Gauss-Legendre on an entire integrand converges like
         # (width/2r)^(2n); these steps keep the panel error past the
         # table tolerance with two decades of margin.
-        if width > mp.mpf('0.05'):
+        if width > self._order_max_width:
             return self.panel_order
-        need = int(mp.ceil(self._order_bits / (2 * mp.log(2 / width, 2))))
+        # the quotient in floats, from width = man * 2^exp; only a quotient
+        # within float rounding of an integer needs the mpf form to decide
+        # its ceiling
+        _, man, exp, _ = width._mpf_
+        q = self._order_bits_f / (2 * (1 - exp - math.log2(man)))
+        if abs(q - round(q)) >= 1e-9:
+            need = math.ceil(q)
+        else:
+            need = int(mp.ceil(self._order_bits / (2 * mp.log(2 / width, 2))))
         return min(self.panel_order, max(4, need))
 
     def _panel_F_step(self, a, b, j_count):
@@ -322,23 +338,27 @@ class WeightTable:
         return out
 
     def _build_F(self):
+        """F[j][k - _F_lo]: integral of y^j exp(-V) up to the node xs[k],
+        for k from _F_lo = max(alo - 1, 0) through ahi - 1, the nodes that
+        _F_at and w_values read.  Segments fully outside the active region
+        carry mass below the validated error scale (tail bound) and are
+        skipped, so a chain over the whole grid would add exact zeros up
+        to _F_lo and give the kept entries the same bits."""
         n_j = self.w_max + 1
-        xs = self.xs
         cut = self.active_radius
-        F = [[None] * len(xs) for _ in range(n_j)]
+        self._F_lo = lo = max(self._alo - 1, 0)
+        F = [[] for _ in range(n_j)]
         zero = [mp.mpf(0)] * n_j
         prev_x = -self.radius
         run = list(zero)
-        for k, x in enumerate(xs):
-            # segments fully outside the active region carry mass below
-            # the validated error scale (tail bound) and are skipped
-            if x <= -cut or prev_x >= cut:
+        for x in self.xs[lo:self._ahi]:
+            if x <= -cut:
                 seg = zero
             else:
                 seg = self._panel_F(max(prev_x, -cut), min(x, cut), n_j)
             run = [r + s for r, s in zip(run, seg)]
             for j in range(n_j):
-                F[j][k] = run[j]
+                F[j].append(run[j])
             prev_x = x
         self.F = F
 
@@ -396,7 +416,7 @@ class WeightTable:
         if not 0 <= n <= self.w_max:
             raise MomentRangeExceeded(f"w_{n} beyond table ({self.w_max})")
         mn = self.m[n]
-        Fn = self.F[n][self._alo:self._ahi]
+        Fn = self.F[n][self._alo - self._F_lo:]
         return [e * (2 * f - mn) for e, f in zip(self.aew, Fn)]
 
     # -- pointwise evaluation ---------------------------------------------
@@ -411,7 +431,7 @@ class WeightTable:
         if k < 0:
             return self._panel_F(-self.active_radius, x, j_count)
         seg = self._panel_F(self.xs[k], x, j_count)
-        return [self.F[j][k] + seg[j] for j in range(j_count)]
+        return [self.F[j][k - self._F_lo] + seg[j] for j in range(j_count)]
 
     def weights_at(self, x, n_count: int):
         """(exp(-V(x)), exp(-2V(x)), [w_0(x) .. w_{n_count-1}(x)]).

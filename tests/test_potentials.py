@@ -1,6 +1,8 @@
 """Potential validation, derived weights, and the cached weight table."""
 
+import bisect
 import gc
+import random
 import weakref
 
 import pytest
@@ -218,3 +220,109 @@ def test_coarse_nodes_are_the_coarser_level(gauss, quartic, ctx):
         assert list(table.acoarse) == reference(table)
         table.ensure_level(table.level + 1)
         assert list(table.acoarse) == reference(table)
+
+
+def _full_grid_F(t):
+    """The half-line integral chain over every master-grid node, as the
+    table kept it before it stored the active slice only."""
+    n_j = t.w_max + 1
+    cut = t.active_radius
+    F = [[None] * len(t.xs) for _ in range(n_j)]
+    zero = [mp.mpf(0)] * n_j
+    prev_x = -t.radius
+    run = list(zero)
+    with mp.workprec(t._prec):
+        for k, x in enumerate(t.xs):
+            if x <= -cut or prev_x >= cut:
+                seg = zero
+            else:
+                seg = t._panel_F(max(prev_x, -cut), min(x, cut), n_j)
+            run = [r + s for r, s in zip(run, seg)]
+            for j in range(n_j):
+                F[j][k] = run[j]
+            prev_x = x
+    return F
+
+
+def _bits(values):
+    return [v._mpf_ for v in values]
+
+
+def _check_slice_against_full_chain(t):
+    full = _full_grid_F(t)
+    alo, ahi = t._alo, t._ahi
+    lo = max(alo - 1, 0)
+    for j in range(t.w_max + 1):
+        assert _bits(t.F[j]) == _bits(full[j][lo:ahi])
+    with mp.workprec(t._prec):
+        xs, r, eps = t.xs, t.active_radius, mp.mpf(2) ** -200
+        points = [xs[alo - 1], xs[alo], (xs[alo - 1] + xs[alo]) / 2,
+                  (xs[alo] + xs[alo + 1]) / 2, (xs[ahi - 2] + xs[ahi - 1]) / 2,
+                  xs[ahi - 1], -r + eps, r - eps]
+        n_j = t.w_max + 1
+        for x in points:
+            # at or below -r the table answers 0 without reading F
+            if x <= -r:
+                expect = [mp.mpf(0)] * n_j
+            else:
+                k = bisect.bisect_right(xs, x) - 1
+                seg = t._panel_F(xs[k], x, n_j)
+                expect = [full[j][k] + seg[j] for j in range(n_j)]
+            assert _bits(t._F_at(x, n_j)) == _bits(expect)
+        for n in range(n_j):
+            expect = [e * (2 * f - t.m[n])
+                      for e, f in zip(t.aew, full[n][alo:ahi])]
+            assert _bits(t.w_values(n)) == _bits(expect)
+
+
+def test_half_line_integrals_on_active_slice_match_full_grid(gauss, quartic, ctx):
+    # the table keeps F from the node below the active slice through its
+    # last node; those entries carry the bits of a chain over every node,
+    # before and after the grid is refined and the ranges widened
+    for V in (gauss, quartic):
+        t = WeightTable(V, ctx, i_max=6, w_max=2)
+        assert t._alo >= 1
+        _check_slice_against_full_chain(t)
+        t.ensure_level(t.level + 1)
+        _check_slice_against_full_chain(t)
+        t.ensure_ranges(w_max=5)
+        _check_slice_against_full_chain(t)
+        t.ensure_ranges(i_max=12, w_max=7)
+        _check_slice_against_full_chain(t)
+
+
+def test_half_line_integrals_stay_small(quartic, ctx, deep_size):
+    # the families table of a quartic: 357 of 4,887 level-9 nodes are
+    # active; F over every node took 8.1 MB by this measure
+    t = WeightTable(quartic, ctx, i_max=27, w_max=13)
+    t.ensure_level(9)
+    assert len(t.axs) < len(t.xs) // 10
+    assert deep_size(t.F) < 2 * 2 ** 20
+
+
+def _order_mpf(t, width):
+    need = int(mp.ceil(t._order_bits / (2 * mp.log(2 / width, 2))))
+    return min(t.panel_order, max(4, need))
+
+
+def test_panel_order_float_path_matches_mpf(gauss, ctx):
+    t = get_weight_table(gauss, ctx)
+    rng = random.Random(7)
+    with mp.workprec(t._prec):
+        hi = float(mp.log(mp.mpf("0.05"), 2))
+        for _ in range(10 ** 4):
+            w = mp.mpf(2) ** mp.mpf(rng.uniform(-270, hi))
+            assert t._order_for(w) == _order_mpf(t, w)
+        # quotients on or within 1e-12 of an integer, where floats alone
+        # cannot decide the ceiling
+        B = t._order_bits
+        near = 0
+        for n in range(1, 20):
+            for off in ("0", "1e-12", "-1e-12", "3e-13"):
+                q = n + mp.mpf(off)
+                w = 2 * mp.mpf(2) ** (-B / (2 * q))
+                if w > mp.mpf("0.05"):
+                    continue
+                near += 1
+                assert t._order_for(w) == _order_mpf(t, w)
+        assert near >= 40

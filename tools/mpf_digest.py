@@ -10,8 +10,9 @@ values (`_mpf_` / `_mpc_`: sign, mantissa, exponent, bit count) of
             residual, at x = 0.40625 (x^2/2 + x^4, k = 2) and at
             x = -0.359375 (x^2/2, k = 1)
   matrix    the beta = 1 skew moment matrix of x^2/2 + x^4 at n = 14
-  table     that matrix's weight table: m, m2 and the half-line
-            integrals F
+  table     what the program reads of that matrix's weight table: its
+            level, m, m2, aew2, every w_values(n), and weights_at on both
+            sides of each active-slice edge
   odd       the rows, alpha and collapse residual of build_odd on x^2/2,
             k = 2, free parameters (0.3+0.2j, 1.5, -0.4)
   far       Y(z) at z = 0.5+3j and z = -4+2j on the quartic solution
@@ -56,6 +57,18 @@ def sha(v) -> str:
     return hashlib.sha256(repr(raw(v)).encode()).hexdigest()
 
 
+def edge_points(t):
+    """Points on both sides of the active slice's edges: the last node
+    outside and the first inside, their midpoint, and points just inside
+    and just outside +-active_radius."""
+    with mp.workprec(t._prec):
+        xs, r, eps = t.xs, t.active_radius, mp.mpf(2) ** -200
+        lo, hi = t.axs[0], t.axs[-1]
+        below, above = xs[xs.index(lo) - 1], xs[xs.index(hi) + 1]
+        return [below, (below + lo) / 2, lo, -r + eps, -r - eps,
+                hi, (hi + above) / 2, above, r - eps, r + eps]
+
+
 def parts():
     ctx = PrecisionContext()
     quartic = Potential.parse("0,0,0.5,0,1")
@@ -74,7 +87,9 @@ def parts():
     matrix = build_skew_moment_matrix(quartic, 1, 14, ctx)
     yield "matrix", matrix.rows
     t = matrix.table
-    yield "table", (t.level, t.m, t.m2, t.F)
+    yield "table", (t.level, t.m, t.m2, t.aew2,
+                    [t.w_values(n) for n in range(t.w_max + 1)],
+                    [t.weights_at(x, t.w_max + 1) for x in edge_points(t)])
 
     with mp.workprec(ctx.mantissa_bits):
         params = (mp.mpc("0.3", "0.2"), mp.mpf("1.5"), mp.mpf("-0.4"))
