@@ -396,6 +396,10 @@ def cmd_zeros(cfg: RunConfig, args, emitter: _Emitter):
 
 def cmd_rh_verify(cfg: RunConfig, args, emitter: _Emitter):
     ctx = cfg.ctx
+    if cfg.beta != 1:  # the problem is built from the beta = 1 family
+        raise ValueError("rh-verify supports --beta 1 only")
+    if cfg.k_max is not None:
+        raise ValueError("rh-verify takes --k, not --kmax")
     if args.k < 0:
         raise ValueError("--k must be >= 0")
     with ctx.workprec():

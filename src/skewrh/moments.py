@@ -181,17 +181,16 @@ def skew_inner_1(f: Poly, g: Poly, M: SkewMomentMatrix):
 
 
 def inner_2(f: Poly, g: Poly, table: WeightTable):
-    """Pairing against exp(-2V): sum of (f*g) coefficients times moments."""
+    """Pairing against exp(-2V): sum of (f*g) coefficients times moments;
+    one past the table's i_max raises MomentRangeExceeded."""
     prod = f * g
-    table.ensure_ranges(i_max=prod.degree)
     return mp.fdot(prod.coeffs, [table.moment2(s) for s in range(prod.degree + 1)])
 
 
 def skew_inner_4(f: Poly, g: Poly, table: WeightTable):
     """Pairing int (f g' - f' g) exp(-V) via the closed moment form
-    sum_ij f_i g_j (j - i) m_{i+j-1}."""
-    need = f.degree + g.degree - 1
-    table.ensure_ranges(i_max=max(need, 2))
+    sum_ij f_i g_j (j - i) m_{i+j-1}; one past the table's i_max raises
+    MomentRangeExceeded."""
     terms = []
     for i, fi in enumerate(f.coeffs):
         if fi == 0:

@@ -11,9 +11,10 @@ short Gauss-Legendre panel.
 Grid sums for integrands carrying exp(-V) run over the active slice
 |x| <= cut only, where cut satisfies x^i_max exp(-V(x)) < quad_tol*1e-4;
 the discarded terms are below the validated error scale by construction.
-The half-line integrals and the squared weights exp(-2V) are read on that
-slice only, so the table keeps them there alone: a few hundred of the
-master grid's thousands of nodes.
+The half-line integrals, the quadrature weights and exp(-2V) are read on
+that slice only, so the table keeps them there alone: a few hundred of the
+master grid's thousands of nodes.  A table changes only by a rebuild for
+wider ranges or a finer level for the beta = 1 entry check.
 """
 from __future__ import annotations
 
@@ -155,11 +156,11 @@ class WeightTable:
 
     Holds master-grid data only, and no caches: densities at other points
     are return values of weights_at / weights_batch, and vectors over the
-    active nodes (w_values) are built per call.  Nodes, weights and exp(-V)
-    cover the whole master grid; exp(-2V) (aew2) and the half-line
+    active nodes (w_values) are built per call.  Nodes and exp(-V) cover
+    the whole master grid; weights (awq), exp(-2V) (aew2) and the half-line
     integrals F cover the active slice, F from the node just below it.
-    Grown on demand (ensure_ranges / ensure_level); `version` changes
-    whenever the grid data does, for consumers that key results on it.
+    ensure_ranges sets the ranges, ensure_level refines the grid; `version`
+    changes whenever the grid data does, for consumers keyed on it.
     """
 
     panel_order = 20
@@ -171,10 +172,6 @@ class WeightTable:
                  i_max: int = 8, w_max=None):
         self.potential = potential
         self.ctx = ctx
-        self.w_max = max(2, int(i_max)) if w_max is None else max(0, int(w_max))
-        # the w_n need the moments m_n, so i_max grows to w_max as in
-        # ensure_ranges
-        self.i_max = max(2, int(i_max), self.w_max)
         self._prec = ctx.mantissa_bits + 16
         self.version = 0
         with mp.workprec(self._prec):
@@ -183,9 +180,10 @@ class WeightTable:
             self._order_bits = -mp.log(self.tol, 2) + 40
             self._order_bits_f = float(self._order_bits)
             self._order_max_width = mp.mpf('0.05')
-            self.base_radius, self.radius = truncation_radius(
-                potential, self.i_max, self.tol)
-            self._build_grid()
+        self.i_max = self.w_max = -1  # no grid until ensure_ranges builds one
+        i_max = max(2, int(i_max))
+        w_max = i_max if w_max is None else max(0, int(w_max))
+        self.ensure_ranges(i_max, w_max)
 
     # -- construction ------------------------------------------------------
 
@@ -231,7 +229,6 @@ class WeightTable:
         half-line integral tables."""
         self.level = level
         self.xs = xs
-        self.wq = ws
         self.ew = ew
         ew2 = [e * e for e in ew]
         self.m = [v for v, _ in moments]
@@ -244,7 +241,7 @@ class WeightTable:
         hi = bisect.bisect_right(self.xs, self.active_radius)
         self._alo, self._ahi = lo, hi
         self.axs = self.xs[lo:hi]
-        self.awq = self.wq[lo:hi]
+        self.awq = ws[lo:hi]
         self.aew = self.ew[lo:hi]
         self.aew2 = ew2[lo:hi]
         # the next coarser level is every second node counted from the
@@ -375,27 +372,18 @@ class WeightTable:
             self._install_grid(level, xs, ws, ew, cur)
 
     def ensure_ranges(self, i_max=None, w_max=None):
+        """Moments up to i_max, densities w_n up to w_max (so i_max >= w_max):
+        a wider range rebuilds the table as a fresh one with these ranges."""
         i_max = self.i_max if i_max is None else max(self.i_max, int(i_max))
         w_max = self.w_max if w_max is None else max(self.w_max, int(w_max))
         i_max = max(i_max, w_max)
         if i_max == self.i_max and w_max == self.w_max:
             return
+        self.i_max, self.w_max = i_max, w_max
         with mp.workprec(self._prec):
-            if i_max == self.i_max:
-                self.w_max = w_max
-                self._build_F()
-                self.version += 1
-                return
-            base, doubled = truncation_radius(self.potential, i_max, self.tol)
-            self.i_max = i_max
-            self.w_max = w_max
-            if doubled > self.radius:
-                # wider support: rebuild everything from scratch
-                self.base_radius, self.radius = base, doubled
-                self._build_grid()
-                return
-            moms = self._moments_on(self.xs, self.wq, self.ew, self.i_max + 1)
-            self._install_grid(self.level, self.xs, self.wq, self.ew, moms)
+            self.base_radius, self.radius = truncation_radius(
+                self.potential, i_max, self.tol)
+            self._build_grid()
 
     # -- moments and grid sums --------------------------------------------
 
@@ -443,8 +431,8 @@ class WeightTable:
         return self.weights_batch([x], n_count)[x]
 
 
-# The tables used last, most recent at the end; at tens of MB each, four
-# cover a flow check's V0 and V0 +- t x^j plus one more.  A table a family
+# The tables used last, most recent at the end; at up to about 4 MB each,
+# four cover a flow check's V0 and V0 +- t x^j plus one more.  A table a family
 # or solution still holds stays in _LIVE_TABLES and is never built twice.
 _TABLE_REGISTRY_SIZE = 4
 _TABLE_REGISTRY = {}
@@ -453,7 +441,7 @@ _LIVE_TABLES = weakref.WeakValueDictionary()
 
 def get_weight_table(V: Potential, ctx: PrecisionContext = DEFAULT_CONTEXT,
                      i_max: int = 8, w_max=None) -> WeightTable:
-    """Shared, growable WeightTable per (potential, context)."""
+    """Shared WeightTable per (potential, context), widened on request."""
     key = (V.key(), ctx.mantissa_bits, float(ctx.quad_tol))
     table = _LIVE_TABLES.get(key)
     if table is None:

@@ -586,6 +586,8 @@ def identity_2_1_residual(V: Potential, f: Poly, j: int,
     with ctx.workprec():
         pi = pi_polynomial(V, j)
         n = max(f.degree, pi.degree) + 1
+        if table is not None:  # inner_2 reads m2 up to f.degree + j
+            table.ensure_ranges(i_max=f.degree + j)
         matrix = build_skew_moment_matrix(V, 1, n, ctx, table=table)
         lhs = skew_inner_1(f, pi, matrix)
         rhs = 2 * inner_2(f, _monomial(j), matrix.table)

@@ -158,7 +158,11 @@ class SkewFamily:
     h: tuple
     potential: Potential
     matrix: SkewMomentMatrix = dataclasses.field(repr=False, compare=False)
-    table: WeightTable = dataclasses.field(repr=False, compare=False, default=None)
+
+    @property
+    def table(self) -> WeightTable:
+        """The weight table the moment matrix came from."""
+        return self.matrix.table
 
     @property
     def k_max(self) -> int:
@@ -194,7 +198,8 @@ def skew_orthogonal_family(V: Potential, beta: int, k_max: int,
                            ctx: PrecisionContext = DEFAULT_CONTEXT,
                            matrix: SkewMomentMatrix = None,
                            table: WeightTable = None) -> SkewFamily:
-    """Family p_0..p_{2k_max+1} from elimination of the moment matrix."""
+    """Family p_0..p_{2k_max+1} from elimination of the moment matrix
+    (built on table when none is given); the family reads matrix.table."""
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     n = 2 * k_max + 2
@@ -207,8 +212,7 @@ def skew_orthogonal_family(V: Potential, beta: int, k_max: int,
         fact = skew_eliminate(rows, ctx)
         polys = _family_from_factorization(fact)
     return SkewFamily(beta=beta, polys=tuple(polys), h=fact.d,
-                      potential=V, matrix=matrix,
-                      table=matrix.table if table is None else table)
+                      potential=V, matrix=matrix)
 
 
 def _index_minor(rows, idx):

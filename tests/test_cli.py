@@ -154,6 +154,18 @@ def test_rh_verify_report():
             assert abs(mp.mpf(got) - want) <= mp.mpf("0.1")
 
 
+def test_rh_verify_refuses_beta_4_and_kmax():
+    # the problem is built from the beta = 1 family up to p_2k alone, so
+    # either flag would be ignored while the report echoes it
+    for flag in (["--beta", "4"], ["--kmax", "7"]):
+        res = run_cli("rh-verify", "--potential", GAUSS, "--k", "1", *flag,
+                      "--precision-bits", "128")
+        assert res.returncode == 2, flag
+        assert "configuration error" in res.stderr
+        assert flag[0] in res.stderr
+        assert res.stdout == ""
+
+
 def test_pfaffian_minors():
     res = run_cli("pfaffian", "--potential", GAUSS, "--n", "4",
                   "--precision-bits", "128", "--format", "json")

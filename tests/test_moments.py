@@ -218,6 +218,15 @@ def test_moment_range_guard(gauss, ctx, gauss_matrix):
     big = _monomial(gauss_matrix.n)
     with pytest.raises(MomentRangeExceeded):
         skew_inner_1(big, big.shift_up(1), gauss_matrix)
+    # the table pairings read their table as it is, like the matrix one
+    table = WeightTable(gauss, ctx, i_max=4, w_max=0)
+    version = table.version
+    x2, x3, x4 = _monomial(2), _monomial(3), _monomial(4)
+    with pytest.raises(MomentRangeExceeded):
+        inner_2(x2, x3, table)
+    with pytest.raises(MomentRangeExceeded):
+        skew_inner_4(x2, x4, table)
+    assert (table.i_max, table.version) == (4, version)
 
 
 def test_build_validates_arguments(gauss, ctx):

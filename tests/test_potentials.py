@@ -275,10 +275,22 @@ def _check_slice_against_full_chain(t):
             assert _bits(t.w_values(n)) == _bits(expect)
 
 
+def _check_same_as_fresh(t):
+    """What the program reads of t has the bits of a table built fresh
+    with t's ranges."""
+    fresh = WeightTable(t.potential, t.ctx, i_max=t.i_max, w_max=t.w_max)
+    assert t.level == fresh.level
+    for name in ("m", "m2", "aew2"):
+        assert _bits(getattr(t, name)) == _bits(getattr(fresh, name)), name
+    for n in range(t.w_max + 1):
+        assert _bits(t.w_values(n)) == _bits(fresh.w_values(n)), n
+
+
 def test_half_line_integrals_on_active_slice_match_full_grid(gauss, quartic, ctx):
     # the table keeps F from the node below the active slice through its
     # last node; those entries carry the bits of a chain over every node,
-    # before and after the grid is refined and the ranges widened
+    # before and after the grid is refined and the ranges widened.  A
+    # wider range rebuilds the table, dropping a refinement made before
     for V in (gauss, quartic):
         t = WeightTable(V, ctx, i_max=6, w_max=2)
         assert t._alo >= 1
@@ -287,17 +299,21 @@ def test_half_line_integrals_on_active_slice_match_full_grid(gauss, quartic, ctx
         _check_slice_against_full_chain(t)
         t.ensure_ranges(w_max=5)
         _check_slice_against_full_chain(t)
+        _check_same_as_fresh(t)
         t.ensure_ranges(i_max=12, w_max=7)
         _check_slice_against_full_chain(t)
+        _check_same_as_fresh(t)
 
 
 def test_half_line_integrals_stay_small(quartic, ctx, deep_size):
     # the families table of a quartic: 357 of 4,887 level-9 nodes are
-    # active; F over every node took 8.1 MB by this measure
+    # active; F over every node took 8.1 MB by this measure, and the whole
+    # table 4.45 MB with its quadrature weights on every node (3.86 without)
     t = WeightTable(quartic, ctx, i_max=27, w_max=13)
     t.ensure_level(9)
     assert len(t.axs) < len(t.xs) // 10
     assert deep_size(t.F) < 2 * 2 ** 20
+    assert deep_size(vars(t)) < 4 * 2 ** 20
 
 
 def _order_mpf(t, width):

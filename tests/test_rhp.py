@@ -6,7 +6,7 @@ from mpmath import mp
 
 from skewrh.errors import UnsupportedRegime
 from skewrh.numerics import Poly, PrecisionContext, determinant
-from skewrh.potentials import Potential, w_function, weight_W
+from skewrh.potentials import Potential, WeightTable, w_function, weight_W
 from skewrh.rhp import (
     JumpMatrix,
     RHProblem,
@@ -185,6 +185,10 @@ def test_identity_2_1_small_cases(gauss, quartic, ctx):
         <= mp.mpf("1e-27")
     assert identity_2_1_residual(quartic, Poly([0, 0, 1]), 0, ctx) \
         <= mp.mpf("1e-27")
+    # a given table is widened to the m2 that inner_2 reads, here m2_5
+    table = WeightTable(gauss, ctx, i_max=4, w_max=0)
+    assert identity_2_1_residual(gauss, Poly([0, 0, 0, 1]), 2, ctx,
+                                 table=table) <= mp.mpf("1e-27")
 
 
 def test_identity_2_1_potential_built_at_53_bits(ctx):
