@@ -4,9 +4,10 @@ A WeightTable holds, for one potential and precision context, a shared
 tanh-sinh master grid over the truncated support together with running
 half-line integrals of y^j exp(-V).  It keeps grid data only: callers that
 reduce integrals to weighted dot products over the grid (the beta = 1
-pairings in `moments`, the far-field Cauchy sums in `rhp`) form their own
-vectors from it, and the half-line integrals at arbitrary points cost one
-short Gauss-Legendre panel.
+pairings in `moments`, the Cauchy sums in `rhp`) form their own
+vectors from it.  The half-line integrals at an arbitrary point cost one
+short Gauss-Legendre panel from the nearest node below it, and off the
+axis one more up to the point.
 
 Grid sums for integrands carrying exp(-V) run over the active slice
 |x| <= cut only, where cut satisfies x^i_max exp(-V(x)) < quad_tol*1e-4;
@@ -19,7 +20,6 @@ wider ranges or a finer level for the beta = 1 entry check.
 from __future__ import annotations
 
 import bisect
-import math
 import weakref
 
 from mpmath import mp
@@ -154,8 +154,8 @@ def _power_sums(xs, cur, count, absolute=False):
 class WeightTable:
     """Grid data, moments, and half-line integral tables for one potential.
 
-    Holds master-grid data only, and no caches: densities at other points
-    are return values of weights_at / weights_batch, and vectors over the
+    Holds master-grid data only, and no caches: densities at other points,
+    real or complex, are return values of weights_at, and vectors over the
     active nodes (w_values) are built per call.  Nodes and exp(-V) cover
     the whole master grid; weights (awq), exp(-2V) (aew2) and the half-line
     integrals F cover the active slice, F from the node just below it.
@@ -176,10 +176,6 @@ class WeightTable:
         self.version = 0
         with mp.workprec(self._prec):
             self.tol = mp.mpf(ctx.quad_tol)
-            # bits _order_for asks of a panel: the tolerance with margin
-            self._order_bits = -mp.log(self.tol, 2) + 40
-            self._order_bits_f = float(self._order_bits)
-            self._order_max_width = mp.mpf('0.05')
         self.i_max = self.w_max = -1  # no grid until ensure_ranges builds one
         i_max = max(2, int(i_max))
         w_max = i_max if w_max is None else max(0, int(w_max))
@@ -253,11 +249,12 @@ class WeightTable:
     # -- half-line integral tables ----------------------------------------
 
     def _panel_nodes(self, a, b):
-        """Gauss-Legendre nodes/weights covering [a, b] in short panels."""
+        """Gauss-Legendre nodes/weights covering the segment from a to b
+        (b may be complex) in short panels."""
         width = b - a
-        if width <= 0:
+        if not width:
             return []
-        pieces = max(1, int(mp.ceil(width / mp.mpf(self.panel_max_width))))
+        pieces = max(1, int(mp.ceil(abs(width) / mp.mpf(self.panel_max_width))))
         gx, gw = legendre_nodes(self.panel_order, self._prec)
         out = []
         step = width / pieces
@@ -275,64 +272,6 @@ class WeightTable:
             for j, s in enumerate(_power_sums(ys, cur, j_count)):
                 totals[j] += s
         return totals
-
-    def _order_for(self, width):
-        # Gauss-Legendre on an entire integrand converges like
-        # (width/2r)^(2n); these steps keep the panel error past the
-        # table tolerance with two decades of margin.
-        if width > self._order_max_width:
-            return self.panel_order
-        # the quotient in floats, from width = man * 2^exp; only a quotient
-        # within float rounding of an integer needs the mpf form to decide
-        # its ceiling
-        _, man, exp, _ = width._mpf_
-        q = self._order_bits_f / (2 * (1 - exp - math.log2(man)))
-        if abs(q - round(q)) >= 1e-9:
-            need = math.ceil(q)
-        else:
-            need = int(mp.ceil(self._order_bits / (2 * mp.log(2 / width, 2))))
-        return min(self.panel_order, max(4, need))
-
-    def _panel_F_step(self, a, b, j_count):
-        """Like _panel_F but with order matched to the step width."""
-        width = b - a
-        if width <= 0:
-            return [mp.mpf(0)] * j_count
-        if width > self.panel_max_width:
-            return self._panel_F(a, b, j_count)
-        gx, gw = legendre_nodes(self._order_for(width), self._prec)
-        c, r = (a + b) / 2, width / 2
-        ys = [c + r * x for x in gx]
-        cur = [r * w * exp_e(-self.potential(y)) for w, y in zip(gw, ys)]
-        return _power_sums(ys, cur, j_count)
-
-    def weights_batch(self, points, n_count: int):
-        """{x: (exp(-V), exp(-2V), [w_0 .. w_{n_count-1}]) at x} for many
-        nearby points at once.
-
-        Only the lowest point is anchored on the master grid; each later
-        one adds its gap, so clustered ladders of nodes cost one short
-        low-order panel per gap instead of one anchored panel per point.
-        """
-        if n_count - 1 > self.w_max:
-            raise MomentRangeExceeded(f"w_{n_count-1} beyond table ({self.w_max})")
-        out = {}
-        with mp.workprec(self._prec):
-            todo = sorted({mp.mpf(x) for x in points})
-            if not todo:
-                return out
-            nf = max(1, n_count)
-            Fs = self._F_at(todo[0], nf)
-            prev = todo[0]
-            for x in todo:
-                if x != prev:
-                    step = self._panel_F_step(prev, x, nf)
-                    Fs = [f + s for f, s in zip(Fs, step)]
-                    prev = x
-                ex = exp_e(-self.potential(x))
-                ws = [ex * (2 * Fs[n] - self.m[n]) for n in range(n_count)]
-                out[x] = (ex, ex * ex, ws)
-        return out
 
     def _build_F(self):
         """F[j][k - _F_lo]: integral of y^j exp(-V) up to the node xs[k],
@@ -421,14 +360,37 @@ class WeightTable:
         seg = self._panel_F(self.xs[k], x, j_count)
         return [self.F[j][k - self._F_lo] + seg[j] for j in range(j_count)]
 
-    def weights_at(self, x, n_count: int):
-        """(exp(-V(x)), exp(-2V(x)), [w_0(x) .. w_{n_count-1}(x)]).
+    def _segment_F(self, x, z, j_count):
+        """Integrals of y^j exp(-V) along the segment from x to a complex z."""
+        totals = [mp.mpc(0)] * j_count
+        for ys, ws in self._panel_nodes(x, z):
+            cur = [w * mp.exp(-self.potential(y)) for w, y in zip(ws, ys)]
+            for j in range(j_count):
+                if j:
+                    cur = [c * y for c, y in zip(cur, ys)]
+                totals[j] += mp.fsum(cur)
+        return totals
 
-        Anchored on the master grid; one shared panel serves every w_n.
+    def weights_at(self, z, n_count: int):
+        """(exp(-V(z)), exp(-2V(z)), [w_0(z) .. w_{n_count-1}(z)]).
+
+        Anchored on the master grid at x = Re z; off the axis one more
+        panel (pieces past panel_max_width) runs up the segment [x, z].
+        One shared panel serves every w_n.
         """
+        if n_count - 1 > self.w_max:
+            raise MomentRangeExceeded(f"w_{n_count-1} beyond table ({self.w_max})")
         with mp.workprec(self._prec):
-            x = mp.mpf(x)
-        return self.weights_batch([x], n_count)[x]
+            z = mp.mpmathify(z)
+            x = mp.mpf(mp.re(z))
+            Fs = self._F_at(x, max(1, n_count))
+            if mp.im(z):
+                Fs = [f + s for f, s in zip(Fs, self._segment_F(x, z, len(Fs)))]
+                ex = mp.exp(-self.potential(z))
+            else:
+                ex = exp_e(-self.potential(x))
+            ws = [ex * (2 * Fs[n] - self.m[n]) for n in range(n_count)]
+            return ex, ex * ex, ws
 
 
 # The tables used last, most recent at the end; at up to about 4 MB each,

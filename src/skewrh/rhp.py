@@ -7,9 +7,11 @@ carries the top-degree family member; each lower row solves a square
 linear system built from the exp(-2V) moments and the w_n pairings,
 normalized so its diagonal entry decays like z^e with unit coefficient.
 
-Verification is numeric throughout: jump residuals by boundary-offset
-extrapolation on a shared delta ladder, growth exponents by log-log
-slope fits along rays, determinant structure by off-axis sampling.
+Every Cauchy transform is a sum over the weight table's master grid; near
+the axis a singularity-subtraction term keeps it accurate.  Verification
+is numeric throughout: jump residuals by boundary-offset extrapolation on
+a shared delta ladder, growth exponents by log-log slope fits along rays,
+determinant structure by off-axis sampling.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from .numerics import (
     loglog_slope,
     vmul_raw,
 )
-from .potentials import Potential, WeightTable, _tail_radius, get_weight_table, pi_polynomial
+from .potentials import Potential, WeightTable, get_weight_table, pi_polynomial
 from .quadrature import boundary_deltas, richardson_limit, ts_mapped_level
 from .skewalg import SkewFamily, skew_orthogonal_family
 
@@ -105,12 +107,12 @@ class RHSolution:
     """Constructed solution: rows stored as complex combinations of real
     polynomials, evaluated via grid Cauchy transforms.
 
-    Far from the axis the shared master grid is used directly, with the
-    product vectors of each (row polynomial, column) cached per table
-    version.  Near it `_near_pairs` splits the integrand at the foot
-    point with local subtraction, on tanh-sinh panels built once for a
-    whole delta ladder, and gives both boundary values at every delta;
-    nothing per point outlives the call except its last result.
+    Every Cauchy entry is a sum over the active nodes of the shared master
+    grid, with the product vectors of each (row polynomial, column) cached
+    for the table's current version only.  Far from the axis that sum is
+    the value; near it `_near_ladder` adds one singularity-subtraction
+    correction per point and gives both boundary values along a delta
+    ladder.  Nothing per point outlives the call.
     """
 
     def __init__(self, problem: RHProblem, family: SkewFamily,
@@ -124,7 +126,6 @@ class RHSolution:
         self.collapse_residual = collapse_residual
         self.ctx = ctx
         self._far_fu = {}
-        self._near = None
 
     # -- structure ---------------------------------------------------------
 
@@ -183,6 +184,8 @@ class RHSolution:
         key = (poly, col, self.table.version)
         vec = self._far_fu.get(key)
         if vec is None:
+            if self._far_fu and next(iter(self._far_fu))[2] != key[2]:
+                self._far_fu.clear()  # vectors of a grid the table replaced
             vec = self._far_fu[key] = vmul_raw(
                 [poly(x)._mpf_ for x in self.table.axs],
                 [u._mpf_ for u in self._u_active(col)])
@@ -208,53 +211,19 @@ class RHSolution:
 
     # -- near-field evaluation --------------------------------------------
 
-    def _split_nodes(self, x0, level, dens):
-        """Inner panels around x0 and pruned outer panels, each as (nodes,
-        weights, per-column densities as raw tuples, foot-point offsets);
-        dens maps a point to its column densities and gains the nodes it
-        lacks."""
-        t = self.table
-        prec = t._prec
-        with mp.workprec(prec):
-            margin = mp.mpf('0.25')
-            P = _tail_radius(t.potential, t.i_max, t.tol * mp.mpf('1e-2'))
-            P = min(P + margin, t.radius)
-            inner = []
-            for a, b in ((x0 - 1, x0), (x0, x0 + 1)):
-                xs, ws = ts_mapped_level(a, b, prec, level)
-                inner.extend(zip(xs, ws))
-            outer = []
-            for a, b in ((-P, x0 - 1), (x0 + 1, P)):
-                if b <= a:
-                    continue
-                xs, ws = ts_mapped_level(a, b, prec, level)
-                # edge clusters carry weight below the tail bound scale
-                outer.extend(p for p in zip(xs, ws)
-                             if abs(p[0]) <= P - margin or abs(p[0]) <= 1 + abs(x0))
-            new = [p[0] for p in inner + outer if p[0] not in dens]
-            for x, (ex, ex2, ws) in t.weights_batch(new, self.d - 1).items():
-                dens[x] = [ex2] + ws
-            parts = []
-            for nodes in (inner, outer):
-                xs = [p[0] for p in nodes]
-                us = [[dens[x][c]._mpf_ for x in xs] for c in range(self.d)]
-                parts.append((xs, [p[1] for p in nodes], us, [x - x0 for x in xs]))
-        return parts
-
     @staticmethod
     def _near_kernels(offsets, weights, deltas):
-        """For each delta, the real and imaginary parts of w / (x - z) for
-        z = x0 + i delta at the nodes x = x0 + offset, as raw tuples: the
-        boundary value from below is the conjugate, so one build serves
-        both sides.  Each part is (w * a) / (a * a + delta * delta) or
-        (w * delta) / (a * a + delta * delta), rounded as the mpf
+        """For each delta in turn, the real and imaginary parts of
+        w / (x - z) for z = x0 + i delta at the nodes x = x0 + offset, as raw
+        tuples: the boundary value from below is the conjugate, so one build
+        serves both sides.  Each part is (w * a) / (a * a + delta * delta)
+        or (w * delta) / (a * a + delta * delta), rounded as the mpf
         operators round; a * a and w * a are formed once per node."""
         prec, rnd = mp._prec_rounding
         nodes = []
         for a, w in zip(offsets, weights):
             a, w = a._mpf_, w._mpf_
             nodes.append((mpf_mul(a, a, prec, rnd), mpf_mul(w, a, prec, rnd), w))
-        out = []
         for delta in deltas:
             d = delta._mpf_
             dd = mpf_mul(d, d, prec, rnd)
@@ -263,93 +232,79 @@ class RHSolution:
                 den = mpf_add(aa, dd, prec, rnd)
                 kr.append(mpf_div(wa, den, prec, rnd))
                 ki.append(mpf_div(mpf_mul(w, d, prec, rnd), den, prec, rnd))
-            out.append((kr, ki))
-        return out
+            yield kr, ki
 
-    def _boundary_pairs(self, x0, deltas, level, dens):
-        """[(Y(x0 + i delta), Y(x0 - i delta)) for each delta > 0], all
-        from one node build at the given panel level.
+    def _near_ladder(self, x0, deltas):
+        """[(Y(x0 + i delta), Y(x0 - i delta)) for each delta > 0].
 
-        Row polynomials are real, so every grid sum for the lower boundary
-        value is the conjugate of the upper one; only the complex row
-        factors break the symmetry, and they multiply at the end.  Each
-        polynomial's product vectors are formed once, reduced for every
-        delta, and dropped before the next polynomial's.
+        Each Cauchy entry is the far-field sum over the active master nodes
+        plus one scalar correction per point, by singularity subtraction
+        (Helsing-Ojala 2008; f = p u_c is entire, so (f(x) - f(z))/(x - z)
+        is too):
+            2 pi i C(f)(z) = sum_k w_k f(x_k)/(x_k - z) + f(z) (L(z) - K(z)),
+        with L(z) = log(r - z) - log(-r - z) the integral of 1/(x - z) over
+        the grid's [-r, r] and K(z) its sum over the whole master level.
+        The same sums on the next coarser level (acoarse and every second
+        master node, weights doubled) must agree with these within
+        tol * max(1, scale) at every delta, or QuadratureFailure is raised;
+        the table is only read.  Row polynomials are real, so the lower
+        value's grid sums are the conjugates of the upper ones.
         """
-        (ixs, iws, ius, ia), (oxs, ows, ous, oa) = self._split_nodes(x0, level, dens)
-        kerns = []
-        for delta, (ikr, iki), (okr, oki) in zip(
-                deltas, self._near_kernels(ia, iws, deltas),
-                self._near_kernels(oa, ows, deltas)):
-            zp = mp.mpc(x0, delta)
-            lt = mp.log(x0 + 1 - zp) - mp.log(x0 - 1 - zp)
-            kerns.append((ikr, iki, okr, oki, fsum_raw(ikr), fsum_raw(iki), lt))
+        t = self.table
         n = self.size
-        sides = {}  # poly -> per column, per delta: (upper, lower) sums
-        for terms in self.row_terms:
-            for factor, poly in terms:
-                if factor == 0 or poly in sides:
-                    continue
-                p0 = poly(x0)
-                ipv = [poly(x)._mpf_ for x in ixs]
-                opv = [poly(x)._mpf_ for x in oxs]
-                sides[poly] = cols = []
-                for c in range(1, n):
-                    ivec = vmul_raw(ipv, ius[c - 1])
-                    ovec = vmul_raw(opv, ous[c - 1])
-                    f0 = p0 * dens[x0][c - 1]
-                    col = []
-                    for ikr, iki, okr, oki, sr, si, lt in kerns:
-                        re = fdot_raw(ivec, ikr) + fdot_raw(ovec, okr) - f0 * sr
-                        im = fdot_raw(ivec, iki) + fdot_raw(ovec, oki) - f0 * si
-                        col.append((mp.mpc(re, im) + f0 * lt,
-                                    mp.mpc(re, -im) + f0 * mp.conj(lt)))
-                    cols.append(col)
+        xs, ws = ts_mapped_level(-t.radius, t.radius, t._prec, t.level)
+        grid = sorted(zip(xs, ws))  # t.xs order, so the active slice is t.axs
+        lo, hi, s = t._alo, t._ahi, t.acoarse.start
+        c0 = (len(grid) // 2) % 2   # master index of the coarser level's nodes
+        two_pi_i = _two_pi_i()
         pairs = []
-        for i, delta in enumerate(deltas):
-            zp = mp.mpc(x0, delta)
-            Yp = [[mp.mpc(0)] * n for _ in range(n)]
-            Ym = [[mp.mpc(0)] * n for _ in range(n)]
+        for delta, (kr, ki) in zip(deltas, self._near_kernels(
+                [x - x0 for x, _ in grid], [w for _, w in grid], deltas)):
+            z = mp.mpc(x0, delta)
+            _, ex2, wn = t.weights_at(z, self.d - 1)
+            us = [ex2] + wn
+            L = mp.log(t.radius - z) - mp.log(-t.radius - z)
+            corr = L - mp.mpc(fsum_raw(kr), fsum_raw(ki))
+            ccorr = L - 2 * mp.mpc(fsum_raw(kr[c0::2]), fsum_raw(ki[c0::2]))
+            akr, aki = kr[lo:hi], ki[lo:hi]
+            ckr, cki = akr[s::2], aki[s::2]
+            sums = {}  # poly -> p(z) and, per column, the fine and coarse sums
+            Yp, Ym, Yc = ([[mp.mpc(0)] * n for _ in range(n)] for _ in range(3))
             for r, terms in enumerate(self.row_terms):
                 for factor, poly in terms:
                     if factor == 0:
                         continue
-                    v0 = poly(zp)
-                    Yp[r][0] += factor * v0
-                    Ym[r][0] += factor * mp.conj(v0)
-                    for c in range(1, n):
-                        base, conj = sides[poly][c - 1][i]
-                        Yp[r][c] += factor * base / _two_pi_i()
-                        Ym[r][c] += factor * conj / _two_pi_i()
+                    if poly not in sums:
+                        pz = poly(z)
+                        cols = []
+                        for c in range(1, n):
+                            fu = self._far_fu_vec(poly, c)
+                            cfu = fu[s::2]
+                            fz = pz * us[c - 1]
+                            fine = mp.mpc(fdot_raw(fu, akr), fdot_raw(fu, aki))
+                            coarse = 2 * mp.mpc(fdot_raw(cfu, ckr), fdot_raw(cfu, cki))
+                            cols.append((fine + fz * corr, coarse + fz * ccorr))
+                        sums[poly] = pz, cols
+                    pz, cols = sums[poly]
+                    Yp[r][0] += factor * pz
+                    Ym[r][0] += factor * mp.conj(pz)
+                    Yc[r][0] += factor * pz
+                    for c, (fine, coarse) in enumerate(cols, 1):
+                        Yp[r][c] += factor * fine / two_pi_i
+                        Ym[r][c] += factor * mp.conj(fine) / two_pi_i
+                        Yc[r][c] += factor * coarse / two_pi_i
+            scale = max(max(abs(v) for v in row) for row in Yp)
+            gap = max(max(abs(a - b) for a, b in zip(ra, rb))
+                      for ra, rb in zip(Yp, Yc))
+            bound = t.tol * max(1, scale)
+            if gap > bound:
+                raise QuadratureFailure(
+                    f"near-axis sums at x0={mp.nstr(x0, 8)}, delta="
+                    f"{mp.nstr(delta, 3)}: level {t.level} and its coarse half "
+                    f"differ by {mp.nstr(gap, 3)}, above the bound "
+                    f"{mp.nstr(bound, 3)}")
             pairs.append((Yp, Ym))
         return pairs
-
-    def _near_pairs(self, x0, deltas):
-        """Boundary-value pairs along a delta ladder, at the smallest panel
-        level whose upper matrix agrees with the next finer level's at
-        the last delta.  The last result is kept for a repeat call; the
-        column densities live only in this call."""
-        key = (x0, tuple(deltas), self.table.version)
-        if self._near is not None and self._near[0] == key:
-            return self._near[1]
-        # x0 anchored on the master grid, as in the jump row
-        ex, ex2, ws = self.table.weights_at(x0, self.d - 1)
-        dens = {x0: [ex2] + ws}
-        tol = self.table.tol
-        for level in range(7, self.table.max_level):
-            pairs = self._boundary_pairs(x0, deltas, level, dens)
-            prev = pairs[-1][0]
-            cur = self._boundary_pairs(x0, deltas[-1:], level + 1, dens)[0][0]
-            scale = max(max(abs(v) for v in row) for row in cur)
-            dev = max(max(abs(a - b) for a, b in zip(ra, rb))
-                      for ra, rb in zip(cur, prev))
-            if dev <= tol * max(1, scale):
-                # the coarser level already sits within tolerance of the
-                # finer one, so the whole ladder may run at it
-                self._near = (key, pairs)
-                return pairs
-        raise QuadratureFailure(
-            f"near-axis evaluation did not stabilize at x0={mp.nstr(x0, 8)}")
 
     # -- public evaluation -------------------------------------------------
 
@@ -364,7 +319,7 @@ class RHSolution:
             if dist >= 1:
                 return self._eval_far(z)
             x0, delta = mp.mpf(mp.re(z)), abs(mp.im(z))
-            upper, lower = self._near_pairs(x0, (delta,))[0]
+            upper, lower = self._near_ladder(x0, (delta,))[0]
             return upper if mp.im(z) > 0 else lower
 
     def __repr__(self):
@@ -516,11 +471,13 @@ def jump_residual(sol: RHSolution, x,
         x0 = mp.mpf(x)
         if abs(x0) > table.base_radius:
             raise ValueError("sample point outside the truncated support")
-        jump_row = JumpMatrix(sol.problem.potential, sol.ctx,
-                              table=table).first_row(x0)
+        # M(x0)'s first row from the table as it is: no JumpMatrix, whose
+        # constructor may widen it
+        _, ex2, ws = table.weights_at(x0, sol.d - 1)
+        jump_row = [mp.mpf(1), ex2] + ws
         deltas = boundary_deltas()
         mats = [_jump_pair(Yp, Ym, jump_row)
-                for Yp, Ym in sol._near_pairs(x0, deltas)]
+                for Yp, Ym in sol._near_ladder(x0, deltas)]
         n = sol.size
         worst = mp.mpf(0)
         for r in range(n):

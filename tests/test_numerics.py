@@ -254,7 +254,7 @@ def test_batched_near_kernels_match_per_delta_formula(prec):
         offsets = [v * 2 ** 300 for v in _random_reals(rng, 40)]
         weights = [abs(v) * 2 ** 300 for v in _random_reals(rng, 40, zeros=False)]
         deltas = boundary_deltas()
-        batched = RHSolution._near_kernels(offsets, weights, deltas)
+        batched = list(RHSolution._near_kernels(offsets, weights, deltas))
         assert len(batched) == len(deltas)
         for delta, (kr, ki) in zip(deltas, batched):
             den = [a * a + delta * delta for a in offsets]

@@ -2,7 +2,6 @@
 
 import bisect
 import gc
-import random
 import weakref
 
 import pytest
@@ -196,6 +195,19 @@ def test_weights_at_consistent_with_w_function(gauss, ctx):
         assert abs(w - direct) <= mp.mpf("1e-28") * max(1, abs(direct))
 
 
+def test_weights_at_off_axis_closed_forms(gauss, ctx):
+    # for x^2/2, w_0(z) = sqrt(2 pi) exp(-z^2/2) erf(z/sqrt 2) and
+    # w_1(z) = -2 exp(-z^2); a height past panel_max_width takes pieces
+    table = get_weight_table(gauss, ctx, i_max=4, w_max=3)
+    for z in (mp.mpc("0.9", "0.3"), mp.mpc("-0.4", "-0.6")):
+        ex, ex2, ws = table.weights_at(z, 2)
+        assert abs(ex - mp.exp(-z * z / 2)) <= mp.mpf("1e-70")
+        assert abs(ex2 - mp.exp(-z * z)) <= mp.mpf("1e-70")
+        w0 = mp.sqrt(2 * mp.pi) * mp.exp(-z * z / 2) * mp.erf(z / mp.sqrt(2))
+        assert abs(ws[0] - w0) <= mp.mpf("1e-28") * abs(w0)
+        assert abs(ws[1] + 2 * mp.exp(-z * z)) <= mp.mpf("1e-28")
+
+
 def test_weight_table_raises_i_max_to_w_max(gauss, ctx):
     # w_n needs the moment m_n: the constructor widens i_max the way
     # ensure_ranges does instead of clamping w_max down
@@ -314,31 +326,3 @@ def test_half_line_integrals_stay_small(quartic, ctx, deep_size):
     assert len(t.axs) < len(t.xs) // 10
     assert deep_size(t.F) < 2 * 2 ** 20
     assert deep_size(vars(t)) < 4 * 2 ** 20
-
-
-def _order_mpf(t, width):
-    need = int(mp.ceil(t._order_bits / (2 * mp.log(2 / width, 2))))
-    return min(t.panel_order, max(4, need))
-
-
-def test_panel_order_float_path_matches_mpf(gauss, ctx):
-    t = get_weight_table(gauss, ctx)
-    rng = random.Random(7)
-    with mp.workprec(t._prec):
-        hi = float(mp.log(mp.mpf("0.05"), 2))
-        for _ in range(10 ** 4):
-            w = mp.mpf(2) ** mp.mpf(rng.uniform(-270, hi))
-            assert t._order_for(w) == _order_mpf(t, w)
-        # quotients on or within 1e-12 of an integer, where floats alone
-        # cannot decide the ceiling
-        B = t._order_bits
-        near = 0
-        for n in range(1, 20):
-            for off in ("0", "1e-12", "-1e-12", "3e-13"):
-                q = n + mp.mpf(off)
-                w = 2 * mp.mpf(2) ** (-B / (2 * q))
-                if w > mp.mpf("0.05"):
-                    continue
-                near += 1
-                assert t._order_for(w) == _order_mpf(t, w)
-        assert near >= 40

@@ -4,12 +4,13 @@ gauge freedom, and the degenerate-collapse identity."""
 import pytest
 from mpmath import mp
 
-from skewrh.errors import UnsupportedRegime
+from skewrh.errors import QuadratureFailure, UnsupportedRegime
 from skewrh.numerics import Poly, PrecisionContext, determinant
 from skewrh.potentials import Potential, WeightTable, w_function, weight_W
 from skewrh.rhp import (
     JumpMatrix,
     RHProblem,
+    RHSolution,
     asymptotic_exponents,
     build,
     build_even,
@@ -56,11 +57,16 @@ def test_collapse_residual_tiny(sol_gauss):
 
 
 def test_jump_residual_even(sol_gauss, ctx, deep_size):
-    table_before = deep_size(vars(sol_gauss.table))
-    for xs in ("-1.2", "0.8"):
+    table = sol_gauss.table
+    table_before = deep_size(vars(table))
+    level, version = table.level, table.version
+    # x = 0 is a master-grid node, where the subtraction cancels most
+    for xs in ("0", "-1.2", "0.8"):
         r = jump_residual(sol_gauss, mp.mpf(xs), ctx)
-        assert r <= mp.mpf("1e-45")
+        assert r <= mp.mpf("1e-45"), xs
     assert jump_residual(sol_gauss, mp.mpf("0.8"), ctx) == r
+    # verification only reads the shared table
+    assert (table.level, table.version) == (level, version)
     # near-axis work is not kept per point: what the solution holds beyond
     # its construction data stays small however many points were visited
     shared = {"family", "table", "problem", "row_terms", "ctx", "alpha",
@@ -69,6 +75,47 @@ def test_jump_residual_even(sol_gauss, ctx, deep_size):
     assert deep_size(own) < 2 ** 20
     # nor on the shared weight table, which keeps master-grid data only
     assert deep_size(vars(sol_gauss.table)) - table_before < 2 ** 20
+
+
+def test_near_axis_entry_against_quad(sol_gauss, gauss):
+    # column 1 of row 0 is C(p_2 W)(z), W = exp(-2V); the reference splits
+    # the integral at the foot point, where the kernel peaks
+    p = sol_gauss.family.polys[2]
+    x0 = mp.mpf("0.37")
+    for e in (10, 20):
+        z = mp.mpc(x0, mp.mpf(2) ** -e)
+        ref = mp.quad(lambda x: p(x) * mp.exp(-2 * gauss(x)) / (x - z),
+                      [-mp.inf, x0, mp.inf]) / (2j * mp.pi)
+        got = sol_gauss.evaluate(z)[0][1]
+        assert abs(got - ref) <= mp.mpf("1e-35") * abs(ref), e
+
+
+def test_near_axis_gap_failure_leaves_table(sol_gauss, ctx, monkeypatch):
+    # no fine/coarse gap meets a negative bound: the near path raises and
+    # neither refines nor rebuilds the shared table
+    table = sol_gauss.table
+    level, version = table.level, table.version
+    monkeypatch.setattr(table, "tol", mp.mpf("-1e-30"))
+    with pytest.raises(QuadratureFailure, match="coarse half"):
+        jump_residual(sol_gauss, mp.mpf("0.37"), ctx)
+    assert (table.level, table.version) == (level, version)
+
+
+def test_product_vectors_kept_for_current_table_only(sol_gauss, gauss, ctx):
+    table = WeightTable(gauss, ctx, i_max=sol_gauss.table.i_max,
+                        w_max=sol_gauss.table.w_max)
+    sol = RHSolution(sol_gauss.problem, sol_gauss.family, table,
+                     sol_gauss.row_terms, sol_gauss.alpha,
+                     sol_gauss.collapse_residual, ctx)
+    z = mp.mpc("0.5", "3")
+    before = sol.evaluate(z)
+    count = len(sol._far_fu)
+    table.ensure_ranges(i_max=table.i_max + 6)
+    after = sol.evaluate(z)
+    assert all(key[2] == table.version for key in sol._far_fu)
+    assert len(sol._far_fu) == count
+    # the wider grid agrees within quad_tol
+    assert abs(after[0][1] - before[0][1]) <= mp.mpf("1e-30") * abs(before[0][1])
 
 
 def test_jump_residual_odd(sol_gauss_odd, ctx):

@@ -6,9 +6,10 @@ work 16 guard bits above that, so two checkouts can print the same digits
 and still differ in their last bits.  This tool hashes the raw mpmath
 values (`_mpf_` / `_mpc_`: sign, mantissa, exponent, bit count) of
 
-  near      boundary-value pairs on the full delta ladder and the jump
-            residual, at x = 0.40625 (x^2/2 + x^4, k = 2) and at
-            x = -0.359375 (x^2/2, k = 1)
+  near      the jump residual and the boundary-value pairs of
+            RHSolution._near_ladder on the full delta ladder, at
+            x = 0.40625 (x^2/2 + x^4, k = 2) and at x = -0.359375
+            (x^2/2, k = 1)
   matrix    the beta = 1 skew moment matrix of x^2/2 + x^4 at n = 14
   table     what the program reads of that matrix's weight table: its
             level, m, m2, aew2, every w_values(n), and weights_at on both
@@ -81,7 +82,7 @@ def parts():
     for sol, x in ((sq, "0.40625"), (sg, "-0.359375")):
         res = jump_residual(sol, x, ctx)
         with mp.workprec(sol.table._prec):
-            near.append((res, sol._near_pairs(mp.mpf(x), deltas)))
+            near.append((res, sol._near_ladder(mp.mpf(x), deltas)))
     yield "near", near
 
     matrix = build_skew_moment_matrix(quartic, 1, 14, ctx)
