@@ -33,7 +33,6 @@ from .numerics import CPoly, DEFAULT_CONTEXT, Poly, PrecisionContext
 from .pfafflattice import LaxL, build_lax, flow_check, lattice_rhs, project_pik
 from .potentials import Potential, WeightTable, get_weight_table, pi_polynomial
 from .rhp import (
-    JumpMatrix,
     RHProblem,
     RHSolution,
     asymptotic_exponents,
@@ -70,7 +69,6 @@ __all__ = [
     "HankelMatrix",
     "Histogram",
     "IntegrabilityError",
-    "JumpMatrix",
     "LaxL",
     "MomentRangeExceeded",
     "NoConvergence",

@@ -63,8 +63,8 @@ class HankelMatrix:
 
 class _GridPairings:
     """<x^i, y^j>_1 = int x^i w_j(x) dx as sums over a weight table's active
-    nodes, each checked against the coarse half of the level (every second
-    node, step doubled).  The vectors behind the sums are built on first
+    nodes, each checked against the coarser lattice 2hZ (every second node,
+    step doubled).  The vectors behind the sums are built on first
     use, as raw tuples, and kept for the table's current level only."""
 
     def __init__(self, table: WeightTable):
@@ -80,10 +80,10 @@ class _GridPairings:
                                 [mpf_abs(v) for v in full])
         return vec
 
-    def _weighted_power(self, i: int):
+    def _power(self, i: int):
         while len(self._pows) <= i:
             self._pows.append(vmul_raw(self._pows[-1], self._axs))
-        return vmul_raw(self._awq, self._pows[i])
+        return self._pows[i]
 
     def _w_column(self, j: int):
         return [v._mpf_ for v in self.table.w_values(j)]
@@ -96,19 +96,20 @@ class _GridPairings:
             if attempt:
                 t.ensure_level(t.level + 1)
             if self._level != t.level:
-                self._level, self._wq, self._w = t.level, {}, {}
+                self._level, self._pw, self._w = t.level, {}, {}
                 self._axs = [x._mpf_ for x in t.axs]
-                self._awq = [w._mpf_ for w in t.awq]
                 self._pows = [[fone] * len(t.axs)]
-            wp, wpc, wpa = self._vectors(self._wq, i, self._weighted_power)
+            wp, wpc, wpa = self._vectors(self._pw, i, self._power)
             w, wc, wa = self._vectors(self._w, j, self._w_column)
+            # every weight is the step h, a power of two, so the check runs
+            # on the bare sums and scaling the accepted one is exact
             fine = fdot_raw(wp, w)
             # absolute floor at the integrand mass: parity-zero entries
             # cancel only to round-off, which anything below it would never
             # accept
             scale = max(abs(fine), fdot_raw(wpa, wa))
             if abs(fine - 2 * fdot_raw(wpc, wc)) <= t.tol * scale:
-                return fine
+                return t.h * fine
         raise QuadratureFailure(f"moment entry ({i},{j}) did not stabilize")
 
 

@@ -261,18 +261,6 @@ def mat_mul(A, B):
     return [[mp.fdot(A[i], Bt[j]) for j in range(p)] for i in range(n)]
 
 
-def mat_vec(A, x):
-    return [mp.fdot(row, x) for row in A]
-
-
-def mat_sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
 def mat_copy(A):
     return [list(row) for row in A]
 

@@ -1,20 +1,22 @@
 """Confining potentials and the weight data derived from them.
 
 A WeightTable holds, for one potential and precision context, a shared
-tanh-sinh master grid over the truncated support together with running
-half-line integrals of y^j exp(-V).  It keeps grid data only: callers that
-reduce integrals to weighted dot products over the grid (the beta = 1
-pairings in `moments`, the Cauchy sums in `rhp`) form their own
-vectors from it.  The half-line integrals at an arbitrary point cost one
-short Gauss-Legendre panel from the nearest node below it, and off the
-axis one more up to the point.
+master grid over the truncated support, the uniform lattice x_k = k h with
+h = 2^-level, together with running half-line integrals of y^j exp(-V).
+Every quadrature weight is h: the trapezoid rule converges exponentially
+for the entire, fast-decaying integrands here (Trefethen-Weideman 2014,
+SIAM Rev. 56, section 5), and the lattices of two levels nest bit-exactly.
+The table keeps grid data only: callers that reduce integrals to weighted
+dot products over the grid (the beta = 1 pairings in `moments`, the Cauchy
+sums in `rhp`) form their own vectors from it.  The half-line integrals at
+an arbitrary point cost one short Gauss-Legendre panel from the nearest
+node below it, and off the axis one more up to the point.
 
 Grid sums for integrands carrying exp(-V) run over the active slice
 |x| <= cut only, where cut satisfies x^i_max exp(-V(x)) < quad_tol*1e-4;
 the discarded terms are below the validated error scale by construction.
-The half-line integrals, the quadrature weights and exp(-2V) are read on
-that slice only, so the table keeps them there alone: a few hundred of the
-master grid's thousands of nodes.  A table changes only by a rebuild for
+The half-line integrals and exp(-2V) are read on that slice only, so the
+table keeps them there alone.  A table changes only by a rebuild for
 wider ranges or a finer level for the beta = 1 entry check.
 """
 from __future__ import annotations
@@ -26,7 +28,7 @@ from mpmath import mp
 
 from .errors import IntegrabilityError, MomentRangeExceeded, QuadratureFailure
 from .numerics import DEFAULT_CONTEXT, Poly, PrecisionContext, exp_e, fsum_raw, vmul_raw
-from .quadrature import legendre_nodes, ts_mapped_level
+from .quadrature import legendre_nodes
 
 
 class Potential:
@@ -85,12 +87,6 @@ class Potential:
 
     def __repr__(self):
         return f"Potential({[mp.nstr(c, 8) for c in self.poly.coeffs]})"
-
-
-def weight_W(V: Potential, x, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """The squared-exponent weight exp(-2 V(x))."""
-    with ctx.workprec():
-        return exp_e(-2 * V(mp.mpf(x)))
 
 
 def pi_polynomial(V: Potential, j: int) -> Poly:
@@ -157,15 +153,16 @@ class WeightTable:
     Holds master-grid data only, and no caches: densities at other points,
     real or complex, are return values of weights_at, and vectors over the
     active nodes (w_values) are built per call.  Nodes and exp(-V) cover
-    the whole master grid; weights (awq), exp(-2V) (aew2) and the half-line
-    integrals F cover the active slice, F from the node just below it.
-    ensure_ranges sets the ranges, ensure_level refines the grid; `version`
-    changes whenever the grid data does, for consumers keyed on it.
+    the whole lattice; exp(-2V) (aew2) and the half-line integrals F cover
+    the active slice, F from the node just below it.  The weight of every
+    node is the step h.  ensure_ranges sets the ranges, ensure_level
+    refines the grid; `version` changes whenever the grid data does, for
+    consumers keyed on it.
     """
 
     panel_order = 20
     panel_max_width = 0.25
-    min_level = 4
+    min_level = 1
     max_level = 11
 
     def __init__(self, potential: Potential, ctx: PrecisionContext = DEFAULT_CONTEXT,
@@ -184,52 +181,49 @@ class WeightTable:
     # -- construction ------------------------------------------------------
 
     def _grid_at_level(self, level, known):
-        """Sorted nodes, weights and exp(-V) of one level; known maps the
-        nodes of a coarser level (nested levels share them bit-exactly) to
-        their exp(-V)."""
-        xs, ws = ts_mapped_level(-self.radius, self.radius, self._prec, level)
-        order = sorted(range(len(xs)), key=lambda i: xs[i])
-        xs = [xs[i] for i in order]
-        ws = [ws[i] for i in order]
+        """The lattice nodes k * 2^-level in [-radius, radius], in order,
+        and their exp(-V); known maps the nodes of a coarser lattice (a
+        sublattice, with the same bits) to their exp(-V)."""
+        n = int(mp.floor(mp.ldexp(self.radius, level)))
+        xs = [mp.ldexp(k, -level) for k in range(-n, n + 1)]
         ew = [known[x] if x in known else exp_e(-self.potential(x))
               for x in xs]
-        return xs, ws, ew
+        return xs, ew
 
-    def _moments_on(self, xs, ws, ew, count):
-        return _power_sums(xs, [w * e for w, e in zip(ws, ew)], count,
-                           absolute=True)
+    def _moments_on(self, level, xs, ew):
+        """Moments up to i_max on one lattice, each paired with the sum of
+        its absolute terms: h times plain sums, h a power of two."""
+        h = mp.ldexp(1, -level)
+        return [(h * v, h * a) for v, a in
+                _power_sums(xs, ew, self.i_max + 1, absolute=True)]
 
     def _build_grid(self):
-        n_m = self.i_max + 1
+        """Halve h from 1/2 until two lattices' moments agree within tol
+        (the absolute terms' sum as the floor), and keep the finer one."""
         prev = None
         known = {}
         for level in range(self.min_level, self.max_level + 1):
-            xs, ws, ew = self._grid_at_level(level, known)
+            xs, ew = self._grid_at_level(level, known)
             known = dict(zip(xs, ew))
-            cur = self._moments_on(xs, ws, ew, n_m)
-            if prev is not None:
-                ok = True
-                for (v, sabs), (pv, _) in zip(cur, prev):
-                    scale = max(abs(v), sabs)
-                    if abs(v - pv) > self.tol * scale:
-                        ok = False
-                        break
-                if ok:
-                    self._install_grid(level, xs, ws, ew, cur)
-                    return
+            cur = self._moments_on(level, xs, ew)
+            if prev is not None and all(
+                    abs(v - pv) <= self.tol * max(abs(v), sabs)
+                    for (v, sabs), (pv, _) in zip(cur, prev)):
+                self._install_grid(level, xs, ew, cur)
+                return
             prev = cur
         raise QuadratureFailure("moment grid did not stabilize")
 
-    def _install_grid(self, level, xs, ws, ew, moments):
+    def _install_grid(self, level, xs, ew, moments):
         """Make one level the table's grid: moments, active slice and the
         half-line integral tables."""
         self.level = level
+        self.h = mp.ldexp(1, -level)
         self.xs = xs
         self.ew = ew
         ew2 = [e * e for e in ew]
         self.m = [v for v, _ in moments]
-        self.m2 = _power_sums(xs, [w * e for w, e in zip(ws, ew2)],
-                              self.i_max + 1)
+        self.m2 = [self.h * v for v in _power_sums(xs, ew2, self.i_max + 1)]
         self.active_radius = _tail_radius(self.potential, self.i_max,
                                           self.tol * mp.mpf('1e-4'))
         self.active_radius = min(self.active_radius, self.radius)
@@ -237,11 +231,10 @@ class WeightTable:
         hi = bisect.bisect_right(self.xs, self.active_radius)
         self._alo, self._ahi = lo, hi
         self.axs = self.xs[lo:hi]
-        self.awq = ws[lo:hi]
         self.aew = self.ew[lo:hi]
         self.aew2 = ew2[lo:hi]
-        # the next coarser level is every second node counted from the
-        # centre node x = 0 (ts_halfline_nodes nests the levels)
+        # the lattice 2hZ: the active nodes k*h with k even, counted from
+        # the centre node x = 0
         self.acoarse = range((lo - len(self.xs) // 2) % 2, hi - lo, 2)
         self._build_F()
         self.version += 1
@@ -306,9 +299,8 @@ class WeightTable:
         if level > self.max_level:
             raise QuadratureFailure("grid level cap reached")
         with mp.workprec(self._prec):
-            xs, ws, ew = self._grid_at_level(level, dict(zip(self.xs, self.ew)))
-            cur = self._moments_on(xs, ws, ew, self.i_max + 1)
-            self._install_grid(level, xs, ws, ew, cur)
+            xs, ew = self._grid_at_level(level, dict(zip(self.xs, self.ew)))
+            self._install_grid(level, xs, ew, self._moments_on(level, xs, ew))
 
     def ensure_ranges(self, i_max=None, w_max=None):
         """Moments up to i_max, densities w_n up to w_max (so i_max >= w_max):
@@ -415,10 +407,3 @@ def get_weight_table(V: Potential, ctx: PrecisionContext = DEFAULT_CONTEXT,
     if len(_TABLE_REGISTRY) > _TABLE_REGISTRY_SIZE:
         del _TABLE_REGISTRY[next(iter(_TABLE_REGISTRY))]
     return table
-
-
-def w_function(V: Potential, n: int, x, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """w_n(x) = exp(-V(x)) * (2 * int_{-inf}^x y^n exp(-V) dy - m_n)."""
-    table = get_weight_table(V, ctx, i_max=max(n, 4), w_max=n)
-    with ctx.workprec():
-        return table.weights_at(mp.mpf(x), n + 1)[2][n]

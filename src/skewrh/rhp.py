@@ -7,11 +7,11 @@ carries the top-degree family member; each lower row solves a square
 linear system built from the exp(-2V) moments and the w_n pairings,
 normalized so its diagonal entry decays like z^e with unit coefficient.
 
-Every Cauchy transform is a sum over the weight table's master grid; near
-the axis a singularity-subtraction term keeps it accurate.  Verification
-is numeric throughout: jump residuals by boundary-offset extrapolation on
-a shared delta ladder, growth exponents by log-log slope fits along rays,
-determinant structure by off-axis sampling.
+Every Cauchy transform is a trapezoid sum over the weight table's lattice
+hZ; near the axis the lattice's closed-form pole term keeps it accurate.
+Verification is numeric throughout: jump residuals by boundary-offset
+extrapolation on a shared delta ladder, growth exponents by log-log slope
+fits along rays, determinant structure by off-axis sampling.
 """
 from __future__ import annotations
 
@@ -33,13 +33,12 @@ from .numerics import (
     PrecisionContext,
     determinant,
     fdot_raw,
-    fsum_raw,
     linear_solve,
     loglog_slope,
     vmul_raw,
 )
-from .potentials import Potential, WeightTable, get_weight_table, pi_polynomial
-from .quadrature import boundary_deltas, richardson_limit, ts_mapped_level
+from .potentials import Potential, WeightTable, pi_polynomial
+from .quadrature import boundary_deltas, richardson_limit
 from .skewalg import SkewFamily, skew_orthogonal_family
 
 def _two_pi_i() -> mp.mpc:
@@ -76,43 +75,26 @@ class RHProblem:
         return self.d + 1
 
 
-class JumpMatrix:
-    """x -> M(x): identity plus first row (1, W(x), w_0 .. w_{d-2})."""
-
-    def __init__(self, V: Potential, ctx: PrecisionContext = DEFAULT_CONTEXT,
-                 table: WeightTable = None):
-        self.potential = V
-        self.d = V.degree
-        self.ctx = ctx
-        if table is None:
-            table = get_weight_table(V, ctx, i_max=max(4, self.d - 2),
-                                     w_max=max(0, self.d - 2))
-        else:
-            table.ensure_ranges(w_max=max(0, self.d - 2))
-        self.table = table
-
-    def first_row(self, x):
-        ex, ex2, ws = self.table.weights_at(mp.mpf(x), self.d - 1)
-        return [mp.mpf(1), ex2] + ws
-
-    def __call__(self, x):
-        n = self.d + 1
-        M = [[mp.mpf(1) if r == c else mp.mpf(0) for c in range(n)]
-             for r in range(n)]
-        M[0] = self.first_row(x)
-        return M
+def jump_matrix(table: WeightTable, x):
+    """M(x): the identity with first row (1, W(x), w_0(x) .. w_{d-2}(x)),
+    read from the table as it is; its ranges are not widened."""
+    d = table.potential.degree
+    _, ex2, ws = table.weights_at(x, d - 1)
+    M = [[mp.mpf(int(r == c)) for c in range(d + 1)] for r in range(d + 1)]
+    M[0] = [mp.mpf(1), ex2] + ws
+    return M
 
 
 class RHSolution:
     """Constructed solution: rows stored as complex combinations of real
     polynomials, evaluated via grid Cauchy transforms.
 
-    Every Cauchy entry is a sum over the active nodes of the shared master
-    grid, with the product vectors of each (row polynomial, column) cached
-    for the table's current version only.  Far from the axis that sum is
-    the value; near it `_near_ladder` adds one singularity-subtraction
-    correction per point and gives both boundary values along a delta
-    ladder.  Nothing per point outlives the call.
+    Every Cauchy entry is a sum over the active nodes of the shared
+    lattice, with the product vectors of each (row polynomial, column)
+    cached for the table's current version only.  Far from the axis that
+    sum is the value; near it `_near_ladder` adds the lattice's pole term
+    per point and gives both boundary values along a delta ladder.
+    Nothing per point outlives the call.
     """
 
     def __init__(self, problem: RHProblem, family: SkewFamily,
@@ -191,10 +173,31 @@ class RHSolution:
                 [u._mpf_ for u in self._u_active(col)])
         return vec
 
+    @staticmethod
+    def _kernels(offsets, deltas):
+        """For each delta in turn, the real and imaginary parts of 1/(x - z)
+        for z = x0 + i delta at the nodes x = x0 + offset, as raw tuples:
+        a / (a * a + delta * delta) and delta / (a * a + delta * delta),
+        rounded as the mpf operators round; a * a is formed once per node.
+        For delta > 0 the boundary value from below is the conjugate, so
+        one build serves both sides."""
+        prec, rnd = mp._prec_rounding
+        nodes = [(a._mpf_, mpf_mul(a._mpf_, a._mpf_, prec, rnd)) for a in offsets]
+        for delta in deltas:
+            d = delta._mpf_
+            dd = mpf_mul(d, d, prec, rnd)
+            kr, ki = [], []
+            for a, aa in nodes:
+                den = mpf_add(aa, dd, prec, rnd)
+                kr.append(mpf_div(a, den, prec, rnd))
+                ki.append(mpf_div(d, den, prec, rnd))
+            yield kr, ki
+
     def _eval_far(self, z):
+        """Y(z) from the plain lattice sums: h sum_k f(x_k)/(x_k - z)."""
         t = self.table
-        kern = [(w / (x - z))._mpc_ for w, x in zip(t.awq, t.axs)]
-        kr, ki = [k[0] for k in kern], [k[1] for k in kern]
+        x0 = mp.re(z)
+        kr, ki = next(self._kernels([x - x0 for x in t.axs], (mp.im(z),)))
         n = self.size
         Y = [[mp.mpc(0)] * n for _ in range(n)]
         for r, terms in enumerate(self.row_terms):
@@ -206,68 +209,41 @@ class RHSolution:
                     # mp.fdot of real against complex: one dot per part
                     fu = self._far_fu_vec(poly, c)
                     dot = mp.mpc(fdot_raw(fu, kr), fdot_raw(fu, ki))
-                    Y[r][c] += factor * dot / _two_pi_i()
+                    Y[r][c] += factor * t.h * dot / _two_pi_i()
         return Y
 
     # -- near-field evaluation --------------------------------------------
 
-    @staticmethod
-    def _near_kernels(offsets, weights, deltas):
-        """For each delta in turn, the real and imaginary parts of
-        w / (x - z) for z = x0 + i delta at the nodes x = x0 + offset, as raw
-        tuples: the boundary value from below is the conjugate, so one build
-        serves both sides.  Each part is (w * a) / (a * a + delta * delta)
-        or (w * delta) / (a * a + delta * delta), rounded as the mpf
-        operators round; a * a and w * a are formed once per node."""
-        prec, rnd = mp._prec_rounding
-        nodes = []
-        for a, w in zip(offsets, weights):
-            a, w = a._mpf_, w._mpf_
-            nodes.append((mpf_mul(a, a, prec, rnd), mpf_mul(w, a, prec, rnd), w))
-        for delta in deltas:
-            d = delta._mpf_
-            dd = mpf_mul(d, d, prec, rnd)
-            kr, ki = [], []
-            for aa, wa, w in nodes:
-                den = mpf_add(aa, dd, prec, rnd)
-                kr.append(mpf_div(wa, den, prec, rnd))
-                ki.append(mpf_div(mpf_mul(w, d, prec, rnd), den, prec, rnd))
-            yield kr, ki
-
     def _near_ladder(self, x0, deltas):
         """[(Y(x0 + i delta), Y(x0 - i delta)) for each delta > 0].
 
-        Each Cauchy entry is the far-field sum over the active master nodes
-        plus one scalar correction per point, by singularity subtraction
-        (Helsing-Ojala 2008; f = p u_c is entire, so (f(x) - f(z))/(x - z)
-        is too):
-            2 pi i C(f)(z) = sum_k w_k f(x_k)/(x_k - z) + f(z) (L(z) - K(z)),
-        with L(z) = log(r - z) - log(-r - z) the integral of 1/(x - z) over
-        the grid's [-r, r] and K(z) its sum over the whole master level.
-        The same sums on the next coarser level (acoarse and every second
-        master node, weights doubled) must agree with these within
+        On the lattice hZ the sum of h/(x_k - z) over every node is
+        -pi cot(pi z/h), and the integral of 1/(x - z) over the line is
+        i pi for Im z > 0.  With f = p u_c entire and fast-decaying, so
+        that the trapezoid rule on (f(x) - f(z))/(x - z) is exact up to
+        terms exponentially small in 1/h (Trefethen-Weideman 2014):
+            2 pi i C(f)(z) = h sum_k f(x_k)/(x_k - z)
+                             + f(z) (i pi + pi cot(pi z/h)).
+        The sum runs over the active nodes; the rest carry terms below the
+        validated error scale.  The same sums on the lattice 2hZ (acoarse,
+        step 2h, cot(pi z/(2h))) must agree with these within
         tol * max(1, scale) at every delta, or QuadratureFailure is raised;
         the table is only read.  Row polynomials are real, so the lower
-        value's grid sums are the conjugates of the upper ones.
+        value is the conjugate of the upper one.
         """
         t = self.table
         n = self.size
-        xs, ws = ts_mapped_level(-t.radius, t.radius, t._prec, t.level)
-        grid = sorted(zip(xs, ws))  # t.xs order, so the active slice is t.axs
-        lo, hi, s = t._alo, t._ahi, t.acoarse.start
-        c0 = (len(grid) // 2) % 2   # master index of the coarser level's nodes
+        h, s = t.h, t.acoarse.start
         two_pi_i = _two_pi_i()
         pairs = []
-        for delta, (kr, ki) in zip(deltas, self._near_kernels(
-                [x - x0 for x, _ in grid], [w for _, w in grid], deltas)):
+        for delta, (kr, ki) in zip(deltas, self._kernels(
+                [x - x0 for x in t.axs], deltas)):
             z = mp.mpc(x0, delta)
             _, ex2, wn = t.weights_at(z, self.d - 1)
             us = [ex2] + wn
-            L = mp.log(t.radius - z) - mp.log(-t.radius - z)
-            corr = L - mp.mpc(fsum_raw(kr), fsum_raw(ki))
-            ccorr = L - 2 * mp.mpc(fsum_raw(kr[c0::2]), fsum_raw(ki[c0::2]))
-            akr, aki = kr[lo:hi], ki[lo:hi]
-            ckr, cki = akr[s::2], aki[s::2]
+            corr = mp.mpc(0, mp.pi) + mp.pi * mp.cot(mp.pi * z / h)
+            ccorr = mp.mpc(0, mp.pi) + mp.pi * mp.cot(mp.pi * z / (2 * h))
+            ckr, cki = kr[s::2], ki[s::2]
             sums = {}  # poly -> p(z) and, per column, the fine and coarse sums
             Yp, Ym, Yc = ([[mp.mpc(0)] * n for _ in range(n)] for _ in range(3))
             for r, terms in enumerate(self.row_terms):
@@ -281,8 +257,9 @@ class RHSolution:
                             fu = self._far_fu_vec(poly, c)
                             cfu = fu[s::2]
                             fz = pz * us[c - 1]
-                            fine = mp.mpc(fdot_raw(fu, akr), fdot_raw(fu, aki))
-                            coarse = 2 * mp.mpc(fdot_raw(cfu, ckr), fdot_raw(cfu, cki))
+                            fine = h * mp.mpc(fdot_raw(fu, kr), fdot_raw(fu, ki))
+                            coarse = 2 * h * mp.mpc(fdot_raw(cfu, ckr),
+                                                    fdot_raw(cfu, cki))
                             cols.append((fine + fz * corr, coarse + fz * ccorr))
                         sums[poly] = pz, cols
                     pz, cols = sums[poly]
@@ -314,11 +291,12 @@ class RHSolution:
             z = mp.mpc(z)
             if mp.im(z) == 0:
                 raise ValueError("Y is defined off the real axis")
-            dx = abs(mp.re(z)) - self.table.base_radius
-            dist = abs(mp.im(z)) if dx <= 0 else mp.hypot(dx, mp.im(z))
-            if dist >= 1:
-                return self._eval_far(z)
+            t = self.table
             x0, delta = mp.mpf(mp.re(z)), abs(mp.im(z))
+            # the plain sum omits f(z) (i pi + pi cot(pi z/h)), of size
+            # about 2 pi |f(z)| e^(-2 pi |Im z|/h): below tol * 1e-4 here
+            if delta >= t.h * mp.log(10 ** 4 / t.tol) / (2 * mp.pi):
+                return self._eval_far(z)
             upper, lower = self._near_ladder(x0, (delta,))[0]
             return upper if mp.im(z) > 0 else lower
 
@@ -471,10 +449,7 @@ def jump_residual(sol: RHSolution, x,
         x0 = mp.mpf(x)
         if abs(x0) > table.base_radius:
             raise ValueError("sample point outside the truncated support")
-        # M(x0)'s first row from the table as it is: no JumpMatrix, whose
-        # constructor may widen it
-        _, ex2, ws = table.weights_at(x0, sol.d - 1)
-        jump_row = [mp.mpf(1), ex2] + ws
+        jump_row = jump_matrix(table, x0)[0]
         deltas = boundary_deltas()
         mats = [_jump_pair(Yp, Ym, jump_row)
                 for Yp, Ym in sol._near_ladder(x0, deltas)]

@@ -16,7 +16,7 @@ import pytest
 from mpmath import mp
 
 from skewrh.numerics import Poly, PrecisionContext
-from skewrh.potentials import Potential
+from skewrh.potentials import Potential, get_weight_table
 from skewrh.skewalg import skew_orthogonal_family
 
 AMBIENT_BITS = 320
@@ -50,6 +50,16 @@ def quartic():
     """V = x^2/2 + x^4."""
     with mp.workprec(AMBIENT_BITS):
         return Potential.parse("0,0,0.5,0,1")
+
+
+@pytest.fixture(scope="session")
+def w_function():
+    """w_n(x) = exp(-V(x)) * (2 * int_{-inf}^x y^n exp(-V) dy - m_n), read
+    from the shared weight table grown to cover it."""
+    def w(V, n, x, ctx):
+        table = get_weight_table(V, ctx, i_max=max(n, 4), w_max=n)
+        return table.weights_at(mp.mpf(x), n + 1)[2][n]
+    return w
 
 
 @pytest.fixture(scope="session")

@@ -16,12 +16,12 @@ from skewrh.numerics import Poly, determinant, loglog_slope
 from skewrh.pfafflattice import band_deviation, build_lax, flow_check
 from skewrh.potentials import Potential, get_weight_table, truncation_radius
 from skewrh.rhp import (
-    JumpMatrix,
     asymptotic_exponents,
     build_even,
     build_odd,
     det_residual,
     identity_2_1_residual,
+    jump_matrix,
     jump_residual,
 )
 from skewrh.skewalg import (
@@ -282,15 +282,22 @@ def test_criterion_10_determinant_normalization(capsys, even_sols, gauss,
            mp.mpc("2.2", "-1.5")]
     worst = max(det_residual(sol, pts, ctx)
                 for sol in even_sols.values())
+    # M(x) is unit upper triangular, so det M = 1 exactly: entry (0,0) is
+    # 1 and the rows below the first are the identity
     exact = True
     for V in (gauss, quartic):
-        J = JumpMatrix(V, ctx)
+        d = V.degree
+        table = get_weight_table(V, ctx, i_max=4, w_max=d - 2)
         for xs in ("-1.5", "0.3", "2.0"):
-            exact = exact and determinant(J(mp.mpf(xs)), ctx) == 1
+            M = jump_matrix(table, mp.mpf(xs))
+            exact = exact and M[0][0] == 1 and all(
+                M[r][c] == (1 if r == c else 0) for r in range(1, d + 1)
+                for c in range(d + 1))
     ok = worst <= tol and exact
     _line(capsys, 10, ok,
           f"max |det Y - 1| = {mp.nstr(worst, 6)} at 5 off-axis points "
-          f"(tol 1e-15); jump matrix det == 1 exactly: {exact}")
+          f"(tol 1e-15); jump matrix unit upper triangular, det 1 exactly: "
+          f"{exact}")
     assert ok
 
 

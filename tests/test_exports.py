@@ -16,6 +16,8 @@ BENCH_MODULE_ATTRS = (
     ("skewrh.quadrature", "ts_mapped_level"),
     ("skewrh.potentials", "_TABLE_REGISTRY"),
 )
+# bench/layers.py and bench/workloads.py: weight-table attributes
+BENCH_TABLE_ATTRS = ("xs", "axs", "level", "base_radius")
 
 
 def test_all_names_resolve():
@@ -29,3 +31,5 @@ def test_bench_imports_resolve():
     for module, attr in BENCH_MODULE_ATTRS:
         assert hasattr(importlib.import_module(module), attr), (module, attr)
     assert isinstance(skewrh.potentials._TABLE_REGISTRY, dict)
+    table = skewrh.WeightTable(skewrh.Potential.parse("0,0,0.5"))
+    assert [a for a in BENCH_TABLE_ATTRS if not hasattr(table, a)] == []

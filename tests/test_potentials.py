@@ -10,15 +10,12 @@ from mpmath import mp
 from skewrh import potentials
 from skewrh.errors import IntegrabilityError, MomentRangeExceeded
 from skewrh.numerics import Poly
-from skewrh.quadrature import ts_mapped_level
 from skewrh.potentials import (
     Potential,
     WeightTable,
     get_weight_table,
     pi_polynomial,
     truncation_radius,
-    w_function,
-    weight_W,
 )
 
 
@@ -59,10 +56,14 @@ def test_deformed_adds_term(gauss):
 
 
 def test_weight_W_values(gauss, ctx):
-    assert weight_W(gauss, 0, ctx) == 1
-    assert abs(weight_W(gauss, 1, ctx) - mp.e ** -1) <= mp.mpf("1e-70")
+    # W = exp(-2V), the second entry the table gives at a point
+    def weight_W(V, x):
+        return get_weight_table(V, ctx, i_max=4, w_max=0).weights_at(x, 1)[1]
+
+    assert weight_W(gauss, 0) == 1
+    assert abs(weight_W(gauss, 1) - mp.e ** -1) <= mp.mpf("1e-70")
     vq = Potential.parse("0,0,0.5,0,0.25")
-    assert abs(weight_W(vq, 1, ctx) - mp.e ** mp.mpf("-1.5")) <= mp.mpf("1e-70")
+    assert abs(weight_W(vq, 1) - mp.e ** mp.mpf("-1.5")) <= mp.mpf("1e-70")
 
 
 def test_pi_polynomial_closed_forms():
@@ -81,14 +82,14 @@ def test_pi_polynomial_degree_and_leading(gauss, quartic):
             assert pi.leading == -V.degree * V.poly.leading
 
 
-def test_w_function_gaussian_values(gauss, ctx):
+def test_w_function_gaussian_values(gauss, ctx, w_function):
     # parity zero: cancels to accumulation error, bounded by quad_tol * mass
     assert abs(w_function(gauss, 0, 0, ctx)) <= mp.mpf("1e-30")
     assert abs(w_function(gauss, 1, 0, ctx) + 2) <= mp.mpf("1e-28")
     assert abs(w_function(gauss, 3, 0, ctx) + 4) <= mp.mpf("1e-28")
 
 
-def test_w_function_gaussian_closed_form(gauss, ctx):
+def test_w_function_gaussian_closed_form(gauss, ctx, w_function):
     # w_3(x) = -2 (x^2+2) e^{-x^2} from the antiderivative -(y^2+2)e^{-y^2/2}
     for xs in ("0.7", "-1.4", "2.2"):
         x = mp.mpf(xs)
@@ -97,7 +98,7 @@ def test_w_function_gaussian_closed_form(gauss, ctx):
         assert abs(got - expect) <= mp.mpf("1e-28") * abs(expect)
 
 
-def test_w_function_parity(gauss, quartic, ctx):
+def test_w_function_parity(gauss, quartic, ctx, w_function):
     for V in (gauss, quartic):
         for n in range(6):
             for xs in ("0.3", "1.1", "2.4"):
@@ -108,7 +109,7 @@ def test_w_function_parity(gauss, quartic, ctx):
                 assert abs(b - (-1) ** (n + 1) * a) <= mp.mpf("1e-28") * scale
 
 
-def test_w_function_decay_bound(gauss, quartic, ctx):
+def test_w_function_decay_bound(gauss, quartic, ctx, w_function):
     # |w_n(x)| <= e^{-V(x)} (m_0 + m_{2 ceil(n/2)} + eps) since |y|^n <= 1 + y^{2 ceil(n/2)}
     for V in (gauss, quartic):
         table = get_weight_table(V, ctx, i_max=8, w_max=5)
@@ -183,7 +184,7 @@ def test_weight_table_registry_bounded(ctx, own_registry):
     assert get_weight_table(Vs[0], ctx) is held
 
 
-def test_weights_at_consistent_with_w_function(gauss, ctx):
+def test_weights_at_consistent_with_w_function(gauss, ctx, w_function):
     table = get_weight_table(gauss, ctx, i_max=4, w_max=3)
     x = mp.mpf("0.9")
     ex, ex2, ws = table.weights_at(x, 4)
@@ -208,7 +209,7 @@ def test_weights_at_off_axis_closed_forms(gauss, ctx):
         assert abs(ws[1] + 2 * mp.exp(-z * z)) <= mp.mpf("1e-28")
 
 
-def test_weight_table_raises_i_max_to_w_max(gauss, ctx):
+def test_weight_table_raises_i_max_to_w_max(gauss, ctx, w_function):
     # w_n needs the moment m_n: the constructor widens i_max the way
     # ensure_ranges does instead of clamping w_max down
     table = WeightTable(gauss, ctx, i_max=2, w_max=5)
@@ -221,17 +222,24 @@ def test_weight_table_raises_i_max_to_w_max(gauss, ctx):
 
 
 def test_coarse_nodes_are_the_coarser_level(gauss, quartic, ctx):
-    def reference(t):
-        # the active nodes that the next coarser level also has
-        with mp.workprec(t._prec):
-            xs = set(ts_mapped_level(-t.radius, t.radius, t._prec, t.level - 1)[0])
-        return [k for k, x in enumerate(t.axs) if x in xs]
-
+    # every node is exactly k*h with h = 2^-level, every weight is h (the
+    # moments are h times plain sums), and acoarse picks out exactly the
+    # active nodes on the coarser lattice 2hZ
     for V in (gauss, quartic):
         table = WeightTable(V, ctx, i_max=4, w_max=0)
-        assert list(table.acoarse) == reference(table)
-        table.ensure_level(table.level + 1)
-        assert list(table.acoarse) == reference(table)
+        for refine in (False, True):
+            if refine:
+                table.ensure_level(table.level + 1)
+            h = table.h
+            assert h == mp.ldexp(1, -table.level)
+            n = len(table.xs) // 2
+            assert table.xs == [k * h for k in range(-n, n + 1)]
+            assert table.xs[-1] <= table.radius < table.xs[-1] + h
+            with mp.workprec(table._prec):
+                assert table.m[0] == h * mp.fsum(table.ew)
+                assert table.m2[0] == h * mp.fsum(e * e for e in table.ew)
+            assert [table.axs[k] for k in table.acoarse] == \
+                [x for x in table.axs if int(x / h) % 2 == 0]
 
 
 def _full_grid_F(t):
@@ -318,11 +326,11 @@ def test_half_line_integrals_on_active_slice_match_full_grid(gauss, quartic, ctx
 
 
 def test_half_line_integrals_stay_small(quartic, ctx, deep_size):
-    # the families table of a quartic: 357 of 4,887 level-9 nodes are
-    # active; F over every node took 8.1 MB by this measure, and the whole
-    # table 4.45 MB with its quadrature weights on every node (3.86 without)
+    # the families table of a quartic, at its own level: 205 of 405 nodes
+    # on the lattice h = 1/32 are active, against 179 of the 2,443 level-8
+    # tanh-sinh nodes it replaced.  F takes 0.73 MB by this measure and
+    # the whole table 0.96 MB (3.86 MB on the tanh-sinh grid at level 9)
     t = WeightTable(quartic, ctx, i_max=27, w_max=13)
-    t.ensure_level(9)
-    assert len(t.axs) < len(t.xs) // 10
-    assert deep_size(t.F) < 2 * 2 ** 20
-    assert deep_size(vars(t)) < 4 * 2 ** 20
+    assert len(t.axs) <= 268  # 1.5 times the tanh-sinh active count
+    assert deep_size(t.F) < 2 ** 20
+    assert deep_size(vars(t)) < 2 * 2 ** 20

@@ -4,11 +4,10 @@ gauge freedom, and the degenerate-collapse identity."""
 import pytest
 from mpmath import mp
 
-from skewrh.errors import QuadratureFailure, UnsupportedRegime
-from skewrh.numerics import Poly, PrecisionContext, determinant
-from skewrh.potentials import Potential, WeightTable, w_function, weight_W
+from skewrh.errors import MomentRangeExceeded, QuadratureFailure, UnsupportedRegime
+from skewrh.numerics import Poly, PrecisionContext
+from skewrh.potentials import Potential, WeightTable, get_weight_table
 from skewrh.rhp import (
-    JumpMatrix,
     RHProblem,
     RHSolution,
     asymptotic_exponents,
@@ -17,6 +16,7 @@ from skewrh.rhp import (
     build_odd,
     det_residual,
     identity_2_1_residual,
+    jump_matrix,
     jump_residual,
 )
 
@@ -77,17 +77,61 @@ def test_jump_residual_even(sol_gauss, ctx, deep_size):
     assert deep_size(vars(sol_gauss.table)) - table_before < 2 ** 20
 
 
-def test_near_axis_entry_against_quad(sol_gauss, gauss):
-    # column 1 of row 0 is C(p_2 W)(z), W = exp(-2V); the reference splits
-    # the integral at the foot point, where the kernel peaks
-    p = sol_gauss.family.polys[2]
-    x0 = mp.mpf("0.37")
-    for e in (10, 20):
-        z = mp.mpc(x0, mp.mpf(2) ** -e)
-        ref = mp.quad(lambda x: p(x) * mp.exp(-2 * gauss(x)) / (x - z),
-                      [-mp.inf, x0, mp.inf]) / (2j * mp.pi)
-        got = sol_gauss.evaluate(z)[0][1]
-        assert abs(got - ref) <= mp.mpf("1e-35") * abs(ref), e
+def test_near_axis_entry_against_quad(sol_gauss, ctx):
+    # column 1 of row 0 is C(f)(z), f = p_2k W, W = exp(-2V).  It is the
+    # lattice sum plus the pole term, h sum_k f(x_k)/(x_k - z) +
+    # f(z) (i pi + pi cot(pi z/h)) over 2 pi i, and within 1e-35 of the
+    # reference, which splits the integral at the foot point, where the
+    # kernel peaks.  x0 = 0 is a lattice node, where the node's term and
+    # the pole term cancel most
+    sextic = Potential.parse("0,0,0.5,0,0.3,0,0.1")
+    for sol in (sol_gauss, build_even(sextic, 3, ctx)):
+        V, p, t = sol.problem.potential, sol.family.polys[2 * sol.k], sol.table
+
+        def f(x):
+            return p(x) * mp.exp(-2 * V(x))
+
+        for x0 in (mp.mpf(0), mp.mpf("0.37")):
+            for e in (10, 20):
+                z = mp.mpc(x0, mp.mpf(2) ** -e)
+                ref = mp.quad(lambda x: f(x) / (x - z),
+                              [-mp.inf, x0, mp.inf]) / (2j * mp.pi)
+                got = sol.evaluate(z)[0][1]
+                assert abs(got - ref) <= mp.mpf("1e-35") * abs(ref), (V, x0, e)
+                with mp.workprec(t._prec):
+                    pole = mp.mpc(0, mp.pi) + mp.pi * mp.cot(mp.pi * z / t.h)
+                    closed = (t.h * mp.fsum(f(x) / (x - z) for x in t.axs)
+                              + f(z) * pole) / (2j * mp.pi)
+                assert abs(got - closed) <= mp.mpf("1e-60") * abs(ref), (V, x0, e)
+
+
+def test_evaluate_branches_agree_at_the_threshold(sol_gauss, quartic, ctx):
+    # evaluate adds the pole term f(z) (i pi + pi cot(pi z/h)) below the
+    # height h ln(1e4/tol)/(2 pi) and leaves it out above, where it is
+    # about e^(-2 pi |Im z|/h); just above, both sums agree within
+    # tol * max(1, scale), here on an h = 1/8 and an h = 1/32 table
+    for base, h in ((sol_gauss, mp.mpf(1) / 8), (build_even(quartic, 2, ctx),
+                                                 mp.mpf(1) / 32)):
+        table = WeightTable(base.problem.potential, ctx, i_max=8,
+                            w_max=base.d - 2)
+        assert table.h == h
+        sol = RHSolution(base.problem, base.family, table, base.row_terms,
+                         base.alpha, base.collapse_residual, ctx)
+        with mp.workprec(table._prec):
+            height = h * mp.log(10 ** 4 / table.tol) / (2 * mp.pi)
+            for x0 in (mp.mpf(0), mp.mpf("0.37"), mp.mpf("-1.2")):
+                above = mp.mpc(x0, height * mp.mpf("1.01"))
+                far = sol._eval_far(above)
+                near = sol._near_ladder(x0, (mp.im(above),))[0][0]
+                assert sol.evaluate(above) == far
+                assert sol.evaluate(mp.conj(above)) == sol._eval_far(mp.conj(above))
+                scale = max(abs(v) for row in far for v in row)
+                gap = max(abs(a - b) for ra, rb in zip(far, near)
+                          for a, b in zip(ra, rb))
+                assert gap <= table.tol * max(1, scale), (h, x0, gap)
+                below = mp.mpc(x0, height * mp.mpf("0.99"))
+                assert sol.evaluate(below) == \
+                    sol._near_ladder(x0, (mp.im(below),))[0][0]
 
 
 def test_near_axis_gap_failure_leaves_table(sol_gauss, ctx, monkeypatch):
@@ -155,7 +199,8 @@ def test_verification_refuses_a_foreign_ctx(sol_gauss, ctx):
 def test_determinant_normalization(sol_gauss, sol_gauss_odd, ctx):
     pts = [mp.mpc("1.3", "1.1"), mp.mpc("-0.7", "1.6"), mp.mpc("0.4", "-1.3")]
     assert det_residual(sol_gauss, pts, ctx) <= mp.mpf("1e-40")
-    # |Im z| < 1 takes the near-axis evaluator, on both sides of the axis
+    # heights this small take the pole-corrected sums, on both sides of
+    # the axis
     near = [mp.mpc("0.3", "0.5"), mp.mpc("-0.6", "-0.25")]
     assert det_residual(sol_gauss, near, ctx) <= mp.mpf("1e-35")
     # odd parity: det deviates from a single monic linear z + c
@@ -267,17 +312,20 @@ def test_build_dispatch(gauss, ctx, sol_gauss):
     assert sol.row_polys[0].coeffs == sol_gauss.row_polys[0].coeffs
 
 
-def test_jump_matrix_structure(gauss, ctx):
-    J = JumpMatrix(gauss, ctx)
+def test_jump_matrix_structure(gauss, quartic, ctx, w_function):
     x = mp.mpf("0.9")
-    M = J(x)
-    assert determinant(M, ctx) == 1
-    row = J.first_row(x)
-    assert row[0] == 1
-    assert abs(row[1] - weight_W(gauss, x, ctx)) <= mp.mpf("1e-70")
-    direct = w_function(gauss, 0, x, ctx)
-    assert abs(row[2] - direct) <= mp.mpf("1e-28") * max(1, abs(direct))
-    # rows below the first are exactly the identity
+    M = jump_matrix(get_weight_table(gauss, ctx, i_max=4, w_max=0), x)
+    # entry (0,0) is 1 and the rows below the first are exactly the
+    # identity: M is unit upper triangular, so det M = 1 exactly
+    assert M[0][0] == 1
     for r in range(1, len(M)):
         for c in range(len(M)):
             assert M[r][c] == (1 if r == c else 0)
+    assert abs(M[0][1] - mp.exp(-2 * gauss(x))) <= mp.mpf("1e-70")
+    direct = w_function(gauss, 0, x, ctx)
+    assert abs(M[0][2] - direct) <= mp.mpf("1e-28") * max(1, abs(direct))
+    # the table is read as it is: a quartic M needs w_1, past this table
+    narrow = WeightTable(quartic, ctx, i_max=4, w_max=0)
+    with pytest.raises(MomentRangeExceeded):
+        jump_matrix(narrow, x)
+    assert (narrow.i_max, narrow.w_max, narrow.version) == (4, 0, 1)

@@ -8,22 +8,24 @@ values (`_mpf_` / `_mpc_`: sign, mantissa, exponent, bit count) of
 
   near      the jump residual and the boundary-value pairs of
             RHSolution._near_ladder on the full delta ladder, at
-            x = 0.40625 (x^2/2 + x^4, k = 2) and at x = -0.359375
-            (x^2/2, k = 1)
+            x = 0.40625 (x^2/2 + x^4, k = 2; a node of its lattice
+            h = 1/32) and at x = -0.359375 (x^2/2, k = 1; between two
+            nodes of its lattice h = 1/8)
   matrix    the beta = 1 skew moment matrix of x^2/2 + x^4 at n = 14
   table     what the program reads of that matrix's weight table: its
-            level, m, m2, aew2, every w_values(n), and weights_at on both
-            sides of each active-slice edge
+            lattice level, m, m2, aew2, every w_values(n), and weights_at
+            on both sides of each active-slice edge
   odd       the rows, alpha and collapse residual of build_odd on x^2/2,
             k = 2, free parameters (0.3+0.2j, 1.5, -0.4)
-  far       Y(z) at z = 0.5+3j and z = -4+2j on the quartic solution
+  far       Y(z) at z = 0.5+3j and z = -4+2j on the quartic solution,
+            both above the height where evaluate adds the pole term
 
 and prints one line per part, then the digest of all of them.  It imports
 skewrh from the src/ next to it, so two checkouts compare with
 
     python3 tools/mpf_digest.py     (in checkout A, then in checkout B)
 
-and a look at the last lines.  A run takes well under a minute.
+and a look at the last lines.  A run takes a few seconds.
 """
 import hashlib
 import sys
