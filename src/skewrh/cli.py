@@ -26,7 +26,7 @@ from .errors import IntegrabilityError, SkewRHError, UnsupportedRegime
 from .moments import build_skew_moment_matrix
 from .numerics import PrecisionContext, determinant, loglog_slope
 from .pfafflattice import band_deviation, build_lax, flow_check
-from .potentials import Potential, truncation_radius
+from .potentials import Potential
 from .rhp import (
     RHProblem,
     asymptotic_exponents,
@@ -416,9 +416,8 @@ def cmd_rh_verify(cfg: RunConfig, args, emitter: _Emitter):
         if args.radii is not None:
             radii = _split_list(args.radii, mp.mpf)
         else:
-            base, _ = truncation_radius(cfg.potential, 4 * args.k + 3,
-                                        mp.mpf(cfg.quad_tol))
-            lo = max(mp.mpf(100), 10 * base * mp.mpf("1.001"))
+            # asymptotic_exponents asks the radii to clear 10x this radius
+            lo = max(mp.mpf(100), 10 * sol.table.base_radius * mp.mpf("1.001"))
             hi = max(mp.mpf(10000), 10 * lo)
             ratio = (hi / lo) ** (mp.mpf(1) / 4)
             radii = [lo * ratio ** i for i in range(5)]

@@ -1,22 +1,21 @@
 """Skew moment matrices, Hankel matrices, and the three inner products.
 
-The beta = 1 entries <x^i, y^j>_1 = int x^i w_j(x) dx are weighted dot
-products over a WeightTable's active master grid.  The matrix build forms
-the pairing vectors itself, once per grid level, and validates each entry
-by coarse/fine level agreement, escalating the table's grid when the check
-fails.  Antisymmetry is exact because each (i, j) pair is computed once
-and reflected.  The build also owns the table ranges a size-n matrix
-needs; callers reach that table as `matrix.table`.
+The beta = 1 entries <x^i, y^j>_1 = int x^i w_j(x) dx are read from a
+WeightTable, which forms and checks them when it picks its grid level, as
+the beta = 4 entries come from its moments; a matrix build never changes
+the table's level, so every entry of a matrix comes from one level.
+Antisymmetry is exact because each (i, j) pair is read once and
+reflected.  The build also owns the table ranges a size-n matrix needs;
+callers reach that table as `matrix.table`.
 """
 from __future__ import annotations
 
 import dataclasses
 
 from mpmath import mp
-from mpmath.libmp import fone, mpf_abs
 
-from .errors import MomentRangeExceeded, QuadratureFailure
-from .numerics import DEFAULT_CONTEXT, Poly, PrecisionContext, fdot_raw, vmul_raw
+from .errors import MomentRangeExceeded
+from .numerics import DEFAULT_CONTEXT, Poly, PrecisionContext
 from .potentials import Potential, WeightTable, get_weight_table
 
 
@@ -61,58 +60,6 @@ class HankelMatrix:
         return [list(r) for r in self.rows]
 
 
-class _GridPairings:
-    """<x^i, y^j>_1 = int x^i w_j(x) dx as sums over a weight table's active
-    nodes, each checked against the coarser lattice 2hZ (every second node,
-    step doubled).  The vectors behind the sums are built on first
-    use, as raw tuples, and kept for the table's current level only."""
-
-    def __init__(self, table: WeightTable):
-        self.table = table
-        self._level = None
-
-    def _vectors(self, cache, key, make):
-        vec = cache.get(key)
-        if vec is None:
-            full = make(key)
-            # entries are rounded at the working precision, so |v| is exact
-            vec = cache[key] = (full, [full[k] for k in self.table.acoarse],
-                                [mpf_abs(v) for v in full])
-        return vec
-
-    def _power(self, i: int):
-        while len(self._pows) <= i:
-            self._pows.append(vmul_raw(self._pows[-1], self._axs))
-        return self._pows[i]
-
-    def _w_column(self, j: int):
-        return [v._mpf_ for v in self.table.w_values(j)]
-
-    def checked(self, i: int, j: int):
-        """The entry (i, j), from the table's level or, when the check
-        fails there, from one of the next two finer levels."""
-        t = self.table
-        for attempt in range(3):
-            if attempt:
-                t.ensure_level(t.level + 1)
-            if self._level != t.level:
-                self._level, self._pw, self._w = t.level, {}, {}
-                self._axs = [x._mpf_ for x in t.axs]
-                self._pows = [[fone] * len(t.axs)]
-            wp, wpc, wpa = self._vectors(self._pw, i, self._power)
-            w, wc, wa = self._vectors(self._w, j, self._w_column)
-            # every weight is the step h, a power of two, so the check runs
-            # on the bare sums and scaling the accepted one is exact
-            fine = fdot_raw(wp, w)
-            # absolute floor at the integrand mass: parity-zero entries
-            # cancel only to round-off, which anything below it would never
-            # accept
-            scale = max(abs(fine), fdot_raw(wpa, wa))
-            if abs(fine - 2 * fdot_raw(wpc, wc)) <= t.tol * scale:
-                return t.h * fine
-        raise QuadratureFailure(f"moment entry ({i},{j}) did not stabilize")
-
-
 def build_skew_moment_matrix(V: Potential, beta: int, n: int,
                              ctx: PrecisionContext = DEFAULT_CONTEXT,
                              table: WeightTable = None) -> SkewMomentMatrix:
@@ -129,24 +76,22 @@ def build_skew_moment_matrix(V: Potential, beta: int, n: int,
     if table is None:
         table = get_weight_table(V, ctx, i_max=max(2 * n - 1, 4),
                                  w_max=(n - 1 if beta == 1 else 0))
+    if beta == 1:
+        table.ensure_ranges(i_max=n - 1, w_max=n - 1)
+        entry = table.pairing
+    else:
+        table.ensure_ranges(i_max=max(2 * n - 3, 2))
+
+        def entry(i, j):
+            return (j - i) * table.moment(i + j - 1)
     with mp.workprec(ctx.mantissa_bits + 16):
         zero = mp.mpf(0)
         rows = [[zero] * n for _ in range(n)]
-        if beta == 1:
-            table.ensure_ranges(i_max=n - 1, w_max=n - 1)
-            pairings = _GridPairings(table)
-            for j in range(n):
-                for i in range(j):
-                    v = pairings.checked(i, j)
-                    rows[i][j] = v
-                    rows[j][i] = -v
-        else:
-            table.ensure_ranges(i_max=max(2 * n - 3, 2))
-            for j in range(n):
-                for i in range(j):
-                    v = (j - i) * table.moment(i + j - 1)
-                    rows[i][j] = v
-                    rows[j][i] = -v
+        for j in range(n):
+            for i in range(j):
+                v = entry(i, j)
+                rows[i][j] = v
+                rows[j][i] = -v
     return SkewMomentMatrix(beta=beta, n=n,
                             rows=tuple(tuple(r) for r in rows), potential=V,
                             table=table)

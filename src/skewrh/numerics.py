@@ -330,14 +330,14 @@ def _eliminate(A, bs, ctx: PrecisionContext, pivot_rtol=None):
 
 
 def linear_solve(A: Sequence[Sequence], b: Sequence,
-                 ctx: PrecisionContext = DEFAULT_CONTEXT, pivot_rtol=None):
+                 ctx: PrecisionContext = DEFAULT_CONTEXT):
     """Solve A x = b with full pivoting; result residual-checked.
 
     Raises SingularSystem if a pivot underflows or the residual exceeds
     verify_tol relative to the system scale.
     """
     with ctx.workprec():
-        sols, _ = _eliminate(A, [list(b)], ctx, pivot_rtol)
+        sols, _ = _eliminate(A, [list(b)], ctx)
         x = sols[0]
         r = [mp.fdot(row, x) - bi for row, bi in zip(A, b)]
         scale = max(max(abs(v) for v in b), mat_inf_norm(A) * max(abs(v) for v in x))

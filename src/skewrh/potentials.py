@@ -6,18 +6,22 @@ h = 2^-level, together with running half-line integrals of y^j exp(-V).
 Every quadrature weight is h: the trapezoid rule converges exponentially
 for the entire, fast-decaying integrands here (Trefethen-Weideman 2014,
 SIAM Rev. 56, section 5), and the lattices of two levels nest bit-exactly.
-The table keeps grid data only: callers that reduce integrals to weighted
-dot products over the grid (the beta = 1 pairings in `moments`, the Cauchy
-sums in `rhp`) form their own vectors from it.  The half-line integrals at
-an arbitrary point cost one short Gauss-Legendre panel from the nearest
-node below it, and off the axis one more up to the point.
+The table picks its level once, when it is built: the coarsest at which
+the moments agree with the next coarser lattice's, or up to two levels
+finer while a beta = 1 pairing <x^i, y^j>_1 = int x^i w_j, i < j <= w_max,
+fails its check against the coarser lattice.  It keeps the moments, the
+exp(-2V) moments and that checked pairing block, so the moment matrices in
+`moments` only read it; the Cauchy sums in `rhp` form their own vectors
+from the grid.  The half-line integrals at an arbitrary point cost one
+short Gauss-Legendre panel from the nearest node below it, and off the
+axis one more up to the point.
 
 Grid sums for integrands carrying exp(-V) run over the active slice
 |x| <= cut only, where cut satisfies x^i_max exp(-V(x)) < quad_tol*1e-4;
 the discarded terms are below the validated error scale by construction.
-The half-line integrals and exp(-2V) are read on that slice only, so the
-table keeps them there alone.  A table changes only by a rebuild for
-wider ranges or a finer level for the beta = 1 entry check.
+exp(-V), exp(-2V) and the half-line integrals are read on that slice only,
+so the table keeps them there alone.  A table changes only by a rebuild for
+wider ranges, and the rebuilt table equals a fresh one.
 """
 from __future__ import annotations
 
@@ -25,9 +29,11 @@ import bisect
 import weakref
 
 from mpmath import mp
+from mpmath.libmp import fone, mpf_abs
 
 from .errors import IntegrabilityError, MomentRangeExceeded, QuadratureFailure
-from .numerics import DEFAULT_CONTEXT, Poly, PrecisionContext, exp_e, fsum_raw, vmul_raw
+from .numerics import (DEFAULT_CONTEXT, Poly, PrecisionContext, exp_e, fdot_raw,
+                       fsum_raw, vmul_raw)
 from .quadrature import legendre_nodes
 
 
@@ -148,16 +154,18 @@ def _power_sums(xs, cur, count, absolute=False):
 
 
 class WeightTable:
-    """Grid data, moments, and half-line integral tables for one potential.
+    """Grid data, moments, beta = 1 pairings and half-line integral tables
+    for one potential.
 
     Holds master-grid data only, and no caches: densities at other points,
     real or complex, are return values of weights_at, and vectors over the
-    active nodes (w_values) are built per call.  Nodes and exp(-V) cover
-    the whole lattice; exp(-2V) (aew2) and the half-line integrals F cover
-    the active slice, F from the node just below it.  The weight of every
-    node is the step h.  ensure_ranges sets the ranges, ensure_level
-    refines the grid; `version` changes whenever the grid data does, for
-    consumers keyed on it.
+    active nodes (w_values) are built per call.  The nodes xs cover the
+    whole lattice; exp(-V) (aew), exp(-2V) (aew2) and the half-line
+    integrals F cover the active slice, F from the node just below it.
+    The weight of every node is the step h.  The level is fixed when the
+    table is built, by the moments and the pairing block P together;
+    ensure_ranges rebuilds the table for wider ranges, and `version`
+    changes whenever it does, for consumers keyed on it.
     """
 
     panel_order = 20
@@ -199,20 +207,29 @@ class WeightTable:
 
     def _build_grid(self):
         """Halve h from 1/2 until two lattices' moments agree within tol
-        (the absolute terms' sum as the floor), and keep the finer one."""
-        prev = None
+        (the absolute terms' sum as the floor), and keep the finer one;
+        then go at most two levels finer while a pairing fails its check."""
+        prev, accepted = None, None
         known = {}
         for level in range(self.min_level, self.max_level + 1):
             xs, ew = self._grid_at_level(level, known)
             known = dict(zip(xs, ew))
             cur = self._moments_on(level, xs, ew)
-            if prev is not None and all(
+            if accepted is None and prev is not None and all(
                     abs(v - pv) <= self.tol * max(abs(v), sabs)
                     for (v, sabs), (pv, _) in zip(cur, prev)):
-                self._install_grid(level, xs, ew, cur)
-                return
+                accepted = level
             prev = cur
-        raise QuadratureFailure("moment grid did not stabilize")
+            if accepted is not None:
+                self._install_grid(level, xs, ew, cur)
+                failed = self._check_pairings()
+                if failed is None:
+                    return
+                if level == accepted + 2:
+                    raise QuadratureFailure(
+                        "moment entry ({},{}) did not stabilize".format(*failed))
+        raise QuadratureFailure("grid level cap reached" if accepted is not None
+                                else "moment grid did not stabilize")
 
     def _install_grid(self, level, xs, ew, moments):
         """Make one level the table's grid: moments, active slice and the
@@ -220,7 +237,6 @@ class WeightTable:
         self.level = level
         self.h = mp.ldexp(1, -level)
         self.xs = xs
-        self.ew = ew
         ew2 = [e * e for e in ew]
         self.m = [v for v, _ in moments]
         self.m2 = [self.h * v for v in _power_sums(xs, ew2, self.i_max + 1)]
@@ -231,13 +247,45 @@ class WeightTable:
         hi = bisect.bisect_right(self.xs, self.active_radius)
         self._alo, self._ahi = lo, hi
         self.axs = self.xs[lo:hi]
-        self.aew = self.ew[lo:hi]
+        self.aew = ew[lo:hi]
         self.aew2 = ew2[lo:hi]
         # the lattice 2hZ: the active nodes k*h with k even, counted from
         # the centre node x = 0
         self.acoarse = range((lo - len(self.xs) // 2) % 2, hi - lo, 2)
         self._build_F()
         self.version += 1
+
+    def _check_pairings(self):
+        """P[j][i] = <x^i, y^j>_1 = h * sum x^i w_j over the active nodes,
+        for i < j <= w_max, each checked against the coarser lattice 2hZ
+        (every second node, step doubled).  Returns the first (i, j) that
+        fails its check, or None when the whole block passes."""
+        def split(full):
+            # entries are rounded at the working precision, so |v| is exact
+            return (full, [full[k] for k in self.acoarse],
+                    [mpf_abs(v) for v in full])
+
+        xs = [x._mpf_ for x in self.axs]
+        powers = [split([fone] * len(xs))]
+        self.P = [[]]
+        for j in range(1, self.w_max + 1):
+            w, wc, wa = split([v._mpf_ for v in self.w_values(j)])
+            col = []
+            for i, (p, pc, pa) in enumerate(powers):
+                # every weight is the step h, a power of two, so the check
+                # runs on the bare sums and scaling the accepted one is exact
+                fine = fdot_raw(p, w)
+                gap = abs(fine - 2 * fdot_raw(pc, wc))
+                # absolute floor at the integrand mass: parity-zero entries
+                # cancel only to round-off, which anything below it would
+                # never accept
+                if (gap > self.tol * abs(fine)
+                        and gap > self.tol * fdot_raw(pa, wa)):
+                    return i, j
+                col.append(self.h * fine)
+            self.P.append(col)
+            powers.append(split(vmul_raw(powers[-1][0], xs)))
+        return None
 
     # -- half-line integral tables ----------------------------------------
 
@@ -293,15 +341,6 @@ class WeightTable:
 
     # -- growth ------------------------------------------------------------
 
-    def ensure_level(self, level):
-        if level <= self.level:
-            return
-        if level > self.max_level:
-            raise QuadratureFailure("grid level cap reached")
-        with mp.workprec(self._prec):
-            xs, ew = self._grid_at_level(level, dict(zip(self.xs, self.ew)))
-            self._install_grid(level, xs, ew, self._moments_on(level, xs, ew))
-
     def ensure_ranges(self, i_max=None, w_max=None):
         """Moments up to i_max, densities w_n up to w_max (so i_max >= w_max):
         a wider range rebuilds the table as a fresh one with these ranges."""
@@ -329,6 +368,13 @@ class WeightTable:
         if not 0 <= i <= self.i_max:
             raise MomentRangeExceeded(f"moment2 {i} beyond table ({self.i_max})")
         return self.m2[i]
+
+    def pairing(self, i: int, j: int):
+        """<x^i, y^j>_1 = integral of x^i w_j, for 0 <= i < j <= w_max."""
+        if not 0 <= i < j <= self.w_max:
+            raise MomentRangeExceeded(
+                f"pairing ({i},{j}) beyond table (i < j <= {self.w_max})")
+        return self.P[j][i]
 
     def w_values(self, n: int):
         """w_n at the active grid nodes: exp(-V) * (2 F_n - m_n)."""

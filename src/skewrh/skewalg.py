@@ -287,12 +287,10 @@ def orthogonal_family(V: Potential, n_max: int,
     return polys
 
 
-def gram_residual(family: SkewFamily, source=None,
-                  ctx: PrecisionContext = DEFAULT_CONTEXT):
+def gram_residual(family: SkewFamily, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """Max deviation of the family's Gram matrix from its block-diagonal
     target, relative to the largest |h_j|."""
-    if source is None:
-        source = family.inner_source()
+    source = family.inner_source()
     polys = family.polys
     n = len(polys)
     with ctx.workprec():

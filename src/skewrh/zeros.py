@@ -22,6 +22,7 @@ from .errors import NoConvergence, NotReal
 from .numerics import CPoly, DEFAULT_CONTEXT, Poly, PrecisionContext, poly_derivative
 
 REALITY_FACTOR = "1e-10"
+MAX_SWEEPS = 220
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,7 +59,7 @@ class Histogram:
         return mp.fsum(self.mass)
 
 
-def _aberth(poly: CPoly, tol, max_iter):
+def _aberth(poly: CPoly, tol):
     """Simultaneous root iteration for a polynomial of degree >= 1 with
     a nonzero constant term.
 
@@ -77,7 +78,7 @@ def _aberth(poly: CPoly, tol, max_iter):
         zs.append(rad * mp.mpc(mp.cos(ang), mp.sin(ang)))
     dpoly = poly_derivative(poly)
     tiny = mp.mpf(2) ** (-mp.prec)
-    for _ in range(max_iter):
+    for _ in range(MAX_SWEEPS):
         max_step = mp.mpf(0)
         for i in range(n):
             z = zs[i]
@@ -104,32 +105,30 @@ def _aberth(poly: CPoly, tol, max_iter):
             return zs
     raise NoConvergence(
         f"root iteration stalled: max step {mp.nstr(max_step, 6)} "
-        f"after {max_iter} sweeps (tolerance {mp.nstr(tol, 6)})"
+        f"after {MAX_SWEEPS} sweeps (tolerance {mp.nstr(tol, 6)})"
     )
 
 
-def roots(p: Poly, ctx: PrecisionContext = DEFAULT_CONTEXT, verify_tol=None,
-          max_iter: int = 220) -> RootReport:
+def roots(p: Poly, ctx: PrecisionContext = DEFAULT_CONTEXT) -> RootReport:
     """Find all complex roots of p and package them as a RootReport.
 
     Exact zero constant terms are deflated first, so parity-symmetric
     polynomials report their origin root exactly.  After convergence
     every root is re-substituted; the residual must stay below
-    verify_tol times the coefficient norm at root scale.
+    2^(16 - mantissa_bits) times the coefficient norm at root scale.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     prec = ctx.mantissa_bits + 64
     with mp.workprec(prec):
-        tol = (mp.mpf(2) ** (16 - ctx.mantissa_bits) if verify_tol is None
-               else mp.mpf(verify_tol))
+        tol = mp.mpf(2) ** (16 - ctx.mantissa_bits)
         cp = CPoly(p.coeffs)
         low = 0
         while cp.coeffs[low] == 0:
             low += 1
         found = [mp.mpc(0)] * low
         if low < cp.degree:
-            found.extend(_aberth(CPoly(cp.coeffs[low:]), tol, max_iter))
+            found.extend(_aberth(CPoly(cp.coeffs[low:]), tol))
         found.sort(key=lambda z: (z.real, z.imag))
         scale = max(1, max(abs(z) for z in found))
         norm = mp.fsum(abs(c) * scale ** s for s, c in enumerate(p.coeffs))
@@ -146,7 +145,9 @@ def roots(p: Poly, ctx: PrecisionContext = DEFAULT_CONTEXT, verify_tol=None,
         )
 
 
-def _require_real(reports, reality_tol):
+def _require_real(reports):
+    """Raise NotReal past REALITY_FACTOR times the largest root scale."""
+    reality_tol = mp.mpf(REALITY_FACTOR) * max(r.scale for r in reports)
     worst = max(r.max_imag for r in reports)
     if worst > reality_tol:
         raise NotReal(
@@ -155,7 +156,7 @@ def _require_real(reports, reality_tol):
         )
 
 
-def interlacing(a: RootReport, b: RootReport, reality_tol=None) -> bool:
+def interlacing(a: RootReport, b: RootReport) -> bool:
     """True when the roots of a strictly interlace those of b.
 
     a is the lower-degree report; the degree gap must be 1 or 2 (equal
@@ -169,9 +170,7 @@ def interlacing(a: RootReport, b: RootReport, reality_tol=None) -> bool:
     if gap not in (1, 2):
         raise ValueError("degree gap must be 1 or 2 for interlacing")
     with mp.workprec(max(mp.prec, 64)):
-        if reality_tol is None:
-            reality_tol = mp.mpf(REALITY_FACTOR) * max(a.scale, b.scale)
-        _require_real((a, b), reality_tol)
+        _require_real((a, b))
         lo = list(a.sorted_real_parts)
         hi = list(b.sorted_real_parts)
         merged = sorted(lo + hi)
@@ -188,7 +187,7 @@ def interlacing(a: RootReport, b: RootReport, reality_tol=None) -> bool:
         return True
 
 
-def empirical_distribution(reports, bins: int = 40, reality_tol=None) -> Histogram:
+def empirical_distribution(reports, bins: int = 40) -> Histogram:
     """Pool the (real) roots of several reports into a normalized histogram.
 
     Bins are uniform over [min, max] of the pooled roots; the last bin
@@ -201,9 +200,7 @@ def empirical_distribution(reports, bins: int = 40, reality_tol=None) -> Histogr
     if bins < 1:
         raise ValueError("bin count must be positive")
     with mp.workprec(max(mp.prec, 128)):
-        if reality_tol is None:
-            reality_tol = mp.mpf(REALITY_FACTOR) * max(r.scale for r in reports)
-        _require_real(reports, reality_tol)
+        _require_real(reports)
         xs = sorted(x for r in reports for x in r.sorted_real_parts)
         lo, hi = xs[0], xs[-1]
         total = len(xs)

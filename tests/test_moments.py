@@ -226,6 +226,8 @@ def test_moment_range_guard(gauss, ctx, gauss_matrix):
         inner_2(x2, x3, table)
     with pytest.raises(MomentRangeExceeded):
         skew_inner_4(x2, x4, table)
+    with pytest.raises(MomentRangeExceeded):
+        table.pairing(0, 1)
     assert (table.i_max, table.version) == (4, version)
 
 
@@ -237,27 +239,53 @@ def test_build_validates_arguments(gauss, ctx):
 
 
 def test_entry_check_stops_at_two_escalations(gauss, ctx, monkeypatch):
-    table = WeightTable(gauss, ctx, i_max=4, w_max=3)
-    start, asked = table.level, []
+    # the table checks its pairings when it picks its level: while an entry
+    # fails it goes one level finer, at most twice, and then names the entry
+    check, asked = WeightTable._check_pairings, []
+    monkeypatch.setattr(WeightTable, "_check_pairings", lambda table: None)
+    start = WeightTable(gauss, ctx, i_max=4, w_max=3).level
 
-    def ensure_level(level):
-        # records the request and keeps the grid; past two levels up the
-        # real table would stop at its level cap
-        if level > start + 2:
-            raise QuadratureFailure("grid level cap reached")
-        asked.append(level)
-        table.level = level
+    def failing(table):
+        asked.append(table.level)
+        tol, table.tol = table.tol, mp.mpf(-1)  # no entry passes its check
+        try:
+            return check(table)
+        finally:
+            table.tol = tol
 
-    monkeypatch.setattr(table, "ensure_level", ensure_level)
-    table.tol = mp.mpf(-1)  # no entry passes its check
+    monkeypatch.setattr(WeightTable, "_check_pairings", failing)
     with pytest.raises(QuadratureFailure, match=r"moment entry \(0,1\)"):
-        build_skew_moment_matrix(gauss, 1, 4, ctx, table=table)
-    assert asked == [start + 1, start + 2]
+        WeightTable(gauss, ctx, i_max=4, w_max=3)
+    assert asked == [start, start + 1, start + 2]
+
+
+def test_builds_on_one_table_read_one_level(quartic, ctx):
+    # the README quartic at n = 18: its pairings take the table to h = 1/64,
+    # one level finer than its moments do.  Every build reads that level
+    # and leaves the table as it was, so two builds agree in every entry,
+    # and each entry is the lattice sum h * sum x^i w_j, formed here
+    table = WeightTable(quartic, ctx, i_max=35, w_max=17)
+    state = (table.level, table.version)
+    first = build_skew_moment_matrix(quartic, 1, 18, ctx, table=table)
+    assert (table.level, table.version) == state
+    second = build_skew_moment_matrix(quartic, 1, 18, ctx, table=table)
+    assert (table.level, table.version) == state
+    assert table.h == mp.ldexp(1, -6)
+    bits = [[v._mpf_ for v in row] for row in first.rows]
+    assert bits == [[v._mpf_ for v in row] for row in second.rows]
+    with mp.workprec(table._prec):
+        power = [mp.mpf(1)] * len(table.axs)
+        for i in range(17):
+            for j in range(i + 1, 18):
+                lattice_sum = table.h * mp.fdot(power, table.w_values(j))
+                assert first.entry(i, j) == lattice_sum, (i, j)
+                assert first.entry(j, i) == -lattice_sum, (i, j)
+            power = [p * x for p, x in zip(power, table.axs)]
 
 
 def test_build_leaves_settled_table_as_it_was(quartic, ctx, deep_size):
-    # the pairing vectors belong to the build: the families quartic table
-    # passes the entry check at its own level and gains nothing from it
+    # the pairings belong to the table: a build of the families quartic
+    # matrix only reads them, and the table gains nothing from it
     table = WeightTable(quartic, ctx, i_max=27, w_max=13)
     level = table.level
     before = deep_size(vars(table))

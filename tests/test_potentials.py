@@ -9,7 +9,7 @@ from mpmath import mp
 
 from skewrh import potentials
 from skewrh.errors import IntegrabilityError, MomentRangeExceeded
-from skewrh.numerics import Poly
+from skewrh.numerics import Poly, exp_e
 from skewrh.potentials import (
     Potential,
     WeightTable,
@@ -221,25 +221,45 @@ def test_weight_table_raises_i_max_to_w_max(gauss, ctx, w_function):
         assert abs(w - direct) <= mp.mpf("1e-28") * max(1, abs(direct))
 
 
-def test_coarse_nodes_are_the_coarser_level(gauss, quartic, ctx):
+def _refined(V, ctx, monkeypatch, **ranges):
+    """A table one level finer than its checks ask for: its first pairing
+    check fails, as when an entry does not settle at the moments' level."""
+    check, calls = WeightTable._check_pairings, []
+
+    def fail_once(table):
+        calls.append(table.level)
+        return (0, 1) if len(calls) == 1 else check(table)
+
+    with monkeypatch.context() as m:
+        m.setattr(WeightTable, "_check_pairings", fail_once)
+        return WeightTable(V, ctx, **ranges)
+
+
+def test_coarse_nodes_are_the_coarser_level(gauss, quartic, ctx, monkeypatch):
     # every node is exactly k*h with h = 2^-level, every weight is h (the
-    # moments are h times plain sums), and acoarse picks out exactly the
-    # active nodes on the coarser lattice 2hZ
+    # moments are h times plain sums of exp(-V) and exp(-2V) over the
+    # lattice), and acoarse picks out exactly the active nodes on the
+    # coarser lattice 2hZ, at the table's level and at one level finer,
+    # whose lattice holds the coarser one node for node
     for V in (gauss, quartic):
         table = WeightTable(V, ctx, i_max=4, w_max=0)
-        for refine in (False, True):
-            if refine:
-                table.ensure_level(table.level + 1)
-            h = table.h
-            assert h == mp.ldexp(1, -table.level)
-            n = len(table.xs) // 2
-            assert table.xs == [k * h for k in range(-n, n + 1)]
-            assert table.xs[-1] <= table.radius < table.xs[-1] + h
-            with mp.workprec(table._prec):
-                assert table.m[0] == h * mp.fsum(table.ew)
-                assert table.m2[0] == h * mp.fsum(e * e for e in table.ew)
-            assert [table.axs[k] for k in table.acoarse] == \
-                [x for x in table.axs if int(x / h) % 2 == 0]
+        finer = _refined(V, ctx, monkeypatch, i_max=4, w_max=0)
+        assert finer.level == table.level + 1
+        n = len(finer.xs) // 2
+        assert _bits(finer.xs[n % 2::2]) == _bits(table.xs)
+        for t in (table, finer):
+            h = t.h
+            assert h == mp.ldexp(1, -t.level)
+            n = len(t.xs) // 2
+            assert t.xs == [k * h for k in range(-n, n + 1)]
+            assert t.xs[-1] <= t.radius < t.xs[-1] + h
+            with mp.workprec(t._prec):
+                ew = [exp_e(-V(x)) for x in t.xs]
+                assert t.m[0] == h * mp.fsum(ew)
+                assert t.m2[0] == h * mp.fsum(e * e for e in ew)
+            assert _bits(t.aew) == _bits(ew[t._alo:t._ahi])
+            assert [t.axs[k] for k in t.acoarse] == \
+                [x for x in t.axs if int(x / h) % 2 == 0]
 
 
 def _full_grid_F(t):
@@ -302,20 +322,28 @@ def _check_same_as_fresh(t):
     assert t.level == fresh.level
     for name in ("m", "m2", "aew2"):
         assert _bits(getattr(t, name)) == _bits(getattr(fresh, name)), name
+    assert [_bits(c) for c in t.P] == [_bits(c) for c in fresh.P]
     for n in range(t.w_max + 1):
         assert _bits(t.w_values(n)) == _bits(fresh.w_values(n)), n
 
 
-def test_half_line_integrals_on_active_slice_match_full_grid(gauss, quartic, ctx):
+def test_half_line_integrals_on_active_slice_match_full_grid(gauss, quartic, ctx,
+                                                           monkeypatch):
     # the table keeps F from the node below the active slice through its
     # last node; those entries carry the bits of a chain over every node,
-    # before and after the grid is refined and the ranges widened.  A
-    # wider range rebuilds the table, dropping a refinement made before
+    # on a table the pairing check refined and after the ranges are
+    # widened.  A refined or widened table equals a fresh one
+    t = WeightTable(gauss, ctx, i_max=3, w_max=3)
+    with monkeypatch.context() as m:
+        # the pairings of x^2/2 at these ranges ask for one level finer
+        # than its moments do
+        m.setattr(WeightTable, "_check_pairings", lambda table: None)
+        assert t.level == WeightTable(gauss, ctx, i_max=3, w_max=3).level + 1
+    _check_slice_against_full_chain(t)
+    _check_same_as_fresh(t)
     for V in (gauss, quartic):
         t = WeightTable(V, ctx, i_max=6, w_max=2)
         assert t._alo >= 1
-        _check_slice_against_full_chain(t)
-        t.ensure_level(t.level + 1)
         _check_slice_against_full_chain(t)
         t.ensure_ranges(w_max=5)
         _check_slice_against_full_chain(t)

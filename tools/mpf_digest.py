@@ -19,6 +19,11 @@ values (`_mpf_` / `_mpc_`: sign, mantissa, exponent, bit count) of
             k = 2, free parameters (0.3+0.2j, 1.5, -0.4)
   far       Y(z) at z = 0.5+3j and z = -4+2j on the quartic solution,
             both above the height where evaluate adds the pole term
+  matrix18  the beta = 1 skew moment matrix of x^2/2 + x^4 at n = 18 and
+            its table's level: the matrix behind the README `polys` and
+            `gram` examples, whose pairings take the table one level finer
+            than its moments do.  It widens the quartic table, so it runs
+            last
 
 and prints one line per part, then the digest of all of them.  It imports
 skewrh from the src/ next to it, so two checkouts compare with
@@ -100,6 +105,9 @@ def parts():
     yield "odd", (so.row_terms, so.alpha, so.collapse_residual)
 
     yield "far", [sq.evaluate(z) for z in (mp.mpc(0.5, 3), mp.mpc(-4, 2))]
+
+    matrix = build_skew_moment_matrix(quartic, 1, 18, ctx)
+    yield "matrix18", (matrix.table.level, matrix.rows)
 
 
 def main():
