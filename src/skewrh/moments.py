@@ -103,7 +103,7 @@ def build_hankel_matrix(V: Potential, n: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     if table is None:
-        table = get_weight_table(V, ctx, i_max=max(2 * n - 2, 4), w_max=0)
+        table = get_weight_table(V, ctx, i_max=max(2 * n - 2, 4))
     table.ensure_ranges(i_max=max(2 * n - 2, 2))
     rows = [[table.moment(i + j) for j in range(n)] for i in range(n)]
     return HankelMatrix(n=n, rows=tuple(tuple(r) for r in rows), potential=V)

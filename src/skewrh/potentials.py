@@ -174,7 +174,7 @@ class WeightTable:
     max_level = 11
 
     def __init__(self, potential: Potential, ctx: PrecisionContext = DEFAULT_CONTEXT,
-                 i_max: int = 8, w_max=None):
+                 i_max: int = 8, w_max: int = 0):
         self.potential = potential
         self.ctx = ctx
         self._prec = ctx.mantissa_bits + 16
@@ -183,8 +183,7 @@ class WeightTable:
             self.tol = mp.mpf(ctx.quad_tol)
         self.i_max = self.w_max = -1  # no grid until ensure_ranges builds one
         i_max = max(2, int(i_max))
-        w_max = i_max if w_max is None else max(0, int(w_max))
-        self.ensure_ranges(i_max, w_max)
+        self.ensure_ranges(i_max, max(0, int(w_max)))
 
     # -- construction ------------------------------------------------------
 
@@ -440,7 +439,7 @@ _LIVE_TABLES = weakref.WeakValueDictionary()
 
 
 def get_weight_table(V: Potential, ctx: PrecisionContext = DEFAULT_CONTEXT,
-                     i_max: int = 8, w_max=None) -> WeightTable:
+                     i_max: int = 8, w_max: int = 0) -> WeightTable:
     """Shared WeightTable per (potential, context), widened on request."""
     key = (V.key(), ctx.mantissa_bits, float(ctx.quad_tol))
     table = _LIVE_TABLES.get(key)

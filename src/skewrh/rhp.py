@@ -151,27 +151,24 @@ class RHSolution:
         return RHSolution(self.problem, self.family, self.table, terms,
                           self.alpha, self.collapse_residual, self.ctx)
 
-    # -- column weight data ------------------------------------------------
-
-    def _u_active(self, col: int):
-        """Values of the column-col density on the active master nodes."""
-        if col == 1:
-            return self.table.aew2
-        return self.table.w_values(col - 2)
-
     # -- far-field evaluation ---------------------------------------------
 
     def _far_fu_vec(self, poly: Poly, col: int):
-        """poly(x) * u_col(x) on the active nodes, as raw tuples."""
-        key = (poly, col, self.table.version)
-        vec = self._far_fu.get(key)
-        if vec is None:
-            if self._far_fu and next(iter(self._far_fu))[2] != key[2]:
-                self._far_fu.clear()  # vectors of a grid the table replaced
-            vec = self._far_fu[key] = vmul_raw(
-                [poly(x)._mpf_ for x in self.table.axs],
-                [u._mpf_ for u in self._u_active(col)])
-        return vec
+        """poly(x) * u_col(x) on the active nodes, as raw tuples, with u_1 =
+        exp(-2V) and u_c = w_(c-2) after it.  The first miss for a table
+        version forms every row polynomial's vectors, evaluating each
+        polynomial and each density once."""
+        t, key = self.table, (poly, col, self.table.version)
+        if key not in self._far_fu:
+            self._far_fu.clear()  # vectors of a grid the table replaced
+            us = [[u._mpf_ for u in (t.aew2 if c == 1 else t.w_values(c - 2))]
+                  for c in range(1, self.size)]
+            polys = {p for terms in self.row_terms for f, p in terms if f != 0}
+            for p in polys | {poly}:
+                pv = [p(x)._mpf_ for x in t.axs]
+                for c, u in enumerate(us, 1):
+                    self._far_fu[p, c, t.version] = vmul_raw(pv, u)
+        return self._far_fu[key]
 
     @staticmethod
     def _kernels(offsets, deltas):

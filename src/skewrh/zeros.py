@@ -1,8 +1,9 @@
 """Polynomial root finding, reality/interlacing checks, and zero histograms.
 
-Roots come from a simultaneous Aberth-Ehrlich iteration started on a
-perturbed circle, run 64 bits above the context precision, and verified
-by back-substitution.  Interlacing compares two root reports whose
+Roots come from a simultaneous Aberth-Ehrlich iteration, seeded in
+double precision from a perturbed circle and polished 64 bits above the
+context precision, as in MPSolve (Bini-Fiorentino 2000), and verified by
+back-substitution.  Interlacing compares two root reports whose
 degrees differ by one (consecutive classical polynomials) or two
 (consecutive same-parity family members): the lower-degree roots must
 sit strictly inside the higher-degree hull, every gap of the lower
@@ -14,6 +15,7 @@ from the algebraic verification tolerance.
 from __future__ import annotations
 
 import bisect
+import cmath
 import dataclasses
 
 from mpmath import mp
@@ -22,7 +24,8 @@ from .errors import NoConvergence, NotReal
 from .numerics import CPoly, DEFAULT_CONTEXT, Poly, PrecisionContext, poly_derivative
 
 REALITY_FACTOR = "1e-10"
-MAX_SWEEPS = 220
+MAX_SWEEPS = 220   # at the working precision; past it, NoConvergence
+SEED_SWEEPS = 220  # in double; past it, the seeds go on unconverged
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,12 +62,57 @@ class Histogram:
         return mp.fsum(self.mass)
 
 
+class _DoublePoly(Poly):
+    """Python complex coefficients, for the seeding stage."""
+    __slots__ = ()
+    _scalar = staticmethod(complex)
+
+
+def _sweeps(poly, dpoly, zs, radius, tol, ulp, limit):
+    """Aberth-Ehrlich sweeps on zs, in place and in the arithmetic that
+    the coefficients and points carry (Python complex or mpc), until
+    every step is below tol relative to the root outside the unit disk,
+    or for limit sweeps.  Returns the last sweep's largest such step."""
+    n = len(zs)
+    for _ in range(limit):
+        max_step = 0
+        for i in range(n):
+            z = zs[i]
+            dv = dpoly(z)
+            if dv == 0:
+                zs[i] = z + radius * ulp + tol
+                max_step = radius
+                continue
+            newton = poly(z) / dv
+            repulse = 0
+            for j in range(n):
+                if j == i:
+                    continue
+                diff = z - zs[j]
+                if diff == 0:
+                    diff = radius * ulp
+                repulse += 1 / diff
+            den = 1 - newton * repulse
+            step = newton if den == 0 else newton / den
+            zs[i] = z - step
+            # an absolute step of tol is out of reach for a root of size 1e45
+            max_step = max(max_step, abs(step) / max(1, abs(z)))
+        if max_step < tol:
+            break
+    return max_step
+
+
 def _aberth(poly: CPoly, tol):
     """Simultaneous root iteration for a polynomial of degree >= 1 with
     a nonzero constant term.
 
-    Stops once every step is below tol, measured relative to the root
-    outside the unit disk.  Returns the converged approximations in
+    Sweeps in double precision from a perturbed circle give the seeds,
+    converged or not after SEED_SWEEPS; sweeps at the working precision
+    polish them until every step is below tol, measured relative to the
+    root outside the unit disk.  They start from the circle instead where
+    a coefficient or start point is not finite in double (or the leading
+    coefficient underflows), or the double run ends on non-finite or
+    coinciding points.  Returns the converged approximations in
     arbitrary order.
     """
     coeffs = poly.coeffs
@@ -76,33 +124,22 @@ def _aberth(poly: CPoly, tol):
         ang = 2 * mp.pi * i / n + mp.mpf("0.7") / n + mp.mpf("0.25")
         rad = radius * (1 + mp.mpf(i % 7 + 1) / (50 * (n + 6)))
         zs.append(rad * mp.mpc(mp.cos(ang), mp.sin(ang)))
-    dpoly = poly_derivative(poly)
-    tiny = mp.mpf(2) ** (-mp.prec)
-    for _ in range(MAX_SWEEPS):
-        max_step = mp.mpf(0)
-        for i in range(n):
-            z = zs[i]
-            dv = dpoly(z)
-            if dv == 0:
-                zs[i] = z + radius * tiny + tol
-                max_step = radius
-                continue
-            newton = poly(z) / dv
-            repulse = mp.mpc(0)
-            for j in range(n):
-                if j == i:
-                    continue
-                diff = z - zs[j]
-                if diff == 0:
-                    diff = radius * tiny
-                repulse += 1 / diff
-            den = 1 - newton * repulse
-            step = newton if den == 0 else newton / den
-            zs[i] = z - step
-            # an absolute step of tol is out of reach for a root of size 1e45
-            max_step = max(max_step, abs(step) / max(1, abs(z)))
-        if max_step < tol:
-            return zs
+    fpoly = _DoublePoly(coeffs)
+    fdpoly = poly_derivative(fpoly)
+    seeds = [complex(z) for z in zs]
+    given = fpoly.coeffs + fdpoly.coeffs + tuple(seeds)
+    if fpoly.degree == n and all(map(cmath.isfinite, given)):
+        try:
+            _sweeps(fpoly, fdpoly, seeds, float(radius), 2.0 ** (16 - 53),
+                    2.0 ** -53, SEED_SWEEPS)
+            if all(map(cmath.isfinite, seeds)) and len(set(seeds)) == n:
+                zs = [mp.mpc(z) for z in seeds]
+        except OverflowError:  # abs() of a point past the double range
+            pass
+    max_step = _sweeps(poly, poly_derivative(poly), zs, radius, tol,
+                       mp.mpf(2) ** (-mp.prec), MAX_SWEEPS)
+    if max_step < tol:
+        return zs
     raise NoConvergence(
         f"root iteration stalled: max step {mp.nstr(max_step, 6)} "
         f"after {MAX_SWEEPS} sweeps (tolerance {mp.nstr(tol, 6)})"

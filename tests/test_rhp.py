@@ -77,15 +77,19 @@ def test_jump_residual_even(sol_gauss, ctx, deep_size):
     assert deep_size(vars(sol_gauss.table)) - table_before < 2 ** 20
 
 
-def test_near_axis_entry_against_quad(sol_gauss, ctx):
+@pytest.fixture(scope="module")
+def sol_sextic(ctx):
+    return build_even(Potential.parse("0,0,0.5,0,0.3,0,0.1"), 3, ctx)
+
+
+def test_near_axis_entry_against_quad(sol_gauss, sol_sextic, ctx):
     # column 1 of row 0 is C(f)(z), f = p_2k W, W = exp(-2V).  It is the
     # lattice sum plus the pole term, h sum_k f(x_k)/(x_k - z) +
     # f(z) (i pi + pi cot(pi z/h)) over 2 pi i, and within 1e-35 of the
     # reference, which splits the integral at the foot point, where the
     # kernel peaks.  x0 = 0 is a lattice node, where the node's term and
     # the pole term cancel most
-    sextic = Potential.parse("0,0,0.5,0,0.3,0,0.1")
-    for sol in (sol_gauss, build_even(sextic, 3, ctx)):
+    for sol in (sol_gauss, sol_sextic):
         V, p, t = sol.problem.potential, sol.family.polys[2 * sol.k], sol.table
 
         def f(x):
@@ -160,6 +164,21 @@ def test_product_vectors_kept_for_current_table_only(sol_gauss, gauss, ctx):
     assert len(sol._far_fu) == count
     # the wider grid agrees within quad_tol
     assert abs(after[0][1] - before[0][1]) <= mp.mpf("1e-30") * abs(before[0][1])
+
+
+def test_product_vectors_read_each_density_once(sol_sextic, ctx, monkeypatch):
+    # 7 row polynomials times 6 columns; each w column is formed once
+    table = sol_sextic.table
+    sol = RHSolution(sol_sextic.problem, sol_sextic.family, table,
+                     sol_sextic.row_terms, sol_sextic.alpha,
+                     sol_sextic.collapse_residual, ctx)
+    calls = []
+    w_values = table.w_values
+    monkeypatch.setattr(table, "w_values",
+                        lambda n: calls.append(n) or w_values(n))
+    sol.evaluate(mp.mpc("0.3", "2"))
+    assert sorted(calls) == list(range(sol.d - 1))
+    assert len(sol._far_fu) == 7 * 6
 
 
 def test_jump_residual_odd(sol_gauss_odd, ctx):

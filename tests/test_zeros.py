@@ -5,6 +5,7 @@ import random
 import pytest
 from mpmath import mp
 
+from skewrh import zeros
 from skewrh.errors import NotReal
 from skewrh.numerics import Poly
 from skewrh.zeros import (
@@ -49,6 +50,52 @@ def test_huge_spurious_root_converges(ctx):
     assert len(finite) == 2
     assert abs(finite[0] + target) <= mp.mpf("1e-40")
     assert abs(finite[1] - target) <= mp.mpf("1e-40")
+
+
+def test_chebyshev_roots(ctx):
+    # T_n has the roots cos((2k-1) pi/2n); for odd n the root 0 is deflated
+    prev, cur = Poly([1]), Poly([0, 1])
+    for n in range(1, 14):
+        rep = roots(cur, ctx)
+        want = sorted(mp.cos((2 * k - 1) * mp.pi / (2 * n))
+                      for k in range(1, n + 1))
+        assert rep.max_imag <= mp.mpf("1e-70"), n
+        for got, w in zip(rep.sorted_real_parts, want):
+            assert abs(got - w) <= mp.mpf("1e-70"), n
+        assert (mp.mpc(0) in rep.roots) == (n % 2 == 1), n
+        prev, cur = cur, Poly([0, 2]) * cur - prev
+
+
+def test_double_overflow_falls_back_to_the_circle(ctx, monkeypatch):
+    # coefficients of 1e400 are infinite in double: no double sweeps, and
+    # the sweeps at the working precision start from the circle
+    arithmetic = []
+    sweeps = zeros._sweeps
+
+    def spy(poly, dpoly, zs, *rest):
+        arithmetic.append(type(zs[0]))
+        return sweeps(poly, dpoly, zs, *rest)
+
+    monkeypatch.setattr(zeros, "_sweeps", spy)
+    roots(Poly([-0.5, 0, 1]), ctx)
+    assert arithmetic == [complex, mp.mpc]
+    arithmetic.clear()
+    big = mp.mpf("1e400")
+    rep = roots(Poly([-2 * big, big, big]), ctx)
+    assert arithmetic == [mp.mpc]
+    for got, want in zip(rep.sorted_real_parts, (-2, 1)):
+        assert abs(got - want) <= mp.mpf("1e-70")
+    assert rep.max_imag <= mp.mpf("1e-70")
+
+
+def test_polish_needs_few_sweeps(fam1_quartic, ctx, monkeypatch):
+    # from double-precision seeds every member converges within 4 sweeps
+    # at the working precision; from the circle p_13 needs 22
+    monkeypatch.setattr(zeros, "MAX_SWEEPS", 4)
+    for i in range(1, 14):
+        rep = roots(fam1_quartic.polys[i], ctx)
+        assert rep.degree == i
+        assert rep.max_imag <= mp.mpf(1e-10) * rep.scale, i
 
 
 def test_complex_pair(ctx):

@@ -23,7 +23,10 @@ values (`_mpf_` / `_mpc_`: sign, mantissa, exponent, bit count) of
             its table's level: the matrix behind the README `polys` and
             `gram` examples, whose pairings take the table one level finer
             than its moments do.  It widens the quartic table, so it runs
-            last
+            after the parts that read it
+  roots     the roots of p_1 .. p_9 of x^2/2 + x^4 (beta = 1, kmax 4): the
+            README `zeros` example, on a fresh table with the ranges that
+            example's table has
 
 and prints one line per part, then the digest of all of them.  It imports
 skewrh from the src/ next to it, so two checkouts compare with
@@ -40,10 +43,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from mpmath import mp  # noqa: E402
 
-from skewrh import Potential, PrecisionContext  # noqa: E402
+from skewrh import Potential, PrecisionContext, WeightTable  # noqa: E402
 from skewrh.moments import build_skew_moment_matrix  # noqa: E402
 from skewrh.quadrature import boundary_deltas  # noqa: E402
 from skewrh.rhp import build_even, build_odd, jump_residual  # noqa: E402
+from skewrh.skewalg import skew_orthogonal_family  # noqa: E402
+from skewrh.zeros import roots  # noqa: E402
 
 
 def raw(v):
@@ -108,6 +113,10 @@ def parts():
 
     matrix = build_skew_moment_matrix(quartic, 1, 18, ctx)
     yield "matrix18", (matrix.table.level, matrix.rows)
+
+    table = WeightTable(quartic, ctx, i_max=19, w_max=9)
+    family = skew_orthogonal_family(quartic, 1, 4, ctx, table=table)
+    yield "roots", [roots(p, ctx).roots for p in family.polys[1:]]
 
 
 def main():
