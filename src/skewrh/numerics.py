@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from operator import mul
 from typing import Iterable, Sequence
 
 from mpmath import mp
-from mpmath.libmp import mpf_add, mpf_e, mpf_exp, mpf_log, mpf_mul, mpf_pow, mpf_sum
+from mpmath.libmp import (from_man_exp, mpf_add, mpf_e, mpf_exp, mpf_log, mpf_mul,
+                          mpf_pow, mpf_sum)
 
 from .errors import SingularSystem
 
@@ -244,6 +246,49 @@ def vmul_raw(A, B):
     """[a * b for a, b in zip(A, B)] for raw real vectors, as raw tuples."""
     prec, rnd = mp._prec_rounding
     return [mpf_mul(a, b, prec, rnd) for a, b in zip(A, B)]
+
+
+# ---------------------------------------------------------------------------
+# exact sums: a real vector held as Python ints at one common exponent
+# (mans, exp), so that a dot is one integer sum of exact products, rounded
+# once.  This is the integer core of mpmath's own fsum (Bailey-Jeyabalan-Li
+# 2005, Exp. Math. 14) with the vectors converted once instead of per sum.
+# Slices of mans at the same exp are vectors too, and a plain list of ints
+# at exp 0 (the powers k^i of lattice indices) is held exactly.
+
+def fixed(xs):
+    """The raw real vector xs as (mans, exp), with xs[k] = mans[k] * 2^exp.
+
+    An entry whose leading bit lies more than 2 prec bits below that of
+    the largest entry (prec the working precision) is held as 0; every
+    other entry is held exactly.  So a sum over the vector is exact except
+    for terms more than 2 prec bits below its largest term, and a dot of
+    two held vectors a, b differs from the exact dot, before its one
+    rounding, by less than 2^(ta - 2 prec) sum|b_k| + 2^(tb - 2 prec)
+    sum|a_k|, where 2^ta > max|a_k| and 2^tb > max|b_k| are the powers of
+    two just above the largest entries.  Where nothing is dropped and
+    mpf_sum drops no term either (no two of the products' exponents more
+    than 2 prec apart), fixed_dot gives mp.fdot's bits."""
+    if any(not m and e for _, m, e, _ in xs):
+        raise ValueError("fixed() takes finite values only")
+    tops = [e + bc for _, m, e, bc in xs if m]
+    if not tops:
+        return [0] * len(xs), 0
+    cut = max(tops) - 2 * mp._prec_rounding[0]
+    exp = min(e for _, m, e, bc in xs if m and e + bc > cut)
+    return [((-m if s else m) << (e - exp)) if m and e + bc > cut else 0
+            for s, m, e, bc in xs], exp
+
+
+def fixed_round(man, exp):
+    """man * 2^exp, rounded once at the working precision, as an mpf."""
+    prec, rnd = mp._prec_rounding
+    return mp.make_mpf(from_man_exp(man, exp, prec, rnd))
+
+
+def fixed_dot(a, b):
+    """The dot of two held vectors (mans, exp), rounded once."""
+    return fixed_round(sum(map(mul, a[0], b[0])), a[1] + b[1])
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ normalized so its diagonal entry decays like z^e with unit coefficient.
 
 Every Cauchy transform is a trapezoid sum over the weight table's lattice
 hZ; near the axis the lattice's closed-form pole term keeps it accurate.
+Each sum is one integer dot of the product vector p u_c and the kernel
+1/(x - z), both held as ints at one exponent (numerics.fixed), rounded
+once; the coarse 2hZ sums are slices of the same ints.
 Verification is numeric throughout: jump residuals by boundary-offset
 extrapolation on a shared delta ladder, growth exponents by log-log slope
 fits along rays, determinant structure by off-axis sampling.
@@ -32,7 +35,8 @@ from .numerics import (
     Poly,
     PrecisionContext,
     determinant,
-    fdot_raw,
+    fixed,
+    fixed_dot,
     linear_solve,
     loglog_slope,
     vmul_raw,
@@ -154,10 +158,11 @@ class RHSolution:
     # -- far-field evaluation ---------------------------------------------
 
     def _far_fu_vec(self, poly: Poly, col: int):
-        """poly(x) * u_col(x) on the active nodes, as raw tuples, with u_1 =
-        exp(-2V) and u_c = w_(c-2) after it.  The first miss for a table
-        version forms every row polynomial's vectors, evaluating each
-        polynomial and each density once."""
+        """poly(x) * u_col(x) on the active nodes, held as ints at one
+        exponent (numerics.fixed), with u_1 = exp(-2V) and u_c = w_(c-2)
+        after it.  The first miss for a table version forms every row
+        polynomial's vectors, evaluating each polynomial and each density
+        once."""
         t, key = self.table, (poly, col, self.table.version)
         if key not in self._far_fu:
             self._far_fu.clear()  # vectors of a grid the table replaced
@@ -167,17 +172,17 @@ class RHSolution:
             for p in polys | {poly}:
                 pv = [p(x)._mpf_ for x in t.axs]
                 for c, u in enumerate(us, 1):
-                    self._far_fu[p, c, t.version] = vmul_raw(pv, u)
+                    self._far_fu[p, c, t.version] = fixed(vmul_raw(pv, u))
         return self._far_fu[key]
 
     @staticmethod
     def _kernels(offsets, deltas):
         """For each delta in turn, the real and imaginary parts of 1/(x - z)
-        for z = x0 + i delta at the nodes x = x0 + offset, as raw tuples:
-        a / (a * a + delta * delta) and delta / (a * a + delta * delta),
-        rounded as the mpf operators round; a * a is formed once per node.
-        For delta > 0 the boundary value from below is the conjugate, so
-        one build serves both sides."""
+        for z = x0 + i delta at the nodes x = x0 + offset, held as ints at
+        one exponent each (numerics.fixed): a / (a * a + delta * delta) and
+        delta / (a * a + delta * delta), rounded as the mpf operators round;
+        a * a is formed once per node.  For delta > 0 the boundary value
+        from below is the conjugate, so one build serves both sides."""
         prec, rnd = mp._prec_rounding
         nodes = [(a._mpf_, mpf_mul(a._mpf_, a._mpf_, prec, rnd)) for a in offsets]
         for delta in deltas:
@@ -188,26 +193,55 @@ class RHSolution:
                 den = mpf_add(aa, dd, prec, rnd)
                 kr.append(mpf_div(a, den, prec, rnd))
                 ki.append(mpf_div(d, den, prec, rnd))
-            yield kr, ki
+            yield fixed(kr), fixed(ki)
 
-    def _eval_far(self, z):
-        """Y(z) from the plain lattice sums: h sum_k f(x_k)/(x_k - z)."""
+    def _sums(self, z, kernel, coarse=False):
+        """{p: (p(z), sums)} for each distinct row polynomial p, with sums
+        the lattice sums h sum_k p(x_k) u_c(x_k) K(x_k) for the columns
+        c = 1 .. d in turn, K the kernel (real and imaginary part, as
+        _kernels yields them).  With coarse, the same sums on the lattice
+        2hZ: every second node (acoarse), step 2h."""
         t = self.table
-        x0 = mp.re(z)
-        kr, ki = next(self._kernels([x - x0 for x in t.axs], (mp.im(z),)))
+        s, step = (t.acoarse.start, 2) if coarse else (0, 1)
+        kr, ki = ((mans[s::step], exp) for mans, exp in kernel)
+        out = {}
+        for terms in self.row_terms:
+            for factor, poly in terms:
+                if factor == 0 or poly in out:
+                    continue
+                cols = []
+                for c in range(1, self.size):
+                    mans, exp = self._far_fu_vec(poly, c)
+                    fu = mans[s::step], exp
+                    # mp.fdot of real against complex: one dot per part
+                    cols.append(step * t.h * mp.mpc(fixed_dot(fu, kr),
+                                                    fixed_dot(fu, ki)))
+                out[poly] = poly(z), cols
+        return out
+
+    def _assemble(self, sums):
+        """Y from the sums of each distinct row polynomial: every term
+        (factor, p) of row r adds factor p(z) to Y[r][0] and factor times
+        its column sum over 2 pi i to Y[r][c]."""
+        two_pi_i = _two_pi_i()
         n = self.size
         Y = [[mp.mpc(0)] * n for _ in range(n)]
         for r, terms in enumerate(self.row_terms):
             for factor, poly in terms:
                 if factor == 0:
                     continue
-                Y[r][0] += factor * poly(z)
-                for c in range(1, n):
-                    # mp.fdot of real against complex: one dot per part
-                    fu = self._far_fu_vec(poly, c)
-                    dot = mp.mpc(fdot_raw(fu, kr), fdot_raw(fu, ki))
-                    Y[r][c] += factor * t.h * dot / _two_pi_i()
+                pz, cols = sums[poly]
+                Y[r][0] += factor * pz
+                for c, v in enumerate(cols, 1):
+                    Y[r][c] += factor * v / two_pi_i
         return Y
+
+    def _eval_far(self, z):
+        """Y(z) from the plain lattice sums: h sum_k f(x_k)/(x_k - z)."""
+        x0 = mp.re(z)
+        kernel = next(self._kernels([x - x0 for x in self.table.axs],
+                                    (mp.im(z),)))
+        return self._assemble(self._sums(z, kernel))
 
     # -- near-field evaluation --------------------------------------------
 
@@ -229,44 +263,24 @@ class RHSolution:
         value is the conjugate of the upper one.
         """
         t = self.table
-        n = self.size
-        h, s = t.h, t.acoarse.start
-        two_pi_i = _two_pi_i()
         pairs = []
-        for delta, (kr, ki) in zip(deltas, self._kernels(
+        for delta, kernel in zip(deltas, self._kernels(
                 [x - x0 for x in t.axs], deltas)):
             z = mp.mpc(x0, delta)
             _, ex2, wn = t.weights_at(z, self.d - 1)
             us = [ex2] + wn
-            corr = mp.mpc(0, mp.pi) + mp.pi * mp.cot(mp.pi * z / h)
-            ccorr = mp.mpc(0, mp.pi) + mp.pi * mp.cot(mp.pi * z / (2 * h))
-            ckr, cki = kr[s::2], ki[s::2]
-            sums = {}  # poly -> p(z) and, per column, the fine and coarse sums
-            Yp, Ym, Yc = ([[mp.mpc(0)] * n for _ in range(n)] for _ in range(3))
-            for r, terms in enumerate(self.row_terms):
-                for factor, poly in terms:
-                    if factor == 0:
-                        continue
-                    if poly not in sums:
-                        pz = poly(z)
-                        cols = []
-                        for c in range(1, n):
-                            fu = self._far_fu_vec(poly, c)
-                            cfu = fu[s::2]
-                            fz = pz * us[c - 1]
-                            fine = h * mp.mpc(fdot_raw(fu, kr), fdot_raw(fu, ki))
-                            coarse = 2 * h * mp.mpc(fdot_raw(cfu, ckr),
-                                                    fdot_raw(cfu, cki))
-                            cols.append((fine + fz * corr, coarse + fz * ccorr))
-                        sums[poly] = pz, cols
-                    pz, cols = sums[poly]
-                    Yp[r][0] += factor * pz
-                    Ym[r][0] += factor * mp.conj(pz)
-                    Yc[r][0] += factor * pz
-                    for c, (fine, coarse) in enumerate(cols, 1):
-                        Yp[r][c] += factor * fine / two_pi_i
-                        Ym[r][c] += factor * mp.conj(fine) / two_pi_i
-                        Yc[r][c] += factor * coarse / two_pi_i
+
+            def with_pole(sums, step):
+                # f(z) (i pi + pi cot(pi z/(step h))) added to each sum
+                corr = mp.mpc(0, mp.pi) + mp.pi * mp.cot(mp.pi * z / (step * t.h))
+                return {p: (pz, [v + pz * u * corr for v, u in zip(cols, us)])
+                        for p, (pz, cols) in sums.items()}
+
+            upper = with_pole(self._sums(z, kernel), 1)
+            Yp = self._assemble(upper)
+            Ym = self._assemble({p: (mp.conj(pz), [mp.conj(v) for v in cols])
+                                 for p, (pz, cols) in upper.items()})
+            Yc = self._assemble(with_pole(self._sums(z, kernel, coarse=True), 2))
             scale = max(max(abs(v) for v in row) for row in Yp)
             gap = max(max(abs(a - b) for a, b in zip(ra, rb))
                       for ra, rb in zip(Yp, Yc))

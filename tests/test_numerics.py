@@ -1,9 +1,13 @@
 """Polynomial arithmetic, evaluation, and dense linear algebra."""
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from skewrh.errors import SingularSystem
 from skewrh.numerics import (
@@ -12,7 +16,9 @@ from skewrh.numerics import (
     PrecisionContext,
     determinant,
     exp_e,
-    fdot_raw,
+    fixed,
+    fixed_dot,
+    fixed_round,
     fsum_raw,
     linear_solve,
     mat_identity,
@@ -214,15 +220,101 @@ def test_raw_sums_dots_and_products_match_mpmath_bit_for_bit(prec):
             assert fsum_raw(_bits(A))._mpf_ == mp.fsum(A)._mpf_
             assert fsum_raw(_bits(A), True)._mpf_ == \
                 mp.fsum(abs(a) for a in A)._mpf_
-            assert fdot_raw(_bits(A), _bits(B))._mpf_ == mp.fdot(A, B)._mpf_
+            a, b, c = (fixed(_bits(v)) for v in (A, B, C))
+            assert fixed_dot(a, b)._mpf_ == mp.fdot(A, B)._mpf_
+            assert fixed_dot(a, ([1] * n, 0))._mpf_ == mp.fsum(A)._mpf_
             assert vmul_raw(_bits(A), _bits(B)) == \
                 _bits([a * b for a, b in zip(A, B)])
             if n:
                 # real times complex: one real dot per part
                 Z = [mp.mpc(b, c) for b, c in zip(B, C)]
-                got = (fdot_raw(_bits(A), _bits(B))._mpf_,
-                       fdot_raw(_bits(A), _bits(C))._mpf_)
+                got = (fixed_dot(a, b)._mpf_, fixed_dot(a, c)._mpf_)
                 assert got == mp.fdot(A, Z)._mpc_
+
+
+def _exact(raw):
+    """The exact value of a raw finite mpf, as a Fraction."""
+    sign, man, exp, _ = raw
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def _top(raw):
+    return raw[2] + raw[3]
+
+
+@st.composite
+def _raw_vectors(draw):
+    """A working precision and two raw real vectors of one length: mixed
+    signs, exact zeros, mantissas from 1 bit to prec bits, and exponents
+    spread up to 3 * prec bits, past fixed's and mpf_sum's 2 * prec
+    window."""
+    prec = draw(st.sampled_from(RAW_PRECS))
+    n = draw(st.integers(0, 24))
+    spread = draw(st.integers(0, 3 * prec))
+    base = draw(st.integers(-400, 400))
+
+    def entry():
+        if draw(st.integers(0, 9)) == 0:
+            return (0, 0, 0, 0)
+        bits = draw(st.integers(1, prec))
+        man = draw(st.integers(2 ** (bits - 1), 2 ** bits - 1))
+        man = -man if draw(st.booleans()) else man
+        return from_man_exp(man, base + draw(st.integers(0, spread)) - bits, prec)
+
+    return (prec, [entry() for _ in range(n)], [entry() for _ in range(n)],
+            draw(st.integers(0, 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_raw_vectors())
+def test_fixed_dot_is_fdot_in_its_window_and_bounded_past_it(case):
+    prec, A, B, start = case
+    with mp.workprec(prec):
+        a, b = fixed(A), fixed(B)
+        # each held entry is exact, or 0 when it lies more than 2 prec bits
+        # below the vector's largest
+        for raw, (mans, exp) in ((A, a), (B, b)):
+            top = max((_top(x) for x in raw if x[1]), default=None)
+            for x, m in zip(raw, mans):
+                if x[1] and _top(x) > top - 2 * prec:
+                    assert Fraction(m) * Fraction(2) ** exp == _exact(x)
+                else:
+                    assert m == 0
+        # the full vectors and their coarse halves, sliced at one exponent
+        for sa, sb, SA, SB in ((a, b, A, B),
+                               ((a[0][start::2], a[1]), (b[0][start::2], b[1]),
+                                A[start::2], B[start::2])):
+            got = fixed_dot(sa, sb)
+            want = mp.fdot([mp.make_mpf(x) for x in SA],
+                           [mp.make_mpf(x) for x in SB])
+            exps = [x[2] + y[2] for x, y in zip(SA, SB) if x[1] and y[1]]
+            kept = all(m or not x[1] for x, m in zip(SA, sa[0])) and \
+                all(m or not y[1] for y, m in zip(SB, sb[0]))
+            if kept and (not exps or max(exps) - min(exps) <= 2 * prec):
+                # nothing dropped here, nor by mpf_sum: mp.fdot's bits
+                assert got._mpf_ == want._mpf_
+            # the documented bound, and one rounding on top of it
+            exact = sum((_exact(x) * _exact(y) for x, y in zip(SA, SB)),
+                        Fraction(0))
+            bound = Fraction(0)
+            for full, other in ((A, SB), (B, SA)):
+                top = max((_top(x) for x in full if x[1]), default=0)
+                bound += Fraction(2) ** (top - 2 * prec) * \
+                    sum((abs(_exact(y)) for y in other), Fraction(0))
+            err = abs(_exact(got._mpf_) - exact)
+            assert err <= bound + Fraction(2) ** -prec * (abs(exact) + bound)
+
+
+def test_fixed_refuses_special_values_and_rounds_once():
+    with mp.workprec(53):
+        with pytest.raises(ValueError):
+            fixed([mp.inf._mpf_])
+        with pytest.raises(ValueError):
+            fixed([mp.mpf(1)._mpf_, mp.nan._mpf_])
+        assert fixed([]) == ([], 0)
+        assert fixed([mp.mpf(0)._mpf_] * 3) == ([0, 0, 0], 0)
+        assert fixed_round(2 ** 60 + 1, -60) == 1  # 1 + 2^-60 rounds to 1
+        assert fixed_round(-3, 5) == -96
 
 
 @pytest.mark.parametrize("prec", RAW_PRECS)
@@ -256,8 +348,8 @@ def test_batched_near_kernels_match_per_delta_formula(prec):
         assert len(batched) == len(deltas)
         for delta, (kr, ki) in zip(deltas, batched):
             den = [a * a + delta * delta for a in offsets]
-            assert kr == _bits([a / d for a, d in zip(offsets, den)])
-            assert ki == _bits([delta / d for d in den])
+            assert kr == fixed(_bits([a / d for a, d in zip(offsets, den)]))
+            assert ki == fixed(_bits([delta / d for d in den]))
 
 
 @pytest.mark.parametrize("prec", RAW_PRECS)

@@ -6,6 +6,7 @@ from mpmath import mp
 
 from skewrh.errors import MomentRangeExceeded, QuadratureFailure, UnsupportedRegime
 from skewrh.numerics import Poly, PrecisionContext
+from skewrh import rhp
 from skewrh.potentials import Potential, WeightTable, get_weight_table
 from skewrh.rhp import (
     RHProblem,
@@ -179,6 +180,26 @@ def test_product_vectors_read_each_density_once(sol_sextic, ctx, monkeypatch):
     sol.evaluate(mp.mpc("0.3", "2"))
     assert sorted(calls) == list(range(sol.d - 1))
     assert len(sol._far_fu) == 7 * 6
+
+
+def test_far_sums_once_per_distinct_row_polynomial(quartic, ctx, monkeypatch):
+    # with every gauge parameter nonzero, p_2k sits in all d+1 rows beside
+    # p_(2k+1) and c_1 .. c_d: d+2 distinct polynomials, each with d
+    # columns of two real dots (d = 4: 48 dots, not 80)
+    sol = build_odd(quartic, 2, ("0.3", "1.5", "-0.4", "0.25", "0.5"), ctx)
+    d = sol.d
+    assert all(len(terms) == 2 and terms[1][0] != 0 for terms in sol.row_terms)
+    z = mp.mpc("0.5", "3")
+    before = sol._eval_far(z)
+    calls = []
+    fixed_dot = rhp.fixed_dot
+    monkeypatch.setattr(rhp, "fixed_dot",
+                        lambda a, b: calls.append(1) or fixed_dot(a, b))
+    for point in (z, mp.mpc("-4", "2")):
+        calls.clear()
+        sol._eval_far(point)
+        assert len(calls) == 2 * (d + 2) * d
+    assert sol._eval_far(z) == before
 
 
 def test_jump_residual_odd(sol_gauss_odd, ctx):

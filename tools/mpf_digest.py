@@ -19,6 +19,10 @@ values (`_mpf_` / `_mpc_`: sign, mantissa, exponent, bit count) of
             k = 2, free parameters (0.3+0.2j, 1.5, -0.4)
   far       Y(z) at z = 0.5+3j and z = -4+2j on the quartic solution,
             both above the height where evaluate adds the pole term
+  oddfar    the far field of that odd solution: Y(z) at the same two
+            points, det_residual over them, and asymptotic_exponents on
+            the ray at angle 0.3 pi through radii 1e3, 1e4 and 1e5; its
+            gauge multiples of p_4 sit in every row
   matrix18  the beta = 1 skew moment matrix of x^2/2 + x^4 at n = 18 and
             its table's level: the matrix behind the README `polys` and
             `gram` examples, whose pairings take the table one level finer
@@ -46,7 +50,8 @@ from mpmath import mp  # noqa: E402
 from skewrh import Potential, PrecisionContext, WeightTable  # noqa: E402
 from skewrh.moments import build_skew_moment_matrix  # noqa: E402
 from skewrh.quadrature import boundary_deltas  # noqa: E402
-from skewrh.rhp import build_even, build_odd, jump_residual  # noqa: E402
+from skewrh.rhp import (asymptotic_exponents, build_even, build_odd,  # noqa: E402
+                        det_residual, jump_residual)
 from skewrh.skewalg import skew_orthogonal_family  # noqa: E402
 from skewrh.zeros import roots  # noqa: E402
 
@@ -109,7 +114,13 @@ def parts():
     so = build_odd(gauss, 2, params, ctx)
     yield "odd", (so.row_terms, so.alpha, so.collapse_residual)
 
-    yield "far", [sq.evaluate(z) for z in (mp.mpc(0.5, 3), mp.mpc(-4, 2))]
+    far = (mp.mpc(0.5, 3), mp.mpc(-4, 2))
+    yield "far", [sq.evaluate(z) for z in far]
+    with mp.workprec(ctx.mantissa_bits):
+        radii = (mp.mpf(10) ** 3, mp.mpf(10) ** 4, mp.mpf(10) ** 5)
+        theta = mp.mpf("0.3") * mp.pi
+    yield "oddfar", ([so.evaluate(z) for z in far], det_residual(so, far, ctx),
+                     asymptotic_exponents(so, theta, radii, ctx))
 
     matrix = build_skew_moment_matrix(quartic, 1, 18, ctx)
     yield "matrix18", (matrix.table.level, matrix.rows)
