@@ -1,8 +1,11 @@
-"""Precision contexts, dense polynomials, and full-pivot linear algebra.
+"""Precision contexts, dense polynomials, exact sums and full-pivot
+linear algebra.
 
 Scalars are mpmath mpf/mpc carrying the mantissa width of the active
 context.  Public entry points set the working precision themselves;
-internal helpers assume the caller already did.
+internal helpers assume the caller already did.  Grid sums run on raw
+`_mpf_` tuples or, where a vector serves many sums, on Python ints at one
+common exponent (fixed, fixed_dot), summed exactly and rounded once.
 """
 from __future__ import annotations
 
@@ -230,16 +233,10 @@ def exp_e(t):
     return mp.make_mpf(mpf_exp(mpf_mul(t, _log_e(prec, rnd)), prec, rnd))
 
 
-def fsum_raw(xs, absolute=False):
-    """mp.fsum(xs), or with absolute the fsum of |x|, for raw real xs."""
+def fsum_raw(xs):
+    """mp.fsum(xs) for raw real xs."""
     prec, rnd = mp._prec_rounding
-    return mp.make_mpf(mpf_sum(xs, prec, rnd, absolute))
-
-
-def fdot_raw(A, B):
-    """mp.fdot(A, B) for raw real vectors: its real branch, exact products
-    summed by mpf_sum.  Real times complex is one such dot per part."""
-    return fsum_raw([mpf_mul(a, b) for a, b in zip(A, B)])
+    return mp.make_mpf(mpf_sum(xs, prec, rnd))
 
 
 def vmul_raw(A, B):

@@ -12,9 +12,13 @@ finer while a beta = 1 pairing <x^i, y^j>_1 = int x^i w_j, i < j <= w_max,
 fails its check against the coarser lattice.  It keeps the moments, the
 exp(-2V) moments and that checked pairing block, so the moment matrices in
 `moments` only read it; the Cauchy sums in `rhp` form their own vectors
-from the grid.  The half-line integrals at an arbitrary point cost one
-short Gauss-Legendre panel from the nearest node below it, and off the
-axis one more up to the point.
+from the grid.  On the lattice x^i h = k^i h^(i+1), with k^i an exact int
+and h^(i+1) a power of two, so every moment and pairing is an exact
+integer sum over the lattice indices, rounded once (numerics.fixed).  The
+half-line integrals at an arbitrary point cost one short Gauss-Legendre
+panel from the nearest node below it, and off the axis one more up to the
+point; those panels' nodes are not lattice points, and their power sums
+stay rounded per operation.
 
 Grid sums for integrands carrying exp(-V) run over the active slice
 |x| <= cut only, where cut satisfies x^i_max exp(-V(x)) < quad_tol*1e-4;
@@ -27,13 +31,13 @@ from __future__ import annotations
 
 import bisect
 import weakref
+from operator import mul
 
 from mpmath import mp
-from mpmath.libmp import fone, mpf_abs
 
 from .errors import IntegrabilityError, MomentRangeExceeded, QuadratureFailure
-from .numerics import (DEFAULT_CONTEXT, Poly, PrecisionContext, exp_e, fdot_raw,
-                       fsum_raw, vmul_raw)
+from .numerics import (DEFAULT_CONTEXT, Poly, PrecisionContext, exp_e, fixed,
+                       fixed_dot, fixed_round, fsum_raw, vmul_raw)
 from .quadrature import legendre_nodes
 
 
@@ -138,18 +142,44 @@ def truncation_radius(V: Potential, i_max: int, tol):
     return base, 2 * base
 
 
-def _power_sums(xs, cur, count, absolute=False):
-    """mp.fsum of cur, cur * x, cur * x^2, ...: count vectors over the nodes
-    xs, each formed from the one before, on raw tuples.  With absolute,
-    each sum comes paired with the sum of absolute values."""
+def _power_sums(xs, cur, count):
+    """mp.fsum of cur, cur * x, cur * x^2, ...: count vectors over the
+    nodes xs, each formed from the one before, on raw tuples.  For the
+    Gauss-Legendre panels, whose nodes are not lattice points."""
     xs = [x._mpf_ for x in xs]
     cur = [c._mpf_ for c in cur]
     out = []
     for i in range(count):
         if i > 0:
             cur = vmul_raw(cur, xs)
-        out.append((fsum_raw(cur), fsum_raw(cur, True)) if absolute
-                   else fsum_raw(cur))
+        out.append(fsum_raw(cur))
+    return out
+
+
+def _index_powers(ks, count):
+    """The exact powers k^i of the lattice indices ks, i < count, as ints."""
+    cur = [1] * len(ks)
+    for i in range(count):
+        if i > 0:
+            cur = list(map(mul, cur, ks))
+        yield cur
+
+
+def _lattice_moments(vec, count, level, absolute=False):
+    """h^(i+1) sum_k vec_k k^i, i < count, for values vec on the whole
+    lattice k h, h = 2^-level, k from -n to n: the integrals of x^i vec by
+    the trapezoid rule.  x^i h = k^i h^(i+1) with k^i an exact int and
+    h^(i+1) a power of two, so each moment is an exact integer sum
+    (numerics.fixed) rounded once.  With absolute, each comes paired with
+    the sum of its absolute terms."""
+    n = len(vec) // 2
+    v = fixed([x._mpf_ for x in vec])
+    va = list(map(abs, v[0])), v[1]
+    out = []
+    for i, p in enumerate(_index_powers(range(-n, n + 1), count)):
+        e = -level * (i + 1)
+        m = fixed_dot(v, (p, e))
+        out.append((m, fixed_dot(va, (list(map(abs, p)), e))) if absolute else m)
     return out
 
 
@@ -197,13 +227,6 @@ class WeightTable:
               for x in xs]
         return xs, ew
 
-    def _moments_on(self, level, xs, ew):
-        """Moments up to i_max on one lattice, each paired with the sum of
-        its absolute terms: h times plain sums, h a power of two."""
-        h = mp.ldexp(1, -level)
-        return [(h * v, h * a) for v, a in
-                _power_sums(xs, ew, self.i_max + 1, absolute=True)]
-
     def _build_grid(self):
         """Halve h from 1/2 until two lattices' moments agree within tol
         (the absolute terms' sum as the floor), and keep the finer one;
@@ -213,7 +236,7 @@ class WeightTable:
         for level in range(self.min_level, self.max_level + 1):
             xs, ew = self._grid_at_level(level, known)
             known = dict(zip(xs, ew))
-            cur = self._moments_on(level, xs, ew)
+            cur = _lattice_moments(ew, self.i_max + 1, level, absolute=True)
             if accepted is None and prev is not None and all(
                     abs(v - pv) <= self.tol * max(abs(v), sabs)
                     for (v, sabs), (pv, _) in zip(cur, prev)):
@@ -238,7 +261,7 @@ class WeightTable:
         self.xs = xs
         ew2 = [e * e for e in ew]
         self.m = [v for v, _ in moments]
-        self.m2 = [self.h * v for v in _power_sums(xs, ew2, self.i_max + 1)]
+        self.m2 = _lattice_moments(ew2, self.i_max + 1, level)
         self.active_radius = _tail_radius(self.potential, self.i_max,
                                           self.tol * mp.mpf('1e-4'))
         self.active_radius = min(self.active_radius, self.radius)
@@ -255,35 +278,34 @@ class WeightTable:
         self.version += 1
 
     def _check_pairings(self):
-        """P[j][i] = <x^i, y^j>_1 = h * sum x^i w_j over the active nodes,
-        for i < j <= w_max, each checked against the coarser lattice 2hZ
-        (every second node, step doubled).  Returns the first (i, j) that
+        """P[j][i] = <x^i, y^j>_1 = h^(i+1) * sum k^i w_j(k h) over the
+        active lattice indices k, for i < j <= w_max, each checked against
+        the coarser lattice 2hZ (every second index, step doubled).  The
+        fine sum, the coarse sum and the gap between them are exact integer
+        sums (numerics.fixed), rounded once.  Returns the first (i, j) that
         fails its check, or None when the whole block passes."""
-        def split(full):
-            # entries are rounded at the working precision, so |v| is exact
-            return (full, [full[k] for k in self.acoarse],
-                    [mpf_abs(v) for v in full])
-
-        xs = [x._mpf_ for x in self.axs]
-        powers = [split([fone] * len(xs))]
+        n, s = len(self.xs) // 2, self.acoarse.start
+        powers = [(p, p[s::2], list(map(abs, p))) for p in _index_powers(
+            range(self._alo - n, self._ahi - n), self.w_max)]
         self.P = [[]]
         for j in range(1, self.w_max + 1):
-            w, wc, wa = split([v._mpf_ for v in self.w_values(j)])
+            w, e = fixed([v._mpf_ for v in self.w_values(j)])
+            wc = w[s::2]
             col = []
-            for i, (p, pc, pa) in enumerate(powers):
+            for i, (p, pc, pa) in enumerate(powers[:j]):
+                fine = sum(map(mul, p, w))
                 # every weight is the step h, a power of two, so the check
-                # runs on the bare sums and scaling the accepted one is exact
-                fine = fdot_raw(p, w)
-                gap = abs(fine - 2 * fdot_raw(pc, wc))
+                # runs on the bare sums, and the gap is formed exactly
+                gap = fixed_round(abs(fine - 2 * sum(map(mul, pc, wc))), e)
                 # absolute floor at the integrand mass: parity-zero entries
                 # cancel only to round-off, which anything below it would
                 # never accept
-                if (gap > self.tol * abs(fine)
-                        and gap > self.tol * fdot_raw(pa, wa)):
+                if (gap > self.tol * abs(fixed_round(fine, e))
+                        and gap > self.tol * fixed_round(
+                            sum(map(mul, pa, map(abs, w))), e)):
                     return i, j
-                col.append(self.h * fine)
+                col.append(fixed_round(fine, e - self.level * (i + 1)))
             self.P.append(col)
-            powers.append(split(vmul_raw(powers[-1][0], xs)))
         return None
 
     # -- half-line integral tables ----------------------------------------

@@ -362,3 +362,80 @@ def test_half_line_integrals_stay_small(quartic, ctx, deep_size):
     assert len(t.axs) <= 268  # 1.5 times the tanh-sinh active count
     assert deep_size(t.F) < 2 ** 20
     assert deep_size(vars(t)) < 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("coeffs", ["0,0,0.5", "0,0,0.5,0,1", "0,0,0.5,0,0.3,0,0.1"])
+def test_lattice_sums_are_correctly_rounded(coeffs, ctx):
+    # m, m2 and the pairing block P are sums of k^i h^(i+1) v_k over the
+    # lattice indices k: each must be the exact sum rounded once, here an
+    # mp.fsum of the exact terms at twice the precision, rounded to the
+    # table's.  Odd moments of these symmetric potentials are exact zeros
+    V = Potential.parse(coeffs)
+    t = WeightTable(V, ctx, i_max=27, w_max=13)
+    prec, n = t._prec, len(t.xs) // 2
+    with mp.workprec(prec):
+        ew = [exp_e(-V(x)) for x in t.xs]
+        ew2 = [e * e for e in ew]
+        ws = [t.w_values(j) for j in range(t.w_max + 1)]
+    assert ew[t._alo:t._ahi] == t.aew and ew2[t._alo:t._ahi] == t.aew2
+    ks = range(-n, n + 1)
+
+    def rounded(values, indices, i):
+        with mp.workprec(2 * prec):
+            ref = mp.fsum(mp.fmul(v, mp.ldexp(k ** i, -t.level * (i + 1)), exact=True)
+                          for v, k in zip(values, indices))
+        with mp.workprec(prec):
+            return (+ref)._mpf_
+
+    for i in range(t.i_max + 1):
+        if i % 2:
+            assert t.m[i] == 0 and t.m2[i] == 0
+            assert t.m[i]._mpf_ == t.m2[i]._mpf_ == mp.mpf(0)._mpf_
+        else:
+            assert t.m[i]._mpf_ == rounded(ew, ks, i), i
+            assert t.m2[i]._mpf_ == rounded(ew2, ks, i), i
+    for j in range(1, t.w_max + 1):
+        for i in range(j):
+            assert t.P[j][i]._mpf_ == rounded(ws[j], ks[t._alo:t._ahi], i), (i, j)
+
+
+# The families potentials of bench seeds 1 and 2, as their x^2, x^4 (and
+# x^6) coefficients, by the lattice level their tables accepted at
+# i_max = 27, w_max = 13 when the sums were rounded per operation
+FAMILY_LEVELS = {
+    5: """0.3984375,1.046875 0.41796875,0.87109375 0.42578125,0.96484375
+          0.43359375,0.8515625 0.4375,0.96484375 0.44140625,1.0703125
+          0.45703125,1.01953125 0.47265625,0.96875 0.4765625,0.86328125
+          0.4765625,0.94921875 0.49609375,0.84375 0.5,0.94921875
+          0.53515625,0.94140625 0.55078125,1.07421875 0.56640625,0.83984375
+          0.57421875,0.828125 0.58984375,0.89453125 0.6015625,0.828125""",
+    6: """0.3984375,1.12890625 0.421875,1.1875 0.4296875,1.1171875
+          0.4296875,1.1484375 0.44921875,1.12890625 0.453125,1.13671875
+          0.46484375,1.08984375 0.51953125,1.14453125 0.51953125,1.17578125
+          0.55859375,1.1953125 0.5625,1.1640625 0.57421875,1.140625
+          0.58203125,1.15234375 0.58984375,1.1640625
+          0.3984375,0.28125,0.26171875 0.3984375,0.36328125,0.2421875
+          0.40234375,0.33203125,0.32421875 0.40234375,0.42578125,0.37109375
+          0.40625,0.22265625,0.20703125 0.40625,0.37890625,0.390625
+          0.42578125,0.265625,0.32421875 0.42578125,0.30078125,0.2265625
+          0.42578125,0.421875,0.35546875 0.4296875,0.43359375,0.2578125
+          0.43359375,0.375,0.3984375 0.44921875,0.43359375,0.31640625
+          0.46484375,0.23828125,0.30078125 0.46484375,0.3203125,0.35546875
+          0.46484375,0.46875,0.390625 0.47265625,0.30078125,0.24609375
+          0.47265625,0.484375,0.3203125 0.48828125,0.24609375,0.32421875
+          0.4921875,0.22265625,0.3515625 0.4921875,0.375,0.3671875
+          0.5,0.33984375,0.39453125 0.51171875,0.25390625,0.37890625
+          0.515625,0.25,0.31640625 0.51953125,0.453125,0.21484375
+          0.52734375,0.48828125,0.203125 0.53515625,0.26171875,0.3125
+          0.54296875,0.40625,0.34765625 0.5546875,0.359375,0.33984375
+          0.57421875,0.5,0.25 0.578125,0.44921875,0.203125
+          0.58984375,0.3671875,0.203125 0.59765625,0.21875,0.265625""",
+}
+
+
+def test_family_tables_keep_their_levels(ctx):
+    for level, text in FAMILY_LEVELS.items():
+        for even in text.split():
+            coeffs = "0,0," + ",0,".join(even.split(","))
+            t = WeightTable(Potential.parse(coeffs), ctx, i_max=27, w_max=13)
+            assert t.level == level, coeffs
