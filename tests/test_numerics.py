@@ -218,15 +218,15 @@ def test_raw_sums_dots_and_products_match_mpmath_bit_for_bit(prec):
         for n in (0, 1, 7, 300):
             A, B, C = (_random_reals(rng, n) for _ in range(3))
             assert fsum_raw(_bits(A))._mpf_ == mp.fsum(A)._mpf_
-            a, b, c = (fixed(_bits(v)) for v in (A, B, C))
-            assert fixed_dot(a, b)._mpf_ == mp.fdot(A, B)._mpf_
-            assert fixed_dot(a, ([1] * n, 0))._mpf_ == mp.fsum(A)._mpf_
+            fa, fb, fc = (fixed(_bits(v)) for v in (A, B, C))
+            assert fixed_dot(fa, fb)._mpf_ == mp.fdot(A, B)._mpf_
+            assert fixed_dot(fa, ([1] * n, 0))._mpf_ == mp.fsum(A)._mpf_
             assert vmul_raw(_bits(A), _bits(B)) == \
                 _bits([a * b for a, b in zip(A, B)])
             if n:
                 # real times complex: one real dot per part
                 Z = [mp.mpc(b, c) for b, c in zip(B, C)]
-                got = (fixed_dot(a, b)._mpf_, fixed_dot(a, c)._mpf_)
+                got = (fixed_dot(fa, fb)._mpf_, fixed_dot(fa, fc)._mpf_)
                 assert got == mp.fdot(A, Z)._mpc_
 
 
