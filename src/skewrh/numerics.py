@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from mpmath import mp
 from mpmath.libmp import (from_man_exp, mpf_add, mpf_e, mpf_exp, mpf_log, mpf_mul,
-                          mpf_pow, mpf_sum)
+                          mpf_pow)
 
 from .errors import SingularSystem
 
@@ -231,12 +231,6 @@ def exp_e(t):
     if t[2] >= -1 or not t[1]:
         return mp.make_mpf(mpf_pow(mpf_e(prec, rnd), t, prec, rnd))
     return mp.make_mpf(mpf_exp(mpf_mul(t, _log_e(prec, rnd)), prec, rnd))
-
-
-def fsum_raw(xs):
-    """mp.fsum(xs) for raw real xs."""
-    prec, rnd = mp._prec_rounding
-    return mp.make_mpf(mpf_sum(xs, prec, rnd))
 
 
 def vmul_raw(A, B):

@@ -15,10 +15,12 @@ exp(-2V) moments and that checked pairing block, so the moment matrices in
 from the grid.  On the lattice x^i h = k^i h^(i+1), with k^i an exact int
 and h^(i+1) a power of two, so every moment and pairing is an exact
 integer sum over the lattice indices, rounded once (numerics.fixed).  The
-half-line integrals at an arbitrary point cost one short Gauss-Legendre
-panel from the nearest node below it, and off the axis one more up to the
-point; those panels' nodes are not lattice points, and their power sums
-stay rounded per operation.
+half-line integrals come from one kernel: the Taylor series of
+exp(V(x_k) - V(y)) about a lattice node x_k (the Taylor-series method for
+g' = -V' g, Corliss-Chang 1982, ACM TOMS 8), whose coefficients are exact
+integers, run on ints and integrated term by term.  It gives every lattice
+interval's increment, summed exactly and rounded once per node, and the
+integrals from the node below any real or complex point up to it.
 
 Grid sums for integrands carrying exp(-V) run over the active slice
 |x| <= cut only, where cut satisfies x^i_max exp(-V(x)) < quad_tol*1e-4;
@@ -30,15 +32,16 @@ wider ranges, and the rebuilt table equals a fresh one.
 from __future__ import annotations
 
 import bisect
+import math
 import weakref
-from operator import mul
+from operator import floordiv, mul
 
 from mpmath import mp
+from mpmath.libmp import to_fixed
 
 from .errors import IntegrabilityError, MomentRangeExceeded, QuadratureFailure
 from .numerics import (DEFAULT_CONTEXT, Poly, PrecisionContext, exp_e, fixed,
-                       fixed_dot, fixed_round, fsum_raw, vmul_raw)
-from .quadrature import legendre_nodes
+                       fixed_dot, fixed_round)
 
 
 class Potential:
@@ -142,20 +145,6 @@ def truncation_radius(V: Potential, i_max: int, tol):
     return base, 2 * base
 
 
-def _power_sums(xs, cur, count):
-    """mp.fsum of cur, cur * x, cur * x^2, ...: count vectors over the
-    nodes xs, each formed from the one before, on raw tuples.  For the
-    Gauss-Legendre panels, whose nodes are not lattice points."""
-    xs = [x._mpf_ for x in xs]
-    cur = [c._mpf_ for c in cur]
-    out = []
-    for i in range(count):
-        if i > 0:
-            cur = vmul_raw(cur, xs)
-        out.append(fsum_raw(cur))
-    return out
-
-
 def _index_powers(ks, count):
     """The exact powers k^i of the lattice indices ks, i < count, as ints."""
     cur = [1] * len(ks)
@@ -183,6 +172,68 @@ def _lattice_moments(vec, count, level, absolute=False):
     return out
 
 
+def _taylor_shift(coeffs, k):
+    """The coefficients of p(k + s) in s, for p with the int coefficients
+    coeffs and an int k, exactly (repeated synthetic division)."""
+    out = list(coeffs)
+    for i in range(len(out) - 1):
+        for j in range(len(out) - 2, i - 1, -1):
+            out[j] += k * out[j + 1]
+    return out
+
+
+def _float_up(man, exp):
+    """A float at least |man| * 2^exp, for an int man."""
+    s = max(0, abs(man).bit_length() - 50)
+    return math.ldexp((abs(man) >> s) + (s > 0), exp + s)
+
+
+def _series_length(b, shift, bits):
+    """A count N with sum_(n >= N) |a_n| < 2^-bits, for the Taylor
+    coefficients a_n of g = exp(-W), W(0) = 0, W' = sum_l b_l s^l with
+    b_l = b[l] 2^-shift (ints).  On |s| = r, |W| <= log M(r) =
+    sum_l |b_l| r^(l+1)/(l+1), so Cauchy's estimate gives
+    |a_n| <= M(r) r^-n and the tail is at most M(r) r^-N / (1 - 1/r).
+    Every r > 1 gives a valid N; r = 2^(m/4) runs up while N falls, and
+    one term more covers the float rounding."""
+    q = [_float_up(c, -shift) / (l + 1) for l, c in enumerate(b)][::-1]
+    ln2, best, m = math.log(2), math.inf, 0
+    while True:
+        m += 1
+        r, log_m = 2 ** (m / 4), 0.0
+        for c in q:
+            log_m = (log_m + c) * r
+        n = (log_m + bits * ln2 - math.log1p(-1 / r)) / (m * ln2 / 4)
+        if n >= best:
+            return math.ceil(best) + 1
+        best = n
+
+
+def _fixed_powers(t, count, fbits):
+    """t^m, m < count, as ints at 2^-fbits, each product truncated: the
+    real parts, and for a complex t the imaginary parts too."""
+    c = mp.mpc(t)
+    tr, ti = to_fixed(c.real._mpf_, fbits), to_fixed(c.imag._mpf_, fbits)
+    pr, pi = [1 << fbits], [0]
+    for _ in range(count - 1):
+        a, b = pr[-1], pi[-1]
+        pr.append((a * tr - b * ti) >> fbits)
+        pi.append((a * ti + b * tr) >> fbits)
+    return (pr, pi) if isinstance(t, mp.mpc) else (pr,)
+
+
+def _binomial_sums(ints, k):
+    """sum_i C(j, i) k^(j-i) ints[i] for each j < len(ints): the integrals
+    of (k + s)^j g from those of s^i g, by s^i (k + s)^j = k s^i (k + s)^(j-1)
+    + s^(i+1) (k + s)^(j-1)."""
+    u, out = list(ints), [ints[0]]
+    for j in range(len(u) - 1, 0, -1):
+        for i in range(j):
+            u[i] = k * u[i] + u[i + 1]
+        out.append(u[0])
+    return out
+
+
 class WeightTable:
     """Grid data, moments, beta = 1 pairings and half-line integral tables
     for one potential.
@@ -192,14 +243,14 @@ class WeightTable:
     active nodes (w_values) are built per call.  The nodes xs cover the
     whole lattice; exp(-V) (aew), exp(-2V) (aew2) and the half-line
     integrals F cover the active slice, F from the node just below it.
-    The weight of every node is the step h.  The level is fixed when the
-    table is built, by the moments and the pairing block P together;
-    ensure_ranges rebuilds the table for wider ranges, and `version`
-    changes whenever it does, for consumers keyed on it.
+    F and the integrals at other points come from one kernel, the Taylor
+    series of exp(-V) about a lattice node (_series).  The weight of every
+    node is the step h.  The level is fixed when the table is built, by the
+    moments and the pairing block P together; ensure_ranges rebuilds the
+    table for wider ranges, and `version` changes whenever it does, for
+    consumers keyed on it.
     """
 
-    panel_order = 20
-    panel_max_width = 0.25
     min_level = 1
     max_level = 11
 
@@ -208,6 +259,9 @@ class WeightTable:
         self.potential = potential
         self.ctx = ctx
         self._prec = ctx.mantissa_bits + 16
+        # fraction bits of the series kernel: 64 guard bits take its
+        # round-off and the cancellation in its sums
+        self._fbits = self._prec + 64
         self.version = 0
         with mp.workprec(self._prec):
             self.tol = mp.mpf(ctx.quad_tol)
@@ -310,54 +364,108 @@ class WeightTable:
 
     # -- half-line integral tables ----------------------------------------
 
-    def _panel_nodes(self, a, b):
-        """Gauss-Legendre nodes/weights covering the segment from a to b
-        (b may be complex) in short panels."""
-        width = b - a
-        if not width:
-            return []
-        pieces = max(1, int(mp.ceil(abs(width) / mp.mpf(self.panel_max_width))))
-        gx, gw = legendre_nodes(self.panel_order, self._prec)
+    def _series(self, k, ts, j_count):
+        """For each t in ts, the integrals int_0^t (k + s)^j g(s) ds,
+        j < j_count, of g(s) = exp(V(x_k) - V(x_k + s h)) about the lattice
+        node x_k = k h: the integral of y^j exp(-V) from x_k to x_k + t h is
+        exp(-V(x_k)) h^(j+1) times one of them.  Ints at 2^-fbits; per t,
+        one list, or for a complex t those of its real and imaginary parts.
+
+        g' = -W' g with W' = h V'(x_k + s h) = sum_l b_l s^l, whose
+        coefficients are exact: those of h V'(h u), dyadic, as ints at one
+        exponent (_dv), Taylor-shifted by k.  The Taylor coefficients of g
+        follow from (n+1) a_(n+1) = -sum_l b_l a_(n-l) (Knuth, TAOCP 2,
+        4.7).  Past |t| = 1 the series runs in u = s 2^-sg, |u| <= 1, so
+        that the powers of t do not magnify the coefficients' truncation.
+        It stops where the Cauchy bound on its tail (_series_length) is
+        below a unit."""
+        fb, sh, sg = self._fbits, self._dv_shift, 0
+        while max(abs(t) for t in ts) > 1 << sg:
+            sg += 1
+        b = [c << sg * (l + 1) for l, c in enumerate(_taylor_shift(self._dv, k))]
+        count = _series_length(b, sh, fb + 2)
+        rb, a = b[::-1], [0] * (len(b) - 1) + [1 << fb]
+        for n in range(1, count):
+            a.append((-sum(map(mul, rb, a[n - 1:])) >> sh) // n)
+        a = a[len(b) - 1:]
+        # int_0^t s^i g = sum_n a_n t^(n+i+1) / (n+i+1); at t = +-1 that
+        # is t^(i+1) (E_i + t O_i), E_i and O_i its sums over even and odd n
+        units = [] if sg else [t for t in ts if t in (1, -1)]
+        if units:
+            eo = [(sum(map(floordiv, a[::2], range(i + 1, i + 1 + count, 2))),
+                   sum(map(floordiv, a[1::2], range(i + 2, i + 1 + count, 2))))
+                  for i in range(j_count)]
+        if len(units) < len(ts):
+            cs = [list(map(floordiv, a, range(i + 1, i + 1 + count)))
+                  for i in range(j_count)]
         out = []
-        step = width / pieces
-        for p in range(pieces):
-            u = a + p * step
-            c, r = u + step / 2, step / 2
-            out.append(([c + r * x for x in gx], [r * w for w in gw]))
+        for t in ts:
+            if t in units:
+                u = int(t)
+                parts = [[(e + u * o) * u ** (i + 1) for i, (e, o) in enumerate(eo)]]
+            else:
+                parts = [[(sum(map(mul, c, p[i + 1:])) << sg * (i + 1)) >> fb
+                          for i, c in enumerate(cs)]
+                         for p in _fixed_powers(t / (1 << sg), count + j_count, fb)]
+            out.append([_binomial_sums(part, k) for part in parts])
         return out
 
-    def _panel_F(self, a, b, j_count):
-        """Integrals of y^j exp(-V) over [a, b] for j = 0..j_count-1."""
-        totals = [mp.mpf(0)] * j_count
-        for ys, ws in self._panel_nodes(a, b):
-            cur = [w * exp_e(-self.potential(y)) for w, y in zip(ws, ys)]
-            for j, s in enumerate(_power_sums(ys, cur, j_count)):
-                totals[j] += s
-        return totals
+    def _interval_sums(self, j_count):
+        """(q, S) for each lattice interval [x_p, x_(p+1)], p from _F_lo
+        through ahi - 2, in order: the integral of y^j exp(-V) over it, from
+        -cut where it crosses -cut, is exp(-V(x_q)) h^(j+1) S[j] 2^-fbits.
+        One series about every second node x_q serves the interval below it
+        (t from -1, or from -cut, up to 0) and the one above (t from 0 to 1)."""
+        n = len(self.xs) // 2
+        for q in range(self._F_lo + 1, self._ahi, 2):
+            t = (-self.active_radius - self.xs[q]) / self.h
+            ts = [-1 if t <= -1 else t] + [1] * (q + 1 < self._ahi)
+            parts = self._series(q - n, ts, j_count)
+            yield q, [-s for s in parts[0][0]]
+            if len(parts) == 2:
+                yield q, parts[1][0]
+
+    def _segment(self, p, t, j_count):
+        """The integrals of y^j exp(-V), j < j_count, from the node xs[p]
+        (from -cut if that is higher) to xs[p] + t h, each rounded once;
+        real or complex as t is."""
+        x, lo = self.xs[p], -self.active_radius
+        ts = [t] if x >= lo else [t, (lo - x) / self.h]
+        parts = self._series(p - len(self.xs) // 2, ts, j_count)
+        if len(ts) == 2:
+            # the part below -cut is real
+            parts[0][0] = [u - v for u, v in zip(parts[0][0], parts[1][0])]
+        e = self.aew[p - self._alo] if p >= self._alo else exp_e(-self.potential(x))
+        _, man, exp, _ = e._mpf_
+        vals = [[fixed_round(man * s, exp - self._fbits - self.level * (j + 1))
+                 for j, s in enumerate(part)] for part in parts[0]]
+        return [mp.mpc(*v) for v in zip(*vals)] if len(vals) == 2 else vals[0]
 
     def _build_F(self):
-        """F[j][k - _F_lo]: integral of y^j exp(-V) up to the node xs[k],
-        for k from _F_lo = max(alo - 1, 0) through ahi - 1, the nodes that
-        _F_at and w_values read.  Segments fully outside the active region
-        carry mass below the validated error scale (tail bound) and are
-        skipped, so a chain over the whole grid would add exact zeros up
-        to _F_lo and give the kept entries the same bits."""
-        n_j = self.w_max + 1
-        cut = self.active_radius
-        self._F_lo = lo = max(self._alo - 1, 0)
-        F = [[] for _ in range(n_j)]
-        zero = [mp.mpf(0)] * n_j
-        prev_x = -self.radius
-        run = list(zero)
-        for x in self.xs[lo:self._ahi]:
-            if x <= -cut:
-                seg = zero
-            else:
-                seg = self._panel_F(max(prev_x, -cut), min(x, cut), n_j)
-            run = [r + s for r, s in zip(run, seg)]
-            for j in range(n_j):
-                F[j].append(run[j])
-            prev_x = x
+        """F[j][k - _F_lo]: integral of y^j exp(-V) from -cut up to the node
+        xs[k], for k from _F_lo = max(alo - 1, 0) through ahi - 1, the nodes
+        that _F_at and w_values read.  Each lattice interval adds exp(-V)
+        at an active node times that node's _series (_interval_sums), both
+        exact at one exponent, so every entry is an exact sum rounded once.
+        The interval across -cut counts from -cut (below it the mass is
+        under the validated error scale, by the tail bound); where the
+        lattice starts above -cut, F starts at its first node."""
+        raws = [c._mpf_ for c in self.potential.dpoly.coeffs]
+        exps = [e - self.level * (l + 1) for l, (_, _, e, _) in enumerate(raws)]
+        sh = max(0, -min(e for (_, m, _, _), e in zip(raws, exps) if m))
+        # h V'(h u) = sum_l _dv[l] 2^-sh u^l, exactly
+        self._dv = [((-m if s else m) << (e + sh)) if m else 0
+                    for (s, m, _, _), e in zip(raws, exps)]
+        self._dv_shift = sh
+        n_j, fb = self.w_max + 1, self._fbits
+        self._F_lo = max(self._alo - 1, 0)
+        es, ex = fixed([e._mpf_ for e in self.aew])
+        run = [0] * n_j
+        F = [[mp.mpf(0)] for _ in range(n_j)]
+        for q, sums in self._interval_sums(n_j):
+            for j, s in enumerate(sums):
+                run[j] += es[q - self._alo] * s
+                F[j].append(fixed_round(run[j], ex - fb - self.level * (j + 1)))
         self.F = F
 
     # -- growth ------------------------------------------------------------
@@ -407,47 +515,39 @@ class WeightTable:
 
     # -- pointwise evaluation ---------------------------------------------
 
-    def _F_at(self, x, j_count):
-        x = mp.mpf(x)
+    def _F_at(self, z, j_count):
+        """The integrals of y^j exp(-V) from -cut to z, j < j_count, for a
+        real or complex z: F at the node below Re z plus the series from
+        that node.  They are 0 for Re z <= -cut and m_j for Re z >= cut;
+        off the axis the segment up to z adds less than the validated error
+        scale there."""
+        x = mp.re(z)
         if x <= -self.active_radius:
             return [mp.mpf(0)] * j_count
         if x >= self.active_radius:
             return [self.m[j] for j in range(j_count)]
-        k = bisect.bisect_right(self.xs, x) - 1
-        if k < 0:
-            return self._panel_F(-self.active_radius, x, j_count)
-        seg = self._panel_F(self.xs[k], x, j_count)
-        return [self.F[j][k - self._F_lo] + seg[j] for j in range(j_count)]
-
-    def _segment_F(self, x, z, j_count):
-        """Integrals of y^j exp(-V) along the segment from x to a complex z."""
-        totals = [mp.mpc(0)] * j_count
-        for ys, ws in self._panel_nodes(x, z):
-            cur = [w * mp.exp(-self.potential(y)) for w, y in zip(ws, ys)]
-            for j in range(j_count):
-                if j:
-                    cur = [c * y for c, y in zip(cur, ys)]
-                totals[j] += mp.fsum(cur)
-        return totals
+        p = bisect.bisect_right(self.xs, x) - 1
+        if p < self._F_lo:
+            return [mp.mpf(0)] * j_count
+        seg = self._segment(p, (z - self.xs[p]) / self.h, j_count)
+        return [self.F[j][p - self._F_lo] + s for j, s in enumerate(seg)]
 
     def weights_at(self, z, n_count: int):
         """(exp(-V(z)), exp(-2V(z)), [w_0(z) .. w_{n_count-1}(z)]).
 
-        Anchored on the master grid at x = Re z; off the axis one more
-        panel (pieces past panel_max_width) runs up the segment [x, z].
-        One shared panel serves every w_n.
+        z is real or complex; one series from the lattice node below Re z
+        serves every w_n.
         """
         if n_count - 1 > self.w_max:
             raise MomentRangeExceeded(f"w_{n_count-1} beyond table ({self.w_max})")
         with mp.workprec(self._prec):
             z = mp.mpmathify(z)
-            x = mp.mpf(mp.re(z))
-            Fs = self._F_at(x, max(1, n_count))
             if mp.im(z):
-                Fs = [f + s for f, s in zip(Fs, self._segment_F(x, z, len(Fs)))]
                 ex = mp.exp(-self.potential(z))
             else:
-                ex = exp_e(-self.potential(x))
+                z = mp.mpf(mp.re(z))
+                ex = exp_e(-self.potential(z))
+            Fs = self._F_at(z, max(1, n_count))
             ws = [ex * (2 * Fs[n] - self.m[n]) for n in range(n_count)]
             return ex, ex * ex, ws
 

@@ -1,10 +1,10 @@
 """Quadrature nodes and rules, and boundary-limit extrapolation.
 
-The weight tables' master grid is a uniform lattice, built in
-`potentials`; their half-line integrals use the Gauss-Legendre panels
-here.  integrate_line runs tanh-sinh or composite Gauss-Legendre
-adaptively and apart from the tables: the tests use it as the reference
-for table moments and pairings.
+The weight tables' master grid is a uniform lattice, and their half-line
+integrals come from a Taylor series, both in `potentials`; no table uses
+the nodes here.  integrate_line runs tanh-sinh or composite
+Gauss-Legendre adaptively and apart from the tables: the tests use it as
+the reference for table moments and pairings.
 """
 from __future__ import annotations
 

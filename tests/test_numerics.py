@@ -19,7 +19,6 @@ from skewrh.numerics import (
     fixed,
     fixed_dot,
     fixed_round,
-    fsum_raw,
     linear_solve,
     mat_identity,
     mat_inf_norm,
@@ -27,7 +26,6 @@ from skewrh.numerics import (
     poly_derivative,
     vmul_raw,
 )
-from skewrh.potentials import _power_sums
 from skewrh.quadrature import boundary_deltas
 from skewrh.rhp import RHSolution
 
@@ -217,7 +215,6 @@ def test_raw_sums_dots_and_products_match_mpmath_bit_for_bit(prec):
     with mp.workprec(prec):
         for n in (0, 1, 7, 300):
             A, B, C = (_random_reals(rng, n) for _ in range(3))
-            assert fsum_raw(_bits(A))._mpf_ == mp.fsum(A)._mpf_
             fa, fb, fc = (fixed(_bits(v)) for v in (A, B, C))
             assert fixed_dot(fa, fb)._mpf_ == mp.fdot(A, B)._mpf_
             assert fixed_dot(fa, ([1] * n, 0))._mpf_ == mp.fsum(A)._mpf_
@@ -348,17 +345,3 @@ def test_batched_near_kernels_match_per_delta_formula(prec):
             den = [a * a + delta * delta for a in offsets]
             assert kr == fixed(_bits([a / d for a, d in zip(offsets, den)]))
             assert ki == fixed(_bits([delta / d for d in den]))
-
-
-@pytest.mark.parametrize("prec", RAW_PRECS)
-def test_power_sums_match_object_ladder_bit_for_bit(prec):
-    rng = random.Random(8008 + prec)
-    with mp.workprec(prec):
-        xs = [v * 2 ** 302 for v in _random_reals(rng, 60)]
-        first = [abs(v) * 2 ** 300 for v in _random_reals(rng, 60)]
-        want, cur = [], first
-        for i in range(9):
-            if i:
-                cur = [c * x for c, x in zip(cur, xs)]
-            want.append(mp.fsum(cur))
-        assert _bits(_power_sums(xs, first, 9)) == _bits(want)

@@ -9,7 +9,7 @@ from mpmath import mp
 
 from skewrh import potentials
 from skewrh.errors import IntegrabilityError, MomentRangeExceeded
-from skewrh.numerics import Poly, exp_e
+from skewrh.numerics import Poly, exp_e, fixed, fixed_round
 from skewrh.potentials import (
     Potential,
     WeightTable,
@@ -198,15 +198,45 @@ def test_weights_at_consistent_with_w_function(gauss, ctx, w_function):
 
 def test_weights_at_off_axis_closed_forms(gauss, ctx):
     # for x^2/2, w_0(z) = sqrt(2 pi) exp(-z^2/2) erf(z/sqrt 2) and
-    # w_1(z) = -2 exp(-z^2); a height past panel_max_width takes pieces
+    # w_1(z) = -2 exp(-z^2); the series about the node x_k below Re z runs
+    # out to |t| = |z - x_k|/h = 2.4, 4.9 and 9.6 (the last point is the
+    # one `skewrh rh-verify` evaluates, on the lattice h = 1/8)
     table = get_weight_table(gauss, ctx, i_max=4, w_max=3)
-    for z in (mp.mpc("0.9", "0.3"), mp.mpc("-0.4", "-0.6")):
+    points = (mp.mpc("0.9", "0.3"), mp.mpc("-0.4", "-0.6"), mp.mpc("-1.8", "1.2"))
+    for z in points[1:]:
+        assert abs(z - mp.floor(z.real / table.h) * table.h) > 4 * table.h
+    for z in points:
         ex, ex2, ws = table.weights_at(z, 2)
         assert abs(ex - mp.exp(-z * z / 2)) <= mp.mpf("1e-70")
         assert abs(ex2 - mp.exp(-z * z)) <= mp.mpf("1e-70")
         w0 = mp.sqrt(2 * mp.pi) * mp.exp(-z * z / 2) * mp.erf(z / mp.sqrt(2))
         assert abs(ws[0] - w0) <= mp.mpf("1e-28") * abs(w0)
         assert abs(ws[1] + 2 * mp.exp(-z * z)) <= mp.mpf("1e-28")
+
+
+@pytest.mark.parametrize("coeffs, ranges", [
+    ("0,0,0.5,0,1", (27, 13)), ("0,0,0.5,0,0.3,0,0.1", (27, 13)), ("0,0,0.5", (8, 0))])
+def test_interval_integrals_against_quad(coeffs, ranges, ctx):
+    # the series over one lattice interval against mp.quad at 600 bits,
+    # relative to the interval's own value: at x_k = 0, where V' vanishes
+    # and the shortcut bound B^n/n!, B = sum |b_l|, would stop the series
+    # too early, and on the outermost active intervals, where exp(-V)
+    # changes most across one step
+    V = Potential.parse(coeffs)
+    t = WeightTable(V, ctx, i_max=ranges[0], w_max=ranges[1])
+    n = len(t.xs) // 2
+    for p in (n, t._alo, t._ahi - 2):
+        a, b = t.xs[p], t.xs[p + 1]
+        with mp.workprec(t._prec):
+            # up from x_p, and down from x_(p+1) as the table's F takes
+            # every second interval
+            up = t._segment(p, 1, t.w_max + 1)
+            down = [-v for v in t._segment(p + 1, -1, t.w_max + 1)]
+        for j in range(t.w_max + 1):
+            with mp.workprec(600):
+                ref = mp.quad(lambda y: y ** j * mp.exp(-V(y)), [a, b])
+                for got in (up[j], down[j]):
+                    assert abs(got - ref) <= mp.mpf("1e-75") * abs(ref), (p - n, j)
 
 
 def test_weight_table_raises_i_max_to_w_max(gauss, ctx, w_function):
@@ -264,23 +294,19 @@ def test_coarse_nodes_are_the_coarser_level(gauss, quartic, ctx, monkeypatch):
 
 def _full_grid_F(t):
     """The half-line integral chain over every master-grid node, as the
-    table kept it before it stored the active slice only."""
+    table kept it before it stored the active slice only: zero up to the
+    slice, then each interval's series sums times exp(-V) at their node,
+    summed exactly over the whole lattice (exp(-V) held at the exponent of
+    all its nodes, not of the slice) and rounded once per node."""
     n_j = t.w_max + 1
-    cut = t.active_radius
-    F = [[None] * len(t.xs) for _ in range(n_j)]
-    zero = [mp.mpf(0)] * n_j
-    prev_x = -t.radius
-    run = list(zero)
     with mp.workprec(t._prec):
-        for k, x in enumerate(t.xs):
-            if x <= -cut or prev_x >= cut:
-                seg = zero
-            else:
-                seg = t._panel_F(max(prev_x, -cut), min(x, cut), n_j)
-            run = [r + s for r, s in zip(run, seg)]
-            for j in range(n_j):
-                F[j][k] = run[j]
-            prev_x = x
+        es, ex = fixed([exp_e(-t.potential(x))._mpf_ for x in t.xs])
+        run = [0] * n_j
+        F = [[mp.mpf(0)] * (t._F_lo + 1) for _ in range(n_j)]
+        for q, sums in t._interval_sums(n_j):
+            for j, s in enumerate(sums):
+                run[j] += es[q] * s
+                F[j].append(fixed_round(run[j], ex - t._fbits - t.level * (j + 1)))
     return F
 
 
@@ -306,7 +332,7 @@ def _check_slice_against_full_chain(t):
                 expect = [mp.mpf(0)] * n_j
             else:
                 k = bisect.bisect_right(xs, x) - 1
-                seg = t._panel_F(xs[k], x, n_j)
+                seg = t._segment(k, (x - xs[k]) / t.h, n_j)
                 expect = [full[j][k] + seg[j] for j in range(n_j)]
             assert _bits(t._F_at(x, n_j)) == _bits(expect)
         for n in range(n_j):
