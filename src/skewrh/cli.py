@@ -132,14 +132,15 @@ class _Emitter:
 # argument parsing
 
 
-_ANGLE_RE = re.compile(r"^([0-9.]*)\s*pi\s*(?:/\s*([0-9.]+))?$")
+_ANGLE_RE = re.compile(r"^([+-]?[0-9.]*)\s*pi\s*(?:/\s*([0-9.]+))?$")
 
 
 def _parse_angle(text: str):
     s = text.strip().lower()
     m = _ANGLE_RE.match(s)
     if m:
-        num = mp.mpf(m.group(1)) if m.group(1) else mp.mpf(1)
+        num = m.group(1)
+        num = mp.mpf(num + "1" if num in ("", "+", "-") else num)
         den = mp.mpf(m.group(2)) if m.group(2) else mp.mpf(1)
         return num * mp.pi / den
     return mp.mpf(s)

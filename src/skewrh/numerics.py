@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 from mpmath import mp
 from mpmath.libmp import (from_man_exp, mpf_add, mpf_e, mpf_exp, mpf_log, mpf_mul,
-                          mpf_pow)
+                          mpf_pow, to_fixed)
 
 from .errors import SingularSystem
 
@@ -200,7 +200,12 @@ def poly_derivative(p: Poly) -> Poly:
 def loglog_slope(xs, ys):
     """Least-squares slope of log y against log x for positive samples,
     at the working precision of the caller."""
-    lx = [mp.log(x) for x in xs]
+    return log_slope([mp.log(x) for x in xs], ys)
+
+
+def log_slope(lx, ys):
+    """loglog_slope with the logs lx of the abscissae taken already, so
+    that fits over the same xs take them once; bit for bit the same."""
     ly = [mp.log(y) for y in ys]
     mx = mp.fsum(lx) / len(lx)
     my = mp.fsum(ly) / len(ly)
@@ -231,12 +236,6 @@ def exp_e(t):
     if t[2] >= -1 or not t[1]:
         return mp.make_mpf(mpf_pow(mpf_e(prec, rnd), t, prec, rnd))
     return mp.make_mpf(mpf_exp(mpf_mul(t, _log_e(prec, rnd)), prec, rnd))
-
-
-def vmul_raw(A, B):
-    """[a * b for a, b in zip(A, B)] for raw real vectors, as raw tuples."""
-    prec, rnd = mp._prec_rounding
-    return [mpf_mul(a, b, prec, rnd) for a, b in zip(A, B)]
 
 
 # ---------------------------------------------------------------------------
@@ -271,15 +270,33 @@ def fixed(xs):
             for s, m, e, bc in xs], exp
 
 
+def fixed_powers(t, count, fbits):
+    """t^m, m < count, as ints at 2^-fbits, each product truncated: the
+    real parts, and for a complex t the imaginary parts too."""
+    c = mp.mpc(t)
+    tr, ti = to_fixed(c.real._mpf_, fbits), to_fixed(c.imag._mpf_, fbits)
+    pr, pi = [1 << fbits], [0]
+    for _ in range(count - 1):
+        a, b = pr[-1], pi[-1]
+        pr.append((a * tr - b * ti) >> fbits)
+        pi.append((a * ti + b * tr) >> fbits)
+    return (pr, pi) if isinstance(t, mp.mpc) else (pr,)
+
+
 def fixed_round(man, exp):
     """man * 2^exp, rounded once at the working precision, as an mpf."""
     prec, rnd = mp._prec_rounding
     return mp.make_mpf(from_man_exp(man, exp, prec, rnd))
 
 
+def exact_dot(a, b):
+    """The dot of two held vectors (mans, exp), exactly, as (man, exp)."""
+    return sum(map(mul, a[0], b[0])), a[1] + b[1]
+
+
 def fixed_dot(a, b):
     """The dot of two held vectors (mans, exp), rounded once."""
-    return fixed_round(sum(map(mul, a[0], b[0])), a[1] + b[1])
+    return fixed_round(*exact_dot(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,10 @@ import weakref
 from operator import floordiv, mul
 
 from mpmath import mp
-from mpmath.libmp import to_fixed
 
 from .errors import IntegrabilityError, MomentRangeExceeded, QuadratureFailure
 from .numerics import (DEFAULT_CONTEXT, Poly, PrecisionContext, exp_e, fixed,
-                       fixed_dot, fixed_round)
+                       fixed_dot, fixed_powers, fixed_round)
 
 
 class Potential:
@@ -207,19 +206,6 @@ def _series_length(b, shift, bits):
         if n >= best:
             return math.ceil(best) + 1
         best = n
-
-
-def _fixed_powers(t, count, fbits):
-    """t^m, m < count, as ints at 2^-fbits, each product truncated: the
-    real parts, and for a complex t the imaginary parts too."""
-    c = mp.mpc(t)
-    tr, ti = to_fixed(c.real._mpf_, fbits), to_fixed(c.imag._mpf_, fbits)
-    pr, pi = [1 << fbits], [0]
-    for _ in range(count - 1):
-        a, b = pr[-1], pi[-1]
-        pr.append((a * tr - b * ti) >> fbits)
-        pi.append((a * ti + b * tr) >> fbits)
-    return (pr, pi) if isinstance(t, mp.mpc) else (pr,)
 
 
 def _binomial_sums(ints, k):
@@ -406,7 +392,7 @@ class WeightTable:
             else:
                 parts = [[(sum(map(mul, c, p[i + 1:])) << sg * (i + 1)) >> fb
                           for i, c in enumerate(cs)]
-                         for p in _fixed_powers(t / (1 << sg), count + j_count, fb)]
+                         for p in fixed_powers(t / (1 << sg), count + j_count, fb)]
             out.append([_binomial_sums(part, k) for part in parts])
         return out
 

@@ -8,10 +8,15 @@ linear system built from the exp(-2V) moments and the w_n pairings,
 normalized so its diagonal entry decays like z^e with unit coefficient.
 
 Every Cauchy transform is a trapezoid sum over the weight table's lattice
-hZ; near the axis the lattice's closed-form pole term keeps it accurate.
-Each sum is one integer dot of the product vector p u_c and the kernel
-1/(x - z), both held as ints at one exponent (numerics.fixed), rounded
-once; the coarse 2hZ sums are slices of the same ints.
+hZ, x_k = k h; near the axis the lattice's closed-form pole term keeps it
+accurate.  The sums are built on the column densities alone: the dots
+T_(c,l) = sum_k k^l u_c(x_k) K_k of each column with the kernel
+K = 1/(x - z), both held as ints at one exponent (numerics.fixed), are
+exact, and a row polynomial p enters only through its coefficients, as
+h sum_l (p_l h^l) T_(c,l), summed exactly and rounded once.  The coarse
+2hZ sums are slices of the same ints.  Beyond the support the dots come
+from the Laurent series of the kernel, a single-level multipole expansion
+(Greengard-Rokhlin 1987) whose coefficients are exact lattice power sums.
 Verification is numeric throughout: jump residuals by boundary-offset
 extrapolation on a shared delta ladder, growth exponents by log-log slope
 fits along rays, determinant structure by off-axis sampling.
@@ -19,6 +24,8 @@ fits along rays, determinant structure by off-axis sampling.
 from __future__ import annotations
 
 import dataclasses
+import math
+from operator import mul
 
 from mpmath import mp
 from mpmath.libmp import mpf_add, mpf_div, mpf_mul
@@ -35,11 +42,12 @@ from .numerics import (
     Poly,
     PrecisionContext,
     determinant,
+    exact_dot,
     fixed,
     fixed_dot,
+    fixed_powers,
     linear_solve,
-    loglog_slope,
-    vmul_raw,
+    log_slope,
 )
 from .potentials import Potential, WeightTable, pi_polynomial
 from .quadrature import boundary_deltas, richardson_limit
@@ -89,16 +97,60 @@ def jump_matrix(table: WeightTable, x):
     return M
 
 
+class _Columns:
+    """One table version's column data for the Cauchy sums of a solution.
+
+    For each column c = 1 .. d, U_c = fixed(u_c) on the active nodes
+    (u_1 = exp(-2V), u_c = w_(c-2)) and the vectors U_c k^l, l <= L, as
+    exact ints at U_c's exponent (vecs), with k the lattice index of each
+    node (x_k = k h, ks) and L the largest row-polynomial degree.  For each
+    distinct row polynomial p, the coefficients p_l h^(l+1), held as ints
+    at one exponent (coeffs): a row polynomial enters the sums only
+    through them.  The power sums S_(c,m) = sum_k k^m U_(c,k) of the
+    Laurent branch are extended on demand (power_sums)."""
+
+    def __init__(self, table: WeightTable, polys, us):
+        self.version = table.version
+        k0 = int(mp.ldexp(table.axs[0], table.level))
+        self.ks = range(k0, k0 + len(table.axs))
+        self.L = max(p.degree for p in polys)
+        self.vecs = []
+        for u in us:
+            vec, exp = fixed([v._mpf_ for v in u])
+            pw = [vec]
+            for _ in range(self.L):
+                pw.append(list(map(mul, pw[-1], self.ks)))
+            self.vecs.append((pw, exp))
+        self.coeffs = {p: fixed([mp.ldexp(c, -table.level * (l + 1))._mpf_
+                                 for l, c in enumerate(p.coeffs)])
+                       for p in polys}
+        self._sums = [[sum(v) for v in pw] for pw, _ in self.vecs]
+        self._runs = [pw[-1] for pw, _ in self.vecs]
+
+    def power_sums(self, count):
+        """[S_(c,m) for m < count] for each column, exact ints; sums formed
+        once are kept with the running vectors k^m U_c, and later calls
+        extend them."""
+        for c, sums in enumerate(self._sums):
+            run = self._runs[c]
+            while len(sums) < count:
+                run = list(map(mul, run, self.ks))
+                sums.append(sum(run))
+            self._runs[c] = run
+        return self._sums
+
+
 class RHSolution:
     """Constructed solution: rows stored as complex combinations of real
     polynomials, evaluated via grid Cauchy transforms.
 
     Every Cauchy entry is a sum over the active nodes of the shared
-    lattice, with the product vectors of each (row polynomial, column)
-    cached for the table's current version only.  Far from the axis that
-    sum is the value; near it `_near_ladder` adds the lattice's pole term
-    per point and gives both boundary values along a delta ladder.
-    Nothing per point outlives the call.
+    lattice, formed from column data (_Columns) kept for the table's
+    current version only; a row polynomial enters only through its
+    coefficients.  Far from the axis that sum is the value, and beyond the
+    support it comes from a Laurent series; near the axis `_near_ladder`
+    adds the lattice's pole term per point and gives both boundary values
+    along a delta ladder.  Nothing per point outlives the call.
     """
 
     def __init__(self, problem: RHProblem, family: SkewFamily,
@@ -111,7 +163,7 @@ class RHSolution:
         self.alpha = alpha
         self.collapse_residual = collapse_residual
         self.ctx = ctx
-        self._far_fu = {}
+        self._cols = None
 
     # -- structure ---------------------------------------------------------
 
@@ -155,25 +207,20 @@ class RHSolution:
         return RHSolution(self.problem, self.family, self.table, terms,
                           self.alpha, self.collapse_residual, self.ctx)
 
-    # -- far-field evaluation ---------------------------------------------
+    # -- column data -------------------------------------------------------
 
-    def _far_fu_vec(self, poly: Poly, col: int):
-        """poly(x) * u_col(x) on the active nodes, held as ints at one
-        exponent (numerics.fixed), with u_1 = exp(-2V) and u_c = w_(c-2)
-        after it.  The first miss for a table version forms every row
-        polynomial's vectors, evaluating each polynomial and each density
-        once."""
-        t, key = self.table, (poly, col, self.table.version)
-        if key not in self._far_fu:
-            self._far_fu.clear()  # vectors of a grid the table replaced
-            us = [[u._mpf_ for u in (t.aew2 if c == 1 else t.w_values(c - 2))]
-                  for c in range(1, self.size)]
+    def _columns(self) -> "_Columns":
+        """The column data of the table's current version (_Columns),
+        formed on the first call for a version, each density read once;
+        what an earlier version held is dropped."""
+        t = self.table
+        if self._cols is None or self._cols.version != t.version:
             polys = {p for terms in self.row_terms for f, p in terms if f != 0}
-            for p in polys | {poly}:
-                pv = [p(x)._mpf_ for x in t.axs]
-                for c, u in enumerate(us, 1):
-                    self._far_fu[p, c, t.version] = fixed(vmul_raw(pv, u))
-        return self._far_fu[key]
+            us = [t.aew2] + [t.w_values(n) for n in range(self.d - 1)]
+            self._cols = _Columns(t, polys, us)
+        return self._cols
+
+    # -- far-field evaluation ---------------------------------------------
 
     @staticmethod
     def _kernels(offsets, deltas):
@@ -195,28 +242,79 @@ class RHSolution:
                 ki.append(mpf_div(d, den, prec, rnd))
             yield fixed(kr), fixed(ki)
 
-    def _sums(self, z, kernel, coarse=False):
+    def _dots(self, kernel, coarse=False):
+        """The column dots T_(c,l) = sum_k k^l U_(c,k) K_k, one exact
+        integer dot per column c, power l <= L and part of the kernel K (as
+        _kernels yields it): per column, the real and the imaginary parts,
+        each a held vector over l.  With coarse, the dots over the lattice
+        2hZ: every second node (acoarse), with k unchanged."""
+        s, step = (self.table.acoarse.start, 2) if coarse else (0, 1)
+        parts = [(mans[s::step], exp) for mans, exp in kernel]
+        out = []
+        for pw, exp in self._columns().vecs:
+            vs = [(v[s::step], exp) for v in pw]
+            out.append(tuple(([exact_dot(v, K)[0] for v in vs], exp + K[1])
+                             for K in parts))
+        return out
+
+    def _laurent(self, z):
+        """The column dots of _dots for K_k = 1/(x_k - z), from the Laurent
+        series of that kernel, for |z| beyond the active radius:
+            T_(c,l) = -sum_(n < M) h^n z^(-n-1) S_(c,l+n),
+        with S_(c,m) = sum_k k^m U_(c,k) exact power sums (_Columns).
+
+        Every active node has |x_k| <= active_radius = rho |z|, so the
+        terms n >= M of each node's series sum to at most
+        rho^M/(1 - rho)/|z|: the dropped tail of T_(c,l) is at most
+        rho^M/(1 - rho) times its L1 scale sum_k |k^l U_(c,k)|/|z|, and
+        that of a combined sum h sum_k p(x_k) u_c(x_k)/(x_k - z) at most
+        rho^M/(1 - rho) times h sum_k |p(x_k) u_c(x_k)|/|z|.  M is the
+        least count with rho^M/(1 - rho) < 2^-prec at the working
+        precision, plus one for the float rounding.
+
+        With A = 2^a the power of two above the largest |k|, the series
+        runs in w = A h/z, |w| < 2 rho: T_(c,l) = -(1/z) sum_n w^n
+        S_(c,l+n) A^-n.  The powers w^n are ints at 2^-fb
+        (numerics.fixed_powers), fb = prec + 2 bitlen(M): their
+        truncations add less than M^2 2^-fb <= 2^-prec of the combined
+        sum's L1 scale.
+        S_(c,l+n) A^-n and 1/z are held exactly, so each T_(c,l) is an
+        exact integer sum."""
+        t, cols = self.table, self._columns()
+        rho = float(t.active_radius / abs(z))
+        M = math.ceil((mp.prec - math.log2(1 - rho)) / -math.log2(rho)) + 1
+        top, fb = cols.L + M - 1, mp.prec + 2 * M.bit_length()
+        a = max(-cols.ks[0], cols.ks[-1]).bit_length()
+        wr, wi = fixed_powers(mp.ldexp(t.h, a) / z, M, fb)
+        zinv = 1 / z
+        (zr, zi), ez = fixed([zinv.real._mpf_, zinv.imag._mpf_])
+        out = []
+        for (_, exp), S in zip(cols.vecs, cols.power_sums(top + 1)):
+            # S_m A^(top - m), so that S_(l+n) A^-n = V_(l+n) A^(l - top)
+            V = [s << a * (top - m) for m, s in enumerate(S[:top + 1])]
+            re, im = [], []
+            for l in range(cols.L + 1):
+                # sum_n w^n S_(l+n) A^-n, brought to the exponent of l = 0
+                v = V[l:l + M], exp - a * top
+                br = exact_dot((wr, -fb), v)[0] << a * l
+                bi = exact_dot((wi, -fb), v)[0] << a * l
+                re.append(zi * bi - zr * br)
+                im.append(-zr * bi - zi * br)
+            e = ez - fb + exp - a * top
+            out.append(((re, e), (im, e)))
+        return out
+
+    def _sums(self, z, T, coarse=False):
         """{p: (p(z), sums)} for each distinct row polynomial p, with sums
         the lattice sums h sum_k p(x_k) u_c(x_k) K(x_k) for the columns
-        c = 1 .. d in turn, K the kernel (real and imaginary part, as
-        _kernels yields them).  With coarse, the same sums on the lattice
-        2hZ: every second node (acoarse), step 2h."""
-        t = self.table
-        s, step = (t.acoarse.start, 2) if coarse else (0, 1)
-        kr, ki = ((mans[s::step], exp) for mans, exp in kernel)
+        c = 1 .. d in turn, from the column dots T (_dots, _laurent):
+        h sum_l (p_l h^l) T_(c,l), one exact integer sum per part, rounded
+        once.  With coarse, T holds dots over 2hZ and the step is 2h."""
         out = {}
-        for terms in self.row_terms:
-            for factor, poly in terms:
-                if factor == 0 or poly in out:
-                    continue
-                cols = []
-                for c in range(1, self.size):
-                    mans, exp = self._far_fu_vec(poly, c)
-                    fu = mans[s::step], exp
-                    # mp.fdot of real against complex: one dot per part
-                    cols.append(step * t.h * mp.mpc(fixed_dot(fu, kr),
-                                                    fixed_dot(fu, ki)))
-                out[poly] = poly(z), cols
+        for p, (P, exp) in self._columns().coeffs.items():
+            held = P, exp + coarse
+            out[p] = p(z), [mp.mpc(fixed_dot(held, re), fixed_dot(held, im))
+                            for re, im in T]
         return out
 
     def _assemble(self, sums):
@@ -237,11 +335,15 @@ class RHSolution:
         return Y
 
     def _eval_far(self, z):
-        """Y(z) from the plain lattice sums: h sum_k f(x_k)/(x_k - z)."""
+        """Y(z) from the plain lattice sums h sum_k f(x_k)/(x_k - z): by
+        their Laurent series (_laurent) where rho = active_radius/|z| is
+        below 1/4, directly elsewhere."""
+        t = self.table
+        if 4 * t.active_radius < abs(z):
+            return self._assemble(self._sums(z, self._laurent(z)))
         x0 = mp.re(z)
-        kernel = next(self._kernels([x - x0 for x in self.table.axs],
-                                    (mp.im(z),)))
-        return self._assemble(self._sums(z, kernel))
+        kernel = next(self._kernels([x - x0 for x in t.axs], (mp.im(z),)))
+        return self._assemble(self._sums(z, self._dots(kernel)))
 
     # -- near-field evaluation --------------------------------------------
 
@@ -276,11 +378,12 @@ class RHSolution:
                 return {p: (pz, [v + pz * u * corr for v, u in zip(cols, us)])
                         for p, (pz, cols) in sums.items()}
 
-            upper = with_pole(self._sums(z, kernel), 1)
+            upper = with_pole(self._sums(z, self._dots(kernel)), 1)
             Yp = self._assemble(upper)
             Ym = self._assemble({p: (mp.conj(pz), [mp.conj(v) for v in cols])
                                  for p, (pz, cols) in upper.items()})
-            Yc = self._assemble(with_pole(self._sums(z, kernel, coarse=True), 2))
+            coarse = self._sums(z, self._dots(kernel, coarse=True), coarse=True)
+            Yc = self._assemble(with_pole(coarse, 2))
             scale = max(max(abs(v) for v in row) for row in Yp)
             gap = max(max(abs(a - b) for a, b in zip(ra, rb))
                       for ra, rb in zip(Yp, Yc))
@@ -484,7 +587,7 @@ def asymptotic_exponents(sol: RHSolution, theta, radii,
     table = sol.table
     with mp.workprec(table._prec):
         theta = mp.mpf(theta)
-        if mp.sin(theta) < mp.mpf('0.05'):
+        if abs(mp.sin(theta)) < mp.mpf('0.05'):
             raise ValueError("ray must stay away from the real axis")
         radii = [mp.mpf(r) for r in radii]
         if len(radii) < 2:
@@ -494,13 +597,14 @@ def asymptotic_exponents(sol: RHSolution, theta, radii,
         ray = mp.mpc(mp.cos(theta), mp.sin(theta))
         mags = [sol._eval_far(R * ray) for R in radii]
         floor = mp.mpf(2) ** (-sol.ctx.mantissa_bits // 2)
+        logs = [mp.log(R) for R in radii]
         n = sol.size
         out = [[None] * n for _ in range(n)]
         for r in range(n):
             for c in range(n):
                 vals = [abs(m[r][c]) for m in mags]
                 if min(vals) >= floor:
-                    out[r][c] = loglog_slope(radii, vals)
+                    out[r][c] = log_slope(logs, vals)
         return out
 
 

@@ -135,11 +135,14 @@ def test_zeros_writes_report_and_histogram(tmp_path):
 
 
 def test_rh_verify_report():
+    # a ray in the lower half-plane fits the same diagonal
     res = run_cli("rh-verify", "--potential", GAUSS, "--k", "1",
                   "--parity", "even", "--precision-bits", "128",
-                  "--format", "json")
+                  "--rays", "pi/3,2pi/3,-pi/3", "--format", "json")
     assert res.returncode == 0, res.stderr
     data = json.loads(res.stdout)
+    assert len(data["rays"]) == 3
+    assert mp.mpf(data["rays"][2]["theta"]) < 0
     for s in data["jump_residuals"]:
         assert mp.mpf(s) <= mp.mpf("1e-20")
     assert mp.mpf(data["det_residual"]) <= mp.mpf("1e-18")

@@ -23,8 +23,10 @@ from skewrh.numerics import (
     mat_identity,
     mat_inf_norm,
     mat_mul,
+    exact_dot,
+    log_slope,
+    loglog_slope,
     poly_derivative,
-    vmul_raw,
 )
 from skewrh.quadrature import boundary_deltas
 from skewrh.rhp import RHSolution
@@ -218,8 +220,6 @@ def test_raw_sums_dots_and_products_match_mpmath_bit_for_bit(prec):
             fa, fb, fc = (fixed(_bits(v)) for v in (A, B, C))
             assert fixed_dot(fa, fb)._mpf_ == mp.fdot(A, B)._mpf_
             assert fixed_dot(fa, ([1] * n, 0))._mpf_ == mp.fsum(A)._mpf_
-            assert vmul_raw(_bits(A), _bits(B)) == \
-                _bits([a * b for a, b in zip(A, B)])
             if n:
                 # real times complex: one real dot per part
                 Z = [mp.mpc(b, c) for b, c in zip(B, C)]
@@ -280,6 +280,12 @@ def test_fixed_dot_is_fdot_in_its_window_and_bounded_past_it(case):
                                ((a[0][start::2], a[1]), (b[0][start::2], b[1]),
                                 A[start::2], B[start::2])):
             got = fixed_dot(sa, sb)
+            # exact_dot is the held dot before that one rounding, exactly
+            man, exp = exact_dot(sa, sb)
+            held = sum((Fraction(x) * Fraction(y) for x, y in zip(sa[0], sb[0])),
+                       Fraction(0)) * Fraction(2) ** (sa[1] + sb[1])
+            assert Fraction(man) * Fraction(2) ** exp == held
+            assert got == fixed_round(man, exp)
             want = mp.fdot([mp.make_mpf(x) for x in SA],
                            [mp.make_mpf(x) for x in SB])
             exps = [x[2] + y[2] for x, y in zip(SA, SB) if x[1] and y[1]]
@@ -345,3 +351,17 @@ def test_batched_near_kernels_match_per_delta_formula(prec):
             den = [a * a + delta * delta for a in offsets]
             assert kr == fixed(_bits([a / d for a, d in zip(offsets, den)]))
             assert ki == fixed(_bits([delta / d for d in den]))
+
+
+@pytest.mark.parametrize("prec", RAW_PRECS)
+def test_log_slope_is_loglog_slope_bit_for_bit(prec):
+    # log_slope takes the logs of the abscissae once for many fits; the
+    # slopes keep loglog_slope's bits
+    rng = random.Random(9009 + prec)
+    with mp.workprec(prec):
+        xs = [mp.mpf(100) * mp.mpf(10) ** (mp.mpf(i) / 2) for i in range(5)]
+        logs = [mp.log(x) for x in xs]
+        for _ in range(20):
+            ys = [abs(v) * 2 ** rng.randint(-40, 40)
+                  for v in _random_reals(rng, 5, zeros=False)]
+            assert log_slope(logs, ys)._mpf_ == loglog_slope(xs, ys)._mpf_

@@ -5,7 +5,7 @@ import pytest
 from mpmath import mp
 
 from skewrh.errors import MomentRangeExceeded, QuadratureFailure, UnsupportedRegime
-from skewrh.numerics import Poly, PrecisionContext
+from skewrh.numerics import Poly, PrecisionContext, loglog_slope
 from skewrh import rhp
 from skewrh.potentials import Potential, WeightTable, get_weight_table
 from skewrh.rhp import (
@@ -150,25 +150,30 @@ def test_near_axis_gap_failure_leaves_table(sol_gauss, ctx, monkeypatch):
     assert (table.level, table.version) == (level, version)
 
 
-def test_product_vectors_kept_for_current_table_only(sol_gauss, gauss, ctx):
+def test_column_vectors_kept_for_current_table_only(sol_gauss, gauss, ctx):
     table = WeightTable(gauss, ctx, i_max=sol_gauss.table.i_max,
                         w_max=sol_gauss.table.w_max)
     sol = RHSolution(sol_gauss.problem, sol_gauss.family, table,
                      sol_gauss.row_terms, sol_gauss.alpha,
                      sol_gauss.collapse_residual, ctx)
-    z = mp.mpc("0.5", "3")
-    before = sol.evaluate(z)
-    count = len(sol._far_fu)
+    # a direct point and a Laurent point (|z| > 4 active_radius)
+    zs = (mp.mpc("0.5", "3"), mp.mpc("30", "200"))
+    before = [sol.evaluate(z) for z in zs]
+    cols = sol._cols
+    assert cols.version == table.version
     table.ensure_ranges(i_max=table.i_max + 6)
-    after = sol.evaluate(z)
-    assert all(key[2] == table.version for key in sol._far_fu)
-    assert len(sol._far_fu) == count
+    after = [sol.evaluate(z) for z in zs]
+    # one version held, the current one, and only the new data
+    assert sol._cols is not cols and sol._cols.version == table.version
+    assert len(sol._cols.vecs) == sol.d
     # the wider grid agrees within quad_tol
-    assert abs(after[0][1] - before[0][1]) <= mp.mpf("1e-30") * abs(before[0][1])
+    for b, a in zip(before, after):
+        assert abs(a[0][1] - b[0][1]) <= mp.mpf("1e-30") * abs(b[0][1])
 
 
-def test_product_vectors_read_each_density_once(sol_sextic, ctx, monkeypatch):
-    # 7 row polynomials times 6 columns; each w column is formed once
+def test_column_vectors_read_each_density_once(sol_sextic, ctx, monkeypatch):
+    # 6 columns of 7 vectors U_c k^l, l <= 6 = deg p_6, whichever points
+    # are visited: direct, Laurent and near-axis ones
     table = sol_sextic.table
     sol = RHSolution(sol_sextic.problem, sol_sextic.family, table,
                      sol_sextic.row_terms, sol_sextic.alpha,
@@ -177,29 +182,106 @@ def test_product_vectors_read_each_density_once(sol_sextic, ctx, monkeypatch):
     w_values = table.w_values
     monkeypatch.setattr(table, "w_values",
                         lambda n: calls.append(n) or w_values(n))
-    sol.evaluate(mp.mpc("0.3", "2"))
+    for z in (mp.mpc("0.3", "2"), mp.mpc("-20", "40"), mp.mpc("0.3", "0.01")):
+        sol.evaluate(z)
     assert sorted(calls) == list(range(sol.d - 1))
-    assert len(sol._far_fu) == 7 * 6
+    assert sol._cols.L == 6
+    assert [len(pw) for pw, _ in sol._cols.vecs] == [7] * 6
+    assert len(sol._cols.coeffs) == 7
 
 
-def test_far_sums_once_per_distinct_row_polynomial(quartic, ctx, monkeypatch):
+def test_column_dots_fixed_per_point(quartic, ctx, monkeypatch):
     # with every gauge parameter nonzero, p_2k sits in all d+1 rows beside
-    # p_(2k+1) and c_1 .. c_d: d+2 distinct polynomials, each with d
-    # columns of two real dots (d = 4: 48 dots, not 80)
+    # p_(2k+1) and c_1 .. c_d: d+2 distinct polynomials.  A point takes
+    # 2 d (L+1) exact column dots, L = 2k+1, directly or by the Laurent
+    # series, and one rounding per polynomial, column and part
     sol = build_odd(quartic, 2, ("0.3", "1.5", "-0.4", "0.25", "0.5"), ctx)
-    d = sol.d
+    d, L = sol.d, 2 * sol.k + 1
     assert all(len(terms) == 2 and terms[1][0] != 0 for terms in sol.row_terms)
-    z = mp.mpc("0.5", "3")
-    before = sol._eval_far(z)
-    calls = []
-    fixed_dot = rhp.fixed_dot
-    monkeypatch.setattr(rhp, "fixed_dot",
-                        lambda a, b: calls.append(1) or fixed_dot(a, b))
-    for point in (z, mp.mpc("-4", "2")):
-        calls.clear()
-        sol._eval_far(point)
-        assert len(calls) == 2 * (d + 2) * d
-    assert sol._eval_far(z) == before
+    points = (mp.mpc("0.5", "3"), mp.mpc("-4", "2"), mp.mpc("50", "120"))
+    before = [sol._eval_far(z) for z in points]
+    dots, rounds = [], []
+    for name, calls in (("exact_dot", dots), ("fixed_dot", rounds)):
+        f = getattr(rhp, name)
+        monkeypatch.setattr(rhp, name,
+                            lambda a, b, f=f, calls=calls: calls.append(1) or f(a, b))
+    for z, Y in zip(points, before):
+        dots.clear()
+        rounds.clear()
+        assert sol._eval_far(z) == Y
+        assert len(dots) == 2 * d * (L + 1)
+        assert len(rounds) == 2 * d * (d + 2)
+
+
+def _direct_far(sol, z):
+    """Y(z) from the direct lattice sums, whatever |z| is."""
+    kernel = next(sol._kernels([x - mp.re(z) for x in sol.table.axs],
+                               (mp.im(z),)))
+    return sol._assemble(sol._sums(z, sol._dots(kernel)))
+
+
+def _max_gap(A, B):
+    return max(abs(a - b) for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+
+
+def test_laurent_branch_against_direct_sum(sol_gauss, sol_gauss_odd,
+                                           sol_sextic, quartic, ctx):
+    # the Laurent series of the kernel reproduces the direct lattice sums
+    # within 1e-70 relative on both sides of the switch rho = 1/4, where
+    # rho = active_radius/|z|; _eval_far takes it below the switch only
+    sextic = sol_sextic.problem.potential
+    gauge = ("0.3", "1.5", "-0.4", "0.25", "0.5", "-0.7", "0.2")
+    sols = [sol_gauss, sol_gauss_odd, build_even(quartic, 2, ctx),
+            build_odd(quartic, 2, gauge[:5], ctx), sol_sextic,
+            build_odd(sextic, 3, gauge, ctx)]
+    for sol in sols:
+        with mp.workprec(sol.table._prec):
+            r = sol.table.active_radius
+            for rho, theta in (("0.3", "0.4"), ("0.26", "2.9"), ("0.24", "-0.5"),
+                               ("0.1", "1.9"), ("0.001", "-2")):
+                z = r / mp.mpf(rho) * mp.expj(mp.mpf(theta))
+                direct = _direct_far(sol, z)
+                laurent = sol._assemble(sol._sums(z, sol._laurent(z)))
+                scale = max(1, max(abs(v) for row in direct for v in row))
+                gap = _max_gap(direct, laurent)
+                assert gap <= mp.mpf("1e-70") * scale, (sol, rho, gap)
+                far = sol._eval_far(z)
+                assert far == (laurent if mp.mpf(rho) < 0.25 else direct)
+
+
+def test_column_combination_against_independent_sum(sol_gauss, quartic, ctx):
+    # h sum_l (p_l h^l) T_(c,l) against h sum_k p(x_k) u_c(x_k)/(x_k - z)
+    # at twice the precision, for every distinct row polynomial and column:
+    # direct points (one near the axis, also on the coarse lattice 2hZ)
+    # and a Laurent one, within 2^-(prec - 8) of the sum's L1 scale
+    sol_q = build_odd(quartic, 2, ("0.3", "1.5", "-0.4", "0.25", "0.5"), ctx)
+    for sol in (sol_gauss, sol_q):
+        t = sol.table
+        with mp.workprec(t._prec):
+            us = [t.aew2] + [t.w_values(n) for n in range(sol.d - 1)]
+            polys = list(sol._columns().coeffs)
+            r = t.active_radius
+            for z, how in ((mp.mpc("0.5", "3"), "direct"),
+                           (mp.mpc("0.37", "0.01"), "direct"),
+                           (mp.mpc("0.37", "0.01"), "coarse"),
+                           (10 * r * mp.expj(1), "laurent")):
+                if how == "laurent":
+                    T = sol._laurent(z)
+                else:
+                    kernel = next(sol._kernels([x - mp.re(z) for x in t.axs],
+                                               (mp.im(z),)))
+                    T = sol._dots(kernel, coarse=how == "coarse")
+                got = sol._sums(z, T, coarse=how == "coarse")
+                s, step = (t.acoarse.start, 2) if how == "coarse" else (0, 1)
+                tol = mp.mpf(2) ** -(t._prec - 8)
+                with mp.workprec(2 * t._prec):
+                    for p in polys:
+                        for c, u in enumerate(us):
+                            terms = [p(x) * v / (x - z) for x, v in
+                                     zip(t.axs[s::step], u[s::step])]
+                            ref = step * t.h * mp.fsum(terms)
+                            l1 = step * t.h * mp.fsum(abs(v) for v in terms)
+                            assert abs(got[p][1][c] - ref) <= tol * l1, (how, c)
 
 
 def test_jump_residual_odd(sol_gauss_odd, ctx):
@@ -261,14 +343,46 @@ def test_asymptotic_exponent_fit(sol_gauss, ctx):
 
 
 def test_asymptotic_exponents_validation(sol_gauss, ctx):
-    with pytest.raises(ValueError):
-        asymptotic_exponents(sol_gauss, mp.mpf("0.01"),
-                             [mp.mpf(2000), mp.mpf(20000)], ctx)
+    for theta in ("0.01", "-0.01"):
+        with pytest.raises(ValueError, match="real axis"):
+            asymptotic_exponents(sol_gauss, mp.mpf(theta),
+                                 [mp.mpf(2000), mp.mpf(20000)], ctx)
     with pytest.raises(ValueError):
         asymptotic_exponents(sol_gauss, 2 * mp.pi / 3, [mp.mpf(2000)], ctx)
     with pytest.raises(ValueError):
         asymptotic_exponents(sol_gauss, 2 * mp.pi / 3,
                              [mp.mpf(1), mp.mpf(10)], ctx)
+
+
+def test_asymptotic_exponents_in_the_lower_half_plane(quartic, ctx):
+    # a ray below the axis fits the same diagonal as criterion 07's rays
+    sol = build_even(quartic, 2, ctx)
+    expect = sol.expected_exponents()
+    radii = [mp.mpf(100) * mp.mpf(10) ** (mp.mpf(i) / 2) for i in range(5)]
+    fit = asymptotic_exponents(sol, -mp.pi / 3, radii, ctx)
+    for r in range(sol.size):
+        assert abs(fit[r][r] - expect[r]) <= mp.mpf("0.1"), (r, fit[r][r])
+
+
+def test_asymptotic_exponents_take_the_logs_once(sol_gauss_odd, ctx):
+    # the logs of the radii are taken once per call; every slope keeps the
+    # bits of loglog_slope over the same magnitudes
+    sol = sol_gauss_odd
+    radii = [mp.mpf(2000), mp.mpf(5000), mp.mpf(20000)]
+    fit = asymptotic_exponents(sol, 2 * mp.pi / 3, radii, ctx)
+    with mp.workprec(sol.table._prec):
+        theta = mp.mpf(2 * mp.pi / 3)
+        ray = mp.mpc(mp.cos(theta), mp.sin(theta))
+        mags = [sol._eval_far(mp.mpf(R) * ray) for R in radii]
+        fitted = 0
+        for r in range(sol.size):
+            for c in range(sol.size):
+                if fit[r][c] is None:
+                    continue
+                vals = [abs(m[r][c]) for m in mags]
+                assert fit[r][c]._mpf_ == loglog_slope(radii, vals)._mpf_
+                fitted += 1
+    assert fitted >= sol.size
 
 
 def test_gauge_freedom_spans_p2k(gauss, ctx):

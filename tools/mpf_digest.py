@@ -23,6 +23,10 @@ values (`_mpf_` / `_mpc_`: sign, mantissa, exponent, bit count) of
             points, det_residual over them, and asymptotic_exponents on
             the ray at angle 0.3 pi through radii 1e3, 1e4 and 1e5; its
             gauge multiples of p_4 sit in every row
+  laurent   the far field beyond the support, where it comes from the
+            Laurent series: Y(R e^(i pi/3)) on the quartic solution at
+            criterion 07's five radii R (10^2 .. 10^4), and
+            asymptotic_exponents on that ray through them
   matrix18  the beta = 1 skew moment matrix of x^2/2 + x^4 at n = 18 and
             its table's level: the matrix behind the README `polys` and
             `gram` examples, whose pairings take the table one level finer
@@ -121,6 +125,14 @@ def parts():
         theta = mp.mpf("0.3") * mp.pi
     yield "oddfar", ([so.evaluate(z) for z in far], det_residual(so, far, ctx),
                      asymptotic_exponents(so, theta, radii, ctx))
+
+    with mp.workprec(ctx.mantissa_bits):
+        lo = max(mp.mpf(100), 10 * sq.table.base_radius * mp.mpf("1.001"))
+        ratio = (mp.mpf(10000) / lo) ** (mp.mpf(1) / 4)
+        radii = [lo * ratio ** i for i in range(5)]
+        ray = mp.expj(mp.pi / 3)
+    yield "laurent", ([sq.evaluate(R * ray) for R in radii],
+                      asymptotic_exponents(sq, mp.pi / 3, radii, ctx))
 
     matrix = build_skew_moment_matrix(quartic, 1, 18, ctx)
     yield "matrix18", (matrix.table.level, matrix.rows)
