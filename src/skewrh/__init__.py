@@ -20,9 +20,7 @@ from .errors import (
     UnsupportedRegime,
 )
 from .moments import (
-    HankelMatrix,
     SkewMomentMatrix,
-    build_hankel_matrix,
     build_skew_moment_matrix,
     inner_2,
     skew_inner,
@@ -46,7 +44,6 @@ from .rhp import (
 from .skewalg import (
     SkewFamily,
     gram_residual,
-    orthogonal_family,
     pfaffian,
     pfaffian_polynomials,
     skew_eliminate,
@@ -66,7 +63,6 @@ __all__ = [
     "CPoly",
     "DEFAULT_CONTEXT",
     "DegenerateInnerProduct",
-    "HankelMatrix",
     "Histogram",
     "IntegrabilityError",
     "LaxL",
@@ -89,7 +85,6 @@ __all__ = [
     "asymptotic_exponents",
     "build",
     "build_even",
-    "build_hankel_matrix",
     "build_lax",
     "build_odd",
     "build_skew_moment_matrix",
@@ -103,7 +98,6 @@ __all__ = [
     "interlacing",
     "jump_residual",
     "lattice_rhs",
-    "orthogonal_family",
     "pfaffian",
     "pfaffian_polynomials",
     "pi_polynomial",

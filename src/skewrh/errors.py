@@ -10,7 +10,9 @@ class SingularSystem(SkewRHError):
 
 
 class QuadratureFailure(SkewRHError):
-    """An adaptive quadrature did not reach the requested tolerance."""
+    """A lattice rule did not reach quad_tol: the tail bound for the
+    truncation radius, the weight table's fine/coarse moment or pairing
+    check, or the near-axis check against the coarse half-lattice."""
 
 
 class IntegrabilityError(SkewRHError):

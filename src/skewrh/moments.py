@@ -1,4 +1,4 @@
-"""Skew moment matrices, Hankel matrices, and the three inner products.
+"""Skew moment matrices and the three inner products.
 
 The beta = 1 entries <x^i, y^j>_1 = int x^i w_j(x) dx are read from a
 WeightTable, which forms and checks them when it picks its grid level, as
@@ -29,25 +29,6 @@ class SkewMomentMatrix:
     potential: Potential
     # the weight table the entries came from, grown to the ranges they need
     table: WeightTable = dataclasses.field(compare=False, repr=False)
-
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
-
-    def as_lists(self):
-        return [list(r) for r in self.rows]
-
-
-@dataclasses.dataclass(frozen=True)
-class HankelMatrix:
-    """Symmetric moment matrix H_ij = m_{i+j} for the weight exp(-V)."""
-
-    n: int
-    rows: tuple
-    potential: Potential
 
     def entry(self, i: int, j: int):
         return self.rows[i][j]
@@ -95,18 +76,6 @@ def build_skew_moment_matrix(V: Potential, beta: int, n: int,
     return SkewMomentMatrix(beta=beta, n=n,
                             rows=tuple(tuple(r) for r in rows), potential=V,
                             table=table)
-
-
-def build_hankel_matrix(V: Potential, n: int,
-                        ctx: PrecisionContext = DEFAULT_CONTEXT,
-                        table: WeightTable = None) -> HankelMatrix:
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if table is None:
-        table = get_weight_table(V, ctx, i_max=max(2 * n - 2, 4))
-    table.ensure_ranges(i_max=max(2 * n - 2, 2))
-    rows = [[table.moment(i + j) for j in range(n)] for i in range(n)]
-    return HankelMatrix(n=n, rows=tuple(tuple(r) for r in rows), potential=V)
 
 
 def _degree_guard(f: Poly, g: Poly, limit: int, what: str):

@@ -25,9 +25,10 @@ from .errors import SingularSystem
 class PrecisionContext:
     """Immutable bundle of mantissa width and the two tolerance knobs.
 
-    quad_tol drives adaptive quadrature termination; verify_tol is the
-    looser bound used when checking identities that stack several
-    quadrature results.
+    quad_tol bounds the weight table's fine/coarse lattice checks of its
+    moments and pairings, its truncation cut, and the near-axis check of
+    a lattice against its coarse half; verify_tol is the looser bound
+    used when checking identities that stack several such results.
     """
 
     mantissa_bits: int = 256

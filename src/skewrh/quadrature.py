@@ -1,58 +1,16 @@
-"""Quadrature nodes and rules, and boundary-limit extrapolation.
+"""Boundary-limit extrapolation, and tanh-sinh nodes kept for the bench.
 
-The weight tables' master grid is a uniform lattice, and their half-line
-integrals come from a Taylor series, both in `potentials`; no table uses
-the nodes here.  integrate_line runs tanh-sinh or composite
-Gauss-Legendre adaptively and apart from the tables: the tests use it as
-the reference for table moments and pairings.
+boundary_deltas and richardson_limit take the boundary values of Cauchy
+transforms to delta -> 0 (rhp.jump_residual).  No pipeline code
+integrates with the nodes here: the weight tables' master grid is a
+uniform lattice, and their half-line integrals come from a Taylor
+series, both in `potentials`.  ts_halfline_nodes and ts_mapped_level
+stay only because bench/workloads.py imports ts_mapped_level and times
+it; tests take their reference rules from mpmath.
 """
 from __future__ import annotations
 
-import dataclasses
-
 from mpmath import mp
-
-from .errors import QuadratureFailure
-
-_RULES = ("tanh-sinh", "gauss-legendre")
-
-
-@dataclasses.dataclass(frozen=True)
-class QuadraturePlan:
-    """Immutable description of how to integrate against one weight family.
-
-    radius: half-width of the truncated support [-R, R]; chosen so the
-    worst integrand's tail undershoots the tolerance with margin.
-    """
-
-    radius: object
-    target_tol: object
-    prec: int = 256
-    rule: str = "tanh-sinh"
-    min_level: int = 4
-    max_level: int = 11
-    gl_order: int = 32
-    gl_max_doublings: int = 9
-
-    def __post_init__(self):
-        if self.rule not in _RULES:
-            raise ValueError(f"unknown rule {self.rule!r}")
-        if not float(self.radius) > 0:
-            raise ValueError("radius must be positive")
-        if not float(self.target_tol) > 0:
-            raise ValueError("target_tol must be positive")
-
-    def with_rule(self, rule: str) -> "QuadraturePlan":
-        return dataclasses.replace(self, rule=rule)
-
-    @property
-    def tol(self):
-        return mp.mpf(self.target_tol)
-
-    @property
-    def R(self):
-        return mp.mpf(self.radius)
-
 
 # ---------------------------------------------------------------------------
 # tanh-sinh nodes
@@ -120,126 +78,6 @@ def ts_mapped_level(a, b, prec: int, level: int):
             xs.append(c - r * x)
             ws.append(wm)
     return xs, ws
-
-
-def _ts_integrate(f, a, b, plan: QuadraturePlan):
-    a, b = mp.mpf(a), mp.mpf(b)
-    if a == b:
-        return mp.mpf(0)
-    tol = plan.tol
-    cache = {}
-
-    def level_sum(level):
-        xs, ws = ts_mapped_level(a, b, plan.prec, level)
-        terms = []
-        sabs = []
-        for x, w in zip(xs, ws):
-            v = cache.get(x)
-            if v is None:
-                v = f(x)
-                cache[x] = v
-            terms.append(w * v)
-            sabs.append(w * abs(v))
-        return mp.fsum(terms), mp.fsum(sabs)
-
-    prev = None
-    for level in range(plan.min_level, plan.max_level + 1):
-        cur, sabs = level_sum(level)
-        if prev is not None:
-            # floor at the absolute-term mass: totals that cancel to
-            # round-off can never meet a tol*tol*sabs demand
-            scale = max(abs(cur), sabs)
-            if abs(cur - prev) <= tol * scale:
-                return cur
-        prev = cur
-    raise QuadratureFailure(
-        f"tanh-sinh did not stabilize to {tol} by level {plan.max_level}"
-    )
-
-
-# ---------------------------------------------------------------------------
-# Gauss-Legendre nodes (Newton on the Legendre recurrence)
-
-_GL_CACHE = {}
-
-
-def _legendre_pair(n: int, x):
-    """(P_n(x), P_{n-1}(x)) by the three-term recurrence."""
-    p0, p1 = mp.mpf(1), x
-    for k in range(2, n + 1):
-        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-    return p1, p0
-
-
-def legendre_nodes(n: int, prec: int):
-    """Gauss-Legendre nodes and weights on [-1, 1] at the given precision."""
-    key = (n, prec)
-    if key in _GL_CACHE:
-        return _GL_CACHE[key]
-    with mp.workprec(prec + 24):
-        eps = mp.mpf(2) ** (-(prec + 8))
-        xs = [mp.mpf(0)] * n
-        ws = [mp.mpf(0)] * n
-        import math
-        for k in range(n // 2 + n % 2):
-            x = mp.mpf(math.cos(math.pi * (k + 0.75) / (n + 0.5)))
-            for _ in range(100):
-                pn, pnm1 = _legendre_pair(n, x)
-                dp = n * (x * pn - pnm1) / (x * x - 1)
-                dx = pn / dp
-                x = x - dx
-                if abs(dx) < eps:
-                    break
-            pn, pnm1 = _legendre_pair(n, x)
-            dp = n * (x * pn - pnm1) / (x * x - 1)
-            w = 2 / ((1 - x * x) * dp * dp)
-            xs[k], ws[k] = -x, w
-            xs[n - 1 - k], ws[n - 1 - k] = x, w
-    _GL_CACHE[key] = (xs, ws)
-    return xs, ws
-
-
-def gl_panel(f, a, b, order: int, prec: int):
-    """Single Gauss-Legendre panel over [a, b]."""
-    xs, ws = legendre_nodes(order, prec)
-    c, r = (a + b) / 2, (b - a) / 2
-    return r * mp.fdot(ws, [f(c + r * x) for x in xs])
-
-
-def _gl_integrate(f, a, b, plan: QuadraturePlan):
-    a, b = mp.mpf(a), mp.mpf(b)
-    if a == b:
-        return mp.mpf(0)
-    tol = plan.tol
-    width = abs(b - a)
-    panels = max(4, min(64, int(mp.ceil(width / 2))))
-    prev = None
-    for _ in range(plan.gl_max_doublings + 1):
-        hstep = (b - a) / panels
-        parts = []
-        sabs = []
-        for i in range(panels):
-            u = a + i * hstep
-            v = gl_panel(f, u, u + hstep, plan.gl_order, plan.prec)
-            parts.append(v)
-            sabs.append(abs(v))
-        cur = mp.fsum(parts)
-        if prev is not None:
-            scale = max(abs(cur), mp.fsum(sabs))
-            if abs(cur - prev) <= tol * scale:
-                return cur
-        prev = cur
-        panels *= 2
-    raise QuadratureFailure(
-        f"composite Gauss-Legendre did not stabilize to {tol}"
-    )
-
-
-def integrate_line(f, plan: QuadraturePlan):
-    """Integral of f over the truncated support [-R, R]."""
-    integrate = _ts_integrate if plan.rule == "tanh-sinh" else _gl_integrate
-    with mp.workprec(plan.prec):
-        return integrate(f, -plan.R, plan.R, plan)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ from mpmath import mp
 
 from .errors import DegenerateInnerProduct
 from .numerics import DEFAULT_CONTEXT, Poly, PrecisionContext, mat_inf_norm
-from .moments import (HankelMatrix, SkewMomentMatrix, build_hankel_matrix,
-                      build_skew_moment_matrix, skew_inner)
+from .moments import SkewMomentMatrix, build_skew_moment_matrix, skew_inner
 from .potentials import Potential, WeightTable
 
 
@@ -245,46 +244,6 @@ def pfaffian_polynomials(M: SkewMomentMatrix, j: int,
             codd[t] = (-1) ** pos * pfaffian(minor, ctx)
         p_odd = Poly(codd).monic()
     return p_even, p_odd
-
-
-def orthogonal_family(V: Potential, n_max: int,
-                      ctx: PrecisionContext = DEFAULT_CONTEXT,
-                      hankel: HankelMatrix = None):
-    """Monic orthogonal polynomials P_0..P_n_max for the weight exp(-V).
-
-    Built from the Cholesky factor of the Hankel moment matrix; the j-th
-    coefficient vector is the scaled j-th column of the inverse factor.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if hankel is None:
-        hankel = build_hankel_matrix(V, n_max + 1, ctx)
-    n = n_max + 1
-    with ctx.workprec():
-        H = hankel.rows
-        R = [[mp.mpf(0)] * n for _ in range(n)]
-        for i in range(n):
-            s = H[i][i] - mp.fsum(R[k][i] ** 2 for k in range(i))
-            if not s > 0:
-                raise DegenerateInnerProduct(
-                    f"Hankel matrix not positive definite at index {i}")
-            R[i][i] = mp.sqrt(s)
-            for c in range(i + 1, n):
-                t = H[i][c] - mp.fsum(R[k][i] * R[k][c] for k in range(i))
-                R[i][c] = t / R[i][i]
-        # invert the upper-triangular factor column by column
-        Rinv = [[mp.mpf(0)] * n for _ in range(n)]
-        for c in range(n):
-            Rinv[c][c] = 1 / R[c][c]
-            for r in range(c - 1, -1, -1):
-                s = mp.fdot([R[r][k] for k in range(r + 1, c + 1)],
-                            [Rinv[k][c] for k in range(r + 1, c + 1)])
-                Rinv[r][c] = -s / R[r][r]
-        polys = []
-        for jdx in range(n):
-            coeffs = [R[jdx][jdx] * Rinv[i][jdx] for i in range(jdx + 1)]
-            polys.append(Poly(coeffs))
-    return polys
 
 
 def gram_residual(family: SkewFamily, ctx: PrecisionContext = DEFAULT_CONTEXT):

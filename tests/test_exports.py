@@ -1,6 +1,7 @@
 """The public names, and the names the benchmark under bench/ imports."""
 
 import importlib
+import inspect
 
 import skewrh
 
@@ -18,6 +19,11 @@ BENCH_MODULE_ATTRS = (
 )
 # bench/layers.py and bench/workloads.py: weight-table attributes
 BENCH_TABLE_ATTRS = ("xs", "axs", "level", "base_radius")
+# the beta = 2 API and the package's own adaptive reference rules, removed
+REMOVED = (
+    "HankelMatrix", "build_hankel_matrix", "orthogonal_family",
+    "QuadraturePlan", "integrate_line", "legendre_nodes", "gl_panel",
+)
 
 
 def test_all_names_resolve():
@@ -33,3 +39,18 @@ def test_bench_imports_resolve():
     assert isinstance(skewrh.potentials._TABLE_REGISTRY, dict)
     table = skewrh.WeightTable(skewrh.Potential.parse("0,0,0.5"))
     assert [a for a in BENCH_TABLE_ATTRS if not hasattr(table, a)] == []
+
+
+def test_quadrature_surface():
+    module = skewrh.quadrature
+    public = {name for name, f in inspect.getmembers(module, inspect.isfunction)
+              if f.__module__ == module.__name__ and not name.startswith("_")}
+    assert public == {"ts_halfline_nodes", "ts_mapped_level",
+                      "boundary_deltas", "richardson_limit"}
+
+
+def test_removed_names_are_gone():
+    modules = (skewrh, skewrh.quadrature, skewrh.moments, skewrh.skewalg)
+    assert [n for n in REMOVED if n in skewrh.__all__] == []
+    assert [(m.__name__, n) for m in modules for n in REMOVED
+            if hasattr(m, n)] == []

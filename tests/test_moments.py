@@ -4,21 +4,18 @@ import random
 
 import pytest
 from mpmath import mp
+from mpmath.calculus.quadrature import GaussLegendre
 
 from skewrh.errors import MomentRangeExceeded, QuadratureFailure
 from skewrh.moments import (
-    HankelMatrix,
-    SkewMomentMatrix,
-    build_hankel_matrix,
     build_skew_moment_matrix,
     inner_2,
     skew_inner,
     skew_inner_1,
     skew_inner_4,
 )
-from skewrh.numerics import Poly, determinant, poly_derivative
+from skewrh.numerics import Poly, poly_derivative
 from skewrh.potentials import WeightTable, get_weight_table, truncation_radius
-from skewrh.quadrature import legendre_nodes
 
 
 def _monomial(j):
@@ -35,6 +32,13 @@ def quartic_matrix(quartic, ctx):
     return build_skew_moment_matrix(quartic, 1, 8, ctx)
 
 
+def _legendre_rule(degree):
+    """mpmath's Gauss-Legendre rule of 3*2^(degree-1) nodes on [-1, 1], at
+    the working precision, as (nodes, weights) sorted by node."""
+    pairs = sorted(GaussLegendre(mp).calc_nodes(degree, mp.prec))
+    return [x for x, _ in pairs], [w for _, w in pairs]
+
+
 def corner_oracle(V, size):
     """Direct two-dimensional tensor quadrature of the ordered kernel:
     M_ij = double integral of x^i y^j sgn(x-y) e^{-V(x)-V(y)}.
@@ -47,8 +51,8 @@ def corner_oracle(V, size):
     base, _ = truncation_radius(V, 2 * size + 2, mp.mpf("1e-36"))
     R = base
     npan = int(mp.ceil(2 * R))
-    on, ow = legendre_nodes(48, mp.prec)
-    sn, sw = legendre_nodes(24, mp.prec)
+    on, ow = _legendre_rule(5)  # 48 nodes
+    sn, sw = _legendre_rule(4)  # 24 nodes
     xs, wts = [], []
     for p in range(npan):
         a = -R + 2 * R * mp.mpf(p) / npan
@@ -133,12 +137,10 @@ def test_corner_against_tensor_quadrature(gauss, quartic, ctx,
 
 def test_entries_against_independent_rule(gauss, ctx, gauss_matrix,
                                          w_function):
-    # recompute a handful of entries by integrating x^i w_j directly on
-    # the cross-check rule
-    from skewrh.quadrature import QuadraturePlan, integrate_line
+    # recompute a handful of entries by integrating x^i w_j directly with
+    # mpmath's Gauss-Legendre rule over 8 equal panels of [-2R, 2R]
     base, _ = truncation_radius(gauss, 12, ctx.quad_tol)
-    plan = QuadraturePlan(radius=2 * base, target_tol=mp.mpf("1e-26"),
-                          prec=288, rule="gauss-legendre")
+    pts = [-2 * base + base * p / 2 for p in range(9)]
     rng = random.Random(5005)
     pairs = set()
     while len(pairs) < 5:
@@ -147,8 +149,9 @@ def test_entries_against_independent_rule(gauss, ctx, gauss_matrix,
         if i != j:
             pairs.add((i, j))
     for i, j in sorted(pairs):
-        direct = integrate_line(
-            lambda x: x ** i * w_function(gauss, j, x, ctx), plan)
+        with mp.workprec(288):
+            direct = mp.quad(lambda x: x ** i * w_function(gauss, j, x, ctx),
+                             pts, method="gauss-legendre")
         dev = abs(gauss_matrix.entry(i, j) - direct)
         assert dev <= mp.mpf("1e-24") * max(1, abs(direct)), (i, j, dev)
 
@@ -200,21 +203,6 @@ def test_skew_inner_dispatch(gauss, ctx, gauss_matrix):
     assert skew_inner(one, x, 4, table) == skew_inner_4(one, x, table)
     with pytest.raises(ValueError):
         skew_inner(one, x, 2, table)
-
-
-def test_hankel_matrix(gauss, ctx):
-    H = build_hankel_matrix(gauss, 10, ctx)
-    table = get_weight_table(gauss, ctx, i_max=18, w_max=0)
-    assert isinstance(H, HankelMatrix)
-    for i in range(H.n):
-        for j in range(H.n):
-            assert H.entry(i, j) == H.entry(j, i)
-            assert H.entry(i, j) == table.moment(i + j)
-    # positive definite: all leading principal minors positive
-    rows = H.as_lists()
-    for m in range(1, H.n + 1):
-        sub = [r[:m] for r in rows[:m]]
-        assert determinant(sub, ctx) > 0
 
 
 def test_moment_range_guard(gauss, ctx, gauss_matrix):

@@ -133,12 +133,14 @@ def test_truncation_radius_shape_and_tail(gauss, quartic):
 
 
 def test_weight_table_moments(gauss, ctx):
-    table = get_weight_table(gauss, ctx, i_max=8, w_max=0)
-    # m_0 for exp(-x^2/2) and the even-moment recursion m_{i+2} = (i+1) m_i
+    table = get_weight_table(gauss, ctx, i_max=11, w_max=0)
+    # m_i = (i-1)!! sqrt(2 pi) for exp(-x^2/2), and exact zeros at odd i
     root2pi = mp.sqrt(2 * mp.pi)
     assert abs(table.moment(0) - root2pi) <= mp.mpf("1e-28") * root2pi
-    assert abs(table.moment(4) - 3 * root2pi) <= mp.mpf("1e-27") * root2pi
-    for i in (1, 3, 5, 7):
+    for i in range(2, 11, 2):
+        ref = mp.fac2(i - 1) * root2pi
+        assert abs(table.moment(i) - ref) <= mp.mpf("1e-27") * root2pi, i
+    for i in range(1, 12, 2):
         assert table.moment(i) == 0
     # weight exp(-2V) = exp(-x^2) moments
     assert abs(table.moment2(0) - mp.sqrt(mp.pi)) <= mp.mpf("1e-28")

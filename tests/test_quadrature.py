@@ -1,71 +1,16 @@
-"""Line integration and boundary limits."""
-
-import random
+"""Boundary limits, the tanh-sinh nodes, and the tail-bound failure."""
 
 import pytest
 from mpmath import mp
 
 from skewrh.errors import QuadratureFailure
+from skewrh.potentials import Potential, truncation_radius
 from skewrh.quadrature import (
-    QuadraturePlan,
     boundary_deltas,
-    integrate_line,
     richardson_limit,
+    ts_halfline_nodes,
+    ts_mapped_level,
 )
-
-
-@pytest.fixture(scope="module")
-def plan():
-    with mp.workprec(320):
-        return QuadraturePlan(radius=mp.mpf(12), target_tol=mp.mpf("1e-30"),
-                              prec=256)
-
-
-def gauss2(x):
-    return mp.e ** (-x * x)
-
-
-def test_plan_validation():
-    with pytest.raises(ValueError):
-        QuadraturePlan(radius=1, target_tol=mp.mpf("1e-20"), rule="simpson")
-    with pytest.raises(ValueError):
-        QuadraturePlan(radius=0, target_tol=mp.mpf("1e-20"))
-    with pytest.raises(ValueError):
-        QuadraturePlan(radius=1, target_tol=0)
-
-
-def test_integrate_line_gaussian(plan):
-    v = integrate_line(gauss2, plan)
-    assert abs(v - mp.sqrt(mp.pi)) <= mp.mpf("1e-28") * mp.sqrt(mp.pi)
-
-
-def test_integrate_line_odd_integrand(plan):
-    v = integrate_line(lambda x: x * gauss2(x), plan)
-    assert abs(v) <= mp.mpf("1e-30")
-
-
-def test_integrate_line_second_moment(plan):
-    v = integrate_line(lambda x: x * x * gauss2(x), plan)
-    assert abs(v - mp.sqrt(mp.pi) / 2) <= mp.mpf("1e-28")
-
-
-def test_rules_agree(plan):
-    ts = integrate_line(gauss2, plan)
-    gl = integrate_line(gauss2, plan.with_rule("gauss-legendre"))
-    assert abs(ts - gl) <= mp.mpf("1e-28")
-
-
-def test_integrate_line_linear_in_integrand(plan):
-    rng = random.Random(4004)
-    base = [gauss2, lambda x: x * x * gauss2(x),
-            lambda x: mp.e ** (-x * x / 2)]
-    parts = [integrate_line(f, plan) for f in base]
-    for _ in range(6):
-        cs = [mp.mpf(rng.randint(-20, 20)) / 8 for _ in base]
-        v = integrate_line(
-            lambda x: sum(c * f(x) for c, f in zip(cs, base)), plan)
-        expect = sum(c * p for c, p in zip(cs, parts))
-        assert abs(v - expect) <= mp.mpf("1e-27") * (1 + abs(expect))
 
 
 def test_boundary_deltas_ladder():
@@ -83,9 +28,27 @@ def test_richardson_limit_exact_on_polynomial_error():
     assert abs(richardson_limit(ds, vals) - target) <= mp.mpf("1e-40")
 
 
-def test_quadrature_failure_on_kink():
-    with mp.workprec(320):
-        tight = QuadraturePlan(radius=mp.mpf(12), target_tol=mp.mpf("1e-30"),
-                               prec=256, max_level=6)
-    with pytest.raises(QuadratureFailure):
-        integrate_line(lambda x: abs(x) * gauss2(x), tight)
+def test_ts_mapped_level_integrates_monomials():
+    # the level the benchmark generates: symmetric nodes on [-1, 1] whose
+    # weights integrate x^s to 2/(s+1) for even s and to 0 for odd s
+    xs, ws = ts_mapped_level(-1, 1, 272, 9)
+    assert xs[0] == 0
+    assert xs[1::2] == [-x for x in xs[2::2]]
+    assert ws[1::2] == ws[2::2]
+
+    def moment(s):
+        return mp.fsum(w * x ** s for x, w in zip(xs, ws))
+
+    for s in (0, 2, 8):
+        assert abs(moment(s) - mp.mpf(2) / (s + 1)) <= mp.mpf("1e-70"), s
+    assert abs(moment(3)) <= mp.mpf("1e-70")
+    # level 9 reuses the entries of level 8 at its even indices
+    fine, coarse = ts_halfline_nodes(272, 9), ts_halfline_nodes(272, 8)
+    assert len(fine[::2]) == len(coarse)
+    assert all(a is b for a, b in zip(fine[::2], coarse))
+
+
+def test_quadrature_failure_on_unreachable_tail():
+    # R^4 exp(-1e-30 R^2) < 1e-32 has no root below 2^40
+    with pytest.raises(QuadratureFailure, match="cannot satisfy tail bound"):
+        truncation_radius(Potential.parse("0,0,1e-30"), 4, mp.mpf("1e-30"))

@@ -8,11 +8,9 @@ from mpmath import mp
 from skewrh.errors import DegenerateInnerProduct
 from skewrh.moments import build_skew_moment_matrix, skew_inner_1
 from skewrh.numerics import Poly, determinant, mat_inf_norm
-from skewrh.potentials import get_weight_table
 from skewrh.skewalg import (
     SkewFactorization,
     gram_residual,
-    orthogonal_family,
     pfaffian,
     pfaffian_polynomials,
     skew_eliminate,
@@ -146,33 +144,6 @@ def test_bordered_pfaffian_route_matches_factorization(fam1_gauss, ctx):
 def test_bordered_pfaffian_requires_room(fam1_gauss, ctx):
     with pytest.raises(ValueError):
         pfaffian_polynomials(fam1_gauss.matrix, 9, ctx)
-
-
-def test_orthogonal_family_hermite_oracle(gauss, ctx):
-    polys = orthogonal_family(gauss, 5, ctx)
-    # probabilists' Hermite: He_2 = x^2 - 1, He_3 = x^3 - 3x,
-    # He_4 = x^4 - 6x^2 + 3, He_5 = x^5 - 10x^3 + 15x
-    refs = {2: Poly([-1, 0, 1]), 3: Poly([0, -3, 0, 1]),
-            4: Poly([3, 0, -6, 0, 1]), 5: Poly([0, 15, 0, -10, 0, 1])}
-    for n, ref in refs.items():
-        dev = max(abs(polys[n].coeff(s) - ref.coeff(s)) for s in range(n + 1))
-        assert dev <= mp.mpf("1e-25")
-
-
-def test_orthogonal_family_is_orthogonal(gauss, ctx):
-    polys = orthogonal_family(gauss, 4, ctx)
-    table = get_weight_table(gauss, ctx, i_max=10, w_max=0)
-    # orthogonality against the one-weight inner product: here the
-    # classical family pairs under exp(-V) itself, checked directly
-    from skewrh.quadrature import QuadraturePlan, integrate_line
-    plan = QuadraturePlan(radius=2 * table.base_radius,
-                          target_tol=mp.mpf("1e-26"), prec=288)
-    for i in range(5):
-        for j in range(i + 1, 5):
-            v = integrate_line(
-                lambda x: polys[i](x) * polys[j](x) * mp.e ** (-gauss(x)),
-                plan)
-            assert abs(v) <= mp.mpf("1e-22")
 
 
 def test_beta4_family_gram_small_case(gauss, ctx):
