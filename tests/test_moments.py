@@ -14,7 +14,7 @@ from skewrh.moments import (
     skew_inner_1,
     skew_inner_4,
 )
-from skewrh.numerics import Poly, poly_derivative
+from skewrh.numerics import Poly, determinant, poly_derivative
 from skewrh.potentials import WeightTable, get_weight_table, truncation_radius
 
 
@@ -203,6 +203,18 @@ def test_skew_inner_dispatch(gauss, ctx, gauss_matrix):
     assert skew_inner(one, x, 4, table) == skew_inner_4(one, x, table)
     with pytest.raises(ValueError):
         skew_inner(one, x, 2, table)
+
+
+def test_hankel_matrix(gauss, ctx):
+    # H_ij = m_{i+j} of exp(-x^2/2): every leading minor is positive and
+    # equals (2 pi)^(n/2) * 0! 1! ... (n-1)!
+    table = get_weight_table(gauss, ctx, i_max=18, w_max=0)
+    rows = [[table.moment(i + j) for j in range(10)] for i in range(10)]
+    for n in range(1, 11):
+        det = determinant([r[:n] for r in rows[:n]], ctx)
+        ref = (2 * mp.pi) ** (mp.mpf(n) / 2) * mp.fprod(
+            mp.factorial(k) for k in range(n))
+        assert det > 0 and abs(det - ref) <= mp.mpf("1e-24") * ref, n
 
 
 def test_moment_range_guard(gauss, ctx, gauss_matrix):

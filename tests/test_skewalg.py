@@ -6,8 +6,9 @@ import pytest
 from mpmath import mp
 
 from skewrh.errors import DegenerateInnerProduct
-from skewrh.moments import build_skew_moment_matrix, skew_inner_1
+from skewrh.moments import build_skew_moment_matrix, inner_2, skew_inner_1
 from skewrh.numerics import Poly, determinant, mat_inf_norm
+from skewrh.potentials import get_weight_table
 from skewrh.skewalg import (
     SkewFactorization,
     gram_residual,
@@ -144,6 +145,38 @@ def test_bordered_pfaffian_route_matches_factorization(fam1_gauss, ctx):
 def test_bordered_pfaffian_requires_room(fam1_gauss, ctx):
     with pytest.raises(ValueError):
         pfaffian_polynomials(fam1_gauss.matrix, 9, ctx)
+
+
+# probabilists' Hermite He_0 .. He_5, the monic orthogonal family of exp(-x^2/2)
+HERMITE = [Poly([1]), Poly([0, 1]), Poly([-1, 0, 1]), Poly([0, -3, 0, 1]),
+           Poly([3, 0, -6, 0, 1]), Poly([0, 15, 0, -10, 0, 1])]
+
+
+def test_orthogonal_family_hermite_oracle(gauss, ctx):
+    # through the table's exp(-V) moments He_n pairs to zero with x^k, k < n,
+    # and so to <He_n, x^n> = n! sqrt(2 pi) with itself
+    m = get_weight_table(gauss, ctx, i_max=10, w_max=0).moment
+    root2pi = mp.sqrt(2 * mp.pi)
+    for n, he in enumerate(HERMITE):
+        row = [mp.fdot(he.coeffs, [m(s + k) for s in range(n + 1)])
+               for k in range(n + 1)]
+        assert max(map(abs, row[:n]), default=0) <= mp.mpf("1e-25") * root2pi
+        norm = mp.factorial(n) * root2pi
+        assert abs(row[n] - norm) <= mp.mpf("1e-25") * norm, n
+
+
+def test_orthogonal_family_is_orthogonal(gauss, ctx):
+    # the monic family of exp(-2V) = exp(-x^2) is He_n(sqrt(2) x) / 2^(n/2);
+    # inner_2 pairs it to zero off the diagonal and to n! sqrt(pi) / 2^n on it
+    table = get_weight_table(gauss, ctx, i_max=10, w_max=0)
+    polys = [Poly([c * mp.sqrt(2) ** (s - n) for s, c in enumerate(he.coeffs)])
+             for n, he in enumerate(HERMITE[:5])]
+    for i in range(5):
+        for j in range(i + 1, 5):
+            assert abs(inner_2(polys[i], polys[j], table)) <= mp.mpf("1e-22")
+        norm = mp.factorial(i) * mp.sqrt(mp.pi) / 2 ** i
+        dev = abs(inner_2(polys[i], polys[i], table) - norm)
+        assert dev <= mp.mpf("1e-25") * norm, i
 
 
 def test_beta4_family_gram_small_case(gauss, ctx):
