@@ -271,11 +271,16 @@ def fixed(xs):
             for s, m, e, bc in xs], exp
 
 
+def fixed_complex(z, fbits):
+    """The scalar z as (re, im) ints at 2^-fbits, each truncated."""
+    c = mp.mpc(z)
+    return to_fixed(c.real._mpf_, fbits), to_fixed(c.imag._mpf_, fbits)
+
+
 def fixed_powers(t, count, fbits):
     """t^m, m < count, as ints at 2^-fbits, each product truncated: the
     real parts, and for a complex t the imaginary parts too."""
-    c = mp.mpc(t)
-    tr, ti = to_fixed(c.real._mpf_, fbits), to_fixed(c.imag._mpf_, fbits)
+    tr, ti = fixed_complex(t, fbits)
     pr, pi = [1 << fbits], [0]
     for _ in range(count - 1):
         a, b = pr[-1], pi[-1]
@@ -366,7 +371,7 @@ def _eliminate(A, bs, ctx: PrecisionContext, pivot_rtol=None):
             f = M[i][k] / piv
             if f == 0:
                 continue
-            for j in range(k, n):
+            for j in range(k + 1, n):  # column k is never read again
                 M[i][j] = M[i][j] - f * M[k][j]
             for b in X:
                 b[i] = b[i] - f * b[k]

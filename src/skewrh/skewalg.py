@@ -86,7 +86,7 @@ def skew_eliminate(M, ctx: PrecisionContext = DEFAULT_CONTEXT) -> SkewFactorizat
                 if a_mult != 0 or b_mult != 0:
                     L[r][p] = a_mult
                     L[r][q] = b_mult
-                    for c in range(q + 1, n):
+                    for c in range(r + 1, n):  # the rest is restored below
                         A[r][c] -= a_mult * A[p][c] + b_mult * A[q][c]
             # restore exact antisymmetry on the trailing block
             for r in range(q + 1, n):
@@ -132,7 +132,7 @@ def pfaffian(M, ctx: PrecisionContext = DEFAULT_CONTEXT):
                 b_mult = -A[r][p] / db
                 if a_mult == 0 and b_mult == 0:
                     continue
-                for c in range(q + 1, n):
+                for c in range(r + 1, n):  # the rest is restored below
                     A[r][c] -= a_mult * A[p][c] + b_mult * A[q][c]
             for r in range(q + 1, n):
                 A[r][r] = mp.mpf(0)

@@ -1,9 +1,10 @@
 """Polynomial root finding, reality/interlacing checks, and zero histograms.
 
 Roots come from a simultaneous Aberth-Ehrlich iteration, seeded in
-double precision from a perturbed circle and polished 64 bits above the
-context precision, as in MPSolve (Bini-Fiorentino 2000), and verified by
-back-substitution.  Interlacing compares two root reports whose
+double precision from a perturbed circle, polished on Gaussian integers
+at least 64 bits above the context precision, as in MPSolve
+(Bini-Fiorentino 2000), and verified by back-substitution in mpc
+arithmetic.  Interlacing compares two root reports whose
 degrees differ by one (consecutive classical polynomials) or two
 (consecutive same-parity family members): the lower-degree roots must
 sit strictly inside the higher-degree hull, every gap of the lower
@@ -21,7 +22,8 @@ import dataclasses
 from mpmath import mp
 
 from .errors import NoConvergence, NotReal
-from .numerics import CPoly, DEFAULT_CONTEXT, Poly, PrecisionContext, poly_derivative
+from .numerics import (CPoly, DEFAULT_CONTEXT, Poly, PrecisionContext,
+                       fixed_complex, fixed_round, poly_derivative)
 
 REALITY_FACTOR = "1e-10"
 MAX_SWEEPS = 220   # at the working precision; past it, NoConvergence
@@ -69,10 +71,9 @@ class _DoublePoly(Poly):
 
 
 def _sweeps(poly, dpoly, zs, radius, tol, ulp, limit):
-    """Aberth-Ehrlich sweeps on zs, in place and in the arithmetic that
-    the coefficients and points carry (Python complex or mpc), until
-    every step is below tol relative to the root outside the unit disk,
-    or for limit sweeps.  Returns the last sweep's largest such step."""
+    """Aberth-Ehrlich sweeps in double precision on the seeds zs, in
+    place, until every step is below tol relative to the root outside
+    the unit disk, or for limit sweeps."""
     n = len(zs)
     for _ in range(limit):
         max_step = 0
@@ -98,22 +99,68 @@ def _sweeps(poly, dpoly, zs, radius, tol, ulp, limit):
             # an absolute step of tol is out of reach for a root of size 1e45
             max_step = max(max_step, abs(step) / max(1, abs(z)))
         if max_step < tol:
-            break
-    return max_step
+            return
 
 
-def _aberth(poly: CPoly, tol):
+def _polish(cs, zs, fbits, radius, tol_bits):
+    """The same sweeps on Gaussian integers, in place on zs: points and
+    radius at 2^-fbits, coefficients cs at any common power-of-two scale.
+    Returns None once every step is below 2^-tol_bits times max(1, |z|),
+    compared exactly, else after MAX_SWEEPS the largest relative step."""
+    one, fine = 1 << fbits, radius >> mp.prec  # fine: radius * ulp
+    (lr, li), rest = cs[-1], cs[-2::-1]
+    for _ in range(MAX_SWEEPS):
+        steps = []
+        for i, (zr, zi) in enumerate(zs):
+            pr, pi, dr, di = lr, li, 0, 0  # Horner for p and p' together
+            for cr, ci in rest:
+                dr, di = (((dr * zr - di * zi) >> fbits) + pr,
+                          ((dr * zi + di * zr) >> fbits) + pi)
+                pr, pi = (((pr * zr - pi * zi) >> fbits) + cr,
+                          ((pr * zi + pi * zr) >> fbits) + ci)
+            dd = dr * dr + di * di
+            if dd == 0:
+                zs[i] = (zr + fine + (one >> tol_bits), zi)
+                steps.append((radius * radius, one * one))
+                continue
+            nr = ((pr * dr + pi * di) << fbits) // dd
+            ni = ((pi * dr - pr * di) << fbits) // dd
+            rr = ri = 0
+            for j, (wr, wi) in enumerate(zs):
+                if j != i:
+                    ar, ai = zr - wr, zi - wi
+                    ar = fine if ar == ai == 0 else ar
+                    aa = ar * ar + ai * ai
+                    rr += (ar << 2 * fbits) // aa
+                    ri -= (ai << 2 * fbits) // aa
+            er = one - ((nr * rr - ni * ri) >> fbits)
+            ei = -((nr * ri + ni * rr) >> fbits)
+            ee = er * er + ei * ei
+            sr, si = (nr, ni) if ee == 0 else (
+                ((nr * er + ni * ei) << fbits) // ee,
+                ((ni * er - nr * ei) << fbits) // ee)
+            zs[i] = (zr - sr, zi - si)
+            steps.append((sr * sr + si * si, max(one * one, zr * zr + zi * zi)))
+        if all(a << 2 * tol_bits < b for a, b in steps):
+            return None
+    return max(mp.sqrt(mp.mpf(a) / b) for a, b in steps)
+
+
+def _aberth(poly: CPoly, tol_bits):
     """Simultaneous root iteration for a polynomial of degree >= 1 with
     a nonzero constant term.
 
     Sweeps in double precision from a perturbed circle give the seeds,
-    converged or not after SEED_SWEEPS; sweeps at the working precision
-    polish them until every step is below tol, measured relative to the
-    root outside the unit disk.  They start from the circle instead where
-    a coefficient or start point is not finite in double (or the leading
-    coefficient underflows), or the double run ends on non-finite or
-    coinciding points.  Returns the converged approximations in
-    arbitrary order.
+    converged or not after SEED_SWEEPS; sweeps on Gaussian integers
+    polish them until every step is below 2^-tol_bits, measured
+    relative to the root outside the unit disk.  They start from the
+    circle instead where a coefficient or start point is not finite in
+    double (or the leading coefficient underflows), or the double run
+    ends on non-finite or coinciding points.  The polish holds points at
+    2^-F, F the working precision plus the bits below 1 of Cauchy's
+    lower root bound |c_0|/(|c_0| + max|c_i|), so that the smallest root
+    keeps the working precision relative to its own size (coefficients
+    all below 1 are scaled up).  Returns the roots in arbitrary order.
     """
     coeffs = poly.coeffs
     n = poly.degree
@@ -133,16 +180,22 @@ def _aberth(poly: CPoly, tol):
             _sweeps(fpoly, fdpoly, seeds, float(radius), 2.0 ** (16 - 53),
                     2.0 ** -53, SEED_SWEEPS)
             if all(map(cmath.isfinite, seeds)) and len(set(seeds)) == n:
-                zs = [mp.mpc(z) for z in seeds]
+                zs = seeds
         except OverflowError:  # abs() of a point past the double range
             pass
-    max_step = _sweeps(poly, poly_derivative(poly), zs, radius, tol,
-                       mp.mpf(2) ** (-mp.prec), MAX_SWEEPS)
-    if max_step < tol:
-        return zs
+    size = [abs(c) for c in coeffs]
+    low = size[0] / (size[0] + max(size[1:]))
+    fbits = mp.prec + max(0, -mp.mag(low))
+    cbits = fbits - min(0, mp.mag(max(size)))
+    zs = [fixed_complex(z, fbits) for z in zs]
+    max_step = _polish([fixed_complex(c, cbits) for c in coeffs], zs, fbits,
+                       fixed_complex(radius, fbits)[0], tol_bits)
+    if max_step is None:
+        return [mp.mpc(fixed_round(zr, -fbits), fixed_round(zi, -fbits))
+                for zr, zi in zs]
     raise NoConvergence(
         f"root iteration stalled: max step {mp.nstr(max_step, 6)} "
-        f"after {MAX_SWEEPS} sweeps (tolerance {mp.nstr(tol, 6)})"
+        f"after {MAX_SWEEPS} sweeps (tolerance 2^-{tol_bits})"
     )
 
 
@@ -151,8 +204,9 @@ def roots(p: Poly, ctx: PrecisionContext = DEFAULT_CONTEXT) -> RootReport:
 
     Exact zero constant terms are deflated first, so parity-symmetric
     polynomials report their origin root exactly.  After convergence
-    every root is re-substituted; the residual must stay below
-    2^(16 - mantissa_bits) times the coefficient norm at root scale.
+    every root is re-substituted in mpc at mantissa_bits + 64 bits; the
+    residual must stay below 2^(16 - mantissa_bits) times the
+    coefficient norm at root scale.
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
@@ -165,7 +219,8 @@ def roots(p: Poly, ctx: PrecisionContext = DEFAULT_CONTEXT) -> RootReport:
             low += 1
         found = [mp.mpc(0)] * low
         if low < cp.degree:
-            found.extend(_aberth(CPoly(cp.coeffs[low:]), tol))
+            found.extend(_aberth(CPoly(cp.coeffs[low:]),
+                                 ctx.mantissa_bits - 16))
         found.sort(key=lambda z: (z.real, z.imag))
         scale = max(1, max(abs(z) for z in found))
         norm = mp.fsum(abs(c) * scale ** s for s, c in enumerate(p.coeffs))

@@ -6,8 +6,10 @@ import pytest
 from mpmath import mp
 
 from skewrh import zeros
-from skewrh.errors import NotReal
+from skewrh.errors import NoConvergence, NotReal
 from skewrh.numerics import Poly
+from skewrh.potentials import Potential
+from skewrh.skewalg import skew_orthogonal_family
 from skewrh.zeros import (
     Histogram,
     RootReport,
@@ -67,25 +69,75 @@ def test_chebyshev_roots(ctx):
 
 
 def test_double_overflow_falls_back_to_the_circle(ctx, monkeypatch):
-    # coefficients of 1e400 are infinite in double: no double sweeps, and
-    # the sweeps at the working precision start from the circle
-    arithmetic = []
-    sweeps = zeros._sweeps
+    # a normal quadratic runs the double stage, then the integer polish
+    # from its seeds; coefficients of 1e400 are infinite in double, so
+    # the polish starts from the circle of radius 1 + max|c_i/c_n| = 3
+    stages = []
+    sweeps, polish = zeros._sweeps, zeros._polish
 
-    def spy(poly, dpoly, zs, *rest):
-        arithmetic.append(type(zs[0]))
-        return sweeps(poly, dpoly, zs, *rest)
+    def spy_sweeps(*args):
+        stages.append(("double", None))
+        return sweeps(*args)
 
-    monkeypatch.setattr(zeros, "_sweeps", spy)
+    def spy_polish(cs, zs, fbits, *rest):
+        assert all(type(v) is int for z in cs + zs for v in z)
+        starts = [mp.ldexp(abs(mp.mpc(*z)), -fbits) for z in zs]
+        stages.append(("polish", starts))
+        return polish(cs, zs, fbits, *rest)
+
+    monkeypatch.setattr(zeros, "_sweeps", spy_sweeps)
+    monkeypatch.setattr(zeros, "_polish", spy_polish)
     roots(Poly([-0.5, 0, 1]), ctx)
-    assert arithmetic == [complex, mp.mpc]
-    arithmetic.clear()
-    big = mp.mpf("1e400")
-    rep = roots(Poly([-2 * big, big, big]), ctx)
-    assert arithmetic == [mp.mpc]
-    for got, want in zip(rep.sorted_real_parts, (-2, 1)):
-        assert abs(got - want) <= mp.mpf("1e-70")
-    assert rep.max_imag <= mp.mpf("1e-70")
+    assert [kind for kind, _ in stages] == ["double", "polish"]
+    for start in stages[1][1]:
+        assert abs(start - 1 / mp.sqrt(2)) <= mp.mpf("1e-12")
+    # coefficients of 1e-400 underflow in double and lie below 2^-F: the
+    # polish scales them by a power of two before it holds them as ints
+    for size in ("1e400", "1e-400"):
+        stages.clear()
+        c = mp.mpf(size)
+        rep = roots(Poly([-2 * c, c, c]), ctx)
+        assert [kind for kind, _ in stages] == ["polish"]
+        for start in stages[0][1]:
+            assert 3 < start < mp.mpf("3.1")
+        for got, want in zip(rep.sorted_real_parts, (-2, 1)):
+            assert abs(got - want) <= mp.mpf("1e-70")
+        assert rep.max_imag <= mp.mpf("1e-70")
+
+
+def test_polish_resolves_a_root_below_the_working_precision(ctx):
+    # x^2 + x + eps, eps = 2^-400: the small root is -eps - eps^2 - ...,
+    # 80 bits below the 2^-320 grid of an F without Cauchy's lower-bound
+    # bits, where the back-substitution check alone would accept 0
+    eps = mp.mpf(2) ** -400
+    rep = roots(Poly([eps, 1, 1]), ctx)
+    rel = mp.mpf(2) ** -ctx.mantissa_bits
+    assert abs(rep.roots[1] + eps) <= eps * rel
+    assert abs(rep.roots[0] + 1 + eps) <= rel
+
+
+def test_family_roots_against_polyroots(fam1_quartic, fam1_gauss, ctx):
+    sextic = skew_orthogonal_family(Potential.parse("0,0,0.5,0,0,0,1"), 1, 6,
+                                    ctx)
+    tol = mp.mpf(2) ** (16 - ctx.mantissa_bits)
+    for fam in (fam1_quartic, sextic, fam1_gauss):
+        for m in range(1, 14):
+            p = fam.polys[m]
+            got = roots(p, ctx).roots
+            assert len(got) == m
+            with mp.workprec(2 * ctx.mantissa_bits):
+                want = sorted(mp.polyroots(p.coeffs[::-1], maxsteps=200,
+                                           extraprec=2 * ctx.mantissa_bits),
+                              key=lambda z: (mp.re(z), mp.im(z)))
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= tol * max(1, abs(w)), (m, g, w)
+
+
+def test_polish_sweep_cap_raises(ctx, monkeypatch):
+    # from double seeds the first sweep still steps by ~2^-50
+    monkeypatch.setattr(zeros, "MAX_SWEEPS", 1)
+    with pytest.raises(NoConvergence, match="after 1 sweeps"):
+        roots(Poly([-0.5, 0, 1]), ctx)
 
 
 def test_polish_needs_few_sweeps(fam1_quartic, ctx, monkeypatch):
