@@ -103,11 +103,13 @@ def _sweeps(poly, dpoly, zs, radius, tol, ulp, limit):
 
 
 def _polish(cs, zs, fbits, radius, tol_bits):
-    """The same sweeps on Gaussian integers, in place on zs: points and
-    radius at 2^-fbits, coefficients cs at any common power-of-two scale.
-    Returns None once every step is below 2^-tol_bits times max(1, |z|),
-    compared exactly, else after MAX_SWEEPS the largest relative step."""
+    """The same sweeps on Gaussian integers, in place on zs: points,
+    radius and monic coefficients cs at 2^-fbits, the repulsion sum fine
+    enough that a Newton step of up to radius times its error stays far
+    below 1.  Returns None once every step is below 2^-tol_bits times
+    max(1, |z|), compared exactly, else the largest relative step."""
     one, fine = 1 << fbits, radius >> mp.prec  # fine: radius * ulp
+    rbits = max(fbits, mp.prec + radius.bit_length() - fbits)
     (lr, li), rest = cs[-1], cs[-2::-1]
     for _ in range(MAX_SWEEPS):
         steps = []
@@ -131,10 +133,10 @@ def _polish(cs, zs, fbits, radius, tol_bits):
                     ar, ai = zr - wr, zi - wi
                     ar = fine if ar == ai == 0 else ar
                     aa = ar * ar + ai * ai
-                    rr += (ar << 2 * fbits) // aa
-                    ri -= (ai << 2 * fbits) // aa
-            er = one - ((nr * rr - ni * ri) >> fbits)
-            ei = -((nr * ri + ni * rr) >> fbits)
+                    rr += (ar << fbits + rbits) // aa
+                    ri -= (ai << fbits + rbits) // aa
+            er = one - ((nr * rr - ni * ri) >> rbits)
+            ei = -((nr * ri + ni * rr) >> rbits)
             ee = er * er + ei * ei
             sr, si = (nr, ni) if ee == 0 else (
                 ((nr * er + ni * ei) << fbits) // ee,
@@ -160,12 +162,13 @@ def _aberth(poly: CPoly, tol_bits):
     2^-F, F the working precision plus the bits below 1 of Cauchy's
     lower root bound |c_0|/(|c_0| + max|c_i|), so that the smallest root
     keeps the working precision relative to its own size (coefficients
-    all below 1 are scaled up).  Returns the roots in arbitrary order.
+    are made monic first).  Returns the roots in arbitrary order.
     """
     coeffs = poly.coeffs
     n = poly.degree
-    lead = coeffs[-1]
-    radius = 1 + max(abs(c / lead) for c in coeffs[:-1])
+    monic = [c / coeffs[-1] for c in coeffs[:-1]] + [mp.mpc(1)]
+    size = [abs(c) for c in monic]
+    radius = 1 + max(size[:-1])
     zs = []
     for i in range(n):
         ang = 2 * mp.pi * i / n + mp.mpf("0.7") / n + mp.mpf("0.25")
@@ -183,12 +186,9 @@ def _aberth(poly: CPoly, tol_bits):
                 zs = seeds
         except OverflowError:  # abs() of a point past the double range
             pass
-    size = [abs(c) for c in coeffs]
-    low = size[0] / (size[0] + max(size[1:]))
-    fbits = mp.prec + max(0, -mp.mag(low))
-    cbits = fbits - min(0, mp.mag(max(size)))
+    fbits = mp.prec + max(0, -mp.mag(size[0] / (size[0] + max(size[1:]))))
     zs = [fixed_complex(z, fbits) for z in zs]
-    max_step = _polish([fixed_complex(c, cbits) for c in coeffs], zs, fbits,
+    max_step = _polish([fixed_complex(c, fbits) for c in monic], zs, fbits,
                        fixed_complex(radius, fbits)[0], tol_bits)
     if max_step is None:
         return [mp.mpc(fixed_round(zr, -fbits), fixed_round(zi, -fbits))

@@ -45,13 +45,25 @@ def test_cubic_roots_exact_origin(ctx):
 
 def test_huge_spurious_root_converges(ctx):
     # quadrature noise in a top coefficient puts a root near -5e44, where
-    # an absolute step test can never pass
-    rep = roots(Poly([-0.5, 3e-45, 1, 2e-45]), ctx)
+    # an absolute step test can never pass.  The float 2e-45 has a 53-bit
+    # mantissa, the mpf one the full working precision, and 3^-300 lies
+    # below the polish's 2^-F grid: every root, the one near -1/top
+    # included, must match polyroots relative to max(1, |z|)
     target = 1 / mp.sqrt(2)
-    finite = [x for x in rep.sorted_real_parts if abs(x) < 10]
-    assert len(finite) == 2
-    assert abs(finite[0] + target) <= mp.mpf("1e-40")
-    assert abs(finite[1] - target) <= mp.mpf("1e-40")
+    tol = mp.mpf(2) ** (16 - ctx.mantissa_bits)
+    for top in (2e-45, mp.mpf("2e-45"), mp.mpf(3) ** -300):
+        p = Poly([-0.5, 3e-45, 1, top])
+        rep = roots(p, ctx)
+        finite = [x for x in rep.sorted_real_parts if abs(x) < 10]
+        assert len(finite) == 2
+        assert abs(finite[0] + target) <= mp.mpf("1e-40")
+        assert abs(finite[1] - target) <= mp.mpf("1e-40")
+        with mp.workprec(2 * ctx.mantissa_bits):
+            want = sorted(mp.polyroots(p.coeffs[::-1], maxsteps=200,
+                                       extraprec=2 * ctx.mantissa_bits),
+                          key=lambda z: (mp.re(z), mp.im(z)))
+            for g, w in zip(rep.roots, want):
+                assert abs(g - w) <= tol * max(1, abs(w)), (top, g, w)
 
 
 def test_chebyshev_roots(ctx):
@@ -92,7 +104,7 @@ def test_double_overflow_falls_back_to_the_circle(ctx, monkeypatch):
     for start in stages[1][1]:
         assert abs(start - 1 / mp.sqrt(2)) <= mp.mpf("1e-12")
     # coefficients of 1e-400 underflow in double and lie below 2^-F: the
-    # polish scales them by a power of two before it holds them as ints
+    # polish makes them monic before it holds them as ints
     for size in ("1e400", "1e-400"):
         stages.clear()
         c = mp.mpf(size)
