@@ -81,48 +81,22 @@ def band_deviation(L: LaxL, ctx: PrecisionContext = DEFAULT_CONTEXT):
     return win, above, unit_dev
 
 
-def j_block_matrix(n: int):
-    """Block diagonal of [[0, 1], [-1, 0]]."""
-    J = [[mp.mpf(0)] * n for _ in range(n)]
-    for b in range(n // 2):
-        J[2 * b][2 * b + 1] = mp.mpf(1)
-        J[2 * b + 1][2 * b] = mp.mpf(-1)
-    return J
-
-
-def _block_parts(M):
-    """(strictly block lower, block diagonal, strictly block upper)."""
-    n = len(M)
-    lo = [[mp.mpf(0)] * n for _ in range(n)]
-    di = [[mp.mpf(0)] * n for _ in range(n)]
-    up = [[mp.mpf(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            bi, bj = i // 2, j // 2
-            if bi > bj:
-                lo[i][j] = M[i][j]
-            elif bi == bj:
-                di[i][j] = M[i][j]
-            else:
-                up[i][j] = M[i][j]
-    return lo, di, up
-
-
 def project_pik(M, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """pi(M) = M_lower - J M_upper^T J + (M_diag - J M_diag^T J) / 2,
-    with 2x2 blocks and J the standard block symplectic form."""
+    with 2x2 blocks and J the standard block symplectic form, the block
+    diagonal of [[0, 1], [-1, 0]].  J X^T J is a signed swap of indices,
+    (J X^T J)[i][j] = s X[j^1][i^1] with s = +1 when i and j have opposite
+    parity and -1 when they have the same."""
     n = len(M)
     if n % 2 != 0:
         raise ValueError("size must be even")
     with ctx.workprec():
-        lo, di, up = _block_parts(M)
-        J = j_block_matrix(n)
-        upT = [[up[j][i] for j in range(n)] for i in range(n)]
-        diT = [[di[j][i] for j in range(n)] for i in range(n)]
-        JupTJ = mat_mul(mat_mul(J, upT), J)
-        JdiTJ = mat_mul(mat_mul(J, diT), J)
-        out = [[lo[i][j] - JupTJ[i][j] + (di[i][j] - JdiTJ[i][j]) / 2
-                for j in range(n)] for i in range(n)]
+        out = [[mp.mpf(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(2 * (i // 2) + 2):
+                v = M[j ^ 1][i ^ 1]
+                d = M[i][j] - (v if (i ^ j) & 1 else -v)
+                out[i][j] = d if i // 2 > j // 2 else d / 2
         return out
 
 

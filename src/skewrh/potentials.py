@@ -7,9 +7,9 @@ Every quadrature weight is h: the trapezoid rule converges exponentially
 for the entire, fast-decaying integrands here (Trefethen-Weideman 2014,
 SIAM Rev. 56, section 5), and the lattices of two levels nest bit-exactly.
 The table picks its level once, when it is built: the coarsest at which
-the moments agree with the next coarser lattice's, or up to two levels
-finer while a beta = 1 pairing <x^i, y^j>_1 = int x^i w_j, i < j <= w_max,
-fails its check against the coarser lattice.  It keeps the moments, the
+every moment passes one check against the coarser lattice 2hZ, or up to
+two levels finer while a beta = 1 pairing <x^i, y^j>_1 = int x^i w_j,
+i < j <= w_max, fails the same check.  It keeps the moments, the
 exp(-2V) moments and that checked pairing block, so the moment matrices in
 `moments` only read it; the Cauchy sums in `rhp` form their own vectors
 from the grid.  On the lattice x^i h = k^i h^(i+1), with k^i an exact int
@@ -40,7 +40,7 @@ from mpmath import mp
 
 from .errors import IntegrabilityError, MomentRangeExceeded, QuadratureFailure
 from .numerics import (DEFAULT_CONTEXT, Poly, PrecisionContext, exp_e, fixed,
-                       fixed_dot, fixed_powers, fixed_round)
+                       fixed_powers, fixed_round)
 
 
 class Potential:
@@ -144,31 +144,35 @@ def truncation_radius(V: Potential, i_max: int, tol):
     return base, 2 * base
 
 
-def _index_powers(ks, count):
-    """The exact powers k^i of the lattice indices ks, i < count, as ints."""
-    cur = [1] * len(ks)
+def _lattice_sums(values, ks, count):
+    """(sums, exp) for values at the lattice nodes k h, k in the range ks,
+    held as ints v at 2^exp (numerics.fixed): sums[i], i < count, holds the
+    exact int sums of the running vector k^i v, over all its terms, of
+    their absolute values, and over the coarser lattice 2hZ (the even k).
+    Times h^(i+1) 2^exp these are trapezoid sums of x^i values; twice the
+    third is the one on 2hZ."""
+    v, exp = fixed([x._mpf_ for x in values])
+    sums, start = [], ks.start % 2
     for i in range(count):
-        if i > 0:
-            cur = list(map(mul, cur, ks))
-        yield cur
+        if i:
+            v = list(map(mul, v, ks))
+        sums.append((sum(v), sum(map(abs, v)), sum(v[start::2])))
+    return sums, exp
 
 
-def _lattice_moments(vec, count, level, absolute=False):
-    """h^(i+1) sum_k vec_k k^i, i < count, for values vec on the whole
-    lattice k h, h = 2^-level, k from -n to n: the integrals of x^i vec by
-    the trapezoid rule.  x^i h = k^i h^(i+1) with k^i an exact int and
-    h^(i+1) a power of two, so each moment is an exact integer sum
-    (numerics.fixed) rounded once.  With absolute, each comes paired with
-    the sum of its absolute terms."""
-    n = len(vec) // 2
-    v = fixed([x._mpf_ for x in vec])
-    va = list(map(abs, v[0])), v[1]
-    out = []
-    for i, p in enumerate(_index_powers(range(-n, n + 1), count)):
-        e = -level * (i + 1)
-        m = fixed_dot(v, (p, e))
-        out.append((m, fixed_dot(va, (list(map(abs, p)), e))) if absolute else m)
-    return out
+def _agrees(sums, tol):
+    """The fine/coarse check of one entry of _lattice_sums: the gap
+    |fine - 2 coarse| between hZ and 2hZ within tol of the sum of absolute
+    terms, at least |fine|, so that sums which cancel to round-off (parity
+    zeros) pass.  The power of two h^(i+1) 2^exp cancels from it."""
+    fine, total, coarse = sums
+    return fixed_round(abs(fine - 2 * coarse), 0) <= tol * fixed_round(total, 0)
+
+
+def _rounded(sums, exp, level):
+    """The lattice sums h^(i+1) 2^exp sum_k k^i v_k of _lattice_sums,
+    h = 2^-level, each rounded once."""
+    return [fixed_round(f, exp - level * (i + 1)) for i, (f, _, _) in enumerate(sums)]
 
 
 def _taylor_shift(coeffs, k):
@@ -237,7 +241,7 @@ class WeightTable:
     consumers keyed on it.
     """
 
-    min_level = 1
+    min_level = 2
     max_level = 11
 
     def __init__(self, potential: Potential, ctx: PrecisionContext = DEFAULT_CONTEXT,
@@ -268,22 +272,19 @@ class WeightTable:
         return xs, ew
 
     def _build_grid(self):
-        """Halve h from 1/2 until two lattices' moments agree within tol
-        (the absolute terms' sum as the floor), and keep the finer one;
-        then go at most two levels finer while a pairing fails its check."""
-        prev, accepted = None, None
-        known = {}
+        """Halve h from 2^-min_level until every moment passes its check
+        against the coarser lattice 2hZ (_agrees), which is the previous
+        level's; then go at most two levels finer while a pairing fails it."""
+        accepted, known = None, {}
         for level in range(self.min_level, self.max_level + 1):
             xs, ew = self._grid_at_level(level, known)
             known = dict(zip(xs, ew))
-            cur = _lattice_moments(ew, self.i_max + 1, level, absolute=True)
-            if accepted is None and prev is not None and all(
-                    abs(v - pv) <= self.tol * max(abs(v), sabs)
-                    for (v, sabs), (pv, _) in zip(cur, prev)):
+            n = len(xs) // 2
+            sums, exp = _lattice_sums(ew, range(-n, n + 1), self.i_max + 1)
+            if accepted is None and all(_agrees(s, self.tol) for s in sums):
                 accepted = level
-            prev = cur
             if accepted is not None:
-                self._install_grid(level, xs, ew, cur)
+                self._install_grid(level, xs, ew, _rounded(sums, exp, level))
                 failed = self._check_pairings()
                 if failed is None:
                     return
@@ -293,18 +294,17 @@ class WeightTable:
         raise QuadratureFailure("grid level cap reached" if accepted is not None
                                 else "moment grid did not stabilize")
 
-    def _install_grid(self, level, xs, ew, moments):
-        """Make one level the table's grid: moments, active slice and the
-        half-line integral tables."""
+    def _install_grid(self, level, xs, ew, m):
+        """Make one level the table's grid: the moments m, those of
+        exp(-2V), the active slice and the half-line integral tables."""
         self.level = level
         self.h = mp.ldexp(1, -level)
         self.xs = xs
         ew2 = [e * e for e in ew]
-        self.m = [v for v, _ in moments]
-        self.m2 = _lattice_moments(ew2, self.i_max + 1, level)
-        self.active_radius = _tail_radius(self.potential, self.i_max,
-                                          self.tol * mp.mpf('1e-4'))
-        self.active_radius = min(self.active_radius, self.radius)
+        n = len(xs) // 2
+        self.m = m
+        self.m2 = _rounded(*_lattice_sums(ew2, range(-n, n + 1), self.i_max + 1),
+                           level)
         lo = bisect.bisect_left(self.xs, -self.active_radius)
         hi = bisect.bisect_right(self.xs, self.active_radius)
         self._alo, self._ahi = lo, hi
@@ -313,39 +313,25 @@ class WeightTable:
         self.aew2 = ew2[lo:hi]
         # the lattice 2hZ: the active nodes k*h with k even, counted from
         # the centre node x = 0
-        self.acoarse = range((lo - len(self.xs) // 2) % 2, hi - lo, 2)
+        self.acoarse = range((lo - n) % 2, hi - lo, 2)
         self._build_F()
         self.version += 1
 
     def _check_pairings(self):
         """P[j][i] = <x^i, y^j>_1 = h^(i+1) * sum k^i w_j(k h) over the
-        active lattice indices k, for i < j <= w_max, each checked against
-        the coarser lattice 2hZ (every second index, step doubled).  The
-        fine sum, the coarse sum and the gap between them are exact integer
-        sums (numerics.fixed), rounded once.  Returns the first (i, j) that
-        fails its check, or None when the whole block passes."""
-        n, s = len(self.xs) // 2, self.acoarse.start
-        powers = [(p, p[s::2], list(map(abs, p))) for p in _index_powers(
-            range(self._alo - n, self._ahi - n), self.w_max)]
+        active lattice indices k, for i < j <= w_max, each an exact integer
+        sum rounded once and checked against the coarser lattice 2hZ
+        (_agrees).  Returns the first (i, j) that fails its check, or None
+        when the whole block passes."""
+        n = len(self.xs) // 2
+        ks = range(self._alo - n, self._ahi - n)
         self.P = [[]]
         for j in range(1, self.w_max + 1):
-            w, e = fixed([v._mpf_ for v in self.w_values(j)])
-            wc = w[s::2]
-            col = []
-            for i, (p, pc, pa) in enumerate(powers[:j]):
-                fine = sum(map(mul, p, w))
-                # every weight is the step h, a power of two, so the check
-                # runs on the bare sums, and the gap is formed exactly
-                gap = fixed_round(abs(fine - 2 * sum(map(mul, pc, wc))), e)
-                # absolute floor at the integrand mass: parity-zero entries
-                # cancel only to round-off, which anything below it would
-                # never accept
-                if (gap > self.tol * abs(fixed_round(fine, e))
-                        and gap > self.tol * fixed_round(
-                            sum(map(mul, pa, map(abs, w))), e)):
+            sums, exp = _lattice_sums(self.w_values(j), ks, j)
+            for i, s in enumerate(sums):
+                if not _agrees(s, self.tol):
                     return i, j
-                col.append(fixed_round(fine, e - self.level * (i + 1)))
-            self.P.append(col)
+            self.P.append(_rounded(sums, exp, self.level))
         return None
 
     # -- half-line integral tables ----------------------------------------
@@ -468,6 +454,8 @@ class WeightTable:
         with mp.workprec(self._prec):
             self.base_radius, self.radius = truncation_radius(
                 self.potential, i_max, self.tol)
+            self.active_radius = min(self.radius, _tail_radius(
+                self.potential, i_max, self.tol * mp.mpf('1e-4')))
             self._build_grid()
 
     # -- moments and grid sums --------------------------------------------

@@ -556,7 +556,13 @@ def _jump_pair(Yp, Ym, jump_row):
 
 def jump_residual(sol: RHSolution, x,
                   ctx: PrecisionContext = None):
-    """Max entry of the delta -> 0 extrapolated two-sided mismatch."""
+    """Max entry of the delta -> 0 extrapolated two-sided mismatch.
+
+    It does not see the lattice sums: S(x0 +- i delta) tend to one real
+    value as delta -> 0, which cancels in Y_+ - Y_- M, and what remains is
+    the Plemelj jump of the pole term, the continuity of weights_at and
+    the Richardson error.  The near-axis check against 2hZ (_near_ladder)
+    guards the lattice sums' step, and det_residual their values."""
     _check_ctx(sol, ctx)
     table = sol.table
     with mp.workprec(table._prec):

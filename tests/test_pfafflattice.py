@@ -5,12 +5,11 @@ import random
 import pytest
 from mpmath import mp
 
-from skewrh.numerics import mat_identity, mat_mul
+from skewrh.numerics import mat_mul
 from skewrh.pfafflattice import (
     LaxL,
     build_lax,
     flow_check,
-    j_block_matrix,
     lattice_rhs,
     project_pik,
 )
@@ -71,15 +70,33 @@ def test_lax_not_lower_banded(lax_gauss):
     assert len(filled) >= 2
 
 
-def test_j_block_matrix_properties(ctx):
-    for n in (2, 6):
-        J = j_block_matrix(n)
-        for i in range(n):
-            for j in range(n):
-                assert J[i][j] == -J[j][i] or (i == j and J[i][j] == 0)
-        J2 = mat_mul(J, J)
-        expect = [[-v for v in row] for row in mat_identity(n)]
-        assert J2 == expect
+def test_project_matches_dense_formula(ctx):
+    # project_pik forms J X^T J by a signed swap of indices; it must give
+    # the bits of the dense products with J = diag([[0, 1], [-1, 0]]),
+    # the strictly block lower, block diagonal and strictly block upper
+    # parts taken apart
+    rng = random.Random(1414)
+    with ctx.workprec():
+        zero = mp.mpf(0)
+        for n in range(2, 16, 2):
+            M = [[mp.mpf(rng.getrandbits(40) - 2 ** 39) / rng.randint(1, 999)
+                  for _ in range(n)] for _ in range(n)]
+            J = [[zero] * n for _ in range(n)]
+            for b in range(n // 2):
+                J[2 * b][2 * b + 1], J[2 * b + 1][2 * b] = mp.mpf(1), mp.mpf(-1)
+
+            def part(keep):
+                return [[M[j][i] if keep(j // 2, i // 2) else zero
+                         for j in range(n)] for i in range(n)]
+
+            JupTJ = mat_mul(mat_mul(J, part(lambda a, b: a < b)), J)
+            JdiTJ = mat_mul(mat_mul(J, part(lambda a, b: a == b)), J)
+            expect = [[(M[i][j] if i // 2 > j // 2 else zero) - JupTJ[i][j]
+                       + ((M[i][j] if i // 2 == j // 2 else zero) - JdiTJ[i][j]) / 2
+                       for j in range(n)] for i in range(n)]
+            got = project_pik(M, ctx)
+            assert [[v._mpf_ for v in r] for r in got] == \
+                [[v._mpf_ for v in r] for r in expect], n
 
 
 def test_project_block_structure(ctx):

@@ -392,14 +392,23 @@ def test_half_line_integrals_stay_small(quartic, ctx, deep_size):
     assert deep_size(vars(t)) < 2 * 2 ** 20
 
 
-@pytest.mark.parametrize("coeffs", ["0,0,0.5", "0,0,0.5,0,1", "0,0,0.5,0,0.3,0,0.1"])
+# general potentials, not symmetric or with V(0) != 0, by the level their
+# tables take at i_max = 27, w_max = 13
+GENERAL_LEVELS = {"0,0.25,0.5,0.125,1": 5, "1,0,0.7": 3}
+
+
+@pytest.mark.parametrize("coeffs", ["0,0,0.5", "0,0,0.5,0,1", "0,0,0.5,0,0.3,0,0.1",
+                                    *GENERAL_LEVELS])
 def test_lattice_sums_are_correctly_rounded(coeffs, ctx):
     # m, m2 and the pairing block P are sums of k^i h^(i+1) v_k over the
     # lattice indices k: each must be the exact sum rounded once, here an
     # mp.fsum of the exact terms at twice the precision, rounded to the
-    # table's.  Odd moments of these symmetric potentials are exact zeros
+    # table's.  Odd moments of the even potentials are exact zeros
     V = Potential.parse(coeffs)
     t = WeightTable(V, ctx, i_max=27, w_max=13)
+    even = not any(V.poly.coeffs[1::2])
+    if coeffs in GENERAL_LEVELS:
+        assert t.level == GENERAL_LEVELS[coeffs]
     prec, n = t._prec, len(t.xs) // 2
     with mp.workprec(prec):
         ew = [exp_e(-V(x)) for x in t.xs]
@@ -416,7 +425,7 @@ def test_lattice_sums_are_correctly_rounded(coeffs, ctx):
             return (+ref)._mpf_
 
     for i in range(t.i_max + 1):
-        if i % 2:
+        if i % 2 and even:
             assert t.m[i] == 0 and t.m2[i] == 0
             assert t.m[i]._mpf_ == t.m2[i]._mpf_ == mp.mpf(0)._mpf_
         else:

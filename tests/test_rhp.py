@@ -426,6 +426,22 @@ def test_determinant_detects_non_solutions(sol_gauss, ctx):
     assert det_residual(bad, pts, ctx) > mp.mpf("1e-3")
 
 
+def test_det_residual_sees_a_lattice_sum_error(quartic, ctx, monkeypatch):
+    # an error in the lattice sums S(z) shifts S(x0 + i delta) and
+    # S(x0 - i delta) alike as delta -> 0, so it cancels in the jump; the
+    # determinant off the axis is what catches it
+    sol = build_even(quartic, 2, ctx)
+    sums = RHSolution._sums
+
+    def shifted(self, z, T, coarse=False):
+        return {p: (pz, [v + mp.mpf("1e-6") for v in cols])
+                for p, (pz, cols) in sums(self, z, T, coarse).items()}
+
+    monkeypatch.setattr(RHSolution, "_sums", shifted)
+    assert det_residual(sol, [mp.mpc("1.3", "1.1")], ctx) > mp.mpf("1e-6")
+    assert jump_residual(sol, mp.mpf("0.35"), ctx) <= mp.mpf("1e-40")
+
+
 def test_identity_2_1_small_cases(gauss, quartic, ctx):
     assert identity_2_1_residual(gauss, Poly([1, 1]), 1, ctx) \
         <= mp.mpf("1e-27")
