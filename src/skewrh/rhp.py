@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from operator import mul
+from operator import add, mul
 
 from mpmath import mp
 from mpmath.libmp import mpf_add, mpf_div, mpf_mul
@@ -101,31 +101,25 @@ class _Columns:
     """One table version's column data for the Cauchy sums of a solution.
 
     For each column c = 1 .. d, U_c = fixed(u_c) on the active nodes
-    (u_1 = exp(-2V), u_c = w_(c-2)) and the vectors U_c k^l, l <= L, as
-    exact ints at U_c's exponent (vecs), with k the lattice index of each
-    node (x_k = k h, ks) and L the largest row-polynomial degree.  For each
-    distinct row polynomial p, the coefficients p_l h^(l+1), held as ints
-    at one exponent (coeffs): a row polynomial enters the sums only
-    through them.  The power sums S_(c,m) = sum_k k^m U_(c,k) of the
-    Laurent branch are extended on demand (power_sums)."""
+    (u_1 = exp(-2V), u_c = w_(c-2)), one vector of exact ints per column
+    (vecs), with k the lattice index of each node (x_k = k h, ks) and L the
+    largest row-polynomial degree.  For each distinct row polynomial p,
+    the coefficients p_l h^(l+1), held as ints at one exponent (coeffs): a
+    row polynomial enters the sums only through them.  The power sums
+    S_(c,m) = sum_k k^m U_(c,k) of the Laurent branch are extended on
+    demand (power_sums)."""
 
     def __init__(self, table: WeightTable, polys, us):
         self.version = table.version
         k0 = int(mp.ldexp(table.axs[0], table.level))
         self.ks = range(k0, k0 + len(table.axs))
         self.L = max(p.degree for p in polys)
-        self.vecs = []
-        for u in us:
-            vec, exp = fixed([v._mpf_ for v in u])
-            pw = [vec]
-            for _ in range(self.L):
-                pw.append(list(map(mul, pw[-1], self.ks)))
-            self.vecs.append((pw, exp))
+        self.vecs = [fixed([v._mpf_ for v in u]) for u in us]
         self.coeffs = {p: fixed([mp.ldexp(c, -table.level * (l + 1))._mpf_
                                  for l, c in enumerate(p.coeffs)])
                        for p in polys}
-        self._sums = [[sum(v) for v in pw] for pw, _ in self.vecs]
-        self._runs = [pw[-1] for pw, _ in self.vecs]
+        self._sums = [[] for _ in self.vecs]
+        self._runs = [vec for vec, _ in self.vecs]
 
     def power_sums(self, count):
         """[S_(c,m) for m < count] for each column, exact ints; sums formed
@@ -134,10 +128,20 @@ class _Columns:
         for c, sums in enumerate(self._sums):
             run = self._runs[c]
             while len(sums) < count:
-                run = list(map(mul, run, self.ks))
                 sums.append(sum(run))
+                run = list(map(mul, run, self.ks))
             self._runs[c] = run
         return self._sums
+
+
+def _power_walk(v, ks, count):
+    """[sum_k k^l v_k for l < count], exact: the running vector k^l v,
+    multiplied by the small ints k at each step."""
+    out = [sum(v)]
+    for _ in range(count - 1):
+        v = list(map(mul, v, ks))
+        out.append(sum(v))
+    return out
 
 
 class RHSolution:
@@ -242,20 +246,34 @@ class RHSolution:
                 ki.append(mpf_div(d, den, prec, rnd))
             yield fixed(kr), fixed(ki)
 
-    def _dots(self, kernel, coarse=False):
-        """The column dots T_(c,l) = sum_k k^l U_(c,k) K_k, one exact
-        integer dot per column c, power l <= L and part of the kernel K (as
-        _kernels yields it): per column, the real and the imaginary parts,
-        each a held vector over l.  With coarse, the dots over the lattice
-        2hZ: every second node (acoarse), with k unchanged."""
-        s, step = (self.table.acoarse.start, 2) if coarse else (0, 1)
-        parts = [(mans[s::step], exp) for mans, exp in kernel]
-        out = []
-        for pw, exp in self._columns().vecs:
-            vs = [(v[s::step], exp) for v in pw]
-            out.append(tuple(([exact_dot(v, K)[0] for v in vs], exp + K[1])
-                             for K in parts))
-        return out
+    def _dots(self, kernel):
+        """The column dots T_(c,l) = sum_k k^l U_(c,k) K_k, exact ints, for
+        each column c, power l <= L and part of the kernel K (as _kernels
+        yields it), over the lattice hZ and over 2hZ (acoarse, every second
+        node, k unchanged): (fine, coarse), each per column the real and the
+        imaginary parts, each a held vector over l.  The coarse dots are
+        held at twice their value (one more in the exponent), the step 2h
+        over h.
+
+        Q = U_c K is formed once per column and part; its running vector
+        k^l Q is walked over the even and the odd k apart (_power_walk).
+        The fine dot is the sum of the two halves, the coarse one the half
+        on 2hZ, so both cost N multiplies by small ints per power."""
+        cols = self._columns()
+        s, n = self.table.acoarse.start, cols.L + 1
+        even, odd = cols.ks[s::2], cols.ks[1 - s::2]
+        fine, coarse = [], []
+        for vec, exp in cols.vecs:
+            f, c = [], []
+            for mans, e in kernel:
+                Q = list(map(mul, vec, mans))
+                a = _power_walk(Q[s::2], even, n)
+                b = _power_walk(Q[1 - s::2], odd, n)
+                f.append((list(map(add, a, b)), exp + e))
+                c.append((a, exp + e + 1))
+            fine.append(tuple(f))
+            coarse.append(tuple(c))
+        return fine, coarse
 
     def _laurent(self, z):
         """The column dots of _dots for K_k = 1/(x_k - z), from the Laurent
@@ -304,18 +322,15 @@ class RHSolution:
             out.append(((re, e), (im, e)))
         return out
 
-    def _sums(self, z, T, coarse=False):
+    def _sums(self, z, T):
         """{p: (p(z), sums)} for each distinct row polynomial p, with sums
         the lattice sums h sum_k p(x_k) u_c(x_k) K(x_k) for the columns
         c = 1 .. d in turn, from the column dots T (_dots, _laurent):
         h sum_l (p_l h^l) T_(c,l), one exact integer sum per part, rounded
-        once.  With coarse, T holds dots over 2hZ and the step is 2h."""
-        out = {}
-        for p, (P, exp) in self._columns().coeffs.items():
-            held = P, exp + coarse
-            out[p] = p(z), [mp.mpc(fixed_dot(held, re), fixed_dot(held, im))
-                            for re, im in T]
-        return out
+        once."""
+        return {p: (p(z), [mp.mpc(fixed_dot(P, re), fixed_dot(P, im))
+                           for re, im in T])
+                for p, P in self._columns().coeffs.items()}
 
     def _assemble(self, sums):
         """Y from the sums of each distinct row polynomial: every term
@@ -343,7 +358,7 @@ class RHSolution:
             return self._assemble(self._sums(z, self._laurent(z)))
         x0 = mp.re(z)
         kernel = next(self._kernels([x - x0 for x in t.axs], (mp.im(z),)))
-        return self._assemble(self._sums(z, self._dots(kernel)))
+        return self._assemble(self._sums(z, self._dots(kernel)[0]))
 
     # -- near-field evaluation --------------------------------------------
 
@@ -378,12 +393,12 @@ class RHSolution:
                 return {p: (pz, [v + pz * u * corr for v, u in zip(cols, us)])
                         for p, (pz, cols) in sums.items()}
 
-            upper = with_pole(self._sums(z, self._dots(kernel)), 1)
+            fine, coarse = self._dots(kernel)
+            upper = with_pole(self._sums(z, fine), 1)
             Yp = self._assemble(upper)
             Ym = self._assemble({p: (mp.conj(pz), [mp.conj(v) for v in cols])
                                  for p, (pz, cols) in upper.items()})
-            coarse = self._sums(z, self._dots(kernel, coarse=True), coarse=True)
-            Yc = self._assemble(with_pole(coarse, 2))
+            Yc = self._assemble(with_pole(self._sums(z, coarse), 2))
             scale = max(max(abs(v) for v in row) for row in Yp)
             gap = max(max(abs(a - b) for a, b in zip(ra, rb))
                       for ra, rb in zip(Yp, Yc))

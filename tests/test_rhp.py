@@ -1,6 +1,8 @@
 """Boundary-matrix construction: jump, asymptotics, normalization,
 gauge freedom, and the degenerate-collapse identity."""
 
+from operator import mul
+
 import pytest
 from mpmath import mp
 
@@ -172,8 +174,8 @@ def test_column_vectors_kept_for_current_table_only(sol_gauss, gauss, ctx):
 
 
 def test_column_vectors_read_each_density_once(sol_sextic, ctx, monkeypatch):
-    # 6 columns of 7 vectors U_c k^l, l <= 6 = deg p_6, whichever points
-    # are visited: direct, Laurent and near-axis ones
+    # 6 columns of one vector U_c each, whatever the degree L = 6 of p_6,
+    # whichever points are visited: direct, Laurent and near-axis ones
     table = sol_sextic.table
     sol = RHSolution(sol_sextic.problem, sol_sextic.family, table,
                      sol_sextic.row_terms, sol_sextic.alpha,
@@ -186,38 +188,66 @@ def test_column_vectors_read_each_density_once(sol_sextic, ctx, monkeypatch):
         sol.evaluate(z)
     assert sorted(calls) == list(range(sol.d - 1))
     assert sol._cols.L == 6
-    assert [len(pw) for pw, _ in sol._cols.vecs] == [7] * 6
+    assert [len(vec) for vec, _ in sol._cols.vecs] == [len(table.axs)] * 6
     assert len(sol._cols.coeffs) == 7
 
 
 def test_column_dots_fixed_per_point(quartic, ctx, monkeypatch):
     # with every gauge parameter nonzero, p_2k sits in all d+1 rows beside
-    # p_(2k+1) and c_1 .. c_d: d+2 distinct polynomials.  A point takes
-    # 2 d (L+1) exact column dots, L = 2k+1, directly or by the Laurent
-    # series, and one rounding per polynomial, column and part
+    # p_(2k+1) and c_1 .. c_d: d+2 distinct polynomials.  A direct point
+    # forms U_c K once per column and kernel part and walks its running
+    # powers k^l, l <= L = 2k+1, over the even and the odd k apart: 4 d
+    # walks of L+1 sums.  A Laurent point takes 2 d (L+1) exact column
+    # dots.  Either takes one rounding per polynomial, column and part
     sol = build_odd(quartic, 2, ("0.3", "1.5", "-0.4", "0.25", "0.5"), ctx)
     d, L = sol.d, 2 * sol.k + 1
     assert all(len(terms) == 2 and terms[1][0] != 0 for terms in sol.row_terms)
     points = (mp.mpc("0.5", "3"), mp.mpc("-4", "2"), mp.mpc("50", "120"))
     before = [sol._eval_far(z) for z in points]
-    dots, rounds = [], []
-    for name, calls in (("exact_dot", dots), ("fixed_dot", rounds)):
+    calls = {"_power_walk": [], "exact_dot": [], "fixed_dot": []}
+    for name, seen in calls.items():
         f = getattr(rhp, name)
-        monkeypatch.setattr(rhp, name,
-                            lambda a, b, f=f, calls=calls: calls.append(1) or f(a, b))
+        monkeypatch.setattr(rhp, name, lambda *a, f=f, seen=seen:
+                            seen.append(a[-1]) or f(*a))
     for z, Y in zip(points, before):
-        dots.clear()
-        rounds.clear()
+        for seen in calls.values():
+            seen.clear()
         assert sol._eval_far(z) == Y
-        assert len(dots) == 2 * d * (L + 1)
-        assert len(rounds) == 2 * d * (d + 2)
+        walks, dots = calls["_power_walk"], calls["exact_dot"]
+        if abs(z) > 4 * sol.table.active_radius:
+            assert not walks and len(dots) == 2 * d * (L + 1)
+        else:
+            assert walks == [L + 1] * (4 * d) and not dots
+        assert len(calls["fixed_dot"]) == 2 * d * (d + 2)
+
+
+def test_coarse_half_is_the_separate_coarse_walk(sol_gauss, sol_sextic, quartic, ctx):
+    # the fine dots and their 2hZ half come from one walk over the even and
+    # the odd k; each equals bit for bit the exact dot over its own nodes,
+    # sum_k k^l U_(c,k) K_k over hZ and over every second node (acoarse),
+    # the latter held at twice its value
+    for sol in (sol_gauss, build_even(quartic, 2, ctx), sol_sextic):
+        t, cols = sol.table, sol._columns()
+        s = t.acoarse.start
+        with mp.workprec(t._prec):
+            for x0 in (mp.mpf(0), mp.mpf("0.37")):
+                kernel = next(sol._kernels([x - x0 for x in t.axs],
+                                           (mp.mpf(2) ** -20,)))
+                fine, coarse = sol._dots(kernel)
+                for (vec, exp), f, c in zip(cols.vecs, fine, coarse):
+                    for (mans, e), (fl, fe), (cl, ce) in zip(kernel, f, c):
+                        assert (fe, ce) == (exp + e, exp + e + 1)
+                        for l in range(cols.L + 1):
+                            pw = [v * k ** l for v, k in zip(vec, cols.ks)]
+                            assert fl[l] == sum(map(mul, pw, mans))
+                            assert cl[l] == sum(map(mul, pw[s::2], mans[s::2]))
 
 
 def _direct_far(sol, z):
     """Y(z) from the direct lattice sums, whatever |z| is."""
     kernel = next(sol._kernels([x - mp.re(z) for x in sol.table.axs],
                                (mp.im(z),)))
-    return sol._assemble(sol._sums(z, sol._dots(kernel)))
+    return sol._assemble(sol._sums(z, sol._dots(kernel)[0]))
 
 
 def _max_gap(A, B):
@@ -270,8 +300,8 @@ def test_column_combination_against_independent_sum(sol_gauss, quartic, ctx):
                 else:
                     kernel = next(sol._kernels([x - mp.re(z) for x in t.axs],
                                                (mp.im(z),)))
-                    T = sol._dots(kernel, coarse=how == "coarse")
-                got = sol._sums(z, T, coarse=how == "coarse")
+                    T = sol._dots(kernel)[how == "coarse"]
+                got = sol._sums(z, T)
                 s, step = (t.acoarse.start, 2) if how == "coarse" else (0, 1)
                 tol = mp.mpf(2) ** -(t._prec - 8)
                 with mp.workprec(2 * t._prec):
@@ -433,9 +463,9 @@ def test_det_residual_sees_a_lattice_sum_error(quartic, ctx, monkeypatch):
     sol = build_even(quartic, 2, ctx)
     sums = RHSolution._sums
 
-    def shifted(self, z, T, coarse=False):
+    def shifted(self, z, T):
         return {p: (pz, [v + mp.mpf("1e-6") for v in cols])
-                for p, (pz, cols) in sums(self, z, T, coarse).items()}
+                for p, (pz, cols) in sums(self, z, T).items()}
 
     monkeypatch.setattr(RHSolution, "_sums", shifted)
     assert det_residual(sol, [mp.mpc("1.3", "1.1")], ctx) > mp.mpf("1e-6")
