@@ -9,14 +9,17 @@ normalized so its diagonal entry decays like z^e with unit coefficient.
 
 Every Cauchy transform is a trapezoid sum over the weight table's lattice
 hZ, x_k = k h; near the axis the lattice's closed-form pole term keeps it
-accurate.  The sums are built on the column densities alone: the dots
-T_(c,l) = sum_k k^l u_c(x_k) K_k of each column with the kernel
-K = 1/(x - z), both held as ints at one exponent (numerics.fixed), are
-exact, and a row polynomial p enters only through its coefficients, as
-h sum_l (p_l h^l) T_(c,l), summed exactly and rounded once.  The coarse
-2hZ sums are slices of the same ints.  Beyond the support the dots come
-from the Laurent series of the kernel, a single-level multipole expansion
-(Greengard-Rokhlin 1987) whose coefficients are exact lattice power sums.
+accurate.  The sums run in exact integers from the kernel to each entry
+of Y, which is rounded once.  The kernel K = 1/(x - z) comes from the
+exact dyadic offsets x_k - x0 and Im z with one integer quotient per
+node.  The dots T_(c,l) = sum_k k^l u_c(x_k) K_k of each column density
+u_c (held as ints, numerics.fixed) are the running powers of u_c K,
+walked over the even and the odd k apart, so that the coarse 2hZ dots
+are one half of the same walk.  A row enters only through its folded
+coefficients p_(r,l) h^(l+1)/(2 pi i), and Y[r][c] is their exact dot
+with T_c.  Beyond the support the dots come from the Laurent series of
+the kernel, a single-level multipole expansion (Greengard-Rokhlin 1987)
+whose coefficients are exact lattice power sums.
 Verification is numeric throughout: jump residuals by boundary-offset
 extrapolation on a shared delta ladder, growth exponents by log-log slope
 fits along rays, determinant structure by off-axis sampling.
@@ -28,7 +31,7 @@ import math
 from operator import add, mul
 
 from mpmath import mp
-from mpmath.libmp import mpf_add, mpf_div, mpf_mul
+from mpmath.libmp import to_fixed
 
 from .errors import (
     DegenerateInnerProduct,
@@ -44,8 +47,8 @@ from .numerics import (
     determinant,
     exact_dot,
     fixed,
-    fixed_dot,
     fixed_powers,
+    fixed_round,
     linear_solve,
     log_slope,
 )
@@ -97,40 +100,52 @@ def jump_matrix(table: WeightTable, x):
     return M
 
 
+# bits that the near-axis kernels and the folded row coefficients carry
+# above the working precision
+_GUARD = 64
+
+
 class _Columns:
     """One table version's column data for the Cauchy sums of a solution.
 
     For each column c = 1 .. d, U_c = fixed(u_c) on the active nodes
     (u_1 = exp(-2V), u_c = w_(c-2)), one vector of exact ints per column
     (vecs), with k the lattice index of each node (x_k = k h, ks) and L the
-    largest row-polynomial degree.  For each distinct row polynomial p,
-    the coefficients p_l h^(l+1), held as ints at one exponent (coeffs): a
-    row polynomial enters the sums only through them.  The power sums
-    S_(c,m) = sum_k k^m U_(c,k) of the Laurent branch are extended on
+    largest row-polynomial degree.  For each row r, its polynomial
+    p_r = sum_t factor_t p_t = A_r + i B_r (RHSolution.row_polys), as the
+    real polynomials (A_r, B_r) (polys), and the coefficients
+    R_(r,l) = p_(r,l) h^(l+1)/(2 pi i), held as complex ints at one
+    exponent (rows), both formed _GUARD bits above the working precision:
+    a row enters the sums only through them.  The power sums
+    S_(c,m) = sum_k k^m U_(c,k) of the Laurent branch are formed on
     demand (power_sums)."""
 
-    def __init__(self, table: WeightTable, polys, us):
+    def __init__(self, table: WeightTable, solution: "RHSolution", us):
         self.version = table.version
         k0 = int(mp.ldexp(table.axs[0], table.level))
         self.ks = range(k0, k0 + len(table.axs))
-        self.L = max(p.degree for p in polys)
         self.vecs = [fixed([v._mpf_ for v in u]) for u in us]
-        self.coeffs = {p: fixed([mp.ldexp(c, -table.level * (l + 1))._mpf_
-                                 for l, c in enumerate(p.coeffs)])
-                       for p in polys}
-        self._sums = [[] for _ in self.vecs]
-        self._runs = [vec for vec, _ in self.vecs]
+        with mp.workprec(mp.prec + _GUARD):
+            polys = solution.row_polys
+            two_pi_i = _two_pi_i()
+            self.rows = []
+            for p in polys:
+                cs = [c * table.h ** (l + 1) / two_pi_i
+                      for l, c in enumerate(p.coeffs)]
+                mans, exp = fixed([c.real._mpf_ for c in cs]
+                                  + [c.imag._mpf_ for c in cs])
+                self.rows.append((mans[:len(cs)], mans[len(cs):], exp))
+            self.polys = [(Poly([c.real for c in p.coeffs]),
+                           Poly([c.imag for c in p.coeffs])) for p in polys]
+        self.L = max(p.degree for p in polys)
+        self._sums = [[]]
 
     def power_sums(self, count):
-        """[S_(c,m) for m < count] for each column, exact ints; sums formed
-        once are kept with the running vectors k^m U_c, and later calls
-        extend them."""
-        for c, sums in enumerate(self._sums):
-            run = self._runs[c]
-            while len(sums) < count:
-                sums.append(sum(run))
-                run = list(map(mul, run, self.ks))
-            self._runs[c] = run
+        """[S_(c,m) for m < count, or more] for each column, exact ints
+        (_power_walk from U_c); kept, and walked again only for a call that
+        needs more of them."""
+        if len(self._sums[0]) < count:
+            self._sums = [_power_walk(vec, self.ks, count) for vec, _ in self.vecs]
         return self._sums
 
 
@@ -150,7 +165,7 @@ class RHSolution:
 
     Every Cauchy entry is a sum over the active nodes of the shared
     lattice, formed from column data (_Columns) kept for the table's
-    current version only; a row polynomial enters only through its
+    current version only; a row enters only through its folded
     coefficients.  Far from the axis that sum is the value, and beyond the
     support it comes from a Laurent series; near the axis `_near_ladder`
     adds the lattice's pole term per point and gives both boundary values
@@ -219,41 +234,52 @@ class RHSolution:
         what an earlier version held is dropped."""
         t = self.table
         if self._cols is None or self._cols.version != t.version:
-            polys = {p for terms in self.row_terms for f, p in terms if f != 0}
             us = [t.aew2] + [t.w_values(n) for n in range(self.d - 1)]
-            self._cols = _Columns(t, polys, us)
+            self._cols = _Columns(t, self, us)
         return self._cols
 
     # -- far-field evaluation ---------------------------------------------
 
     @staticmethod
-    def _kernels(offsets, deltas):
-        """For each delta in turn, the real and imaginary parts of 1/(x - z)
-        for z = x0 + i delta at the nodes x = x0 + offset, held as ints at
-        one exponent each (numerics.fixed): a / (a * a + delta * delta) and
-        delta / (a * a + delta * delta), rounded as the mpf operators round;
-        a * a is formed once per node.  For delta > 0 the boundary value
-        from below is the conjugate, so one build serves both sides."""
-        prec, rnd = mp._prec_rounding
-        nodes = [(a._mpf_, mpf_mul(a._mpf_, a._mpf_, prec, rnd)) for a in offsets]
+    def _kernels(ks, level, x0, deltas):
+        """For each delta in turn, K_k = 1/(x_k - z), z = x0 + i delta, at
+        the nodes x_k = k h, h = 2^-level, k in ks: (re, im, exp), its real
+        and imaginary parts as ints at 2^exp.
+
+        x_k - x0 = a_k 2^e and delta = D 2^e are exact ints at the least
+        exponent e of h, x0 and the deltas, so den_k = a_k^2 + D^2 is exact
+        and K_k = (a_k + i D)/den_k 2^-e.  One integer quotient per node,
+        q_k = floor(2^s/den_k), gives re_k = (a_k q_k) >> r and
+        im_k = (D q_k) >> r, 2^r > |a_k|, |D|; each is off its exact value
+        (a_k, D) 2^(s-r)/den_k by less than 2 units.  s puts the largest
+        entry between 2^(prec+_GUARD-2) and 2^(prec+_GUARD), prec the
+        working precision, so each part of each K_k is off by less than
+        2^(4-prec-_GUARD) max|K|, and a lattice sum h sum_k f_k K_k by
+        less than that times h sum_k |f_k|.  The sign of delta is kept
+        (Im z < 0 gives im < 0); for delta > 0 the boundary value from
+        below takes the conjugate, so one build serves both sides."""
+        e = min([-level] + [v._mpf_[2] for v in (x0, *deltas) if v])
+        X = to_fixed(x0._mpf_, -e)
+        A = [(k << (-level - e)) - X for k in ks]
+        AA = [a * a for a in A]
         for delta in deltas:
-            d = delta._mpf_
-            dd = mpf_mul(d, d, prec, rnd)
-            kr, ki = [], []
-            for a, aa in nodes:
-                den = mpf_add(aa, dd, prec, rnd)
-                kr.append(mpf_div(a, den, prec, rnd))
-                ki.append(mpf_div(d, den, prec, rnd))
-            yield fixed(kr), fixed(ki)
+            D = to_fixed(delta._mpf_, -e)
+            DD = D * D
+            dens = [aa + DD for aa in AA]
+            r = max(abs(A[0]), abs(A[-1]), abs(D)).bit_length()
+            s = r + mp.prec + _GUARD + (min(dens).bit_length() - 1) // 2
+            qs = [(1 << s) // den for den in dens]
+            yield ([(a * q) >> r for a, q in zip(A, qs)],
+                   [(D * q) >> r for q in qs], r - s - e)
 
     def _dots(self, kernel):
         """The column dots T_(c,l) = sum_k k^l U_(c,k) K_k, exact ints, for
-        each column c, power l <= L and part of the kernel K (as _kernels
-        yields it), over the lattice hZ and over 2hZ (acoarse, every second
-        node, k unchanged): (fine, coarse), each per column the real and the
-        imaginary parts, each a held vector over l.  The coarse dots are
-        held at twice their value (one more in the exponent), the step 2h
-        over h.
+        each column c and power l <= L, of the kernel K as _kernels yields
+        it, over the lattice hZ and over 2hZ (acoarse, every second node,
+        k unchanged): (fine, coarse), each per column (re, im, exp), the
+        real and the imaginary dots as vectors over l at 2^exp.  The coarse
+        dots are held at twice their value (one more in the exponent), the
+        step 2h over h.
 
         Q = U_c K is formed once per column and part; its running vector
         k^l Q is walked over the even and the odd k apart (_power_walk).
@@ -262,21 +288,21 @@ class RHSolution:
         cols = self._columns()
         s, n = self.table.acoarse.start, cols.L + 1
         even, odd = cols.ks[s::2], cols.ks[1 - s::2]
+        *parts, e = kernel
         fine, coarse = [], []
         for vec, exp in cols.vecs:
             f, c = [], []
-            for mans, e in kernel:
+            for mans in parts:
                 Q = list(map(mul, vec, mans))
                 a = _power_walk(Q[s::2], even, n)
-                b = _power_walk(Q[1 - s::2], odd, n)
-                f.append((list(map(add, a, b)), exp + e))
-                c.append((a, exp + e + 1))
-            fine.append(tuple(f))
-            coarse.append(tuple(c))
+                f.append(list(map(add, a, _power_walk(Q[1 - s::2], odd, n))))
+                c.append(a)
+            fine.append((*f, exp + e))
+            coarse.append((*c, exp + e + 1))
         return fine, coarse
 
     def _laurent(self, z):
-        """The column dots of _dots for K_k = 1/(x_k - z), from the Laurent
+        """The fine column dots of _dots for K_k = 1/(x_k - z), from the Laurent
         series of that kernel, for |z| beyond the active radius:
             T_(c,l) = -sum_(n < M) h^n z^(-n-1) S_(c,l+n),
         with S_(c,m) = sum_k k^m U_(c,k) exact power sums (_Columns).
@@ -319,34 +345,47 @@ class RHSolution:
                 re.append(zi * bi - zr * br)
                 im.append(-zr * bi - zi * br)
             e = ez - fb + exp - a * top
-            out.append(((re, e), (im, e)))
+            out.append((re, im, e))
         return out
 
-    def _sums(self, z, T):
-        """{p: (p(z), sums)} for each distinct row polynomial p, with sums
-        the lattice sums h sum_k p(x_k) u_c(x_k) K(x_k) for the columns
-        c = 1 .. d in turn, from the column dots T (_dots, _laurent):
-        h sum_l (p_l h^l) T_(c,l), one exact integer sum per part, rounded
-        once."""
-        return {p: (p(z), [mp.mpc(fixed_dot(P, re), fixed_dot(P, im))
-                           for re, im in T])
-                for p, P in self._columns().coeffs.items()}
+    def _fold(self, T):
+        """The row sums from the column dots T (_dots, _laurent): for each
+        row r and column c, R_r . Re T_c and R_r . Im T_c, with R_r the row
+        coefficients p_(r,l) h^(l+1)/(2 pi i) (_Columns.rows), as four exact
+        ints (P.re, P.im, Q.re, Q.im) and their exponent.  R_r . T_c is
+        P + iQ, h sum_k p_r(x_k) u_c(x_k) K_k/(2 pi i), and R_r . conj(T_c)
+        is P - iQ."""
+        out = []
+        for Rr, Ri, eR in self._columns().rows:
+            out.append([(sum(map(mul, Rr, re)), sum(map(mul, Ri, re)),
+                         sum(map(mul, Rr, im)), sum(map(mul, Ri, im)), eR + e)
+                        for re, im, e in T])
+        return out
 
-    def _assemble(self, sums):
-        """Y from the sums of each distinct row polynomial: every term
-        (factor, p) of row r adds factor p(z) to Y[r][0] and factor times
-        its column sum over 2 pi i to Y[r][c]."""
-        two_pi_i = _two_pi_i()
-        n = self.size
-        Y = [[mp.mpc(0)] * n for _ in range(n)]
-        for r, terms in enumerate(self.row_terms):
-            for factor, poly in terms:
-                if factor == 0:
-                    continue
-                pz, cols = sums[poly]
-                Y[r][0] += factor * pz
-                for c, v in enumerate(cols, 1):
-                    Y[r][c] += factor * v / two_pi_i
+    def _heads(self, z):
+        """([p_r(z)], [p_r(conj z)]) for the rows r, the first columns of
+        Y(z) and Y(conj z): with p_r = A_r + i B_r, A_r and B_r real,
+        p_r(conj z) = conj(A_r(z)) + i conj(B_r(z))."""
+        up, down = [], []
+        for A, B in self._columns().polys:
+            a, b = mp.mpc(A(z)), mp.mpc(B(z))
+            up.append(mp.mpc(a.real - b.imag, a.imag + b.real))
+            down.append(mp.mpc(a.real + b.imag, b.real - a.imag))
+        return up, down
+
+    def _assemble(self, heads, folded, side=1, poles=()):
+        """Y from its first column heads (_heads) and the row sums of
+        _fold: Y[r][c] is the row sum P + iQ (side 1) or P - iQ (side -1,
+        T conjugated), each part rounded once, plus heads[r] poles[c - 1]
+        where poles are given."""
+        Y = []
+        for y0, row in zip(heads, folded):
+            ys = [mp.mpc(fixed_round(pr - side * qi, e),
+                         fixed_round(pi + side * qr, e))
+                  for pr, pi, qr, qi, e in row]
+            if poles:
+                ys = [y + y0 * w for y, w in zip(ys, poles)]
+            Y.append([y0] + ys)
         return Y
 
     def _eval_far(self, z):
@@ -355,10 +394,11 @@ class RHSolution:
         below 1/4, directly elsewhere."""
         t = self.table
         if 4 * t.active_radius < abs(z):
-            return self._assemble(self._sums(z, self._laurent(z)))
-        x0 = mp.re(z)
-        kernel = next(self._kernels([x - x0 for x in t.axs], (mp.im(z),)))
-        return self._assemble(self._sums(z, self._dots(kernel)[0]))
+            T = self._laurent(z)
+        else:
+            T = self._dots(next(self._kernels(self._columns().ks, t.level,
+                                              mp.re(z), (mp.im(z),))))[0]
+        return self._assemble(self._heads(z)[0], self._fold(T))
 
     # -- near-field evaluation --------------------------------------------
 
@@ -374,31 +414,31 @@ class RHSolution:
                              + f(z) (i pi + pi cot(pi z/h)).
         The sum runs over the active nodes; the rest carry terms below the
         validated error scale.  The same sums on the lattice 2hZ (acoarse,
-        step 2h, cot(pi z/(2h))) must agree with these within
-        tol * max(1, scale) at every delta, or QuadratureFailure is raised;
-        the table is only read.  Row polynomials are real, so the lower
-        value is the conjugate of the upper one.
+        step 2h, cot(pi z/(2h))), the coarse half of the fine dots
+        (_dots), must agree with these within tol * max(1, scale) at every
+        delta, or QuadratureFailure is raised; the table is only read.
+        One kernel build per delta serves both sides: the family
+        polynomials are real, so the lower value takes conj(T) and
+        conj(u_c(z) (i pi + pi cot(pi z/h))), and Y[r][c] adds
+        Y[r][0] u_c(z) (i pi + pi cot(pi z/h))/(2 pi i), Y[r][0] =
+        sum_t factor_t p_t(z), as its pole term.
         """
-        t = self.table
+        t, two_pi_i = self.table, _two_pi_i()
         pairs = []
         for delta, kernel in zip(deltas, self._kernels(
-                [x - x0 for x in t.axs], deltas)):
+                self._columns().ks, t.level, x0, deltas)):
             z = mp.mpc(x0, delta)
             _, ex2, wn = t.weights_at(z, self.d - 1)
-            us = [ex2] + wn
-
-            def with_pole(sums, step):
-                # f(z) (i pi + pi cot(pi z/(step h))) added to each sum
-                corr = mp.mpc(0, mp.pi) + mp.pi * mp.cot(mp.pi * z / (step * t.h))
-                return {p: (pz, [v + pz * u * corr for v, u in zip(cols, us)])
-                        for p, (pz, cols) in sums.items()}
-
+            # u_c(z) (i pi + pi cot(pi z/(step h))) for the steps h and 2h
+            fz, fc = ([u * (mp.mpc(0, mp.pi) + mp.pi * mp.cot(mp.pi * z / (step * t.h)))
+                       for u in [ex2] + wn] for step in (1, 2))
             fine, coarse = self._dots(kernel)
-            upper = with_pole(self._sums(z, fine), 1)
-            Yp = self._assemble(upper)
-            Ym = self._assemble({p: (mp.conj(pz), [mp.conj(v) for v in cols])
-                                 for p, (pz, cols) in upper.items()})
-            Yc = self._assemble(with_pole(self._sums(z, coarse), 2))
+            folded, (up, down) = self._fold(fine), self._heads(z)
+            Yp = self._assemble(up, folded, 1, [v / two_pi_i for v in fz])
+            Ym = self._assemble(down, folded, -1,
+                                [mp.conj(v) / two_pi_i for v in fz])
+            Yc = self._assemble(up, self._fold(coarse), 1,
+                                [v / two_pi_i for v in fc])
             scale = max(max(abs(v) for v in row) for row in Yp)
             gap = max(max(abs(a - b) for a, b in zip(ra, rb))
                       for ra, rb in zip(Yp, Yc))

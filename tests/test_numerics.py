@@ -29,6 +29,7 @@ from skewrh.numerics import (
     poly_derivative,
 )
 from skewrh.quadrature import boundary_deltas
+from skewrh import rhp
 from skewrh.rhp import RHSolution
 
 
@@ -341,16 +342,30 @@ def test_real_horner_matches_object_loop_bit_for_bit(prec):
 
 @pytest.mark.parametrize("prec", RAW_PRECS)
 def test_batched_near_kernels_match_per_delta_formula(prec):
+    # the integer kernel against 1/(x_k - z) at twice its precision: each
+    # part of each K_k within 2 units of its exponent, the largest entry
+    # between 2^(prec + G - 2) and 2^(prec + G) units, G = rhp._GUARD; x0
+    # on a lattice node (0, 13/32) and between nodes, delta from 2^-20 up
+    # and below the axis (Im z < 0)
     rng = random.Random(7007 + prec)
+    level, ks, G = 3, range(-40, 41), rhp._GUARD
     with mp.workprec(prec):
-        offsets = [v * 2 ** 300 for v in _random_reals(rng, 40)]
-        deltas = boundary_deltas()
-        batched = list(RHSolution._kernels(offsets, deltas))
-        assert len(batched) == len(deltas)
-        for delta, (kr, ki) in zip(deltas, batched):
-            den = [a * a + delta * delta for a in offsets]
-            assert kr == fixed(_bits([a / d for a, d in zip(offsets, den)]))
-            assert ki == fixed(_bits([delta / d for d in den]))
+        x0s = [mp.mpf(0), mp.mpf(13) / 32, mp.mpf("0.37")]
+        x0s += [v * 2 ** 300 for v in _random_reals(rng, 2, zeros=False)]
+        deltas = boundary_deltas() + (-mp.mpf(2) ** -20, mp.mpf("-0.7"),
+                                      mp.mpf(3))
+        for x0 in x0s:
+            batched = list(RHSolution._kernels(ks, level, x0, deltas))
+            assert len(batched) == len(deltas)
+            for delta, (re, im, exp) in zip(deltas, batched):
+                top = max(map(abs, re + im))
+                assert 2 ** (prec + G - 2) <= top <= 2 ** (prec + G)
+                with mp.workprec(2 * (prec + G)):
+                    unit = mp.ldexp(1, exp)
+                    for k, a, b in zip(ks, re, im):
+                        K = 1 / (mp.ldexp(k, -level) - mp.mpc(x0, delta))
+                        assert abs(a * unit - K.real) < 2 * unit, (x0, delta, k)
+                        assert abs(b * unit - K.imag) < 2 * unit, (x0, delta, k)
 
 
 @pytest.mark.parametrize("prec", RAW_PRECS)

@@ -189,22 +189,24 @@ def test_column_vectors_read_each_density_once(sol_sextic, ctx, monkeypatch):
     assert sorted(calls) == list(range(sol.d - 1))
     assert sol._cols.L == 6
     assert [len(vec) for vec, _ in sol._cols.vecs] == [len(table.axs)] * 6
-    assert len(sol._cols.coeffs) == 7
+    # one row of coefficients per row polynomial, folded over its terms
+    assert [len(re) for re, _, _ in sol._cols.rows] == [7] + [6] * 6
 
 
 def test_column_dots_fixed_per_point(quartic, ctx, monkeypatch):
     # with every gauge parameter nonzero, p_2k sits in all d+1 rows beside
-    # p_(2k+1) and c_1 .. c_d: d+2 distinct polynomials.  A direct point
-    # forms U_c K once per column and kernel part and walks its running
-    # powers k^l, l <= L = 2k+1, over the even and the odd k apart: 4 d
-    # walks of L+1 sums.  A Laurent point takes 2 d (L+1) exact column
-    # dots.  Either takes one rounding per polynomial, column and part
+    # p_(2k+1) and c_1 .. c_d: d+2 distinct polynomials, folded into one
+    # row polynomial per row.  A direct point forms U_c K once per column
+    # and kernel part and walks its running powers k^l, l <= L = 2k+1,
+    # over the even and the odd k apart: 4 d walks of L+1 sums.  A Laurent
+    # point takes 2 d (L+1) exact column dots.  Either takes one rounding
+    # per row, column and part
     sol = build_odd(quartic, 2, ("0.3", "1.5", "-0.4", "0.25", "0.5"), ctx)
     d, L = sol.d, 2 * sol.k + 1
     assert all(len(terms) == 2 and terms[1][0] != 0 for terms in sol.row_terms)
     points = (mp.mpc("0.5", "3"), mp.mpc("-4", "2"), mp.mpc("50", "120"))
     before = [sol._eval_far(z) for z in points]
-    calls = {"_power_walk": [], "exact_dot": [], "fixed_dot": []}
+    calls = {"_power_walk": [], "exact_dot": [], "fixed_round": []}
     for name, seen in calls.items():
         f = getattr(rhp, name)
         monkeypatch.setattr(rhp, name, lambda *a, f=f, seen=seen:
@@ -218,7 +220,7 @@ def test_column_dots_fixed_per_point(quartic, ctx, monkeypatch):
             assert not walks and len(dots) == 2 * d * (L + 1)
         else:
             assert walks == [L + 1] * (4 * d) and not dots
-        assert len(calls["fixed_dot"]) == 2 * d * (d + 2)
+        assert len(calls["fixed_round"]) == 2 * d * (d + 1)
 
 
 def test_coarse_half_is_the_separate_coarse_walk(sol_gauss, sol_sextic, quartic, ctx):
@@ -231,23 +233,23 @@ def test_coarse_half_is_the_separate_coarse_walk(sol_gauss, sol_sextic, quartic,
         s = t.acoarse.start
         with mp.workprec(t._prec):
             for x0 in (mp.mpf(0), mp.mpf("0.37")):
-                kernel = next(sol._kernels([x - x0 for x in t.axs],
-                                           (mp.mpf(2) ** -20,)))
-                fine, coarse = sol._dots(kernel)
-                for (vec, exp), f, c in zip(cols.vecs, fine, coarse):
-                    for (mans, e), (fl, fe), (cl, ce) in zip(kernel, f, c):
-                        assert (fe, ce) == (exp + e, exp + e + 1)
+                *parts, e = next(sol._kernels(cols.ks, t.level, x0,
+                                              (mp.mpf(2) ** -20,)))
+                fine, coarse = sol._dots((*parts, e))
+                for (vec, exp), (*f, fe), (*c, ce) in zip(cols.vecs, fine, coarse):
+                    assert (fe, ce) == (exp + e, exp + e + 1)
+                    for mans, fl, cl in zip(parts, f, c):
                         for l in range(cols.L + 1):
                             pw = [v * k ** l for v, k in zip(vec, cols.ks)]
                             assert fl[l] == sum(map(mul, pw, mans))
                             assert cl[l] == sum(map(mul, pw[s::2], mans[s::2]))
 
 
-def _direct_far(sol, z):
-    """Y(z) from the direct lattice sums, whatever |z| is."""
-    kernel = next(sol._kernels([x - mp.re(z) for x in sol.table.axs],
-                               (mp.im(z),)))
-    return sol._assemble(sol._sums(z, sol._dots(kernel)[0]))
+def _direct_dots(sol, z):
+    """The fine column dots of z from the direct lattice sums, whatever
+    |z| is, and their 2hZ half."""
+    return sol._dots(next(sol._kernels(sol._columns().ks, sol.table.level,
+                                       mp.re(z), (mp.im(z),))))
 
 
 def _max_gap(A, B):
@@ -270,8 +272,9 @@ def test_laurent_branch_against_direct_sum(sol_gauss, sol_gauss_odd,
             for rho, theta in (("0.3", "0.4"), ("0.26", "2.9"), ("0.24", "-0.5"),
                                ("0.1", "1.9"), ("0.001", "-2")):
                 z = r / mp.mpf(rho) * mp.expj(mp.mpf(theta))
-                direct = _direct_far(sol, z)
-                laurent = sol._assemble(sol._sums(z, sol._laurent(z)))
+                heads = sol._heads(z)[0]
+                direct = sol._assemble(heads, sol._fold(_direct_dots(sol, z)[0]))
+                laurent = sol._assemble(heads, sol._fold(sol._laurent(z)))
                 scale = max(1, max(abs(v) for row in direct for v in row))
                 gap = _max_gap(direct, laurent)
                 assert gap <= mp.mpf("1e-70") * scale, (sol, rho, gap)
@@ -280,38 +283,38 @@ def test_laurent_branch_against_direct_sum(sol_gauss, sol_gauss_odd,
 
 
 def test_column_combination_against_independent_sum(sol_gauss, quartic, ctx):
-    # h sum_l (p_l h^l) T_(c,l) against h sum_k p(x_k) u_c(x_k)/(x_k - z)
-    # at twice the precision, for every distinct row polynomial and column:
-    # direct points (one near the axis, also on the coarse lattice 2hZ)
-    # and a Laurent one, within 2^-(prec - 8) of the sum's L1 scale
+    # the folded row sums R_r . T_c, R_(r,l) = p_(r,l) h^(l+1)/(2 pi i),
+    # against h sum_k p_r(x_k) u_c(x_k)/(x_k - z)/(2 pi i) at twice the
+    # precision, for every row and column: direct points (one near the
+    # axis, also on the coarse lattice 2hZ, and the conjugate sums of the
+    # lower side there) and a Laurent one, within 2^-(prec - 8) of the
+    # sum's L1 scale
     sol_q = build_odd(quartic, 2, ("0.3", "1.5", "-0.4", "0.25", "0.5"), ctx)
     for sol in (sol_gauss, sol_q):
         t = sol.table
         with mp.workprec(t._prec):
             us = [t.aew2] + [t.w_values(n) for n in range(sol.d - 1)]
-            polys = list(sol._columns().coeffs)
             r = t.active_radius
+            near = mp.mpc("0.37", "0.01")
             for z, how in ((mp.mpc("0.5", "3"), "direct"),
-                           (mp.mpc("0.37", "0.01"), "direct"),
-                           (mp.mpc("0.37", "0.01"), "coarse"),
+                           (near, "direct"), (near, "coarse"), (near, "lower"),
                            (10 * r * mp.expj(1), "laurent")):
                 if how == "laurent":
                     T = sol._laurent(z)
                 else:
-                    kernel = next(sol._kernels([x - mp.re(z) for x in t.axs],
-                                               (mp.im(z),)))
-                    T = sol._dots(kernel)[how == "coarse"]
-                got = sol._sums(z, T)
+                    T = _direct_dots(sol, z)[how == "coarse"]
+                side, at = (-1, mp.conj(z)) if how == "lower" else (1, z)
+                got = sol._assemble(sol._heads(z)[side < 0], sol._fold(T), side)
                 s, step = (t.acoarse.start, 2) if how == "coarse" else (0, 1)
                 tol = mp.mpf(2) ** -(t._prec - 8)
                 with mp.workprec(2 * t._prec):
-                    for p in polys:
-                        for c, u in enumerate(us):
-                            terms = [p(x) * v / (x - z) for x, v in
-                                     zip(t.axs[s::step], u[s::step])]
+                    for row, p in zip(got, sol.row_polys):
+                        for c, u in enumerate(us, 1):
+                            terms = [p(x) * v / (x - at) / (2j * mp.pi)
+                                     for x, v in zip(t.axs[s::step], u[s::step])]
                             ref = step * t.h * mp.fsum(terms)
                             l1 = step * t.h * mp.fsum(abs(v) for v in terms)
-                            assert abs(got[p][1][c] - ref) <= tol * l1, (how, c)
+                            assert abs(row[c] - ref) <= tol * l1, (how, c)
 
 
 def test_jump_residual_odd(sol_gauss_odd, ctx):
@@ -461,13 +464,14 @@ def test_det_residual_sees_a_lattice_sum_error(quartic, ctx, monkeypatch):
     # S(x0 - i delta) alike as delta -> 0, so it cancels in the jump; the
     # determinant off the axis is what catches it
     sol = build_even(quartic, 2, ctx)
-    sums = RHSolution._sums
+    fold = RHSolution._fold
 
-    def shifted(self, z, T):
-        return {p: (pz, [v + mp.mpf("1e-6") for v in cols])
-                for p, (pz, cols) in sums(self, z, T).items()}
+    def shifted(self, T):
+        # 1e-6 added to the real part of every row and column sum
+        return [[(pr + int(mp.ldexp(mp.mpf("1e-6"), -e)), pi, qr, qi, e)
+                 for pr, pi, qr, qi, e in row] for row in fold(self, T)]
 
-    monkeypatch.setattr(RHSolution, "_sums", shifted)
+    monkeypatch.setattr(RHSolution, "_fold", shifted)
     assert det_residual(sol, [mp.mpc("1.3", "1.1")], ctx) > mp.mpf("1e-6")
     assert jump_residual(sol, mp.mpf("0.35"), ctx) <= mp.mpf("1e-40")
 
