@@ -27,22 +27,6 @@ class SkewFactorization:
     d: tuple
     n: int
 
-    def reconstruct(self):
-        """Recompute L B L^T (for residual checks)."""
-        n = self.n
-        # columns of B L^T: (B L^T)[r][c] = sum_s B[r][s] L[c][s]
-        BLt = [[mp.mpf(0)] * n for _ in range(n)]
-        for b in range(n // 2):
-            p, q = 2 * b, 2 * b + 1
-            db = self.d[b]
-            for c in range(n):
-                BLt[p][c] = db * self.L[c][q]
-                BLt[q][c] = -db * self.L[c][p]
-        out = [[mp.fdot([self.L[r][s] for s in range(n)],
-                        [BLt[s][c] for s in range(n)])
-                for c in range(n)] for r in range(n)]
-        return out
-
     def inverse_rows(self):
         """Rows of L^-1 (unit lower triangular forward substitution)."""
         n = self.n

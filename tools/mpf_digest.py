@@ -11,6 +11,10 @@ values (`_mpf_` / `_mpc_`: sign, mantissa, exponent, bit count) of
             x = 0.40625 (x^2/2 + x^4, k = 2; a node of its lattice
             h = 1/32) and at x = -0.359375 (x^2/2, k = 1; between two
             nodes of its lattice h = 1/8)
+  coarse    at the same points and deltas, the sums on the lattice 2hZ
+            that the near-axis check of _near_ladder compares with those
+            pairs: per delta the matrix Y(x + i delta) from every second
+            node, step 2h, with its pole term
   matrix    the beta = 1 skew moment matrix of x^2/2 + x^4 at n = 14
   table     what the program reads of that matrix's weight table: its
             lattice level, m, m2, aew2, every w_values(n), and weights_at
@@ -54,8 +58,8 @@ from mpmath import mp  # noqa: E402
 from skewrh import Potential, PrecisionContext, WeightTable  # noqa: E402
 from skewrh.moments import build_skew_moment_matrix  # noqa: E402
 from skewrh.quadrature import boundary_deltas  # noqa: E402
-from skewrh.rhp import (asymptotic_exponents, build_even, build_odd,  # noqa: E402
-                        det_residual, jump_residual)
+from skewrh.rhp import (RHSolution, asymptotic_exponents,  # noqa: E402
+                        build_even, build_odd, det_residual, jump_residual)
 from skewrh.skewalg import skew_orthogonal_family  # noqa: E402
 from skewrh.zeros import roots  # noqa: E402
 
@@ -91,6 +95,26 @@ def edge_points(t):
                 hi, (hi + above) / 2, above, r - eps, r + eps]
 
 
+def near_ladder(sol, x0, deltas):
+    """sol._near_ladder(x0, deltas) and, per delta, the 2hZ matrix that its
+    check compares with the upper value.  For each delta _near_ladder
+    assembles the upper value, the lower one and the 2hZ matrix, in this
+    order, so the latter is every third matrix that _assemble returns."""
+    made = []
+
+    def assemble(*args):
+        made.append(RHSolution._assemble(sol, *args))
+        return made[-1]
+
+    sol._assemble = assemble
+    try:
+        pairs = sol._near_ladder(x0, deltas)
+    finally:
+        del sol._assemble
+    assert len(made) == 3 * len(deltas)
+    return pairs, made[2::3]
+
+
 def parts():
     ctx = PrecisionContext()
     quartic = Potential.parse("0,0,0.5,0,1")
@@ -99,12 +123,15 @@ def parts():
 
     sq = build_even(quartic, 2, ctx)
     sg = build_even(gauss, 1, ctx)
-    near = []
+    near, coarse = [], []
     for sol, x in ((sq, "0.40625"), (sg, "-0.359375")):
         res = jump_residual(sol, x, ctx)
         with mp.workprec(sol.table._prec):
-            near.append((res, sol._near_ladder(mp.mpf(x), deltas)))
+            pairs, halves = near_ladder(sol, mp.mpf(x), deltas)
+        near.append((res, pairs))
+        coarse.append(halves)
     yield "near", near
+    yield "coarse", coarse
 
     matrix = build_skew_moment_matrix(quartic, 1, 14, ctx)
     yield "matrix", matrix.rows
