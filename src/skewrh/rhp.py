@@ -100,8 +100,8 @@ def jump_matrix(table: WeightTable, x):
     return M
 
 
-# bits that the near-axis kernels and the folded row coefficients carry
-# above the working precision
+# bits that the kernels and the folded row coefficients carry above the
+# working precision
 _GUARD = 64
 
 
@@ -414,14 +414,12 @@ class RHSolution:
                              + f(z) (i pi + pi cot(pi z/h)).
         The sum runs over the active nodes; the rest carry terms below the
         validated error scale.  The same sums on the lattice 2hZ (acoarse,
-        step 2h, cot(pi z/(2h))), the coarse half of the fine dots
-        (_dots), must agree with these within tol * max(1, scale) at every
-        delta, or QuadratureFailure is raised; the table is only read.
-        One kernel build per delta serves both sides: the family
-        polynomials are real, so the lower value takes conj(T) and
-        conj(u_c(z) (i pi + pi cot(pi z/h))), and Y[r][c] adds
-        Y[r][0] u_c(z) (i pi + pi cot(pi z/h))/(2 pi i), Y[r][0] =
-        sum_t factor_t p_t(z), as its pole term.
+        step 2h, cot(pi z/(2h))), the coarse half of the dots (_dots), must
+        agree with these within tol * max(1, scale) at every delta, or
+        QuadratureFailure is raised; the table is only read.  The pole term
+        of Y[r][c] is Y[r][0] u_c(z) (i pi + pi cot(pi z/h))/(2 pi i).  The
+        family polynomials are real, so the lower value takes conj(T) and
+        the conjugate of u_c(z) (i pi + pi cot(pi z/h)).
         """
         t, two_pi_i = self.table, _two_pi_i()
         pairs = []
