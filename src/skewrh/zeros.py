@@ -18,7 +18,6 @@ from __future__ import annotations
 import bisect
 import cmath
 import dataclasses
-import math
 
 from mpmath import mp
 
@@ -145,30 +144,21 @@ def _polish(cs, zs, fbits, radius, tol_bits):
     return max(mp.sqrt(mp.mpf(a) / b) for a, b in steps)
 
 
-def _circle(n, radius, num, pi):
-    """(radius, angle) of the n start points of the root iteration, in the
-    arithmetic of num (float or mp.mpf): angles 2 pi i/n + 0.7/n + 0.25,
-    off the axes, and radii pushed out by distinct small factors."""
-    return [(radius * (1 + num(i % 7 + 1) / (50 * (n + 6))),
-             2 * pi * i / n + num("0.7") / n + num("0.25")) for i in range(n)]
-
-
 def _aberth(poly: CPoly, tol_bits):
     """Simultaneous root iteration for a polynomial of degree >= 1 with
     a nonzero constant term.
 
-    Sweeps in double precision from a perturbed circle (_circle, built in
-    double) give the seeds, converged or not after SEED_SWEEPS; sweeps on
-    Gaussian integers polish them until every step is below 2^-tol_bits,
-    measured relative to the root outside the unit disk.  They start from
-    the circle at the working precision instead where a coefficient or
-    start point is not finite in double (or the leading coefficient
-    underflows), or the double run ends on non-finite or coinciding
-    points.  The polish holds points at 2^-F, F the working precision
-    plus the bits below 1 of Cauchy's lower root bound
-    |c_0|/(|c_0| + max|c_i|), so that the smallest root keeps the working
-    precision relative to its own size (coefficients are made monic
-    first).  Returns the roots in arbitrary order.
+    Sweeps in double precision from a perturbed circle give the seeds,
+    converged or not after SEED_SWEEPS; sweeps on Gaussian integers
+    polish them until every step is below 2^-tol_bits, measured
+    relative to the root outside the unit disk.  They start from the
+    circle instead where a coefficient or start point is not finite in
+    double (or the leading coefficient underflows), or the double run
+    ends on non-finite or coinciding points.  The polish holds points at
+    2^-F, F the working precision plus the bits below 1 of Cauchy's
+    lower root bound |c_0|/(|c_0| + max|c_i|), so that the smallest root
+    keeps the working precision relative to its own size (coefficients
+    are made monic first).  Returns the roots in arbitrary order.
     """
     coeffs = poly.coeffs
     n = poly.degree
@@ -177,8 +167,11 @@ def _aberth(poly: CPoly, tol_bits):
     radius = 1 + max(size[:-1])
     fpoly = _DoublePoly(coeffs)
     fdpoly = poly_derivative(fpoly)
-    seeds = [cmath.rect(r, a)
-             for r, a in _circle(n, float(radius), float, math.pi)]
+    # the unit circle, pushed out by distinct small factors and turned off
+    # the axes, in double
+    unit = [cmath.rect(1 + (i % 7 + 1) / (50 * (n + 6)),
+                       2 * cmath.pi * i / n + 0.7 / n + 0.25) for i in range(n)]
+    seeds = [float(radius) * u for u in unit]
     given = fpoly.coeffs + fdpoly.coeffs + tuple(seeds)
     zs = None
     if fpoly.degree == n and all(map(cmath.isfinite, given)):
@@ -190,8 +183,7 @@ def _aberth(poly: CPoly, tol_bits):
         except OverflowError:  # abs() of a point past the double range
             pass
     if zs is None:
-        zs = [r * mp.mpc(mp.cos(a), mp.sin(a))
-              for r, a in _circle(n, radius, mp.mpf, mp.pi)]
+        zs = [radius * mp.mpc(u) for u in unit]
     fbits = mp.prec + max(0, -mp.mag(size[0] / (size[0] + max(size[1:]))))
     zs = [fixed_complex(z, fbits) for z in zs]
     max_step = _polish([fixed_complex(c, fbits) for c in monic], zs, fbits,
