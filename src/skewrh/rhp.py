@@ -112,11 +112,10 @@ class _Columns:
     (u_1 = exp(-2V), u_c = w_(c-2)), one vector of exact ints per column
     (vecs), with k the lattice index of each node (x_k = k h, ks) and L the
     largest row-polynomial degree.  For each row r, its polynomial
-    p_r = sum_t factor_t p_t = A_r + i B_r (RHSolution.row_polys), as the
-    real polynomials (A_r, B_r) (polys), and the coefficients
-    R_(r,l) = p_(r,l) h^(l+1)/(2 pi i), held as complex ints at one
-    exponent (rows), both formed _GUARD bits above the working precision:
-    a row enters the sums only through them.  The power sums
+    p_r = sum_t factor_t p_t (RHSolution.row_polys, polys) and the
+    coefficients R_(r,l) = p_(r,l) h^(l+1)/(2 pi i), held as complex ints
+    at one exponent (rows), both formed _GUARD bits above the working
+    precision: a row enters the sums only through them.  The power sums
     S_(c,m) = sum_k k^m U_(c,k) of the Laurent branch are formed on
     demand (power_sums)."""
 
@@ -126,18 +125,16 @@ class _Columns:
         self.ks = range(k0, k0 + len(table.axs))
         self.vecs = [fixed([v._mpf_ for v in u]) for u in us]
         with mp.workprec(mp.prec + _GUARD):
-            polys = solution.row_polys
+            self.polys = solution.row_polys
             two_pi_i = _two_pi_i()
             self.rows = []
-            for p in polys:
+            for p in self.polys:
                 cs = [c * table.h ** (l + 1) / two_pi_i
                       for l, c in enumerate(p.coeffs)]
                 mans, exp = fixed([c.real._mpf_ for c in cs]
                                   + [c.imag._mpf_ for c in cs])
                 self.rows.append((mans[:len(cs)], mans[len(cs):], exp))
-            self.polys = [(Poly([c.real for c in p.coeffs]),
-                           Poly([c.imag for c in p.coeffs])) for p in polys]
-        self.L = max(p.degree for p in polys)
+        self.L = max(p.degree for p in self.polys)
         self._sums = [[]]
 
     def power_sums(self, count):
@@ -363,15 +360,8 @@ class RHSolution:
         return out
 
     def _heads(self, z):
-        """([p_r(z)], [p_r(conj z)]) for the rows r, the first columns of
-        Y(z) and Y(conj z): with p_r = A_r + i B_r, A_r and B_r real,
-        p_r(conj z) = conj(A_r(z)) + i conj(B_r(z))."""
-        up, down = [], []
-        for A, B in self._columns().polys:
-            a, b = mp.mpc(A(z)), mp.mpc(B(z))
-            up.append(mp.mpc(a.real - b.imag, a.imag + b.real))
-            down.append(mp.mpc(a.real + b.imag, b.real - a.imag))
-        return up, down
+        """[p_r(z)] for the rows r: the first column of Y(z)."""
+        return [p(z) for p in self._columns().polys]
 
     def _assemble(self, heads, folded, side=1, poles=()):
         """Y from its first column heads (_heads) and the row sums of
@@ -398,7 +388,7 @@ class RHSolution:
         else:
             T = self._dots(next(self._kernels(self._columns().ks, t.level,
                                               mp.re(z), (mp.im(z),))))[0]
-        return self._assemble(self._heads(z)[0], self._fold(T))
+        return self._assemble(self._heads(z), self._fold(T))
 
     # -- near-field evaluation --------------------------------------------
 
@@ -431,11 +421,11 @@ class RHSolution:
             fz, fc = ([u * (mp.mpc(0, mp.pi) + mp.pi * mp.cot(mp.pi * z / (step * t.h)))
                        for u in [ex2] + wn] for step in (1, 2))
             fine, coarse = self._dots(kernel)
-            folded, (up, down) = self._fold(fine), self._heads(z)
-            Yp = self._assemble(up, folded, 1, [v / two_pi_i for v in fz])
-            Ym = self._assemble(down, folded, -1,
+            folded, heads = self._fold(fine), self._heads(z)
+            Yp = self._assemble(heads, folded, 1, [v / two_pi_i for v in fz])
+            Ym = self._assemble(self._heads(mp.conj(z)), folded, -1,
                                 [mp.conj(v) / two_pi_i for v in fz])
-            Yc = self._assemble(up, self._fold(coarse), 1,
+            Yc = self._assemble(heads, self._fold(coarse), 1,
                                 [v / two_pi_i for v in fc])
             scale = max(max(abs(v) for v in row) for row in Yp)
             gap = max(max(abs(a - b) for a, b in zip(ra, rb))
