@@ -417,11 +417,12 @@ class RHSolution:
                 self._columns().ks, t.level, x0, deltas)):
             z = mp.mpc(x0, delta)
             _, ex2, wn = t.weights_at(z, self.d - 1)
+            us = [ex2] + wn
             # (i pi + pi cot(pi z/(step h)))/(2 pi i) for the steps h and 2h
             fine_pole, coarse_pole = (
                 (mp.mpc(0, mp.pi) + mp.pi * mp.cot(mp.pi * z / (step * t.h)))
                 / two_pi_i for step in (1, 2))
-            poles = [u * fine_pole for u in [ex2] + wn]
+            poles = [u * fine_pole for u in us]
             fine, coarse = self._dots(kernel)
             folded, heads = self._fold(fine), self._heads(z)
             Yp = self._assemble(heads, folded, 1, poles)
@@ -429,7 +430,7 @@ class RHSolution:
             Ym = self._assemble(self._heads(mp.conj(z)), folded, -1,
                                 [-mp.conj(v) for v in poles])
             Yc = self._assemble(heads, self._fold(coarse), 1,
-                                [u * coarse_pole for u in [ex2] + wn])
+                                [u * coarse_pole for u in us])
             scale = max(max(abs(v) for v in row) for row in Yp)
             gap = max(max(abs(a - b) for a, b in zip(ra, rb))
                       for ra, rb in zip(Yp, Yc))
