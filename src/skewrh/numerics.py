@@ -5,7 +5,8 @@ Scalars are mpmath mpf/mpc carrying the mantissa width of the active
 context.  Public entry points set the working precision themselves;
 internal helpers assume the caller already did.  Grid sums run on raw
 `_mpf_` tuples or, where a vector serves many sums, on Python ints at one
-common exponent (fixed, fixed_dot), summed exactly and rounded once.
+common exponent (fixed, exact_dot), summed exactly and rounded once
+(fixed_round).
 """
 from __future__ import annotations
 
@@ -259,7 +260,8 @@ def fixed(xs):
     sum|a_k|, where 2^ta > max|a_k| and 2^tb > max|b_k| are the powers of
     two just above the largest entries.  Where nothing is dropped and
     mpf_sum drops no term either (no two of the products' exponents more
-    than 2 prec apart), fixed_dot gives mp.fdot's bits."""
+    than 2 prec apart), the dot rounded once (exact_dot, fixed_round) has
+    mp.fdot's bits."""
     if any(not m and e for _, m, e, _ in xs):
         raise ValueError("fixed() takes finite values only")
     tops = [e + bc for _, m, e, bc in xs if m]
@@ -296,13 +298,9 @@ def fixed_round(man, exp):
 
 
 def exact_dot(a, b):
-    """The dot of two held vectors (mans, exp), exactly, as (man, exp)."""
+    """The dot of two held vectors (mans, exp), exactly, as (man, exp);
+    fixed_round rounds it once."""
     return sum(map(mul, a[0], b[0])), a[1] + b[1]
-
-
-def fixed_dot(a, b):
-    """The dot of two held vectors (mans, exp), rounded once."""
-    return fixed_round(*exact_dot(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,11 @@ half-line integrals come from one kernel: the Taylor series of
 exp(V(x_k) - V(y)) about a lattice node x_k (the Taylor-series method for
 g' = -V' g, Corliss-Chang 1982, ACM TOMS 8), whose coefficients are exact
 integers, run on ints and integrated term by term.  It gives every lattice
-interval's increment, summed exactly and rounded once per node, and the
-integrals from the node below any real or complex point up to it.
+interval's increment, and the integrals from the node below any real or
+complex point up to it.  The running sums F of the increments stay exact
+ints, one exponent per power y^j, and so do the densities
+w_j = exp(-V) (2 F_j - m_j) on the lattice, which the pairings sum; a value
+read out of them is rounded once.
 
 Grid sums for integrands carrying exp(-V) run over the active slice
 |x| <= cut only, where cut satisfies x^i_max exp(-V(x)) < quad_tol*1e-4;
@@ -144,20 +147,19 @@ def truncation_radius(V: Potential, i_max: int, tol):
     return base, 2 * base
 
 
-def _lattice_sums(values, ks, count):
-    """(sums, exp) for values at the lattice nodes k h, k in the range ks,
-    held as ints v at 2^exp (numerics.fixed): sums[i], i < count, holds the
-    exact int sums of the running vector k^i v, over all its terms, of
-    their absolute values, and over the coarser lattice 2hZ (the even k).
-    Times h^(i+1) 2^exp these are trapezoid sums of x^i values; twice the
-    third is the one on 2hZ."""
-    v, exp = fixed([x._mpf_ for x in values])
+def _lattice_sums(v, ks, count):
+    """The sums of values v at the lattice nodes k h, k in the range ks,
+    held as ints at one exponent (numerics.fixed): sums[i], i < count,
+    holds the exact int sums of the running vector k^i v, over all its
+    terms, of their absolute values, and over the coarser lattice 2hZ (the
+    even k).  Times h^(i+1) and the held exponent these are trapezoid sums
+    of x^i values; twice the third is the one on 2hZ."""
     sums, start = [], ks.start % 2
     for i in range(count):
         if i:
             v = list(map(mul, v, ks))
         sums.append((sum(v), sum(map(abs, v)), sum(v[start::2])))
-    return sums, exp
+    return sums
 
 
 def _agrees(sums, tol):
@@ -233,8 +235,10 @@ class WeightTable:
     active nodes (w_values) are built per call.  The nodes xs cover the
     whole lattice; exp(-V) (aew), exp(-2V) (aew2) and the half-line
     integrals F cover the active slice, F from the node just below it.
-    F and the integrals at other points come from one kernel, the Taylor
-    series of exp(-V) about a lattice node (_series).  The weight of every
+    F holds exact ints, F[j][k] at 2^_F_exp[j]; _F_at rounds the entry it
+    reads, and w_values the exact w_n (_w_held).  F and the integrals at
+    other points come from one kernel, the Taylor series of exp(-V) about
+    a lattice node (_series).  The weight of every
     node is the step h.  The level is fixed when the table is built, by the
     moments and the pairing block P together; ensure_ranges rebuilds the
     table for wider ranges, and `version` changes whenever it does, for
@@ -280,7 +284,8 @@ class WeightTable:
             xs, ew = self._grid_at_level(level, known)
             known = dict(zip(xs, ew))
             n = len(xs) // 2
-            sums, exp = _lattice_sums(ew, range(-n, n + 1), self.i_max + 1)
+            v, exp = fixed([e._mpf_ for e in ew])
+            sums = _lattice_sums(v, range(-n, n + 1), self.i_max + 1)
             if accepted is None and all(_agrees(s, self.tol) for s in sums):
                 accepted = level
             if accepted is not None:
@@ -303,8 +308,9 @@ class WeightTable:
         ew2 = [e * e for e in ew]
         n = len(xs) // 2
         self.m = m
-        self.m2 = _rounded(*_lattice_sums(ew2, range(-n, n + 1), self.i_max + 1),
-                           level)
+        v, exp = fixed([e._mpf_ for e in ew2])
+        self.m2 = _rounded(_lattice_sums(v, range(-n, n + 1), self.i_max + 1),
+                           exp, level)
         lo = bisect.bisect_left(self.xs, -self.active_radius)
         hi = bisect.bisect_right(self.xs, self.active_radius)
         self._alo, self._ahi = lo, hi
@@ -320,14 +326,15 @@ class WeightTable:
     def _check_pairings(self):
         """P[j][i] = <x^i, y^j>_1 = h^(i+1) * sum k^i w_j(k h) over the
         active lattice indices k, for i < j <= w_max, each an exact integer
-        sum rounded once and checked against the coarser lattice 2hZ
-        (_agrees).  Returns the first (i, j) that fails its check, or None
-        when the whole block passes."""
+        sum of the exact w_j (_w_held) rounded once and checked against the
+        coarser lattice 2hZ (_agrees).  Returns the first (i, j) that fails
+        its check, or None when the whole block passes."""
         n = len(self.xs) // 2
         ks = range(self._alo - n, self._ahi - n)
         self.P = [[]]
         for j in range(1, self.w_max + 1):
-            sums, exp = _lattice_sums(self.w_values(j), ks, j)
+            w, exp = self._w_held(j)
+            sums = _lattice_sums(w, ks, j)
             for i, s in enumerate(sums):
                 if not _agrees(s, self.tol):
                     return i, j
@@ -414,14 +421,15 @@ class WeightTable:
         return [mp.mpc(*v) for v in zip(*vals)] if len(vals) == 2 else vals[0]
 
     def _build_F(self):
-        """F[j][k - _F_lo]: integral of y^j exp(-V) from -cut up to the node
-        xs[k], for k from _F_lo = max(alo - 1, 0) through ahi - 1, the nodes
-        that _F_at and w_values read.  Each lattice interval adds exp(-V)
-        at an active node times that node's _series (_interval_sums), both
-        exact at one exponent, so every entry is an exact sum rounded once.
-        The interval across -cut counts from -cut (below it the mass is
-        under the validated error scale, by the tail bound); where the
-        lattice starts above -cut, F starts at its first node."""
+        """F[j][k - _F_lo] 2^_F_exp[j]: integral of y^j exp(-V) from -cut up
+        to the node xs[k], for k from _F_lo = max(alo - 1, 0) through
+        ahi - 1, the nodes that _F_at and _w_held read.  Each lattice
+        interval adds exp(-V) at an active node, held as the ints E at one
+        exponent (fixed(aew)), times that node's _series (_interval_sums),
+        so every entry is an exact running sum, kept as an int.  The
+        interval across -cut counts from -cut (below it the mass is under
+        the validated error scale, by the tail bound); where the lattice
+        starts above -cut, F starts at its first node."""
         raws = [c._mpf_ for c in self.potential.dpoly.coeffs]
         exps = [e - self.level * (l + 1) for l, (_, _, e, _) in enumerate(raws)]
         sh = max(0, -min(e for (_, m, _, _), e in zip(raws, exps) if m))
@@ -431,14 +439,13 @@ class WeightTable:
         self._dv_shift = sh
         n_j, fb = self.w_max + 1, self._fbits
         self._F_lo = max(self._alo - 1, 0)
-        es, ex = fixed([e._mpf_ for e in self.aew])
-        run = [0] * n_j
-        F = [[mp.mpf(0)] for _ in range(n_j)]
+        self._E = es, ex = fixed([e._mpf_ for e in self.aew])
+        F = [[0] for _ in range(n_j)]
         for q, sums in self._interval_sums(n_j):
             for j, s in enumerate(sums):
-                run[j] += es[q - self._alo] * s
-                F[j].append(fixed_round(run[j], ex - fb - self.level * (j + 1)))
+                F[j].append(F[j][-1] + es[q - self._alo] * s)
         self.F = F
+        self._F_exp = [ex - fb - self.level * (j + 1) for j in range(n_j)]
 
     # -- growth ------------------------------------------------------------
 
@@ -479,13 +486,26 @@ class WeightTable:
                 f"pairing ({i},{j}) beyond table (i < j <= {self.w_max})")
         return self.P[j][i]
 
+    def _w_held(self, n: int):
+        """(W, exp): w_n = exp(-V) (2 F_n - m_n) at the active grid nodes,
+        exactly, as the ints W at 2^exp, from E = fixed(aew), F_n and m_n
+        aligned to one exponent."""
+        es, ex = self._E
+        s, man, e, _ = self.m[n]._mpf_
+        c = min(e, self._F_exp[n])
+        m = (-man if s else man) << (e - c)
+        two_f = 2 << (self._F_exp[n] - c)
+        Fn = self.F[n][self._alo - self._F_lo:]
+        return [a * (two_f * f - m) for a, f in zip(es, Fn)], ex + c
+
     def w_values(self, n: int):
-        """w_n at the active grid nodes: exp(-V) * (2 F_n - m_n)."""
+        """w_n at the active grid nodes: exp(-V) * (2 F_n - m_n), formed
+        exactly (_w_held) and rounded once at the table's precision."""
         if not 0 <= n <= self.w_max:
             raise MomentRangeExceeded(f"w_{n} beyond table ({self.w_max})")
-        mn = self.m[n]
-        Fn = self.F[n][self._alo - self._F_lo:]
-        return [e * (2 * f - mn) for e, f in zip(self.aew, Fn)]
+        w, exp = self._w_held(n)
+        with mp.workprec(self._prec):
+            return [fixed_round(v, exp) for v in w]
 
     # -- pointwise evaluation ---------------------------------------------
 
@@ -504,7 +524,8 @@ class WeightTable:
         if p < self._F_lo:
             return [mp.mpf(0)] * j_count
         seg = self._segment(p, (z - self.xs[p]) / self.h, j_count)
-        return [self.F[j][p - self._F_lo] + s for j, s in enumerate(seg)]
+        return [fixed_round(self.F[j][p - self._F_lo], self._F_exp[j]) + s
+                for j, s in enumerate(seg)]
 
     def weights_at(self, z, n_count: int):
         """(exp(-V(z)), exp(-2V(z)), [w_0(z) .. w_{n_count-1}(z)]).

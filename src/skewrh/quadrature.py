@@ -10,6 +10,8 @@ it; tests take their reference rules from mpmath.
 """
 from __future__ import annotations
 
+import functools
+
 from mpmath import mp
 
 # ---------------------------------------------------------------------------
@@ -88,21 +90,28 @@ def boundary_deltas(lo: int = 10, hi: int = 20):
     return tuple(mp.mpf(2) ** (-k) for k in range(lo, hi + 1))
 
 
+@functools.lru_cache(maxsize=8)
+def _weights_at_zero(deltas, prec):
+    """The Lagrange weights at 0 of the nodes deltas (raw mpfs),
+    l_i(0) = prod_(j != i) d_j / (d_j - d_i), rounded at prec."""
+    with mp.workprec(prec):
+        d = [mp.make_mpf(x) for x in deltas]
+        return tuple(mp.fprod(dj / (dj - di) for j, dj in enumerate(d) if j != i)
+                     for i, di in enumerate(d))
+
+
 def richardson_limit(deltas, values):
-    """Neville extrapolation of values(delta) to delta -> 0.
+    """Extrapolation of values(delta) to delta -> 0: the polynomial through
+    the samples, evaluated at 0, as the dot of its Lagrange weights at 0
+    (formed once per ladder and precision) with the values.
 
     Valid whenever the sampled quantity extends analytically in delta,
     which holds for boundary values of Cauchy transforms of entire
-    densities; geometric ladders keep the tableau well conditioned.
+    densities; on geometric ladders the weights stay small (their
+    absolute sum is 8.2 on boundary_deltas()).
     """
     n = len(values)
     if n != len(deltas) or n == 0:
         raise ValueError("need matching nonempty deltas/values")
-    T = list(values)
-    d = [mp.mpf(x) for x in deltas]
-    for m in range(1, n):
-        T = [
-            (d[i] * T[i + 1] - d[i + m] * T[i]) / (d[i] - d[i + m])
-            for i in range(n - m)
-        ]
-    return T[0]
+    key = tuple(mp.mpf(x)._mpf_ for x in deltas)
+    return mp.fdot(_weights_at_zero(key, mp.prec), values)

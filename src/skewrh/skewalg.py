@@ -1,10 +1,12 @@
 """Skew-triangular elimination, Pfaffians, and polynomial families.
 
 Two independent routes produce the same monic family: 2x2 block
-elimination of the skew moment matrix (rows of the inverse unit
-triangular factor), and bordered-Pfaffian coefficient formulas.  Their
-agreement is a structural cross-check, so neither is expressed through
-the other.
+elimination of the skew moment matrix in natural order (rows of the
+inverse unit triangular factor, skew_eliminate), and bordered Pfaffians,
+each from one pivoted block elimination of a moment minor that carries the
+monomial border along (_pivoted_blocks, which pfaffian runs without a
+border).  The second loop pivots and keeps no factor; their agreement is a
+structural cross-check, so neither is expressed through the other.
 """
 from __future__ import annotations
 
@@ -14,7 +16,8 @@ from mpmath import mp
 
 from .errors import DegenerateInnerProduct
 from .numerics import DEFAULT_CONTEXT, Poly, PrecisionContext, mat_inf_norm
-from .moments import SkewMomentMatrix, build_skew_moment_matrix, skew_inner
+from .moments import (SkewMomentMatrix, build_skew_moment_matrix,
+                      skew_inner_4)
 from .potentials import Potential, WeightTable
 
 
@@ -81,11 +84,55 @@ def skew_eliminate(M, ctx: PrecisionContext = DEFAULT_CONTEXT) -> SkewFactorizat
                                  d=tuple(d), n=n)
 
 
-def pfaffian(M, ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """Pfaffian by block elimination with partial pivoting.
+def _pivoted_blocks(A, border=None):
+    """Pivoted 2x2 block elimination of the antisymmetric A (row lists,
+    changed in place): len(A) // 2 block steps, each taking as pivot the
+    largest entry of its column, with row/column pairs swapped together (a
+    congruence), each swap flipping the sign.  border, when given, holds
+    one coefficient vector per row, that row's entry of a border column
+    past the last: it is swapped and updated with its row, so that after
+    the steps it holds the Schur complement of that column.  Returns
+    (sign, pivots), or None when a pivot column is zero."""
+    n = len(A)
+    border = border or [[] for _ in range(n)]
+    sign, pivots = 1, []
+    for b in range(n // 2):
+        p, q = 2 * b, 2 * b + 1
+        best, br = mp.mpf(0), q
+        for r in range(p + 1, n):
+            if abs(A[r][p]) > best:
+                best, br = abs(A[r][p]), r
+        if best == 0:
+            return None
+        if br != q:
+            A[q], A[br] = A[br], A[q]
+            for row in A:
+                row[q], row[br] = row[br], row[q]
+            border[q], border[br] = border[br], border[q]
+            sign = -sign
+        db = A[p][q]
+        pivots.append(db)
+        for r in range(q + 1, n):
+            a_mult = A[r][q] / db
+            b_mult = -A[r][p] / db
+            if a_mult == 0 and b_mult == 0:
+                continue
+            for c in range(r + 1, n):  # the rest is restored below
+                A[r][c] -= a_mult * A[p][c] + b_mult * A[q][c]
+            # entries where both pivot rows hold zeros stay as they are
+            border[r] = [u - (a_mult * v + b_mult * w) if v or w else u
+                         for u, v, w in zip(border[r], border[p], border[q])]
+        for r in range(q + 1, n):
+            A[r][r] = mp.mpf(0)
+            for c in range(r + 1, n):
+                A[c][r] = -A[r][c]
+    return sign, pivots
 
-    Row/column pairs are swapped together (a congruence), each swap
-    flipping the sign; pf(M)^2 = det(M)."""
+
+def pfaffian(M, ctx: PrecisionContext = DEFAULT_CONTEXT):
+    """Pfaffian by block elimination with partial pivoting
+    (_pivoted_blocks): the sign of its swaps times the product of its
+    pivots; pf(M)^2 = det(M)."""
     rows = M.rows if isinstance(M, SkewMomentMatrix) else M
     n = len(rows)
     if n == 0:
@@ -93,39 +140,11 @@ def pfaffian(M, ctx: PrecisionContext = DEFAULT_CONTEXT):
     if n % 2 != 0:
         return mp.mpf(0)
     with ctx.workprec():
-        A = [list(r) for r in rows]
-        sign = 1
-        acc = []
-        for b in range(n // 2):
-            p, q = 2 * b, 2 * b + 1
-            best, br = mp.mpf(0), q
-            for r in range(p + 1, n):
-                if abs(A[r][p]) > best:
-                    best, br = abs(A[r][p]), r
-            if best == 0:
-                return mp.mpf(0)
-            if br != q:
-                A[q], A[br] = A[br], A[q]
-                for row in A:
-                    row[q], row[br] = row[br], row[q]
-                sign = -sign
-            db = A[p][q]
-            acc.append(db)
-            for r in range(q + 1, n):
-                a_mult = A[r][q] / db
-                b_mult = -A[r][p] / db
-                if a_mult == 0 and b_mult == 0:
-                    continue
-                for c in range(r + 1, n):  # the rest is restored below
-                    A[r][c] -= a_mult * A[p][c] + b_mult * A[q][c]
-            for r in range(q + 1, n):
-                A[r][r] = mp.mpf(0)
-                for c in range(r + 1, n):
-                    A[c][r] = -A[r][c]
-        out = mp.mpf(1)
-        for v in acc:
-            out = out * v
-        return sign * out
+        blocks = _pivoted_blocks([list(r) for r in rows])
+        if blocks is None:
+            return mp.mpf(0)
+        sign, pivots = blocks
+        return sign * mp.fprod(pivots)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -198,51 +217,58 @@ def skew_orthogonal_family(V: Potential, beta: int, k_max: int,
                       potential=V, matrix=matrix)
 
 
-def _index_minor(rows, idx):
-    return [[rows[a][b] for b in idx] for a in idx]
-
-
 def pfaffian_polynomials(M: SkewMomentMatrix, j: int,
                          ctx: PrecisionContext = DEFAULT_CONTEXT):
-    """(p_2j, p_{2j+1}) via bordered-Pfaffian coefficient expansions.
-
-    Even: indices 0..2j bordered by the monomial column (x^i); the
-    coefficient of x^i is (-1)^i pf(M with row/col i removed).  Odd:
-    indices 0..2j-1, 2j+1 with the same bordering, which forces a zero
-    x^{2j} coefficient.  Both are returned monic.
-    """
+    """(p_2j, p_{2j+1}), each the Pfaffian of the minor of M on 2j+1
+    indices S bordered by the monomial column (x^t), t in S
+    (Adler-Forrester-Nagao-van Moerbeke 2000, J. Stat. Phys. 99): even
+    S = 0..2j, odd S = 0..2j-1, 2j+1, which forces a zero x^{2j}
+    coefficient.  One pivoted block elimination of the minor
+    (_pivoted_blocks) carries the border as unit vectors; after its j
+    steps the last row's vector is the member up to the Pfaffian of the
+    leading block, so it is made monic.  A zero pivot column raises
+    DegenerateInnerProduct."""
     rows = M.rows if isinstance(M, SkewMomentMatrix) else M
     if 2 * j + 1 >= len(rows):
         raise ValueError("moment matrix too small for requested j")
+    zero, one = mp.mpf(0), mp.mpf(1)
+    out = []
     with ctx.workprec():
-        S = list(range(2 * j + 1))
-        ceven = []
-        for pos, i in enumerate(S):
-            minor = _index_minor(rows, [t for t in S if t != i])
-            ceven.append((-1) ** pos * pfaffian(minor, ctx))
-        p_even = Poly(ceven).monic()
-        T = list(range(2 * j)) + [2 * j + 1]
-        codd = [mp.mpf(0)] * (2 * j + 2)
-        for pos, t in enumerate(T):
-            minor = _index_minor(rows, [s for s in T if s != t])
-            codd[t] = (-1) ** pos * pfaffian(minor, ctx)
-        p_odd = Poly(codd).monic()
-    return p_even, p_odd
+        for S in (list(range(2 * j + 1)), list(range(2 * j)) + [2 * j + 1]):
+            A = [[rows[a][b] for b in S] for a in S]
+            border = [[one if s == t else zero for s in range(S[-1] + 1)]
+                      for t in S]
+            if _pivoted_blocks(A, border) is None:
+                raise DegenerateInnerProduct(
+                    f"bordered Pfaffian of p_{S[-1]}: a pivot column of the "
+                    f"moment minor on indices {S} is zero")
+            out.append(Poly(border[-1]).monic())
+    return tuple(out)
+
+
+def _gram_entries(family: SkewFamily):
+    """(i, j, <p_i, p_j>) for i <= j, at the working precision.  For
+    beta = 1 the row dots M p_j of each member are formed once and serve
+    every i <= j, with skew_inner_1's bits."""
+    polys, source = family.polys, family.inner_source()
+    for j, g in enumerate(polys):
+        if family.beta == 1:
+            dots = [mp.fdot(source.rows[r][:g.degree + 1], g.coeffs)
+                    for r in range(g.degree + 1)]
+        for i in range(j + 1):
+            f = polys[i]
+            yield i, j, (mp.fdot(f.coeffs, dots[:f.degree + 1]) if family.beta == 1
+                         else skew_inner_4(f, g, source))
 
 
 def gram_residual(family: SkewFamily, ctx: PrecisionContext = DEFAULT_CONTEXT):
     """Max deviation of the family's Gram matrix from its block-diagonal
     target, relative to the largest |h_j|."""
-    source = family.inner_source()
-    polys = family.polys
-    n = len(polys)
     with ctx.workprec():
         hmax = max(abs(v) for v in family.h)
         worst = mp.mpf(0)
-        for i in range(n):
-            for j in range(i, n):
-                g = skew_inner(polys[i], polys[j], family.beta, source)
-                if j == i + 1 and i % 2 == 0:
-                    g = g - family.h[i // 2]
-                worst = max(worst, abs(g))
+        for i, j, g in _gram_entries(family):
+            if j == i + 1 and i % 2 == 0:
+                g = g - family.h[i // 2]
+            worst = max(worst, abs(g))
         return worst / hmax

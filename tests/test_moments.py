@@ -5,6 +5,7 @@ import random
 import pytest
 from mpmath import mp
 from mpmath.calculus.quadrature import GaussLegendre
+from mpmath.libmp import from_man_exp
 
 from skewrh.errors import MomentRangeExceeded, QuadratureFailure
 from skewrh.moments import (
@@ -266,7 +267,8 @@ def test_builds_on_one_table_read_one_level(quartic, ctx):
     # the README quartic at n = 18: its pairings take the table to h = 1/64,
     # one level finer than its moments do.  Every build reads that level
     # and leaves the table as it was, so two builds agree in every entry,
-    # and each entry is the lattice sum h * sum x^i w_j, formed here
+    # and each entry is the lattice sum h * sum x^i w_j of the exact w_j
+    # (_w_held), formed here by exact additions and rounded once
     table = WeightTable(quartic, ctx, i_max=35, w_max=17)
     state = (table.level, table.version)
     first = build_skew_moment_matrix(quartic, 1, 18, ctx, table=table)
@@ -276,14 +278,20 @@ def test_builds_on_one_table_read_one_level(quartic, ctx):
     assert table.h == mp.ldexp(1, -6)
     bits = [[v._mpf_ for v in row] for row in first.rows]
     assert bits == [[v._mpf_ for v in row] for row in second.rows]
-    with mp.workprec(table._prec):
-        power = [mp.mpf(1)] * len(table.axs)
-        for i in range(17):
-            for j in range(i + 1, 18):
-                lattice_sum = table.h * mp.fdot(power, table.w_values(j))
-                assert first.entry(i, j) == lattice_sum, (i, j)
-                assert first.entry(j, i) == -lattice_sum, (i, j)
-            power = [p * x for p, x in zip(power, table.axs)]
+    ws = [[mp.make_mpf(from_man_exp(v, exp)) for v in w]
+          for w, exp in map(table._w_held, range(18))]
+    power = [table.h] * len(table.axs)
+    for i in range(17):
+        for j in range(i + 1, 18):
+            lattice_sum = mp.mpf(0)
+            for p, w in zip(power, ws[j]):
+                lattice_sum = mp.fadd(lattice_sum, mp.fmul(p, w, exact=True),
+                                      exact=True)
+            with mp.workprec(table._prec):
+                lattice_sum = +lattice_sum
+            assert first.entry(i, j)._mpf_ == lattice_sum._mpf_, (i, j)
+            assert first.entry(j, i) == -lattice_sum, (i, j)
+        power = [mp.fmul(p, x, exact=True) for p, x in zip(power, table.axs)]
 
 
 def test_build_leaves_settled_table_as_it_was(quartic, ctx, deep_size):

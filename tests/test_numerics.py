@@ -17,7 +17,6 @@ from skewrh.numerics import (
     determinant,
     exp_e,
     fixed,
-    fixed_dot,
     fixed_round,
     linear_solve,
     mat_identity,
@@ -210,6 +209,11 @@ def test_exp_e_matches_mpmath_bit_for_bit(prec):
         ts += [v * 60 for v in _random_reals(rng, 200, zeros=False)]
         for t in ts:
             assert exp_e(t)._mpf_ == (mp.e ** t)._mpf_, (prec, t)
+
+
+def fixed_dot(a, b):
+    """The dot of two held vectors (mans, exp), rounded once."""
+    return fixed_round(*exact_dot(a, b))
 
 
 @pytest.mark.parametrize("prec", RAW_PRECS)

@@ -6,10 +6,11 @@ import weakref
 
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from skewrh import potentials
 from skewrh.errors import IntegrabilityError, MomentRangeExceeded
-from skewrh.numerics import Poly, exp_e, fixed, fixed_round
+from skewrh.numerics import Poly, exp_e, fixed
 from skewrh.potentials import (
     Potential,
     WeightTable,
@@ -294,22 +295,33 @@ def test_coarse_nodes_are_the_coarser_level(gauss, quartic, ctx, monkeypatch):
                 [x for x in t.axs if int(x / h) % 2 == 0]
 
 
+def _exact(man, exp):
+    """man * 2^exp as an mpf, exactly."""
+    return mp.make_mpf(from_man_exp(man, exp))
+
+
 def _full_grid_F(t):
-    """The half-line integral chain over every master-grid node, as the
-    table kept it before it stored the active slice only: zero up to the
-    slice, then each interval's series sums times exp(-V) at their node,
-    summed exactly over the whole lattice (exp(-V) held at the exponent of
-    all its nodes, not of the slice) and rounded once per node."""
+    """The half-line integral chain over every master-grid node, as exact
+    mpfs: zero up to the active slice, then each interval's series sums
+    times exp(-V) at their node, summed exactly over the whole lattice
+    (exp(-V) held at the exponent of all its nodes, not of the slice)."""
     n_j = t.w_max + 1
     with mp.workprec(t._prec):
         es, ex = fixed([exp_e(-t.potential(x))._mpf_ for x in t.xs])
-        run = [0] * n_j
-        F = [[mp.mpf(0)] * (t._F_lo + 1) for _ in range(n_j)]
-        for q, sums in t._interval_sums(n_j):
-            for j, s in enumerate(sums):
-                run[j] += es[q] * s
-                F[j].append(fixed_round(run[j], ex - t._fbits - t.level * (j + 1)))
+    run = [0] * n_j
+    F = [[mp.mpf(0)] * (t._F_lo + 1) for _ in range(n_j)]
+    for q, sums in t._interval_sums(n_j):
+        for j, s in enumerate(sums):
+            run[j] += es[q] * s
+            F[j].append(_exact(run[j], ex - t._fbits - t.level * (j + 1)))
     return F
+
+
+def _exact_w(t, full, n):
+    """w_n = exp(-V) (2 F_n - m_n) on the active slice, exactly, with F_n
+    from the full chain."""
+    return [mp.fmul(e, mp.fsub(mp.ldexp(f, 1), t.m[n], exact=True), exact=True)
+            for e, f in zip(t.aew, full[n][t._alo:t._ahi])]
 
 
 def _bits(values):
@@ -317,11 +329,13 @@ def _bits(values):
 
 
 def _check_slice_against_full_chain(t):
+    # F holds the chain's exact values as ints; _F_at rounds the entry it
+    # reads once, and w_values is the exact exp(-V) (2 F - m) rounded once
     full = _full_grid_F(t)
     alo, ahi = t._alo, t._ahi
     lo = max(alo - 1, 0)
     for j in range(t.w_max + 1):
-        assert _bits(t.F[j]) == _bits(full[j][lo:ahi])
+        assert [_exact(f, t._F_exp[j]) for f in t.F[j]] == full[j][lo:ahi]
     with mp.workprec(t._prec):
         xs, r, eps = t.xs, t.active_radius, mp.mpf(2) ** -200
         points = [xs[alo - 1], xs[alo], (xs[alo - 1] + xs[alo]) / 2,
@@ -335,11 +349,10 @@ def _check_slice_against_full_chain(t):
             else:
                 k = bisect.bisect_right(xs, x) - 1
                 seg = t._segment(k, (x - xs[k]) / t.h, n_j)
-                expect = [full[j][k] + seg[j] for j in range(n_j)]
+                expect = [+full[j][k] + seg[j] for j in range(n_j)]
             assert _bits(t._F_at(x, n_j)) == _bits(expect)
         for n in range(n_j):
-            expect = [e * (2 * f - t.m[n])
-                      for e, f in zip(t.aew, full[n][alo:ahi])]
+            expect = [+w for w in _exact_w(t, full, n)]
             assert _bits(t.w_values(n)) == _bits(expect)
 
 
@@ -401,9 +414,10 @@ GENERAL_LEVELS = {"0,0.25,0.5,0.125,1": 5, "1,0,0.7": 3}
                                     *GENERAL_LEVELS])
 def test_lattice_sums_are_correctly_rounded(coeffs, ctx):
     # m, m2 and the pairing block P are sums of k^i h^(i+1) v_k over the
-    # lattice indices k: each must be the exact sum rounded once, here an
-    # mp.fsum of the exact terms at twice the precision, rounded to the
-    # table's.  Odd moments of the even potentials are exact zeros
+    # lattice indices k, v_k the exact exp(-V), exp(-2V) and, for P, the
+    # exact w_j = exp(-V) (2 F_j - m_j) from the full chain: each must be
+    # the exact sum, here of exact additions, rounded once to the table's
+    # precision.  Odd moments of the even potentials are exact zeros
     V = Potential.parse(coeffs)
     t = WeightTable(V, ctx, i_max=27, w_max=13)
     even = not any(V.poly.coeffs[1::2])
@@ -413,14 +427,16 @@ def test_lattice_sums_are_correctly_rounded(coeffs, ctx):
     with mp.workprec(prec):
         ew = [exp_e(-V(x)) for x in t.xs]
         ew2 = [e * e for e in ew]
-        ws = [t.w_values(j) for j in range(t.w_max + 1)]
+    full = _full_grid_F(t)
+    ws = [_exact_w(t, full, j) for j in range(t.w_max + 1)]
     assert ew[t._alo:t._ahi] == t.aew and ew2[t._alo:t._ahi] == t.aew2
     ks = range(-n, n + 1)
 
     def rounded(values, indices, i):
-        with mp.workprec(2 * prec):
-            ref = mp.fsum(mp.fmul(v, mp.ldexp(k ** i, -t.level * (i + 1)), exact=True)
-                          for v, k in zip(values, indices))
+        ref = mp.mpf(0)
+        for v, k in zip(values, indices):
+            term = mp.fmul(v, _exact(k ** i, -t.level * (i + 1)), exact=True)
+            ref = mp.fadd(ref, term, exact=True)
         with mp.workprec(prec):
             return (+ref)._mpf_
 

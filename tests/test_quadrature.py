@@ -52,6 +52,29 @@ def test_richardson_limit_exact_on_polynomial_error():
     assert abs(richardson_limit(ds, vals) - target) <= mp.mpf("1e-40")
 
 
+def _neville_at_zero(deltas, values):
+    """The Neville tableau of values(delta) at delta = 0."""
+    T, d = list(values), list(deltas)
+    for m in range(1, len(T)):
+        T = [(d[i] * T[i + 1] - d[i + m] * T[i]) / (d[i] - d[i + m])
+             for i in range(len(T) - 1)]
+    return T[0]
+
+
+def test_richardson_limit_agrees_with_neville():
+    # the Lagrange weights at 0 give the tableau's value: on the default
+    # ladder, for complex samples with a non-polynomial delta dependence
+    # like that of the boundary values the residuals extrapolate
+    ds = boundary_deltas()
+    with mp.workprec(272):
+        for x0 in (mp.mpf("0.3"), mp.mpf("-1.7")):
+            vals = [mp.exp(mp.mpc(x0, d)) / (mp.mpc(x0, d) - 3) for d in ds]
+            got = richardson_limit(ds, vals)
+            ref = _neville_at_zero(ds, vals)
+            assert abs(got - ref) <= mp.mpf("1e-70") * abs(ref)
+            assert abs(got - mp.exp(x0) / (x0 - 3)) <= mp.mpf("1e-40")
+
+
 def test_ts_mapped_level_integrates_monomials():
     # the level the benchmark generates: symmetric nodes on [-1, 1] whose
     # weights integrate x^s to 2/(s+1) for even s and to 0 for odd s

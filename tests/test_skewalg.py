@@ -6,11 +6,12 @@ import pytest
 from mpmath import mp
 
 from skewrh.errors import DegenerateInnerProduct
-from skewrh.moments import build_skew_moment_matrix, inner_2, skew_inner_1
+from skewrh.moments import build_skew_moment_matrix, inner_2, skew_inner, skew_inner_1
 from skewrh.numerics import Poly, determinant, mat_inf_norm
 from skewrh.potentials import get_weight_table
 from skewrh.skewalg import (
     SkewFactorization,
+    _gram_entries,
     gram_residual,
     pfaffian,
     pfaffian_polynomials,
@@ -160,6 +161,78 @@ def test_bordered_pfaffian_route_matches_factorization(fam1_gauss, ctx):
 def test_bordered_pfaffian_requires_room(fam1_gauss, ctx):
     with pytest.raises(ValueError):
         pfaffian_polynomials(fam1_gauss.matrix, 9, ctx)
+
+
+def pfaffian_polynomials_by_minors(rows, j, ctx):
+    """(p_2j, p_{2j+1}) from the bordered-Pfaffian expansion one minor at
+    a time: the coefficient of x^t is (-1)^pos pf(M on S without t), t
+    the pos-th index of S = 0..2j (even) or 0..2j-1, 2j+1 (odd)."""
+    out = []
+    with ctx.workprec():
+        for S in (list(range(2 * j + 1)), list(range(2 * j)) + [2 * j + 1]):
+            coeffs = [mp.mpf(0)] * (S[-1] + 1)
+            for pos, t in enumerate(S):
+                idx = [s for s in S if s != t]
+                minor = [[rows[a][b] for b in idx] for a in idx]
+                coeffs[t] = (-1) ** pos * pfaffian(minor, ctx)
+            out.append(Poly(coeffs).monic())
+    return out
+
+
+def _rel_dev(p, q):
+    n = max(p.degree, q.degree) + 1
+    return (max(abs(p.coeff(s) - q.coeff(s)) for s in range(n))
+            / max(abs(c) for c in q.coeffs))
+
+
+def test_bordered_elimination_matches_minor_expansion(fam1_gauss, fam1_quartic,
+                                                      ctx):
+    # one elimination per member gives the coefficients that the 2j+1
+    # minors' Pfaffians give one at a time
+    for fam in (fam1_gauss, fam1_quartic):
+        for j in range(9):
+            got = pfaffian_polynomials(fam.matrix, j, ctx)
+            ref = pfaffian_polynomials_by_minors(fam.matrix.rows, j, ctx)
+            for p, q in zip(got, ref):
+                assert p.degree == q.degree
+                assert _rel_dev(p, q) <= mp.mpf("1e-60"), j
+            assert got[1].coeff(2 * j) == 0
+
+
+def test_bordered_elimination_pivots_and_refuses_zero_columns(ctx):
+    # a zero leading pivot is swapped for the largest entry of its column,
+    # which keeps the minors' polynomial, here p_2 = x - 3/2 of degree 1; a
+    # zero pivot column, where the minors would give the constant 1 as
+    # p_2, raises
+    def skew(upper):
+        A = [[mp.mpf(0)] * 4 for _ in range(4)]
+        for (i, j), v in upper.items():
+            A[i][j], A[j][i] = mp.mpf(v), -mp.mpf(v)
+        return A
+
+    M = skew({(0, 2): 2, (1, 2): 3, (0, 3): 5, (1, 3): 1, (2, 3): 7})
+    got = pfaffian_polynomials(M, 1, ctx)
+    ref = pfaffian_polynomials_by_minors(M, 1, ctx)
+    assert got[0].coeffs == ref[0].coeffs == (mp.mpf(-1.5), mp.mpf(1))
+    assert _rel_dev(got[1], ref[1]) <= mp.mpf("1e-70")
+    M = skew({(0, 3): 5, (1, 2): 3, (1, 3): 1, (2, 3): 7})
+    assert pfaffian_polynomials_by_minors(M, 1, ctx)[0].coeffs == (1,)
+    with pytest.raises(DegenerateInnerProduct, match="pivot column"):
+        pfaffian_polynomials(M, 1, ctx)
+
+
+def test_gram_entries_are_skew_inner_bit_for_bit(fam1_quartic, fam4_gauss, ctx):
+    # each member's row dots are formed once and serve every pair, with the
+    # bits skew_inner gives that pair
+    for fam in (fam1_quartic, fam4_gauss):
+        source = fam.inner_source()
+        with ctx.workprec():
+            pairs = 0
+            for i, j, g in _gram_entries(fam):
+                want = skew_inner(fam.polys[i], fam.polys[j], fam.beta, source)
+                assert g._mpf_ == want._mpf_, (i, j)
+                pairs += 1
+        assert pairs == len(fam.polys) * (len(fam.polys) + 1) // 2
 
 
 # probabilists' Hermite He_0 .. He_5, the monic orthogonal family of exp(-x^2/2)

@@ -19,6 +19,10 @@ values (`_mpf_` / `_mpc_`: sign, mantissa, exponent, bit count) of
   table     what the program reads of that matrix's weight table: its
             lattice level, m, m2, aew2, every w_values(n), and weights_at
             on both sides of each active-slice edge
+  pfaff     the bordered-Pfaffian members pfaffian_polynomials(M, j),
+            j <= 6, of that matrix, and the gram residuals of the
+            beta = 1 family on it and of the beta = 4 family of the same
+            size (k_max = 6)
   odd       the rows, alpha and collapse residual of build_odd on x^2/2,
             k = 2, free parameters (0.3+0.2j, 1.5, -0.4)
   far       Y(z) at z = 0.5+3j and z = -4+2j on the quartic solution,
@@ -60,7 +64,8 @@ from skewrh.moments import build_skew_moment_matrix  # noqa: E402
 from skewrh.quadrature import boundary_deltas  # noqa: E402
 from skewrh.rhp import (RHSolution, asymptotic_exponents,  # noqa: E402
                         build_even, build_odd, det_residual, jump_residual)
-from skewrh.skewalg import skew_orthogonal_family  # noqa: E402
+from skewrh.skewalg import (gram_residual, pfaffian_polynomials,  # noqa: E402
+                            skew_orthogonal_family)
 from skewrh.zeros import roots  # noqa: E402
 
 
@@ -139,6 +144,10 @@ def parts():
     yield "table", (t.level, t.m, t.m2, t.aew2,
                     [t.w_values(n) for n in range(t.w_max + 1)],
                     [t.weights_at(x, t.w_max + 1) for x in edge_points(t)])
+    fam1 = skew_orthogonal_family(quartic, 1, 6, ctx, matrix=matrix)
+    fam4 = skew_orthogonal_family(quartic, 4, 6, ctx)
+    yield "pfaff", ([pfaffian_polynomials(matrix, j, ctx) for j in range(7)],
+                    gram_residual(fam1, ctx), gram_residual(fam4, ctx))
 
     with mp.workprec(ctx.mantissa_bits):
         params = (mp.mpc("0.3", "0.2"), mp.mpf("1.5"), mp.mpf("-0.4"))
