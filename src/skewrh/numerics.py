@@ -5,8 +5,9 @@ Scalars are mpmath mpf/mpc carrying the mantissa width of the active
 context.  Public entry points set the working precision themselves;
 internal helpers assume the caller already did.  Grid sums run on raw
 `_mpf_` tuples or, where a vector serves many sums, on Python ints at one
-common exponent (fixed, exact_dot), summed exactly and rounded once
-(fixed_round).
+common exponent that hold every entry exactly (fixed, exact_dot,
+power_walk): each such sum is exact, and rounded once (fixed_round) it is
+correctly rounded.
 """
 from __future__ import annotations
 
@@ -241,36 +242,27 @@ def exp_e(t):
 
 
 # ---------------------------------------------------------------------------
-# exact sums: a real vector held as Python ints at one common exponent
-# (mans, exp), so that a dot is one integer sum of exact products, rounded
-# once.  This is the integer core of mpmath's own fsum (Bailey-Jeyabalan-Li
-# 2005, Exp. Math. 14) with the vectors converted once instead of per sum.
-# Slices of mans at the same exp are vectors too, and a plain list of ints
-# at exp 0 (the powers k^i of lattice indices) is held exactly.
+# exact sums: a real vector held exactly as Python ints at one common
+# exponent (mans, exp), so that a dot is one integer sum of exact products,
+# the exact dot, rounded once: correctly rounded.  This is the integer core
+# of mpmath's own fsum (Bailey-Jeyabalan-Li 2005, Exp. Math. 14) with the
+# vectors converted once instead of per sum, and no entry dropped.  Slices
+# of mans at the same exp are vectors too, and a plain list of ints at exp 0
+# (the powers k^i of lattice indices) is held exactly; power_walk forms the
+# sums of such a vector against the powers of its lattice indices.
 
 def fixed(xs):
-    """The raw real vector xs as (mans, exp), with xs[k] = mans[k] * 2^exp.
-
-    An entry whose leading bit lies more than 2 prec bits below that of
-    the largest entry (prec the working precision) is held as 0; every
-    other entry is held exactly.  So a sum over the vector is exact except
-    for terms more than 2 prec bits below its largest term, and a dot of
-    two held vectors a, b differs from the exact dot, before its one
-    rounding, by less than 2^(ta - 2 prec) sum|b_k| + 2^(tb - 2 prec)
-    sum|a_k|, where 2^ta > max|a_k| and 2^tb > max|b_k| are the powers of
-    two just above the largest entries.  Where nothing is dropped and
-    mpf_sum drops no term either (no two of the products' exponents more
-    than 2 prec apart), the dot rounded once (exact_dot, fixed_round) has
-    mp.fdot's bits."""
+    """The raw real vector xs as (mans, exp), with xs[k] = mans[k] * 2^exp
+    exactly, exp the least exponent of its nonzero entries.  So the dot of
+    two held vectors (exact_dot) is the exact dot of the raw ones, and
+    rounded once (fixed_round) it is correctly rounded; where mpf_sum drops no
+    term (no two of the products' exponents more than 2 prec apart, prec
+    the working precision), that is mp.fdot's bits."""
     if any(not m and e for _, m, e, _ in xs):
         raise ValueError("fixed() takes finite values only")
-    tops = [e + bc for _, m, e, bc in xs if m]
-    if not tops:
-        return [0] * len(xs), 0
-    cut = max(tops) - 2 * mp._prec_rounding[0]
-    exp = min(e for _, m, e, bc in xs if m and e + bc > cut)
-    return [((-m if s else m) << (e - exp)) if m and e + bc > cut else 0
-            for s, m, e, bc in xs], exp
+    exp = min((e for _, m, e, _ in xs if m), default=0)
+    return [((-m if s else m) << (e - exp)) if m else 0
+            for s, m, e, _ in xs], exp
 
 
 def fixed_complex(z, fbits):
@@ -301,6 +293,17 @@ def exact_dot(a, b):
     """The dot of two held vectors (mans, exp), exactly, as (man, exp);
     fixed_round rounds it once."""
     return sum(map(mul, a[0], b[0])), a[1] + b[1]
+
+
+def power_walk(v, ks, count):
+    """[sum_k k^l v_k for l < count], exact, for held ints v and the ints
+    ks (a range or list, read once per power): the running vector k^l v,
+    multiplied by the small ints k at each step."""
+    out = [sum(v)]
+    for _ in range(count - 1):
+        v = list(map(mul, v, ks))
+        out.append(sum(v))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,9 @@
 A WeightTable holds, for one potential and precision context, a shared
 master grid over the truncated support, the uniform lattice x_k = k h with
 h = 2^-level, together with running half-line integrals of y^j exp(-V).
+The lattice ends where the working precision stops seeing the tail: past
+its half-width x^i exp(-V), i <= i_max, lies 2 prec bits below 1
+(truncation_radius).
 Every quadrature weight is h: the trapezoid rule converges exponentially
 for the entire, fast-decaying integrands here (Trefethen-Weideman 2014,
 SIAM Rev. 56, section 5), and the lattices of two levels nest bit-exactly.
@@ -13,8 +16,9 @@ i < j <= w_max, fails the same check.  It keeps the moments, the
 exp(-2V) moments and that checked pairing block, so the moment matrices in
 `moments` only read it; the Cauchy sums in `rhp` form their own vectors
 from the grid.  On the lattice x^i h = k^i h^(i+1), with k^i an exact int
-and h^(i+1) a power of two, so every moment and pairing is an exact
-integer sum over the lattice indices, rounded once (numerics.fixed).  The
+and h^(i+1) a power of two, so every moment and pairing is the exact
+integer sum over the lattice indices, rounded once: correctly rounded
+(numerics.fixed, which holds every term, and numerics.power_walk).  The
 half-line integrals come from one kernel: the Taylor series of
 exp(V(x_k) - V(y)) about a lattice node x_k (the Taylor-series method for
 g' = -V' g, Corliss-Chang 1982, ACM TOMS 8), whose coefficients are exact
@@ -43,7 +47,7 @@ from mpmath import mp
 
 from .errors import IntegrabilityError, MomentRangeExceeded, QuadratureFailure
 from .numerics import (DEFAULT_CONTEXT, Poly, PrecisionContext, exp_e, fixed,
-                       fixed_powers, fixed_round)
+                       fixed_powers, fixed_round, power_walk)
 
 
 class Potential:
@@ -141,25 +145,30 @@ def _tail_radius(V: Potential, i_max: int, tol):
 
 
 def truncation_radius(V: Potential, i_max: int, tol):
-    """Support half-width: smallest R with R^i_max exp(-V(R)) < tol/100,
-    doubled for safety.  Returns (base, doubled)."""
+    """(base, grid): base, the smallest R with R^i_max exp(-V(R)) < tol/100,
+    and the lattice's half-width grid = max(base, R), R the smallest radius
+    with R^i_max exp(-V(R)) < 2^(-2 prec), prec the working precision.  The
+    trapezoid rule's error on the lattice is the part of the tail it leaves
+    out, so past grid every term x^i exp(-V), i <= i_max, that a lattice
+    sum leaves out lies 2 prec bits below 1."""
     base = _tail_radius(V, i_max, mp.mpf(tol) / 100)
-    return base, 2 * base
+    return base, max(base, _tail_radius(V, i_max, mp.ldexp(1, -2 * mp.prec)))
 
 
 def _lattice_sums(v, ks, count):
     """The sums of values v at the lattice nodes k h, k in the range ks,
     held as ints at one exponent (numerics.fixed): sums[i], i < count,
-    holds the exact int sums of the running vector k^i v, over all its
-    terms, of their absolute values, and over the coarser lattice 2hZ (the
-    even k).  Times h^(i+1) and the held exponent these are trapezoid sums
-    of x^i values; twice the third is the one on 2hZ."""
-    sums, start = [], ks.start % 2
-    for i in range(count):
-        if i:
-            v = list(map(mul, v, ks))
-        sums.append((sum(v), sum(map(abs, v)), sum(v[start::2])))
-    return sums
+    holds the exact int sums of k^i v_k over all the nodes, of their
+    absolute values, and over the coarser lattice 2hZ (the even k).  Times
+    h^(i+1) and the held exponent these are trapezoid sums of x^i values;
+    twice the third is the one on 2hZ.  One power walk (numerics.power_walk)
+    runs over the even and one over the odd k, as the Cauchy dots' walk
+    does, and one runs |v| over |k|."""
+    s = ks.start % 2
+    even = power_walk(v[s::2], ks[s::2], count)
+    odd = power_walk(v[1 - s::2], ks[1 - s::2], count)
+    total = power_walk(list(map(abs, v)), list(map(abs, ks)), count)
+    return [(e + o, t, e) for e, o, t in zip(even, odd, total)]
 
 
 def _agrees(sums, tol):
@@ -233,8 +242,10 @@ class WeightTable:
     Holds master-grid data only, and no caches: densities at other points,
     real or complex, are return values of weights_at, and vectors over the
     active nodes (w_values) are built per call.  The nodes xs cover the
-    whole lattice; exp(-V) (aew), exp(-2V) (aew2) and the half-line
-    integrals F cover the active slice, F from the node just below it.
+    whole lattice, out to the half-width radius that the working precision
+    sets (truncation_radius); exp(-V) (aew), exp(-2V) (aew2) and the
+    half-line integrals F cover the active slice, whose lattice indices are
+    ks, F from the node just below it.
     F holds exact ints, F[j][k] at 2^_F_exp[j]; _F_at rounds the entry it
     reads, and w_values the exact w_n (_w_held).  F and the integrals at
     other points come from one kernel, the Taylor series of exp(-V) about
@@ -314,12 +325,12 @@ class WeightTable:
         lo = bisect.bisect_left(self.xs, -self.active_radius)
         hi = bisect.bisect_right(self.xs, self.active_radius)
         self._alo, self._ahi = lo, hi
+        # the active nodes' lattice indices k, x_k = k h; those with k even
+        # are the lattice 2hZ
+        self.ks = range(lo - n, hi - n)
         self.axs = self.xs[lo:hi]
         self.aew = ew[lo:hi]
         self.aew2 = ew2[lo:hi]
-        # the lattice 2hZ: the active nodes k*h with k even, counted from
-        # the centre node x = 0
-        self.acoarse = range((lo - n) % 2, hi - lo, 2)
         self._build_F()
         self.version += 1
 
@@ -329,12 +340,10 @@ class WeightTable:
         sum of the exact w_j (_w_held) rounded once and checked against the
         coarser lattice 2hZ (_agrees).  Returns the first (i, j) that fails
         its check, or None when the whole block passes."""
-        n = len(self.xs) // 2
-        ks = range(self._alo - n, self._ahi - n)
         self.P = [[]]
         for j in range(1, self.w_max + 1):
             w, exp = self._w_held(j)
-            sums = _lattice_sums(w, ks, j)
+            sums = _lattice_sums(w, self.ks, j)
             for i, s in enumerate(sums):
                 if not _agrees(s, self.tol):
                     return i, j

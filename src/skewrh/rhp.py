@@ -51,6 +51,7 @@ from .numerics import (
     fixed_round,
     linear_solve,
     log_slope,
+    power_walk,
 )
 from .potentials import Potential, WeightTable, pi_polynomial
 from .quadrature import boundary_deltas, richardson_limit
@@ -110,7 +111,8 @@ class _Columns:
 
     For each column c = 1 .. d, U_c = fixed(u_c) on the active nodes
     (u_1 = exp(-2V), u_c = w_(c-2)), one vector of exact ints per column
-    (vecs), with k the lattice index of each node (x_k = k h, ks) and L the
+    (vecs), with k the lattice index of each node (x_k = k h, the table's
+    ks) and L the
     largest row-polynomial degree.  For each row r, its polynomial
     p_r = sum_t factor_t p_t (RHSolution.row_polys, polys) and the
     coefficients R_(r,l) = p_(r,l) h^(l+1)/(2 pi i), held as complex ints
@@ -121,8 +123,7 @@ class _Columns:
 
     def __init__(self, table: WeightTable, solution: "RHSolution", us):
         self.version = table.version
-        k0 = int(mp.ldexp(table.axs[0], table.level))
-        self.ks = range(k0, k0 + len(table.axs))
+        self.ks = table.ks
         self.vecs = [fixed([v._mpf_ for v in u]) for u in us]
         with mp.workprec(mp.prec + _GUARD):
             self.polys = solution.row_polys
@@ -139,21 +140,11 @@ class _Columns:
 
     def power_sums(self, count):
         """[S_(c,m) for m < count, or more] for each column, exact ints
-        (_power_walk from U_c); kept, and walked again only for a call that
-        needs more of them."""
+        (numerics.power_walk from U_c); kept, and walked again only for a
+        call that needs more of them."""
         if len(self._sums[0]) < count:
-            self._sums = [_power_walk(vec, self.ks, count) for vec, _ in self.vecs]
+            self._sums = [power_walk(vec, self.ks, count) for vec, _ in self.vecs]
         return self._sums
-
-
-def _power_walk(v, ks, count):
-    """[sum_k k^l v_k for l < count], exact: the running vector k^l v,
-    multiplied by the small ints k at each step."""
-    out = [sum(v)]
-    for _ in range(count - 1):
-        v = list(map(mul, v, ks))
-        out.append(sum(v))
-    return out
 
 
 class RHSolution:
@@ -272,18 +263,19 @@ class RHSolution:
     def _dots(self, kernel):
         """The column dots T_(c,l) = sum_k k^l U_(c,k) K_k, exact ints, for
         each column c and power l <= L, of the kernel K as _kernels yields
-        it, over the lattice hZ and over 2hZ (acoarse, every second node,
-        k unchanged): (fine, coarse), each per column (re, im, exp), the
+        it, over the lattice hZ and over 2hZ (the even k, every second
+        node): (fine, coarse), each per column (re, im, exp), the
         real and the imaginary dots as vectors over l at 2^exp.  The coarse
         dots are held at twice their value (one more in the exponent), the
         step 2h over h.
 
         Q = U_c K is formed once per column and part; its running vector
-        k^l Q is walked over the even and the odd k apart (_power_walk).
+        k^l Q is walked over the even and the odd k apart
+        (numerics.power_walk).
         The fine dot is the sum of the two halves, the coarse one the half
         on 2hZ, so both cost N multiplies by small ints per power."""
         cols = self._columns()
-        s, n = self.table.acoarse.start, cols.L + 1
+        s, n = cols.ks.start % 2, cols.L + 1
         even, odd = cols.ks[s::2], cols.ks[1 - s::2]
         *parts, e = kernel
         fine, coarse = [], []
@@ -291,8 +283,8 @@ class RHSolution:
             f, c = [], []
             for mans in parts:
                 Q = list(map(mul, vec, mans))
-                a = _power_walk(Q[s::2], even, n)
-                f.append(list(map(add, a, _power_walk(Q[1 - s::2], odd, n))))
+                a = power_walk(Q[s::2], even, n)
+                f.append(list(map(add, a, power_walk(Q[1 - s::2], odd, n))))
                 c.append(a)
             fine.append((*f, exp + e))
             coarse.append((*c, exp + e + 1))
@@ -403,8 +395,8 @@ class RHSolution:
             2 pi i C(f)(z) = h sum_k f(x_k)/(x_k - z)
                              + f(z) (i pi + pi cot(pi z/h)).
         The sum runs over the active nodes; the rest carry terms below the
-        validated error scale.  The same sums on the lattice 2hZ (acoarse,
-        step 2h, cot(pi z/(2h))), the coarse half of the dots (_dots), must
+        validated error scale.  The same sums on the lattice 2hZ (the even
+        k, step 2h, cot(pi z/(2h))), the coarse half of the dots (_dots), must
         agree with these within tol * max(1, scale) at every delta, or
         QuadratureFailure is raised; the table is only read.  The pole term
         of Y[r][c] is Y[r][0] u_c(z) (i pi + pi cot(pi z/h))/(2 pi i).  The

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import from_man_exp
+from mpmath.libmp import from_man_exp, from_rational, round_nearest
 
 from skewrh.errors import SingularSystem
 from skewrh.numerics import (
@@ -246,8 +246,7 @@ def _top(raw):
 def _raw_vectors(draw):
     """A working precision and two raw real vectors of one length: mixed
     signs, exact zeros, mantissas from 1 bit to prec bits, and exponents
-    spread up to 3 * prec bits, past fixed's and mpf_sum's 2 * prec
-    window."""
+    spread up to 3 * prec bits, past mpf_sum's 2 * prec window."""
     prec = draw(st.sampled_from(RAW_PRECS))
     n = draw(st.integers(0, 24))
     spread = draw(st.integers(0, 3 * prec))
@@ -265,50 +264,52 @@ def _raw_vectors(draw):
             draw(st.integers(0, 1)))
 
 
+def _rounded_once(q, prec):
+    """The Fraction q rounded once to prec bits, to nearest, as a raw mpf."""
+    return from_rational(q.numerator, q.denominator, prec, round_nearest)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_raw_vectors())
-def test_fixed_dot_is_fdot_in_its_window_and_bounded_past_it(case):
+def test_fixed_holds_every_entry_and_dots_round_once(case):
     prec, A, B, start = case
     with mp.workprec(prec):
         a, b = fixed(A), fixed(B)
-        # each held entry is exact, or 0 when it lies more than 2 prec bits
-        # below the vector's largest
+        # every entry is held exactly, also one more than 2 prec bits below
+        # the vector's largest
         for raw, (mans, exp) in ((A, a), (B, b)):
-            top = max((_top(x) for x in raw if x[1]), default=None)
-            for x, m in zip(raw, mans):
-                if x[1] and _top(x) > top - 2 * prec:
-                    assert Fraction(m) * Fraction(2) ** exp == _exact(x)
-                else:
-                    assert m == 0
+            assert [Fraction(m) * Fraction(2) ** exp for m in mans] == \
+                [_exact(x) for x in raw]
         # the full vectors and their coarse halves, sliced at one exponent
         for sa, sb, SA, SB in ((a, b, A, B),
                                ((a[0][start::2], a[1]), (b[0][start::2], b[1]),
                                 A[start::2], B[start::2])):
-            got = fixed_dot(sa, sb)
-            # exact_dot is the held dot before that one rounding, exactly
+            # exact_dot is the exact dot, and one rounding makes it the
+            # correctly rounded dot
             man, exp = exact_dot(sa, sb)
-            held = sum((Fraction(x) * Fraction(y) for x, y in zip(sa[0], sb[0])),
-                       Fraction(0)) * Fraction(2) ** (sa[1] + sb[1])
-            assert Fraction(man) * Fraction(2) ** exp == held
-            assert got == fixed_round(man, exp)
-            want = mp.fdot([mp.make_mpf(x) for x in SA],
-                           [mp.make_mpf(x) for x in SB])
-            exps = [x[2] + y[2] for x, y in zip(SA, SB) if x[1] and y[1]]
-            kept = all(m or not x[1] for x, m in zip(SA, sa[0])) and \
-                all(m or not y[1] for y, m in zip(SB, sb[0]))
-            if kept and (not exps or max(exps) - min(exps) <= 2 * prec):
-                # nothing dropped here, nor by mpf_sum: mp.fdot's bits
-                assert got._mpf_ == want._mpf_
-            # the documented bound, and one rounding on top of it
             exact = sum((_exact(x) * _exact(y) for x, y in zip(SA, SB)),
                         Fraction(0))
-            bound = Fraction(0)
-            for full, other in ((A, SB), (B, SA)):
-                top = max((_top(x) for x in full if x[1]), default=0)
-                bound += Fraction(2) ** (top - 2 * prec) * \
-                    sum((abs(_exact(y)) for y in other), Fraction(0))
-            err = abs(_exact(got._mpf_) - exact)
-            assert err <= bound + Fraction(2) ** -prec * (abs(exact) + bound)
+            assert Fraction(man) * Fraction(2) ** exp == exact
+            got = fixed_round(man, exp)
+            assert got._mpf_ == _rounded_once(exact, prec)
+            assert got._mpf_ == fixed_dot(sa, sb)._mpf_
+            exps = [x[2] + y[2] for x, y in zip(SA, SB) if x[1] and y[1]]
+            if not exps or max(exps) - min(exps) <= 2 * prec:
+                # mpf_sum drops no term here: mp.fdot's bits
+                want = mp.fdot([mp.make_mpf(x) for x in SA],
+                               [mp.make_mpf(x) for x in SB])
+                assert got._mpf_ == want._mpf_
+
+
+@pytest.mark.parametrize("prec", RAW_PRECS)
+def test_fixed_keeps_a_term_past_2prec_through_cancellation(prec):
+    # 1 - 1 + 2^-(3 prec): the small term lies 3 prec bits below the
+    # largest, and after the cancellation it is the whole sum
+    with mp.workprec(prec):
+        tiny = mp.ldexp(1, -3 * prec)
+        xs = fixed([mp.mpf(1)._mpf_, mp.mpf(-1)._mpf_, tiny._mpf_])
+        assert fixed_round(*exact_dot(xs, ([1, 1, 1], 0))) == tiny
+        assert fixed_round(*exact_dot(xs, ([1, 0, 1], 0))) == 1
 
 
 def test_fixed_refuses_special_values_and_rounds_once():

@@ -125,12 +125,21 @@ def test_w_function_decay_bound(gauss, quartic, ctx, w_function):
 
 def test_truncation_radius_shape_and_tail(gauss, quartic):
     for V in (gauss, quartic):
-        base, doubled = truncation_radius(V, 8, mp.mpf("1e-30"))
-        assert doubled == 2 * base
-        # the stated tail estimate: R^i e^{-V(R)} below tol/100 at base
-        assert base ** 8 * mp.e ** (-V(base)) < mp.mpf("1e-32")
-        base2, _ = truncation_radius(V, 16, mp.mpf("1e-30"))
-        assert base2 >= base
+        for prec, tol in ((272, "1e-30"), (64, "1e-30"), (64, "1e-40")):
+            with mp.workprec(prec):
+                base, grid = truncation_radius(V, 8, mp.mpf(tol))
+                assert grid >= base
+                # the stated tail estimate: R^i e^{-V(R)} below tol/100 at base
+                assert base ** 8 * mp.e ** (-V(base)) < mp.mpf(tol) / 100
+                # and below 2^(-2 prec) at grid, the least such radius
+                tail = mp.ldexp(1, -2 * prec)
+                assert grid ** 8 * mp.e ** (-V(grid)) < tail
+                inside = grid * (1 - mp.ldexp(1, -40))
+                assert grid == base or inside ** 8 * mp.e ** (-V(inside)) >= tail
+                if mp.mpf(tol) / 100 < tail:
+                    assert grid == base
+                base2, grid2 = truncation_radius(V, 16, mp.mpf(tol))
+                assert base2 >= base and grid2 >= grid
 
 
 def test_weight_table_moments(gauss, ctx):
@@ -271,8 +280,8 @@ def _refined(V, ctx, monkeypatch, **ranges):
 def test_coarse_nodes_are_the_coarser_level(gauss, quartic, ctx, monkeypatch):
     # every node is exactly k*h with h = 2^-level, every weight is h (the
     # moments are h times plain sums of exp(-V) and exp(-2V) over the
-    # lattice), and acoarse picks out exactly the active nodes on the
-    # coarser lattice 2hZ, at the table's level and at one level finer,
+    # lattice), and the parity of ks picks out exactly the active nodes on
+    # the coarser lattice 2hZ, at the table's level and at one level finer,
     # whose lattice holds the coarser one node for node
     for V in (gauss, quartic):
         table = WeightTable(V, ctx, i_max=4, w_max=0)
@@ -291,7 +300,9 @@ def test_coarse_nodes_are_the_coarser_level(gauss, quartic, ctx, monkeypatch):
                 assert t.m[0] == h * mp.fsum(ew)
                 assert t.m2[0] == h * mp.fsum(e * e for e in ew)
             assert _bits(t.aew) == _bits(ew[t._alo:t._ahi])
-            assert [t.axs[k] for k in t.acoarse] == \
+            assert list(t.ks) == [int(x / h) for x in t.axs]
+            # every second active node from the first with k even: 2hZ
+            assert t.axs[t.ks.start % 2::2] == \
                 [x for x in t.axs if int(x / h) % 2 == 0]
 
 
@@ -417,7 +428,10 @@ def test_lattice_sums_are_correctly_rounded(coeffs, ctx):
     # lattice indices k, v_k the exact exp(-V), exp(-2V) and, for P, the
     # exact w_j = exp(-V) (2 F_j - m_j) from the full chain: each must be
     # the exact sum, here of exact additions, rounded once to the table's
-    # precision.  Odd moments of the even potentials are exact zeros
+    # precision.  m and m2 must also be the exact sums over the wider or
+    # narrower lattice to 2 base_radius, rounded once: the tail past the
+    # grid radius is below what that rounding sees.  Odd moments of the
+    # even potentials are exact zeros
     V = Potential.parse(coeffs)
     t = WeightTable(V, ctx, i_max=27, w_max=13)
     even = not any(V.poly.coeffs[1::2])
@@ -440,13 +454,18 @@ def test_lattice_sums_are_correctly_rounded(coeffs, ctx):
         with mp.workprec(prec):
             return (+ref)._mpf_
 
+    n2 = int(mp.floor(mp.ldexp(2 * t.base_radius, t.level)))
+    ks2 = range(-n2, n2 + 1)
+    with mp.workprec(prec):
+        ew_2 = [exp_e(-V(mp.ldexp(k, -t.level))) for k in ks2]
+        ew2_2 = [e * e for e in ew_2]
     for i in range(t.i_max + 1):
         if i % 2 and even:
             assert t.m[i] == 0 and t.m2[i] == 0
             assert t.m[i]._mpf_ == t.m2[i]._mpf_ == mp.mpf(0)._mpf_
         else:
-            assert t.m[i]._mpf_ == rounded(ew, ks, i), i
-            assert t.m2[i]._mpf_ == rounded(ew2, ks, i), i
+            assert t.m[i]._mpf_ == rounded(ew, ks, i) == rounded(ew_2, ks2, i), i
+            assert t.m2[i]._mpf_ == rounded(ew2, ks, i) == rounded(ew2_2, ks2, i), i
     for j in range(1, t.w_max + 1):
         for i in range(j):
             assert t.P[j][i]._mpf_ == rounded(ws[j], ks[t._alo:t._ahi], i), (i, j)

@@ -206,7 +206,7 @@ def test_column_dots_fixed_per_point(quartic, ctx, monkeypatch):
     assert all(len(terms) == 2 and terms[1][0] != 0 for terms in sol.row_terms)
     points = (mp.mpc("0.5", "3"), mp.mpc("-4", "2"), mp.mpc("50", "120"))
     before = [sol._eval_far(z) for z in points]
-    calls = {"_power_walk": [], "exact_dot": [], "fixed_round": []}
+    calls = {"power_walk": [], "exact_dot": [], "fixed_round": []}
     for name, seen in calls.items():
         f = getattr(rhp, name)
         monkeypatch.setattr(rhp, name, lambda *a, f=f, seen=seen:
@@ -215,7 +215,7 @@ def test_column_dots_fixed_per_point(quartic, ctx, monkeypatch):
         for seen in calls.values():
             seen.clear()
         assert sol._eval_far(z) == Y
-        walks, dots = calls["_power_walk"], calls["exact_dot"]
+        walks, dots = calls["power_walk"], calls["exact_dot"]
         if abs(z) > 4 * sol.table.active_radius:
             assert not walks and len(dots) == 2 * d * (L + 1)
         else:
@@ -226,11 +226,11 @@ def test_column_dots_fixed_per_point(quartic, ctx, monkeypatch):
 def test_coarse_half_is_the_separate_coarse_walk(sol_gauss, sol_sextic, quartic, ctx):
     # the fine dots and their 2hZ half come from one walk over the even and
     # the odd k; each equals bit for bit the exact dot over its own nodes,
-    # sum_k k^l U_(c,k) K_k over hZ and over every second node (acoarse),
-    # the latter held at twice its value
+    # sum_k k^l U_(c,k) K_k over hZ and over the nodes with k even, the
+    # latter held at twice its value
     for sol in (sol_gauss, build_even(quartic, 2, ctx), sol_sextic):
         t, cols = sol.table, sol._columns()
-        s = t.acoarse.start
+        s = t.ks.start % 2
         with mp.workprec(t._prec):
             for x0 in (mp.mpf(0), mp.mpf("0.37")):
                 *parts, e = next(sol._kernels(cols.ks, t.level, x0,
@@ -305,7 +305,7 @@ def test_column_combination_against_independent_sum(sol_gauss, quartic, ctx):
                     T = _direct_dots(sol, z)[how == "coarse"]
                 side, at = (-1, mp.conj(z)) if how == "lower" else (1, z)
                 got = sol._assemble(sol._heads(at), sol._fold(T), side)
-                s, step = (t.acoarse.start, 2) if how == "coarse" else (0, 1)
+                s, step = (t.ks.start % 2, 2) if how == "coarse" else (0, 1)
                 tol = mp.mpf(2) ** -(t._prec - 8)
                 with mp.workprec(2 * t._prec):
                     for row, p in zip(got, sol.row_polys):
