@@ -43,6 +43,10 @@ values (`_mpf_` / `_mpc_`: sign, mantissa, exponent, bit count) of
   roots     the roots of p_1 .. p_9 of x^2/2 + x^4 (beta = 1, kmax 4): the
             README `zeros` example, on a fresh table with the ranges that
             example's table has
+  sextic    the lattice level, m, m2 and the pairing block P of the
+            table of x^2/2 + 0.3 x^4 + 0.05 x^6 at the family ranges
+            i_max = 27, w_max = 13: the lattice whose half-width the
+            working precision cuts most
 
 and prints one line per part, then the digest of all of them.  It imports
 skewrh from the src/ next to it, so two checkouts compare with
@@ -176,6 +180,10 @@ def parts():
     table = WeightTable(quartic, ctx, i_max=19, w_max=9)
     family = skew_orthogonal_family(quartic, 1, 4, ctx, table=table)
     yield "roots", [roots(p, ctx).roots for p in family.polys[1:]]
+
+    t = WeightTable(Potential.parse("0,0,0.5,0,0.3,0,0.05"), ctx,
+                    i_max=27, w_max=13)
+    yield "sextic", (t.level, t.m, t.m2, t.P)
 
 
 def main():
