@@ -16,8 +16,7 @@ from mpmath import mp
 
 from .errors import DegenerateInnerProduct
 from .numerics import DEFAULT_CONTEXT, Poly, PrecisionContext, mat_inf_norm
-from .moments import (SkewMomentMatrix, build_skew_moment_matrix,
-                      skew_inner_4)
+from .moments import SkewMomentMatrix, build_skew_moment_matrix
 from .potentials import Potential, WeightTable
 
 
@@ -178,9 +177,6 @@ class SkewFamily:
         """p_i divided by |h_{i//2}|^(1/2)."""
         return self.polys[i].scale(1 / mp.sqrt(abs(self.h[i // 2])))
 
-    def inner_source(self):
-        return self.matrix if self.beta == 1 else self.table
-
 
 def _family_from_factorization(fact: SkewFactorization):
     rows = fact.inverse_rows()
@@ -247,18 +243,17 @@ def pfaffian_polynomials(M: SkewMomentMatrix, j: int,
 
 
 def _gram_entries(family: SkewFamily):
-    """(i, j, <p_i, p_j>) for i <= j, at the working precision.  For
-    beta = 1 the row dots M p_j of each member are formed once and serve
-    every i <= j, with skew_inner_1's bits."""
-    polys, source = family.polys, family.inner_source()
+    """(i, j, <p_i, p_j>) for i <= j, at the working precision: f^T M g
+    through the family's own moment matrix M, whose entries are the
+    pairings <x^i, y^j>_1 for beta = 1 and (j - i) m_(i+j-1) for beta = 4.
+    The row dots M p_j of each member are formed once and serve every
+    i <= j; for beta = 1 they give skew_inner_1's bits."""
+    polys, rows = family.polys, family.matrix.rows
     for j, g in enumerate(polys):
-        if family.beta == 1:
-            dots = [mp.fdot(source.rows[r][:g.degree + 1], g.coeffs)
-                    for r in range(g.degree + 1)]
+        dots = [mp.fdot(rows[r][:g.degree + 1], g.coeffs)
+                for r in range(g.degree + 1)]
         for i in range(j + 1):
-            f = polys[i]
-            yield i, j, (mp.fdot(f.coeffs, dots[:f.degree + 1]) if family.beta == 1
-                         else skew_inner_4(f, g, source))
+            yield i, j, mp.fdot(polys[i].coeffs, dots[:polys[i].degree + 1])
 
 
 def gram_residual(family: SkewFamily, ctx: PrecisionContext = DEFAULT_CONTEXT):

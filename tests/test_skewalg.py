@@ -6,7 +6,8 @@ import pytest
 from mpmath import mp
 
 from skewrh.errors import DegenerateInnerProduct
-from skewrh.moments import build_skew_moment_matrix, inner_2, skew_inner, skew_inner_1
+from skewrh.moments import (build_skew_moment_matrix, inner_2, skew_inner_1,
+                            skew_inner_4)
 from skewrh.numerics import Poly, determinant, mat_inf_norm
 from skewrh.potentials import get_weight_table
 from skewrh.skewalg import (
@@ -221,15 +222,32 @@ def test_bordered_elimination_pivots_and_refuses_zero_columns(ctx):
         pfaffian_polynomials(M, 1, ctx)
 
 
-def test_gram_entries_are_skew_inner_bit_for_bit(fam1_quartic, fam4_gauss, ctx):
-    # each member's row dots are formed once and serve every pair, with the
-    # bits skew_inner gives that pair
-    for fam in (fam1_quartic, fam4_gauss):
-        source = fam.inner_source()
+def _f_M_g(f, g, M):
+    """f^T M g: the row dots of M with g's coefficients, then their dot
+    with f's."""
+    return mp.fdot(f.coeffs, [mp.fdot(M.rows[r][:g.degree + 1], g.coeffs)
+                              for r in range(f.degree + 1)])
+
+
+def test_gram_entries_are_skew_inner_bit_for_bit(fam1_quartic, fam4_gauss,
+                                                 quartic, ctx):
+    # each member's row dots through the family's own matrix are formed once
+    # and serve every pair: for beta = 1 with skew_inner_1's bits, for
+    # beta = 4 with those of f^T M g, M_ij = (j - i) m_(i+j-1), and within
+    # 1e-70 of max|h| of skew_inner_4's term-by-term moment sum
+    fam4_quartic = skew_orthogonal_family(quartic, 4, 6, ctx)
+    for fam in (fam1_quartic, fam4_gauss, fam4_quartic):
         with ctx.workprec():
+            hmax = max(abs(v) for v in fam.h)
             pairs = 0
             for i, j, g in _gram_entries(fam):
-                want = skew_inner(fam.polys[i], fam.polys[j], fam.beta, source)
+                f, p = fam.polys[i], fam.polys[j]
+                if fam.beta == 1:
+                    want = skew_inner_1(f, p, fam.matrix)
+                else:
+                    want = _f_M_g(f, p, fam.matrix)
+                    gap = abs(g - skew_inner_4(f, p, fam.table))
+                    assert gap <= mp.mpf("1e-70") * hmax, (i, j)
                 assert g._mpf_ == want._mpf_, (i, j)
                 pairs += 1
         assert pairs == len(fam.polys) * (len(fam.polys) + 1) // 2
@@ -270,8 +288,6 @@ def test_orthogonal_family_is_orthogonal(gauss, ctx):
 def test_beta4_family_gram_small_case(gauss, ctx):
     fam = skew_orthogonal_family(gauss, 4, 2, ctx)
     assert gram_residual(fam, ctx=ctx) <= mp.mpf("1e-24")
-    # beta = 4 inner source is the weight table, not the matrix
-    assert fam.inner_source() is fam.table
 
 
 def test_family_against_raw_inner_products(fam1_gauss, ctx):
