@@ -112,9 +112,8 @@ class _Columns:
     For each column c = 1 .. d, U_c = fixed(u_c) on the active nodes
     (u_1 = exp(-2V), u_c = w_(c-2)), one vector of exact ints per column
     (vecs), with k the lattice index of each node (x_k = k h, the table's
-    ks) and L the
-    largest row-polynomial degree.  For each row r, its polynomial
-    p_r = sum_t factor_t p_t (RHSolution.row_polys, polys) and the
+    ks) and L the largest row-polynomial degree.  For each row r, its
+    polynomial p_r = sum_t factor_t p_t (RHSolution.row_polys, polys) and the
     coefficients R_(r,l) = p_(r,l) h^(l+1)/(2 pi i), held as complex ints
     at one exponent (rows), both formed _GUARD bits above the working
     precision: a row enters the sums only through them.  The power sums
@@ -140,8 +139,8 @@ class _Columns:
 
     def power_sums(self, count):
         """[S_(c,m) for m < count, or more] for each column, exact ints
-        (numerics.power_walk from U_c); kept, and walked again only for a
-        call that needs more of them."""
+        (power_walk from U_c); kept, and walked again only for a call that
+        needs more of them."""
         if len(self._sums[0]) < count:
             self._sums = [power_walk(vec, self.ks, count) for vec, _ in self.vecs]
         return self._sums
@@ -270,8 +269,7 @@ class RHSolution:
         step 2h over h.
 
         Q = U_c K is formed once per column and part; its running vector
-        k^l Q is walked over the even and the odd k apart
-        (numerics.power_walk).
+        k^l Q is walked over the even and the odd k apart (power_walk).
         The fine dot is the sum of the two halves, the coarse one the half
         on 2hZ, so both cost N multiplies by small ints per power."""
         cols = self._columns()
