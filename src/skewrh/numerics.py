@@ -296,14 +296,14 @@ def exact_dot(a, b):
 
 
 def power_walk(v, ks, count):
-    """[sum_k k^l v_k for l < count], exact, for held ints v and the ints
-    ks (a range or list, read once per power): the running vector k^l v,
-    multiplied by the small ints k at each step."""
-    out = [sum(v)]
+    """The sums sum_k k^l v_k, l < count, in order, exact, for held ints v
+    and the ints ks (a range or list, read once per power): the running
+    vector k^l v, multiplied by the small ints k at each step.  A generator:
+    each power is walked when its sum is read."""
+    yield sum(v)
     for _ in range(count - 1):
         v = list(map(mul, v, ks))
-        out.append(sum(v))
-    return out
+        yield sum(v)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from __future__ import annotations
 import bisect
 import math
 import weakref
+from itertools import takewhile
 from operator import floordiv, mul
 
 from mpmath import mp
@@ -123,10 +124,29 @@ def pi_polynomial(V: Potential, j: int) -> Poly:
 
 
 def _tail_radius(V: Potential, i_max: int, tol):
-    """Smallest R >= 1 with R^i_max exp(-V(R)) < tol."""
+    """Smallest R >= 1 with R^i_max exp(-V(R)) < tol: R doubled from 1,
+    then 60 bisection steps, on mpfs.  Each step decides on the log
+    f(r) = i_max log r - V(r) - log tol in double where |f| clears the
+    rounding of that double evaluation and of the mpf comparison together
+    (each below 2^-53 (3d + 5) S at 53 bits or more, d = deg V, S the
+    double's sum_l |v_l| r^l + i_max (|log r| + 1) + |log tol|; the margin
+    is 2^-48 (d + 2) S), so both decide alike; otherwise the mpf comparison
+    decides.  R keeps the bits of the mpf-only search."""
     tol = mp.mpf(tol)
+    cs = [float(c) for c in reversed(V.poly.coeffs)]
+    log_tol = float(mp.log(tol))
+    slack = (V.degree + 2) * 2.0 ** (5 - min(mp.prec, 53))
+    if not all(c == 0 or 2.0 ** -1000 < abs(c) < 2.0 ** 1000 for c in cs):
+        slack = math.inf  # a coefficient a double does not hold to 2^-53
 
     def small(r):
+        x, v, s = float(r), 0.0, 0.0
+        for c in cs:
+            v, s = v * x + c, s * x + abs(c)
+        lx = math.log(x)
+        f = i_max * lx - v - log_tol
+        if abs(f) > slack * (s + i_max * (abs(lx) + 1) + abs(log_tol)):
+            return f < 0
         return r ** i_max * exp_e(-V(r)) < tol
 
     lo, hi = mp.mpf(1), mp.mpf(1)
@@ -157,18 +177,19 @@ def truncation_radius(V: Potential, i_max: int, tol):
 
 def _lattice_sums(v, ks, count):
     """The sums of values v at the lattice nodes k h, k in the range ks,
-    held as ints at one exponent (numerics.fixed): sums[i], i < count,
-    holds the exact int sums of k^i v_k over all the nodes, of their
-    absolute values, and over the coarser lattice 2hZ (the even k).  Times
-    h^(i+1) and the held exponent these are trapezoid sums of x^i values;
-    twice the third is the one on 2hZ.  One power walk (numerics.power_walk)
-    runs over the even and one over the odd k, as the Cauchy dots' walk
-    does, and one runs |v| over |k|."""
+    held as ints at one exponent (numerics.fixed), one power at a time:
+    entry i, i < count, holds the exact int sums of k^i v_k over all the
+    nodes, of their absolute values, and over the coarser lattice 2hZ (the
+    even k).  Times h^(i+1) and the held exponent these are trapezoid sums
+    of x^i values; twice the third is the one on 2hZ.  One power walk
+    (numerics.power_walk) runs over the even and one over the odd k, as the
+    Cauchy dots' walk does, and one runs |v| over |k|; a power is walked
+    only when the entry is read."""
     s = ks.start % 2
     even = power_walk(v[s::2], ks[s::2], count)
     odd = power_walk(v[1 - s::2], ks[1 - s::2], count)
     total = power_walk(list(map(abs, v)), list(map(abs, ks)), count)
-    return [(e + o, t, e) for e, o, t in zip(even, odd, total)]
+    return ((e + o, t, e) for e, o, t in zip(even, odd, total))
 
 
 def _agrees(sums, tol):
@@ -181,9 +202,9 @@ def _agrees(sums, tol):
 
 
 def _rounded(sums, exp, level):
-    """The lattice sums h^(i+1) 2^exp sum_k k^i v_k of _lattice_sums,
-    h = 2^-level, each rounded once."""
-    return [fixed_round(f, exp - level * (i + 1)) for i, (f, _, _) in enumerate(sums)]
+    """The lattice sums h^(i+1) 2^exp sums[i], h = 2^-level, of exact ints
+    sums[i] = sum_k k^i v_k, each rounded once."""
+    return [fixed_round(f, exp - level * (i + 1)) for i, f in enumerate(sums)]
 
 
 def _taylor_shift(coeffs, k):
@@ -276,37 +297,43 @@ class WeightTable:
 
     # -- construction ------------------------------------------------------
 
-    def _grid_at_level(self, level, known):
+    def _grid_at_level(self, level, coarser):
         """The lattice nodes k * 2^-level in [-radius, radius], in order,
-        and their exp(-V); known maps the nodes of a coarser lattice (a
-        sublattice, with the same bits) to their exp(-V)."""
+        and their exp(-V); coarser holds those of the level above, whose
+        nodes are the ones here with k even (the same bits), or is empty."""
         n = int(mp.floor(mp.ldexp(self.radius, level)))
         xs = [mp.ldexp(k, -level) for k in range(-n, n + 1)]
-        ew = [known[x] if x in known else exp_e(-self.potential(x))
-              for x in xs]
+        ew, s = xs[:], n % 2  # xs[s] is the first node with k even
+        ew[s::2] = coarser or [exp_e(-self.potential(x)) for x in xs[s::2]]
+        ew[1 - s::2] = [exp_e(-self.potential(x)) for x in xs[1 - s::2]]
         return xs, ew
 
     def _build_grid(self):
         """Halve h from 2^-min_level until every moment passes its check
         against the coarser lattice 2hZ (_agrees), which is the previous
-        level's; then go at most two levels finer while a pairing fails it."""
-        accepted, known = None, {}
+        level's; a level's walk stops at its first moment that fails.  Then
+        go at most two levels finer while a pairing fails it."""
+        accepted, ew = None, []
         for level in range(self.min_level, self.max_level + 1):
-            xs, ew = self._grid_at_level(level, known)
-            known = dict(zip(xs, ew))
+            xs, ew = self._grid_at_level(level, ew)
             n = len(xs) // 2
             v, exp = fixed([e._mpf_ for e in ew])
-            sums = _lattice_sums(v, range(-n, n + 1), self.i_max + 1)
-            if accepted is None and all(_agrees(s, self.tol) for s in sums):
+            walk = _lattice_sums(v, range(-n, n + 1), self.i_max + 1)
+            if accepted is None:
+                sums = list(takewhile(lambda s: _agrees(s, self.tol), walk))
+                if len(sums) <= self.i_max:
+                    continue
                 accepted = level
-            if accepted is not None:
-                self._install_grid(level, xs, ew, _rounded(sums, exp, level))
-                failed = self._check_pairings()
-                if failed is None:
-                    return
-                if level == accepted + 2:
-                    raise QuadratureFailure(
-                        "moment entry ({},{}) did not stabilize".format(*failed))
+            else:
+                sums = list(walk)
+            self._install_grid(level, xs, ew, _rounded([f for f, _, _ in sums],
+                                                       exp, level))
+            failed = self._check_pairings()
+            if failed is None:
+                return
+            if level == accepted + 2:
+                raise QuadratureFailure(
+                    "moment entry ({},{}) did not stabilize".format(*failed))
         raise QuadratureFailure("grid level cap reached" if accepted is not None
                                 else "moment grid did not stabilize")
 
@@ -320,7 +347,7 @@ class WeightTable:
         n = len(xs) // 2
         self.m = m
         v, exp = fixed([e._mpf_ for e in ew2])
-        self.m2 = _rounded(_lattice_sums(v, range(-n, n + 1), self.i_max + 1),
+        self.m2 = _rounded(power_walk(v, range(-n, n + 1), self.i_max + 1),
                            exp, level)
         lo = bisect.bisect_left(self.xs, -self.active_radius)
         hi = bisect.bisect_right(self.xs, self.active_radius)
@@ -343,11 +370,11 @@ class WeightTable:
         self.P = [[]]
         for j in range(1, self.w_max + 1):
             w, exp = self._w_held(j)
-            sums = _lattice_sums(w, self.ks, j)
+            sums = list(_lattice_sums(w, self.ks, j))
             for i, s in enumerate(sums):
                 if not _agrees(s, self.tol):
                     return i, j
-            self.P.append(_rounded(sums, exp, self.level))
+            self.P.append(_rounded([f for f, _, _ in sums], exp, self.level))
         return None
 
     # -- half-line integral tables ----------------------------------------

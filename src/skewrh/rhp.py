@@ -142,7 +142,7 @@ class _Columns:
         (power_walk from U_c); kept, and walked again only for a call that
         needs more of them."""
         if len(self._sums[0]) < count:
-            self._sums = [power_walk(vec, self.ks, count) for vec, _ in self.vecs]
+            self._sums = [list(power_walk(vec, self.ks, count)) for vec, _ in self.vecs]
         return self._sums
 
 
@@ -281,7 +281,7 @@ class RHSolution:
             f, c = [], []
             for mans in parts:
                 Q = list(map(mul, vec, mans))
-                a = power_walk(Q[s::2], even, n)
+                a = list(power_walk(Q[s::2], even, n))
                 f.append(list(map(add, a, power_walk(Q[1 - s::2], odd, n))))
                 c.append(a)
             fine.append((*f, exp + e))

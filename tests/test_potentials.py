@@ -142,6 +142,53 @@ def test_truncation_radius_shape_and_tail(gauss, quartic):
                 assert base2 >= base and grid2 >= grid
 
 
+def _tail_radius_mpf(V, i_max, tol):
+    """The radius search of potentials._tail_radius with every step decided
+    by the mpf comparison, as it was before its double decisions: the
+    radius and the number of decisions."""
+    tol, steps = mp.mpf(tol), []
+
+    def small(r):
+        steps.append(r)
+        return r ** i_max * exp_e(-V(r)) < tol
+
+    lo, hi = mp.mpf(1), mp.mpf(1)
+    while not small(hi):
+        lo, hi = hi, hi * 2
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if small(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi, len(steps)
+
+
+@pytest.mark.parametrize("prec", [64, 272, 1040])
+def test_tail_radius_decides_as_the_mpf_search(prec, monkeypatch):
+    # every radius search a table makes (tol/100 for the base radius,
+    # 2^(-2 prec) for the grid, tol 1e-4 for the active slice) returns the
+    # bits of the all-mpf search: one double decision that differs moves
+    # the radius.  At 1040 bits 2^(-2 prec) is below the least double.
+    # Most steps are decided in double, without exp_e
+    mpf_steps = []
+    monkeypatch.setattr(potentials, "exp_e",
+                        lambda t: mpf_steps.append(t) or exp_e(t))
+    steps = 0
+    for coeffs in ("0,0,0.5", "0,0,0.5,0,1", "0,0,0.5,0,0.3,0,0.1",
+                   "0,0,0.5,0,0.3,0,0.05", "1,0,0.7", "0,0.25,0.5,0.125,1"):
+        V = Potential.parse(coeffs)
+        for i_max in (4, 27):
+            with mp.workprec(prec):
+                tol = mp.mpf("1e-30")
+                for t in (tol / 100, mp.ldexp(1, -2 * prec), tol * mp.mpf("1e-4")):
+                    ref, n = _tail_radius_mpf(V, i_max, t)
+                    assert potentials._tail_radius(V, i_max, t)._mpf_ == ref._mpf_, \
+                        (coeffs, i_max, t)
+                    steps += n
+    assert len(mpf_steps) < steps / 3
+
+
 def test_weight_table_moments(gauss, ctx):
     table = get_weight_table(gauss, ctx, i_max=11, w_max=0)
     # m_i = (i-1)!! sqrt(2 pi) for exp(-x^2/2), and exact zeros at odd i
