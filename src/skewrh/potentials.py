@@ -22,7 +22,10 @@ integer sum over the lattice indices, rounded once: correctly rounded
 half-line integrals come from one kernel: the Taylor series of
 exp(V(x_k) - V(y)) about a lattice node x_k (the Taylor-series method for
 g' = -V' g, Corliss-Chang 1982, ACM TOMS 8), whose coefficients are exact
-integers, run on ints and integrated term by term.  It gives every lattice
+integers, run on ints and integrated term by term for the highest local
+moments int s^i g; the lower ones follow by the downward recurrence of
+integration by parts (Gautschi 1967, SIAM Rev. 9), whose bound on error
+growth the kernel checks against its guard bits.  It gives every lattice
 interval's increment, and the integrals from the node below any real or
 complex point up to it.  The running sums F of the increments stay exact
 ints, one exponent per power y^j, and so do the densities
@@ -125,13 +128,11 @@ def pi_polynomial(V: Potential, j: int) -> Poly:
 
 def _tail_radius(V: Potential, i_max: int, tol):
     """Smallest R >= 1 with R^i_max exp(-V(R)) < tol: R doubled from 1,
-    then 60 bisection steps, on mpfs.  Each step decides on the log
-    f(r) = i_max log r - V(r) - log tol in double where |f| clears the
-    rounding of that double evaluation and of the mpf comparison together
-    (each below 2^-53 (3d + 5) S at 53 bits or more, d = deg V, S the
-    double's sum_l |v_l| r^l + i_max (|log r| + 1) + |log tol|; the margin
-    is 2^-48 (d + 2) S), so both decide alike; otherwise the mpf comparison
-    decides.  R keeps the bits of the mpf-only search."""
+    then 60 bisection steps, on mpfs.  A step decides in double on
+    f = i_max log r - V(r) - log tol where |f| passes 2^-48 (d + 2) S,
+    S = sum_l |v_l| r^l + i_max (|log r| + 1) + |log tol|: the double and
+    the mpf evaluation (53 bits or more) each err below 2^-53 (3d + 5) S,
+    so both decide alike.  Otherwise the mpf comparison decides."""
     tol = mp.mpf(tol)
     cs = [float(c) for c in reversed(V.poly.coeffs)]
     log_tol = float(mp.log(tol))
@@ -256,6 +257,11 @@ def _binomial_sums(ints, k):
     return out
 
 
+# the most of the series kernel's 64 guard bits its downward recurrence may
+# take (_series); the rest take the round-off of the sums, as before it
+_GROWTH_BITS = 32
+
+
 class WeightTable:
     """Grid data, moments, beta = 1 pairings and half-line integral tables
     for one potential.
@@ -318,16 +324,14 @@ class WeightTable:
             xs, ew = self._grid_at_level(level, ew)
             n = len(xs) // 2
             v, exp = fixed([e._mpf_ for e in ew])
-            walk = _lattice_sums(v, range(-n, n + 1), self.i_max + 1)
+            sums = _lattice_sums(v, range(-n, n + 1), self.i_max + 1)
             if accepted is None:
-                sums = list(takewhile(lambda s: _agrees(s, self.tol), walk))
-                if len(sums) <= self.i_max:
-                    continue
-                accepted = level
-            else:
-                sums = list(walk)
-            self._install_grid(level, xs, ew, _rounded([f for f, _, _ in sums],
-                                                       exp, level))
+                sums = takewhile(lambda s: _agrees(s, self.tol), sums)
+            m = _rounded([f for f, _, _ in sums], exp, level)
+            if len(m) <= self.i_max:
+                continue
+            accepted = level if accepted is None else accepted
+            self._install_grid(level, xs, ew, m)
             failed = self._check_pairings()
             if failed is None:
                 return
@@ -393,7 +397,17 @@ class WeightTable:
         4.7).  Past |t| = 1 the series runs in u = s 2^-sg, |u| <= 1, so
         that the powers of t do not magnify the coefficients' truncation.
         It stops where the Cauchy bound on its tail (_series_length) is
-        below a unit."""
+        below a unit.
+
+        Only the len(b) highest local moments J_i = int_0^u s^i g come
+        from the series; the rest follow downward from i J_(i-1) =
+        u^i g(u) + sum_l b_l J_(i+l), integration by parts of (s^i g)'
+        (Gautschi 1967, SIAM Rev. 9).  Each of the top = j_count - len(b)
+        steps multiplies the errors it reads by at most max(1, B/i),
+        B = sum_l |b_l|, and adds R + 2 units over i, R the error of a
+        series sum: each moment is within 2^G (R + top (R + 2)) units,
+        2^G = prod_(i <= top) max(1, B/i), and past G = _GROWTH_BITS the
+        kernel raises QuadratureFailure."""
         fb, sh, sg = self._fbits, self._dv_shift, 0
         while max(abs(t) for t in ts) > 1 << sg:
             sg += 1
@@ -403,25 +417,41 @@ class WeightTable:
         for n in range(1, count):
             a.append((-sum(map(mul, rb, a[n - 1:])) >> sh) // n)
         a = a[len(b) - 1:]
+        top = max(0, j_count - len(b))
+        big = sum(_float_up(c, -sh) for c in b)
+        if sum(math.log2(big / i) for i in range(1, top + 1) if big > i) > _GROWTH_BITS:
+            raise QuadratureFailure(f"series at node {k}: the downward recurrence "
+                                    f"would take more than {_GROWTH_BITS} guard bits")
         # int_0^t s^i g = sum_n a_n t^(n+i+1) / (n+i+1); at t = +-1 that
-        # is t^(i+1) (E_i + t O_i), E_i and O_i its sums over even and odd n
+        # is t^(i+1) (E_i + t O_i), E_i and O_i its sums over even and odd
+        # n, and g(t) = g_e + t g_o
         units = [] if sg else [t for t in ts if t in (1, -1)]
         if units:
             eo = [(sum(map(floordiv, a[::2], range(i + 1, i + 1 + count, 2))),
                    sum(map(floordiv, a[1::2], range(i + 2, i + 1 + count, 2))))
-                  for i in range(j_count)]
+                  for i in range(top, j_count)]
+            g_e, g_o = sum(a[::2]), sum(a[1::2])
         if len(units) < len(ts):
             cs = [list(map(floordiv, a, range(i + 1, i + 1 + count)))
-                  for i in range(j_count)]
+                  for i in range(top, j_count)]
         out = []
         for t in ts:
             if t in units:
                 u = int(t)
-                parts = [[(e + u * o) * u ** (i + 1) for i, (e, o) in enumerate(eo)]]
+                highs = [[(e + u * o) * u ** (i + 1)
+                          for i, (e, o) in enumerate(eo, top)]]
+                ends = [[(g_e + u * g_o) * u ** i for i in range(top + 1)]]
             else:
-                parts = [[(sum(map(mul, c, p[i + 1:])) << sg * (i + 1)) >> fb
-                          for i, c in enumerate(cs)]
-                         for p in fixed_powers(t / (1 << sg), count + j_count, fb)]
+                ps = fixed_powers(t / (1 << sg), count + j_count, fb)
+                highs = [[sum(map(mul, c, p[i + 1:])) >> fb
+                          for i, c in enumerate(cs, top)] for p in ps]
+                ends = [[sum(map(mul, a, p[i:])) >> fb for i in range(top + 1)]
+                        for p in ps]
+            parts = []
+            for J, end in zip(highs, ends):
+                for i in range(top, 0, -1):
+                    J.insert(0, (end[i] + (sum(map(mul, b, J)) >> sh)) // i)
+                parts.append([m << sg * (i + 1) for i, m in enumerate(J)])
             out.append([_binomial_sums(part, k) for part in parts])
         return out
 
@@ -462,7 +492,9 @@ class WeightTable:
         ahi - 1, the nodes that _F_at and _w_held read.  Each lattice
         interval adds exp(-V) at an active node, held as the ints E at one
         exponent (fixed(aew)), times that node's _series (_interval_sums),
-        so every entry is an exact running sum, kept as an int.  The
+        so every entry is an exact running sum, kept as an int, of series
+        values within the bound of _series: d columns from the series sums,
+        the w_max + 1 - d below by its downward recurrence.  The
         interval across -cut counts from -cut (below it the mass is under
         the validated error scale, by the tail bound); where the lattice
         starts above -cut, F starts at its first node."""

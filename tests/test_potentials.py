@@ -2,6 +2,7 @@
 
 import bisect
 import gc
+import math
 import weakref
 
 import pytest
@@ -9,7 +10,7 @@ from mpmath import mp
 from mpmath.libmp import from_man_exp
 
 from skewrh import potentials
-from skewrh.errors import IntegrabilityError, MomentRangeExceeded
+from skewrh.errors import IntegrabilityError, MomentRangeExceeded, QuadratureFailure
 from skewrh.numerics import Poly, exp_e, fixed
 from skewrh.potentials import (
     Potential,
@@ -274,13 +275,16 @@ def test_weights_at_off_axis_closed_forms(gauss, ctx):
 
 
 @pytest.mark.parametrize("coeffs, ranges", [
-    ("0,0,0.5,0,1", (27, 13)), ("0,0,0.5,0,0.3,0,0.1", (27, 13)), ("0,0,0.5", (8, 0))])
+    ("0,0,0.5,0,1", (27, 13)), ("0,0,0.5,0,0.3,0,0.1", (27, 13)), ("0,0,0.5", (8, 0)),
+    ("0,0,0.5,0,1", (35, 17))])
 def test_interval_integrals_against_quad(coeffs, ranges, ctx):
     # the series over one lattice interval against mp.quad at 600 bits,
     # relative to the interval's own value: at x_k = 0, where V' vanishes
     # and the shortcut bound B^n/n!, B = sum |b_l|, would stop the series
     # too early, and on the outermost active intervals, where exp(-V)
-    # changes most across one step
+    # changes most across one step.  The last table is the README `polys`
+    # and `gram` one, whose 18 columns take the most steps of the downward
+    # recurrence
     V = Potential.parse(coeffs)
     t = WeightTable(V, ctx, i_max=ranges[0], w_max=ranges[1])
     n = len(t.xs) // 2
@@ -296,6 +300,26 @@ def test_interval_integrals_against_quad(coeffs, ranges, ctx):
                 ref = mp.quad(lambda y: y ** j * mp.exp(-V(y)), [a, b])
                 for got in (up[j], down[j]):
                     assert abs(got - ref) <= mp.mpf("1e-75") * abs(ref), (p - n, j)
+
+
+def test_segments_off_the_lattice_against_quad(quartic, ctx):
+    # the real and the complex paths of the series with the downward
+    # recurrence (14 columns, the 4 highest from the series sums), from a
+    # node to x_p + t h for t inside a step, complex, and past |t| = 1 (the
+    # series in u = t/4), against mp.quad at 400 bits along the segment:
+    # columns 0 and 1, which take the most steps, 4 and 9 on the way, and
+    # 13 from the sums
+    t = WeightTable(quartic, ctx, i_max=27, w_max=13)
+    p = len(t.xs) // 2 + 9
+    for step in (mp.mpf("0.37"), mp.mpf("-0.8"), mp.mpc("0.4", "0.3"),
+                 mp.mpc("2.5", "-1.7")):
+        with mp.workprec(t._prec):
+            got = t._segment(p, step, 14)
+        for j in (0, 1, 4, 9, 13):
+            with mp.workprec(400):
+                ends = [t.xs[p], t.xs[p] + step * t.h]
+                ref = mp.quad(lambda y: y ** j * mp.exp(-quartic(y)), ends)
+                assert abs(got[j] - ref) <= mp.mpf("1e-75") * abs(ref), (step, j)
 
 
 def test_weight_table_raises_i_max_to_w_max(gauss, ctx, w_function):
@@ -552,9 +576,73 @@ FAMILY_LEVELS = {
 }
 
 
-def test_family_tables_keep_their_levels(ctx):
-    for level, text in FAMILY_LEVELS.items():
-        for even in text.split():
-            coeffs = "0,0," + ",0,".join(even.split(","))
-            t = WeightTable(Potential.parse(coeffs), ctx, i_max=27, w_max=13)
-            assert t.level == level, coeffs
+def _series_coefficients(m, seen):
+    """Record in seen the coefficients b of every series the kernel runs:
+    the Taylor-shifted h V'(h u) of its node, which on the lattice, where
+    |t| <= 1, are the b of the series itself."""
+    shift = potentials._taylor_shift
+    m.setattr(potentials, "_taylor_shift",
+              lambda coeffs, k: seen.append(shift(coeffs, k)) or seen[-1])
+
+
+def _growth(b, shift, top):
+    """G of the stated bound 2^G = prod_(i <= top) max(1, B/i),
+    B = sum_l |b_l| 2^-shift, on the downward recurrence's error growth."""
+    big = math.ldexp(sum(map(abs, b)), -shift)
+    return sum(math.log2(big / i) for i in range(1, top + 1) if big > i)
+
+
+@pytest.fixture(scope="module")
+def family_builds(ctx):
+    """(coeffs, expected level, level, G) for each table of FAMILY_LEVELS,
+    G the largest growth bound over the series of its build."""
+    out, seen = [], []
+    with pytest.MonkeyPatch.context() as m:
+        _series_coefficients(m, seen)
+        for level, text in FAMILY_LEVELS.items():
+            for even in text.split():
+                coeffs = "0,0," + ",0,".join(even.split(","))
+                seen.clear()
+                t = WeightTable(Potential.parse(coeffs), ctx, i_max=27, w_max=13)
+                top = t.w_max + 1 - len(t._dv)
+                out.append((coeffs, level, t.level,
+                            max(_growth(b, t._dv_shift, top) for b in seen)))
+    return out
+
+
+def test_family_tables_keep_their_levels(family_builds):
+    for coeffs, level, got, _ in family_builds:
+        assert got == level, coeffs
+
+
+def test_series_recurrence_growth_is_small(family_builds, ctx, monkeypatch):
+    # the stated bound 2^G on how much the series kernel's downward
+    # recurrence magnifies the errors of the moments it starts from, over
+    # every series of the families-range tables above and of the README
+    # tables (x^2/2 + x^4 at the ranges of `polys` and `gram`, `zeros` and
+    # `pfaff-check`, x^2/2 at those of `moments`, `rh-verify` and
+    # `pfaffian`): G at most 8 of the 64 guard bits, and every series of
+    # these tables runs the recurrence (top > 0)
+    worst = [g for _, _, _, g in family_builds]
+    seen = []
+    _series_coefficients(monkeypatch, seen)
+    for coeffs, i_max, w_max in [("0,0,0.5,0,1", 35, 17), ("0,0,0.5,0,1", 19, 9),
+                                 ("0,0,0.5,0,1", 27, 13), ("0,0,0.5", 11, 5),
+                                 ("0,0,0.5", 15, 7)]:
+        seen.clear()
+        t = WeightTable(Potential.parse(coeffs), ctx, i_max=i_max, w_max=w_max)
+        top = w_max + 1 - len(t._dv)
+        assert top > 0
+        worst += [_growth(b, t._dv_shift, top) for b in seen]
+    assert 1 < max(worst) <= 8
+
+
+def test_series_recurrence_refuses_to_eat_the_guard_bits(quartic, ctx, monkeypatch):
+    # where the growth bound passes the bits the recurrence may take, the
+    # kernel raises rather than return degraded sums; a table whose series
+    # take every moment from the sums (one column, len(b) = 4) has no
+    # recurrence to bound
+    monkeypatch.setattr(potentials, "_GROWTH_BITS", 1)
+    with pytest.raises(QuadratureFailure, match="guard bits"):
+        WeightTable(quartic, ctx, i_max=27, w_max=13)
+    WeightTable(quartic, ctx, i_max=27, w_max=3)
