@@ -170,15 +170,17 @@ def test_tail_radius_decides_as_the_mpf_search(prec, monkeypatch):
     # every radius search a table makes (tol/100 for the base radius,
     # 2^(-2 prec) for the grid, tol 1e-4 for the active slice) returns the
     # bits of the all-mpf search: one double decision that differs moves
-    # the radius.  At 1040 bits 2^(-2 prec) is below the least double.
-    # Most steps are decided in double, without exp_e
+    # the radius.  At 1040 bits 2^(-2 prec) is below the least double; a
+    # coefficient no double holds to 2^-53 (1e-310) leaves every step to
+    # the mpfs.  Most steps are decided in double, without exp_e
     mpf_steps = []
     monkeypatch.setattr(potentials, "exp_e",
                         lambda t: mpf_steps.append(t) or exp_e(t))
-    steps = 0
-    for coeffs in ("0,0,0.5", "0,0,0.5,0,1", "0,0,0.5,0,0.3,0,0.1",
-                   "0,0,0.5,0,0.3,0,0.05", "1,0,0.7", "0,0.25,0.5,0.125,1"):
-        V = Potential.parse(coeffs)
+
+    def searches(coeffs):
+        """The steps of the searches on one potential, and how many of
+        them the mpf comparison decided."""
+        V, start, total = Potential.parse(coeffs), len(mpf_steps), 0
         for i_max in (4, 27):
             with mp.workprec(prec):
                 tol = mp.mpf("1e-30")
@@ -186,8 +188,15 @@ def test_tail_radius_decides_as_the_mpf_search(prec, monkeypatch):
                     ref, n = _tail_radius_mpf(V, i_max, t)
                     assert potentials._tail_radius(V, i_max, t)._mpf_ == ref._mpf_, \
                         (coeffs, i_max, t)
-                    steps += n
-    assert len(mpf_steps) < steps / 3
+                    total += n
+        return total, len(mpf_steps) - start
+
+    counts = [searches(c) for c in ("0,0,0.5", "0,0,0.5,0,1", "0,0,0.5,0,0.3,0,0.1",
+                                    "0,0,0.5,0,0.3,0,0.05", "1,0,0.7",
+                                    "0,0.25,0.5,0.125,1")]
+    assert sum(m for _, m in counts) < sum(n for n, _ in counts) / 3
+    total, by_mpf = searches("1e-310,0,0.5")
+    assert by_mpf == total
 
 
 def test_weight_table_moments(gauss, ctx):
