@@ -178,14 +178,14 @@ def truncation_radius(V: Potential, i_max: int, tol):
 
 def _lattice_sums(v, ks, count):
     """The sums of values v at the lattice nodes k h, k in the range ks,
-    held as ints at one exponent (numerics.fixed), one power at a time:
-    entry i, i < count, holds the exact int sums of k^i v_k over all the
-    nodes, of their absolute values, and over the coarser lattice 2hZ (the
-    even k).  Times h^(i+1) and the held exponent these are trapezoid sums
-    of x^i values; twice the third is the one on 2hZ.  One power walk
-    (numerics.power_walk) runs over the even and one over the odd k, as the
-    Cauchy dots' walk does, and one runs |v| over |k|; a power is walked
-    only when the entry is read."""
+    held as ints at one exponent (numerics.fixed): entry i, i < count,
+    holds the exact int sums of k^i v_k over all the nodes, of their
+    absolute values, and over the coarser lattice 2hZ (the even k).  Times
+    h^(i+1) and the held exponent these are trapezoid sums of x^i values;
+    twice the third is the one on 2hZ.  One power walk (numerics.power_walk)
+    runs over the even and one over the odd k, as the Cauchy dots' walk
+    does, and one runs |v| over |k|; a power is walked when its entry is
+    read."""
     s = ks.start % 2
     even = power_walk(v[s::2], ks[s::2], count)
     odd = power_walk(v[1 - s::2], ks[1 - s::2], count)
@@ -257,8 +257,8 @@ def _binomial_sums(ints, k):
     return out
 
 
-# the most of the series kernel's 64 guard bits its downward recurrence may
-# take (_series); the rest take the round-off of the sums, as before it
+# the most of the series kernel's 64 guard bits that its downward
+# recurrence may take (_series); the rest take the round-off of the sums
 _GROWTH_BITS = 32
 
 
