@@ -1,10 +1,17 @@
 """Polynomial root finding, reality/interlacing checks, and zero histograms.
 
 Roots come from a simultaneous Aberth-Ehrlich iteration, seeded in
-double precision from a perturbed circle, polished on Gaussian integers
-at least 64 bits above the context precision, as in MPSolve
-(Bini-Fiorentino 2000), and verified by back-substitution in mpc
-arithmetic.  Interlacing compares two root reports whose
+double precision from a perturbed circle and polished on integers at
+least 64 bits above the context precision, as in MPSolve
+(Bini-Fiorentino 2000): on the real line where p is real and its seeds
+are, else on Gaussian integers.  At each root z_i returned, p is bounded
+from above on integers, for the residual check and for Smith's
+inclusion radius r_i = n|p(z_i)| / |c_n prod_(j != i) (z_i - z_j)|
+(B. T. Smith, J. ACM 17, 1970): the discs |z - z_i| <= r_i cover every
+root, and a disc that meets no other holds exactly one.  If p is real
+and z_i real, that root's conjugate is a root in the same disc, so the
+root is real: real points with pairwise disjoint discs are returned
+exactly real.  Interlacing compares two root reports whose
 degrees differ by one (consecutive classical polynomials) or two
 (consecutive same-parity family members): the lower-degree roots must
 sit strictly inside the higher-degree hull, every gap of the lower
@@ -18,16 +25,20 @@ from __future__ import annotations
 import bisect
 import cmath
 import dataclasses
+from math import isqrt
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp, round_ceiling, to_fixed
 
 from .errors import NoConvergence, NotReal
-from .numerics import (CPoly, DEFAULT_CONTEXT, Poly, PrecisionContext,
+from .numerics import (DEFAULT_CONTEXT, Poly, PrecisionContext, fixed,
                        fixed_complex, fixed_round, poly_derivative)
 
 REALITY_FACTOR = "1e-10"
 MAX_SWEEPS = 220   # at the working precision; past it, NoConvergence
 SEED_SWEEPS = 220  # in double; past it, the seeds go on unconverged
+REAL_SEED_SLACK = 2.0 ** -30  # |Im| of a real-path seed, relative to the largest
+RADIUS_BITS = 64  # the radii's bits below 2^-F
 
 
 @dataclasses.dataclass(frozen=True)
@@ -35,12 +46,17 @@ class RootReport:
     """All roots of one polynomial, with reality metadata.
 
     roots are sorted by (real, imag); sorted_real_parts carries just the
-    real parts in increasing order.
+    real parts in increasing order.  radii are upper bounds on Smith's
+    inclusion radii, one per root (0 for a deflated exact zero): every
+    root lies in the union of the discs, and a disc that meets no other
+    holds exactly one.  max_imag is 0 whenever roots has proved every
+    root real by those discs.
     """
 
     roots: tuple
     max_imag: object
     sorted_real_parts: tuple
+    radii: tuple
 
     @property
     def degree(self) -> int:
@@ -144,25 +160,122 @@ def _polish(cs, zs, fbits, radius, tol_bits):
     return max(mp.sqrt(mp.mpf(a) / b) for a, b in steps)
 
 
-def _aberth(poly: CPoly, tol_bits):
-    """Simultaneous root iteration for a polynomial of degree >= 1 with
-    a nonzero constant term.
+def _polish_real(cs, xs, fbits, radius, tol_bits):
+    """_polish on the real line, for real monic coefficients cs and real
+    points xs, plain ints at 2^-fbits: the same sweeps and stop rule,
+    with real Horner and a real repulsion sum.  True once every step is
+    below 2^-tol_bits times max(1, |x|), else False."""
+    one, fine = 1 << fbits, radius >> mp.prec
+    rbits = max(fbits, mp.prec + radius.bit_length() - fbits)
+    unit = 1 << fbits + rbits  # 1 / (x - w) at 2^-rbits is unit // (x - w)
+    lead, rest = cs[-1], cs[-2::-1]
+    for _ in range(MAX_SWEEPS):
+        done = True
+        for i, x in enumerate(xs):
+            p, d = lead, 0
+            for c in rest:
+                d = (d * x >> fbits) + p
+                p = (p * x >> fbits) + c
+            if d == 0:
+                xs[i] = x + fine + (one >> tol_bits)
+                done = False
+                continue
+            newton = (p << fbits) // d
+            repulse = sum(unit // (x - w or fine)
+                          for j, w in enumerate(xs) if j != i)
+            e = one - (newton * repulse >> rbits)
+            step = (newton << fbits) // e if e else newton
+            xs[i] = x - step
+            done = done and abs(step) << tol_bits < max(one, abs(x))
+        if done:
+            return True
+    return False
+
+
+def _floor64(d):
+    """(d >> s, s) for an int d >= 0, d >> s below 2^64: a lower bound."""
+    s = max(0, d.bit_length() - 64)
+    return d >> s, s
+
+
+def _certify(cs, exp, zs, fbits, low):
+    """Round the points zs ((re, im) ints at 2^-fbits) to the working
+    precision and bound q = p / x^low from above there, on integers (cs:
+    its coefficients, (re, im) ints at 2^exp, exact).  Returns the points
+    (mpc), upper bounds on |p(z)| and on Smith's radii (inf where two
+    points coincide), and whether the points are real with pairwise
+    disjoint discs.  Horner runs at 2^-wbits with floored products: for
+    |z| < a its error stays below b, b <- a b + 2 per step.  |c_n| and
+    each |z_i - z_j| are floored to 64 bits.  The radii belong to the
+    points returned, so neither their rounding nor that of the monic
+    coefficients the polish ran on enters them.
+    """
+    n, gbits = len(zs), fbits + RADIUS_BITS
+    wbits = max(gbits, -exp)
+    points = [mp.mpc(fixed_round(zr, -fbits), fixed_round(zi, -fbits))
+              for zr, zi in zs]
+    zs = [(to_fixed(z.real._mpf_, fbits), to_fixed(z.imag._mpf_, fbits))
+          for z in points]  # exact: every point lies on 2^-fbits
+    cs = [(cr << exp + wbits, ci << exp + wbits) for cr, ci in cs]
+    (lr, li), rest = cs[-1], cs[-2::-1]
+    lead, ls = _floor64(isqrt(lr * lr + li * li))  # |c_n| at 2^-wbits
+    residuals, radii = [], []
+    for i, (zr, zi) in enumerate(zs):
+        a = isqrt(zr * zr + zi * zi) + 1  # |z| < a 2^-fbits
+        pr, pi, b = lr, li, 0
+        for cr, ci in rest:
+            pr, pi = (((pr * zr - pi * zi) >> fbits) + cr,
+                      ((pr * zi + pi * zr) >> fbits) + ci)
+            b = -(-b * a >> fbits) + 2
+        top = isqrt(pr * pr + pi * pi) + 1 + b  # |q(z)| < top 2^-wbits
+        residuals.append(mp.make_mpf(from_man_exp(
+            top * a ** low, -wbits - low * fbits, 64, round_ceiling)))
+        # |c_n prod (z_i - z_j)| >= den 2^(gbits - wbits - e)
+        den, e = lead, gbits + (n - 1) * fbits - ls
+        for j, (wr, wi) in enumerate(zs):
+            if j != i:  # |z_i - z_j| at 2^-fbits, floored
+                g, s = _floor64(abs(zr - wr) if zi == wi else
+                                isqrt((zr - wr) ** 2 + (zi - wi) ** 2))
+                den *= g
+                e -= s
+        # the radius at 2^-gbits, rounded up
+        radii.append(-(-n * top << max(e, 0)) // (den << max(-e, 0))
+                     if den else None)
+    order = sorted(range(n), key=lambda i: zs[i])
+    real = None not in radii and all(zi == 0 for _, zi in zs) and all(
+        (zs[b][0] - zs[a][0]) << RADIUS_BITS > radii[a] + radii[b]
+        for a, b in zip(order, order[1:]))
+    radii = [mp.inf if r is None else
+             mp.make_mpf(from_man_exp(r, -gbits, 64, round_ceiling))
+             for r in radii]
+    return points, residuals, radii, real
+
+
+def _aberth(coeffs, low, tol_bits):
+    """Simultaneous root iteration for q, its coefficients coeffs (mpf
+    or mpc, degree >= 1, a nonzero constant term), the factor of
+    p = x^low q; returns _certify's (points, residuals, radii, real) for
+    its roots, in arbitrary order.
 
     Sweeps in double precision from a perturbed circle give the seeds,
-    converged or not after SEED_SWEEPS; sweeps on Gaussian integers
-    polish them until every step is below 2^-tol_bits, measured
-    relative to the root outside the unit disk.  They start from the
-    circle instead where a coefficient or start point is not finite in
-    double (or the leading coefficient underflows), or the double run
-    ends on non-finite or coinciding points.  The polish holds points at
-    2^-F, F the working precision plus the bits below 1 of Cauchy's
-    lower root bound |c_0|/(|c_0| + max|c_i|), so that the smallest root
-    keeps the working precision relative to its own size (coefficients
-    are made monic first).  Returns the roots in arbitrary order.
+    converged or not after SEED_SWEEPS; sweeps on integers polish them
+    until every step is below 2^-tol_bits, measured relative to the root
+    outside the unit disk.  Where q is real and every seed lies within
+    REAL_SEED_SLACK of the real axis, relative to the largest, the polish
+    runs on the real parts as plain ints (_polish_real), and its points
+    stand if their discs are disjoint (_certify), which proves them
+    real.  Otherwise, or where that polish stalls, the sweeps run on
+    Gaussian integers from the same seeds.  They start from the circle
+    instead where a coefficient or start point is not finite in double
+    (or the leading coefficient underflows), or the double run ends on
+    non-finite or coinciding points.  The polish holds points at 2^-F, F
+    the working precision plus the bits below 1 of Cauchy's lower root
+    bound |c_0|/(|c_0| + max|c_i|), so that the smallest root keeps the
+    working precision relative to its own size (coefficients are made
+    monic first).
     """
-    coeffs = poly.coeffs
-    n = poly.degree
-    monic = [c / coeffs[-1] for c in coeffs[:-1]] + [mp.mpc(1)]
+    n = len(coeffs) - 1
+    monic = [c / coeffs[-1] for c in coeffs[:-1]] + [mp.mpf(1)]
     size = [abs(c) for c in monic]
     radius = 1 + max(size[:-1])
     fpoly = _DoublePoly(coeffs)
@@ -182,15 +295,26 @@ def _aberth(poly: CPoly, tol_bits):
                 zs = seeds
         except OverflowError:  # abs() of a point past the double range
             pass
+    fbits = mp.prec + max(0, -mp.mag(size[0] / (size[0] + max(size[1:]))))
+    cs, exp = fixed([x for c in coeffs for x in (c.real._mpf_, c.imag._mpf_)])
+    cs = list(zip(cs[::2], cs[1::2]))
+    fradius = to_fixed(radius._mpf_, fbits)
     if zs is None:
         zs = [radius * mp.mpc(u) for u in unit]
-    fbits = mp.prec + max(0, -mp.mag(size[0] / (size[0] + max(size[1:]))))
+    elif all(ci == 0 for _, ci in cs) and max(
+            abs(z.imag) for z in zs) <= REAL_SEED_SLACK * max(map(abs, zs)):
+        xs = [(r << fbits) // d
+              for r, d in (z.real.as_integer_ratio() for z in zs)]
+        if _polish_real([to_fixed(c.real._mpf_, fbits) for c in monic], xs,
+                        fbits, fradius, tol_bits):
+            found = _certify(cs, exp, [(x, 0) for x in xs], fbits, low)
+            if found[3]:
+                return found
     zs = [fixed_complex(z, fbits) for z in zs]
     max_step = _polish([fixed_complex(c, fbits) for c in monic], zs, fbits,
-                       fixed_complex(radius, fbits)[0], tol_bits)
+                       fradius, tol_bits)
     if max_step is None:
-        return [mp.mpc(fixed_round(zr, -fbits), fixed_round(zi, -fbits))
-                for zr, zi in zs]
+        return _certify(cs, exp, zs, fbits, low)
     raise NoConvergence(
         f"root iteration stalled: max step {mp.nstr(max_step, 6)} "
         f"after {MAX_SWEEPS} sweeps (tolerance 2^-{tol_bits})"
@@ -201,37 +325,39 @@ def roots(p: Poly, ctx: PrecisionContext = DEFAULT_CONTEXT) -> RootReport:
     """Find all complex roots of p and package them as a RootReport.
 
     Exact zero constant terms are deflated first, so parity-symmetric
-    polynomials report their origin root exactly.  After convergence
-    every root is re-substituted in mpc at mantissa_bits + 64 bits; the
-    residual must stay below 2^(16 - mantissa_bits) times the
-    coefficient norm at root scale.
+    polynomials report their origin root exactly.  After convergence p
+    is bounded from above on integers at every root returned (_certify);
+    that residual must stay below 2^(16 - mantissa_bits) times the
+    coefficient norm at root scale.  The same bounds give each root's
+    Smith radius (RootReport.radii).
     """
     if p.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     prec = ctx.mantissa_bits + 64
     with mp.workprec(prec):
         tol = mp.mpf(2) ** (16 - ctx.mantissa_bits)
-        cp = CPoly(p.coeffs)
         low = 0
-        while cp.coeffs[low] == 0:
+        while p.coeffs[low] == 0:
             low += 1
-        found = [mp.mpc(0)] * low
-        if low < cp.degree:
-            found.extend(_aberth(CPoly(cp.coeffs[low:]),
-                                 ctx.mantissa_bits - 16))
-        found.sort(key=lambda z: (z.real, z.imag))
-        scale = max(1, max(abs(z) for z in found))
+        found = [(mp.mpc(0), mp.mpf(0), mp.mpf(0))] * low
+        if low < p.degree:
+            found.extend(zip(*_aberth(p.coeffs[low:], low,
+                                      ctx.mantissa_bits - 16)[:3]))
+        found.sort(key=lambda f: (f[0].real, f[0].imag))
+        zs = [z for z, _, _ in found]
+        scale = max(1, max(abs(z) for z in zs))
         norm = mp.fsum(abs(c) * scale ** s for s, c in enumerate(p.coeffs))
-        worst = max(abs(cp(z)) for z in found)
+        worst = max(res for _, res, _ in found)
         if not worst <= tol * norm:
             raise NoConvergence(
                 f"root residual {mp.nstr(worst, 6)} exceeds "
                 f"{mp.nstr(tol * norm, 6)}"
             )
         return RootReport(
-            roots=tuple(found),
-            max_imag=max(abs(z.imag) for z in found),
-            sorted_real_parts=tuple(sorted(z.real for z in found)),
+            roots=tuple(zs),
+            max_imag=max(abs(z.imag) for z in zs),
+            sorted_real_parts=tuple(sorted(z.real for z in zs)),
+            radii=tuple(r for _, _, r in found),
         )
 
 

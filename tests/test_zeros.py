@@ -7,7 +7,7 @@ from mpmath import mp
 
 from skewrh import zeros
 from skewrh.errors import NoConvergence, NotReal
-from skewrh.numerics import Poly
+from skewrh.numerics import CPoly, Poly
 from skewrh.potentials import Potential
 from skewrh.skewalg import skew_orthogonal_family
 from skewrh.zeros import (
@@ -23,7 +23,7 @@ def _report(*vals):
     """Synthetic all-real report with exact root values."""
     xs = tuple(sorted(mp.mpf(v) for v in vals))
     return RootReport(roots=tuple(mp.mpc(x) for x in xs), max_imag=mp.mpf(0),
-                      sorted_real_parts=xs)
+                      sorted_real_parts=xs, radii=(mp.mpf(0),) * len(xs))
 
 
 def test_quadratic_roots(ctx):
@@ -81,11 +81,13 @@ def test_chebyshev_roots(ctx):
 
 
 def test_double_overflow_falls_back_to_the_circle(ctx, monkeypatch):
-    # a normal quadratic runs the double stage, then the integer polish
-    # from its seeds; coefficients of 1e400 are infinite in double, so
-    # the polish starts from the circle of radius 1 + max|c_i/c_n| = 3
+    # a real quadratic with real roots runs the double stage, then the
+    # real integer polish from the real parts of its seeds; coefficients of
+    # 1e400 are infinite in double, so the Gaussian polish starts from the
+    # circle of radius 1 + max|c_i/c_n| = 3
     stages = []
-    sweeps, polish = zeros._sweeps, zeros._polish
+    sweeps, polish, polish_real = (zeros._sweeps, zeros._polish,
+                                   zeros._polish_real)
 
     def spy_sweeps(*args):
         stages.append(("double", None))
@@ -97,12 +99,19 @@ def test_double_overflow_falls_back_to_the_circle(ctx, monkeypatch):
         stages.append(("polish", starts))
         return polish(cs, zs, fbits, *rest)
 
+    def spy_polish_real(cs, xs, fbits, *rest):
+        assert all(type(v) is int for v in cs + xs)
+        stages.append(("real", [mp.ldexp(x, -fbits) for x in xs]))
+        return polish_real(cs, xs, fbits, *rest)
+
     monkeypatch.setattr(zeros, "_sweeps", spy_sweeps)
     monkeypatch.setattr(zeros, "_polish", spy_polish)
-    roots(Poly([-0.5, 0, 1]), ctx)
-    assert [kind for kind, _ in stages] == ["double", "polish"]
+    monkeypatch.setattr(zeros, "_polish_real", spy_polish_real)
+    rep = roots(Poly([-0.5, 0, 1]), ctx)
+    assert [kind for kind, _ in stages] == ["double", "real"]
     for start in stages[1][1]:
-        assert abs(start - 1 / mp.sqrt(2)) <= mp.mpf("1e-12")
+        assert abs(abs(start) - 1 / mp.sqrt(2)) <= mp.mpf("1e-12")
+    assert rep.max_imag == 0
     # coefficients of 1e-400 underflow in double and lie below 2^-F: the
     # polish makes them monic before it holds them as ints
     for size in ("1e400", "1e-400"):
@@ -135,14 +144,18 @@ def test_family_roots_against_polyroots(fam1_quartic, fam1_gauss, ctx):
     for fam in (fam1_quartic, sextic, fam1_gauss):
         for m in range(1, 14):
             p = fam.polys[m]
-            got = roots(p, ctx).roots
+            rep = roots(p, ctx)
+            got = rep.roots
             assert len(got) == m
+            # the real path: every disc isolated, so every root is real
+            assert rep.max_imag == 0, m
             with mp.workprec(2 * ctx.mantissa_bits):
                 want = sorted(mp.polyroots(p.coeffs[::-1], maxsteps=200,
                                            extraprec=2 * ctx.mantissa_bits),
                               key=lambda z: (mp.re(z), mp.im(z)))
-                for g, w in zip(got, want):
+                for g, w, r in zip(got, want, rep.radii):
                     assert abs(g - w) <= tol * max(1, abs(w)), (m, g, w)
+                    assert abs(g - w) <= r, (m, g, w, r)
 
 
 def test_polish_sweep_cap_raises(ctx, monkeypatch):
@@ -160,6 +173,106 @@ def test_polish_needs_few_sweeps(fam1_quartic, ctx, monkeypatch):
         rep = roots(fam1_quartic.polys[i], ctx)
         assert rep.degree == i
         assert rep.max_imag <= mp.mpf(1e-10) * rep.scale, i
+
+
+@pytest.mark.parametrize("polish, p", [("_polish_real", Poly([-0.5, 0, 1])),
+                                      ("_polish", Poly([1, 0, 1]))])
+def test_residual_check_sees_a_moved_root(ctx, monkeypatch, polish, p):
+    # one root moved by 2^-100 of its size after the polish: its disc is
+    # still isolated, so only the residual bound can refuse it
+    inner = getattr(zeros, polish)
+
+    def moved(cs, zs, *rest):
+        out = inner(cs, zs, *rest)
+        z = zs[0]
+        zs[0] = (z + (z >> 100) if type(z) is int
+                 else (z[0] + (z[0] >> 100), z[1] + (z[1] >> 100)))
+        return out
+
+    monkeypatch.setattr(zeros, polish, moved)
+    with pytest.raises(NoConvergence, match="root residual .* exceeds"):
+        roots(p, ctx)
+
+
+@pytest.mark.parametrize("slack", [None, 1.0])
+def test_reality_gap_is_not_certified(ctx, monkeypatch, slack):
+    # (x - 1)^2 + 1e-24 has the roots 1 +- 1e-12 i, below REALITY_FACTOR
+    # times the root scale.  The real path is refused: by the seeds' slack,
+    # or, with any seed let in, by the real polish, which finds no real
+    # root.  The discs, which miss the real axis, prove the pair complex,
+    # yet _require_real accepts it: today's meaning of NotReal, pinned here
+    stages = []
+    for name in ("_polish_real", "_polish"):
+        def spy(*args, inner=getattr(zeros, name), name=name):
+            stages.append(name)
+            return inner(*args)
+        monkeypatch.setattr(zeros, name, spy)
+    if slack is not None:
+        monkeypatch.setattr(zeros, "REAL_SEED_SLACK", slack)
+    with mp.workprec(ctx.mantissa_bits):
+        p = Poly([1 + mp.mpf("1e-24"), -2, 1])
+    rep = roots(p, ctx)
+    assert stages == ([] if slack is None else ["_polish_real"]) + ["_polish"]
+    for z, r in zip(rep.roots, rep.radii):
+        assert abs(abs(z.imag) - mp.mpf("1e-12")) <= mp.mpf("1e-30")
+        assert r < abs(z.imag)
+    zeros._require_real([rep])
+
+
+def test_overlapping_discs_fall_back(ctx, monkeypatch):
+    # (x - 1)^2 + 2^-600, its roots 1 +- 2^-300 i: the monic coefficients
+    # on 2^-F hold (x - 1)^2, and from real seeds the real polish converges
+    # on two points whose discs overlap, so the Gaussian polish runs
+    stages = []
+    for name in ("_polish_real", "_polish"):
+        def spy(*args, inner=getattr(zeros, name), name=name):
+            stages.append((name, inner(*args)))
+            return stages[-1][1]
+        monkeypatch.setattr(zeros, name, spy)
+    monkeypatch.setattr(zeros, "REAL_SEED_SLACK", 1.0)
+    with mp.workprec(2 * ctx.mantissa_bits + 100):
+        p = Poly([1 + mp.mpf(2) ** -600, -2, 1])
+    rep = roots(p, ctx)
+    assert stages == [("_polish_real", True), ("_polish", None)]
+    assert rep.max_imag > 0
+
+
+def test_radii_are_smith_radii_rounded_up(fam1_quartic, ctx):
+    # each radius against n|q(z_i)| / |c_n prod (z_i - z_j)| at the roots
+    # returned, q = p / x^low, computed exactly in mpmath: an upper bound,
+    # tight to the 64-bit floors of the distances and, at an exact root,
+    # to Horner's error bound on 2^-W, W >= mantissa_bits + 128
+    cases = [fam1_quartic.polys[m] for m in (2, 3, 12, 13)] + [
+        Poly([1, 0, 1]), Poly([0, 0, -2, 0, 1]), Poly([-0.5, 3e-45, 1, 2e-45]),
+        CPoly([mp.mpc(0, 2), mp.mpc(-2, -1), 1])]
+    for p in cases:
+        rep = roots(p, ctx)
+        assert all(r == 0 for z, r in zip(rep.roots, rep.radii) if z == 0)
+        zs, radii = zip(*[(z, r) for z, r in zip(rep.roots, rep.radii) if z])
+        q = p.coeffs[p.degree - len(zs):]
+        with mp.workprec(20000):
+            for z, r in zip(zs, radii):
+                den = abs(q[-1] * mp.fprod(z - w for w in zs if w is not z))
+                n = len(zs)
+                smith = n * abs(mp.polyval(q[::-1], z)) / den
+                horner = 2 * n * (1 + 2 * n * max(1, abs(z)) ** n) / den
+                assert smith <= r <= smith * (1 + mp.mpf(2) ** -40) + mp.ldexp(
+                    horner, -ctx.mantissa_bits - 128), (p, z)
+
+
+def test_complex_coefficients_against_polyroots(ctx):
+    # (x - i)(x - 2): no real path for complex coefficients
+    p = CPoly([mp.mpc(0, 2), mp.mpc(-2, -1), 1])
+    rep = roots(p, ctx)
+    tol = mp.mpf(2) ** (16 - ctx.mantissa_bits)
+    with mp.workprec(2 * ctx.mantissa_bits):
+        want = sorted(mp.polyroots(p.coeffs[::-1], maxsteps=200,
+                                   extraprec=2 * ctx.mantissa_bits),
+                      key=lambda z: (mp.re(z), mp.im(z)))
+        for g, w, r in zip(rep.roots, want, rep.radii):
+            assert abs(g - w) <= tol * max(1, abs(w)), (g, w)
+            assert abs(g - w) <= r, (g, w, r)
+    assert abs(rep.max_imag - 1) <= mp.mpf("1e-50")
 
 
 def test_complex_pair(ctx):

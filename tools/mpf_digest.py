@@ -40,9 +40,9 @@ values (`_mpf_` / `_mpc_`: sign, mantissa, exponent, bit count) of
             `gram` examples, whose pairings take the table one level finer
             than its moments do.  It widens the quartic table, so it runs
             after the parts that read it
-  roots     the roots of p_1 .. p_9 of x^2/2 + x^4 (beta = 1, kmax 4): the
-            README `zeros` example, on a fresh table with the ranges that
-            example's table has
+  roots     the roots of p_1 .. p_9 of x^2/2 + x^4 (beta = 1, kmax 4) and
+            their inclusion radii: the README `zeros` example, on a fresh
+            table with the ranges that example's table has
   sextic    the lattice level, m, m2 and the pairing block P of the
             table of x^2/2 + 0.3 x^4 + 0.05 x^6 at the family ranges
             i_max = 27, w_max = 13: the lattice whose half-width the
@@ -179,7 +179,8 @@ def parts():
 
     table = WeightTable(quartic, ctx, i_max=19, w_max=9)
     family = skew_orthogonal_family(quartic, 1, 4, ctx, table=table)
-    yield "roots", [roots(p, ctx).roots for p in family.polys[1:]]
+    yield "roots", [(r.roots, r.radii)
+                    for r in (roots(p, ctx) for p in family.polys[1:])]
 
     t = WeightTable(Potential.parse("0,0,0.5,0,0.3,0,0.05"), ctx,
                     i_max=27, w_max=13)
