@@ -8,10 +8,11 @@ are, else on Gaussian integers.  At each root z_i returned, p is bounded
 from above on integers, for the residual check and for Smith's
 inclusion radius r_i = n|p(z_i)| / |c_n prod_(j != i) (z_i - z_j)|
 (B. T. Smith, J. ACM 17, 1970): the discs |z - z_i| <= r_i cover every
-root, and a disc that meets no other holds exactly one.  If p is real
-and z_i real, that root's conjugate is a root in the same disc, so the
-root is real: real points with pairwise disjoint discs are returned
-exactly real.  Interlacing compares two root reports whose
+root, and a disc that meets no other holds exactly one.  If p and z_i
+are real and disc i meets no other, the conjugate of its one root is a
+root in the same disc, so the two coincide and the root is real: real
+points with pairwise disjoint discs are returned exactly real.
+Interlacing compares two root reports whose
 degrees differ by one (consecutive classical polynomials) or two
 (consecutive same-parity family members): the lower-degree roots must
 sit strictly inside the higher-degree hull, every gap of the lower
@@ -37,7 +38,7 @@ from .numerics import (DEFAULT_CONTEXT, Poly, PrecisionContext, fixed,
 REALITY_FACTOR = "1e-10"
 MAX_SWEEPS = 220   # at the working precision; past it, NoConvergence
 SEED_SWEEPS = 220  # in double; past it, the seeds go on unconverged
-REAL_SEED_SLACK = 2.0 ** -30  # |Im| of a real-path seed, relative to the largest
+REAL_SEED_SLACK = 2.0 ** -30  # real path: max |Im z| of the seeds over max |z|
 RADIUS_BITS = 64  # the radii's bits below 2^-F
 
 
@@ -261,11 +262,11 @@ def _aberth(coeffs, low, tol_bits):
     converged or not after SEED_SWEEPS; sweeps on integers polish them
     until every step is below 2^-tol_bits, measured relative to the root
     outside the unit disk.  Where q is real and every seed lies within
-    REAL_SEED_SLACK of the real axis, relative to the largest, the polish
-    runs on the real parts as plain ints (_polish_real), and its points
-    stand if their discs are disjoint (_certify), which proves them
-    real.  Otherwise, or where that polish stalls, the sweeps run on
-    Gaussian integers from the same seeds.  They start from the circle
+    REAL_SEED_SLACK times the largest seed modulus of the real axis, the
+    polish runs on the real parts as plain ints (_polish_real), and its
+    points stand if their discs are disjoint (_certify), which proves
+    them real.  Otherwise, or where that polish stalls, the sweeps run
+    on Gaussian integers from the same seeds.  They start from the circle
     instead where a coefficient or start point is not finite in double
     (or the leading coefficient underflows), or the double run ends on
     non-finite or coinciding points.  The polish holds points at 2^-F, F

@@ -129,7 +129,7 @@ def test_double_overflow_falls_back_to_the_circle(ctx, monkeypatch):
 def test_polish_resolves_a_root_below_the_working_precision(ctx):
     # x^2 + x + eps, eps = 2^-400: the small root is -eps - eps^2 - ...,
     # 80 bits below the 2^-320 grid of an F without Cauchy's lower-bound
-    # bits, where the back-substitution check alone would accept 0
+    # bits, where the residual check alone would accept 0
     eps = mp.mpf(2) ** -400
     rep = roots(Poly([eps, 1, 1]), ctx)
     rel = mp.mpf(2) ** -ctx.mantissa_bits
@@ -194,6 +194,17 @@ def test_residual_check_sees_a_moved_root(ctx, monkeypatch, polish, p):
         roots(p, ctx)
 
 
+def _spy_polishes(monkeypatch):
+    """The (name, result) of each call of either integer polish."""
+    calls = []
+    for name in ("_polish_real", "_polish"):
+        def spy(*args, inner=getattr(zeros, name), name=name):
+            calls.append((name, inner(*args)))
+            return calls[-1][1]
+        monkeypatch.setattr(zeros, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("slack", [None, 1.0])
 def test_reality_gap_is_not_certified(ctx, monkeypatch, slack):
     # (x - 1)^2 + 1e-24 has the roots 1 +- 1e-12 i, below REALITY_FACTOR
@@ -201,18 +212,14 @@ def test_reality_gap_is_not_certified(ctx, monkeypatch, slack):
     # or, with any seed let in, by the real polish, which finds no real
     # root.  The discs, which miss the real axis, prove the pair complex,
     # yet _require_real accepts it: today's meaning of NotReal, pinned here
-    stages = []
-    for name in ("_polish_real", "_polish"):
-        def spy(*args, inner=getattr(zeros, name), name=name):
-            stages.append(name)
-            return inner(*args)
-        monkeypatch.setattr(zeros, name, spy)
+    stages = _spy_polishes(monkeypatch)
     if slack is not None:
         monkeypatch.setattr(zeros, "REAL_SEED_SLACK", slack)
     with mp.workprec(ctx.mantissa_bits):
         p = Poly([1 + mp.mpf("1e-24"), -2, 1])
     rep = roots(p, ctx)
-    assert stages == ([] if slack is None else ["_polish_real"]) + ["_polish"]
+    assert [name for name, _ in stages] == (
+        [] if slack is None else ["_polish_real"]) + ["_polish"]
     for z, r in zip(rep.roots, rep.radii):
         assert abs(abs(z.imag) - mp.mpf("1e-12")) <= mp.mpf("1e-30")
         assert r < abs(z.imag)
@@ -223,12 +230,7 @@ def test_overlapping_discs_fall_back(ctx, monkeypatch):
     # (x - 1)^2 + 2^-600, its roots 1 +- 2^-300 i: the monic coefficients
     # on 2^-F hold (x - 1)^2, and from real seeds the real polish converges
     # on two points whose discs overlap, so the Gaussian polish runs
-    stages = []
-    for name in ("_polish_real", "_polish"):
-        def spy(*args, inner=getattr(zeros, name), name=name):
-            stages.append((name, inner(*args)))
-            return stages[-1][1]
-        monkeypatch.setattr(zeros, name, spy)
+    stages = _spy_polishes(monkeypatch)
     monkeypatch.setattr(zeros, "REAL_SEED_SLACK", 1.0)
     with mp.workprec(2 * ctx.mantissa_bits + 100):
         p = Poly([1 + mp.mpf(2) ** -600, -2, 1])
