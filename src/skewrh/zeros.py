@@ -38,7 +38,7 @@ from .numerics import (DEFAULT_CONTEXT, Poly, PrecisionContext, fixed,
 REALITY_FACTOR = "1e-10"
 MAX_SWEEPS = 220   # at the working precision; past it, NoConvergence
 SEED_SWEEPS = 220  # in double; past it, the seeds go on unconverged
-REAL_SEED_SLACK = 2.0 ** -30  # real path: max |Im z| of the seeds over max |z|
+REAL_SEED_SLACK = 2.0 ** -40  # real path: max |Im z| of the seeds over max |z|
 RADIUS_BITS = 64  # the radii's bits below 2^-F
 
 
