@@ -3,8 +3,8 @@
 Roots come from a simultaneous Aberth-Ehrlich iteration, seeded in
 double precision from a perturbed circle and polished on integers at
 least 64 bits above the context precision, as in MPSolve
-(Bini-Fiorentino 2000): on the real line where p is real and its seeds
-are, else on Gaussian integers.  At each root z_i returned, p is bounded
+(Bini-Fiorentino 2000): on the real line where p is real and the
+seeds already isolate real roots, else on Gaussian integers.  At each root z_i returned, p is bounded
 from above on integers, for the residual check and for Smith's
 inclusion radius r_i = n|p(z_i)| / |c_n prod_(j != i) (z_i - z_j)|
 (B. T. Smith, J. ACM 17, 1970): the discs |z - z_i| <= r_i cover every
@@ -26,7 +26,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import dataclasses
-from math import isqrt
+from math import inf, isqrt, prod
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, round_ceiling, to_fixed
@@ -38,7 +38,6 @@ from .numerics import (DEFAULT_CONTEXT, Poly, PrecisionContext, fixed,
 REALITY_FACTOR = "1e-10"
 MAX_SWEEPS = 220   # at the working precision; past it, NoConvergence
 SEED_SWEEPS = 220  # in double; past it, the seeds go on unconverged
-REAL_SEED_SLACK = 2.0 ** -40  # real path: max |Im z| of the seeds over max |z|
 RADIUS_BITS = 64  # the radii's bits below 2^-F
 
 
@@ -161,36 +160,21 @@ def _polish(cs, zs, fbits, radius, tol_bits):
     return max(mp.sqrt(mp.mpf(a) / b) for a, b in steps)
 
 
-def _polish_real(cs, xs, fbits, radius, tol_bits):
-    """_polish on the real line, for real monic coefficients cs and real
-    points xs, plain ints at 2^-fbits: the same sweeps and stop rule,
-    with real Horner and a real repulsion sum.  True once every step is
-    below 2^-tol_bits times max(1, |x|), else False."""
-    one, fine = 1 << fbits, radius >> mp.prec
-    rbits = max(fbits, mp.prec + radius.bit_length() - fbits)
-    unit = 1 << fbits + rbits  # 1 / (x - w) at 2^-rbits is unit // (x - w)
-    lead, rest = cs[-1], cs[-2::-1]
-    for _ in range(MAX_SWEEPS):
-        done = True
-        for i, x in enumerate(xs):
-            p, d = lead, 0
-            for c in rest:
-                d = (d * x >> fbits) + p
-                p = (p * x >> fbits) + c
-            if d == 0:
-                xs[i] = x + fine + (one >> tol_bits)
-                done = False
-                continue
-            newton = (p << fbits) // d
-            repulse = sum(unit // (x - w or fine)
-                          for j, w in enumerate(xs) if j != i)
-            e = one - (newton * repulse >> rbits)
-            step = (newton << fbits) // e if e else newton
-            xs[i] = x - step
-            done = done and abs(step) << tol_bits < max(one, abs(x))
-        if done:
-            return True
-    return False
+def _isolated(poly, zs):
+    """Whether Smith's discs about the double seeds zs of the real poly,
+    from |p(z_i)| plus Horner's error bound and widened by |Im z_i|, are
+    pairwise disjoint: then each holds one root and its mirror image, a
+    real root, as in _certify, up to the rounding of this test.  A complex
+    pair or a multiple root fails it."""
+    n, cs = len(zs), poly.coeffs
+    discs = []
+    for z in zs:
+        top = abs(poly(z)) + 4 * n * 2.0 ** -53 * sum(
+            abs(c) * abs(z) ** k for k, c in enumerate(cs))
+        den = abs(cs[-1]) * prod(abs(z - w) for w in zs if w != z)
+        discs.append((z.real, n * top / den + abs(z.imag) if den else inf))
+    discs.sort()
+    return all(b - a > r + s for (a, r), (b, s) in zip(discs, discs[1:]))
 
 
 def _floor64(d):
@@ -261,19 +245,19 @@ def _aberth(coeffs, low, tol_bits):
     Sweeps in double precision from a perturbed circle give the seeds,
     converged or not after SEED_SWEEPS; sweeps on integers polish them
     until every step is below 2^-tol_bits, measured relative to the root
-    outside the unit disk.  Where q is real and every seed lies within
-    REAL_SEED_SLACK times the largest seed modulus of the real axis, the
-    polish runs on the real parts as plain ints (_polish_real), and its
-    points stand if their discs are disjoint (_certify), which proves
-    them real.  Otherwise, or where that polish stalls, the sweeps run
-    on Gaussian integers from the same seeds.  They start from the circle
-    instead where a coefficient or start point is not finite in double
-    (or the leading coefficient underflows), or the double run ends on
-    non-finite or coinciding points.  The polish holds points at 2^-F, F
-    the working precision plus the bits below 1 of Cauchy's lower root
-    bound |c_0|/(|c_0| + max|c_i|), so that the smallest root keeps the
-    working precision relative to its own size (coefficients are made
-    monic first).
+    outside the unit disk.  Where q is real and the seeds' discs already
+    isolate real roots in double (_isolated), the polish runs from their
+    real parts, whose imaginary parts then stay 0, and its points stand if
+    their discs are disjoint (_certify), which proves them real.
+    Otherwise, or where that polish stalls, it runs from the seeds
+    themselves.  It starts from the circle instead where a coefficient or
+    start point is not finite in double (or the leading coefficient
+    underflows), or the double run ends on non-finite or coinciding
+    points.  The polish holds points at 2^-F, F the working precision
+    plus the bits below 1 of Cauchy's lower root bound
+    |c_0|/(|c_0| + max|c_i|), so that the smallest root keeps the working
+    precision relative to its own size (coefficients are made monic
+    first).
     """
     n = len(coeffs) - 1
     monic = [c / coeffs[-1] for c in coeffs[:-1]] + [mp.mpf(1)]
@@ -287,33 +271,31 @@ def _aberth(coeffs, low, tol_bits):
                        2 * cmath.pi * i / n + 0.7 / n + 0.25) for i in range(n)]
     seeds = [float(radius) * u for u in unit]
     given = fpoly.coeffs + fdpoly.coeffs + tuple(seeds)
-    zs = None
+    zs, real = None, False
     if fpoly.degree == n and all(map(cmath.isfinite, given)):
         try:
             _sweeps(fpoly, fdpoly, seeds, float(radius), 2.0 ** (16 - 53),
                     2.0 ** -53, SEED_SWEEPS)
             if all(map(cmath.isfinite, seeds)) and len(set(seeds)) == n:
                 zs = seeds
-        except OverflowError:  # abs() of a point past the double range
+                real = all(not c.imag for c in coeffs) and _isolated(fpoly, zs)
+        except OverflowError:  # abs() or a power past the double range
             pass
     fbits = mp.prec + max(0, -mp.mag(size[0] / (size[0] + max(size[1:]))))
     cs, exp = fixed([x for c in coeffs for x in (c.real._mpf_, c.imag._mpf_)])
     cs = list(zip(cs[::2], cs[1::2]))
+    mcs = [fixed_complex(c, fbits) for c in monic]
     fradius = to_fixed(radius._mpf_, fbits)
     if zs is None:
         zs = [radius * mp.mpc(u) for u in unit]
-    elif all(ci == 0 for _, ci in cs) and max(
-            abs(z.imag) for z in zs) <= REAL_SEED_SLACK * max(map(abs, zs)):
-        xs = [(r << fbits) // d
-              for r, d in (z.real.as_integer_ratio() for z in zs)]
-        if _polish_real([to_fixed(c.real._mpf_, fbits) for c in monic], xs,
-                        fbits, fradius, tol_bits):
-            found = _certify(cs, exp, [(x, 0) for x in xs], fbits, low)
+    elif real:
+        xs = [(fixed_complex(z.real, fbits)[0], 0) for z in zs]
+        if _polish(mcs, xs, fbits, fradius, tol_bits) is None:
+            found = _certify(cs, exp, xs, fbits, low)
             if found[3]:
                 return found
     zs = [fixed_complex(z, fbits) for z in zs]
-    max_step = _polish([fixed_complex(c, fbits) for c in monic], zs, fbits,
-                       fradius, tol_bits)
+    max_step = _polish(mcs, zs, fbits, fradius, tol_bits)
     if max_step is None:
         return _certify(cs, exp, zs, fbits, low)
     raise NoConvergence(

@@ -82,45 +82,35 @@ def test_chebyshev_roots(ctx):
 
 def test_double_overflow_falls_back_to_the_circle(ctx, monkeypatch):
     # a real quadratic with real roots runs the double stage, then the
-    # real integer polish from the real parts of its seeds; coefficients of
-    # 1e400 are infinite in double, so the Gaussian polish starts from the
-    # circle of radius 1 + max|c_i/c_n| = 3
+    # integer polish on the real line from the real parts of its seeds;
+    # coefficients of 1e400 are infinite in double, so the Gaussian polish
+    # starts from the circle of radius 1 + max|c_i/c_n| = 3
     stages = []
-    sweeps, polish, polish_real = (zeros._sweeps, zeros._polish,
-                                   zeros._polish_real)
+    sweeps = zeros._sweeps
 
     def spy_sweeps(*args):
         stages.append(("double", None))
         return sweeps(*args)
 
-    def spy_polish(cs, zs, fbits, *rest):
-        assert all(type(v) is int for z in cs + zs for v in z)
-        starts = [mp.ldexp(abs(mp.mpc(*z)), -fbits) for z in zs]
-        stages.append(("polish", starts))
-        return polish(cs, zs, fbits, *rest)
-
-    def spy_polish_real(cs, xs, fbits, *rest):
-        assert all(type(v) is int for v in cs + xs)
-        stages.append(("real", [mp.ldexp(x, -fbits) for x in xs]))
-        return polish_real(cs, xs, fbits, *rest)
-
+    calls = _spy_polish(monkeypatch)
     monkeypatch.setattr(zeros, "_sweeps", spy_sweeps)
-    monkeypatch.setattr(zeros, "_polish", spy_polish)
-    monkeypatch.setattr(zeros, "_polish_real", spy_polish_real)
     rep = roots(Poly([-0.5, 0, 1]), ctx)
-    assert [kind for kind, _ in stages] == ["double", "real"]
-    for start in stages[1][1]:
+    assert [kind for kind, _ in stages] == ["double"]
+    assert [kind for kind, _, _ in calls] == ["real"]
+    for start in calls[0][1]:
         assert abs(abs(start) - 1 / mp.sqrt(2)) <= mp.mpf("1e-12")
     assert rep.max_imag == 0
     # coefficients of 1e-400 underflow in double and lie below 2^-F: the
     # polish makes them monic before it holds them as ints
     for size in ("1e400", "1e-400"):
         stages.clear()
+        calls.clear()
         c = mp.mpf(size)
         rep = roots(Poly([-2 * c, c, c]), ctx)
-        assert [kind for kind, _ in stages] == ["polish"]
-        for start in stages[0][1]:
-            assert 3 < start < mp.mpf("3.1")
+        assert stages == []
+        assert [kind for kind, _, _ in calls] == ["gaussian"]
+        for start in calls[0][1]:
+            assert 3 < abs(start) < mp.mpf("3.1")
         for got, want in zip(rep.sorted_real_parts, (-2, 1)):
             assert abs(got - want) <= mp.mpf("1e-70")
         assert rep.max_imag <= mp.mpf("1e-70")
@@ -175,51 +165,59 @@ def test_polish_needs_few_sweeps(fam1_quartic, ctx, monkeypatch):
         assert rep.max_imag <= mp.mpf(1e-10) * rep.scale, i
 
 
-@pytest.mark.parametrize("polish, p", [("_polish_real", Poly([-0.5, 0, 1])),
-                                      ("_polish", Poly([1, 0, 1]))])
-def test_residual_check_sees_a_moved_root(ctx, monkeypatch, polish, p):
-    # one root moved by 2^-100 of its size after the polish: its disc is
-    # still isolated, so only the residual bound can refuse it
-    inner = getattr(zeros, polish)
+def _spy_polish(monkeypatch):
+    """The (kind, start points, result) of each call of the integer
+    polish: "real" where every start point lies on the real axis."""
+    calls, polish = [], zeros._polish
 
-    def moved(cs, zs, *rest):
-        out = inner(cs, zs, *rest)
-        z = zs[0]
-        zs[0] = (z + (z >> 100) if type(z) is int
-                 else (z[0] + (z[0] >> 100), z[1] + (z[1] >> 100)))
-        return out
+    def spy(cs, zs, fbits, *rest):
+        assert all(type(v) is int for z in cs + zs for v in z)
+        kind = "gaussian" if any(zi for _, zi in zs) else "real"
+        starts = [mp.mpc(*z) * mp.ldexp(1, -fbits) for z in zs]
+        calls.append((kind, starts, polish(cs, zs, fbits, *rest)))
+        return calls[-1][2]
 
-    monkeypatch.setattr(zeros, polish, moved)
-    with pytest.raises(NoConvergence, match="root residual .* exceeds"):
-        roots(p, ctx)
-
-
-def _spy_polishes(monkeypatch):
-    """The (name, result) of each call of either integer polish."""
-    calls = []
-    for name in ("_polish_real", "_polish"):
-        def spy(*args, inner=getattr(zeros, name), name=name):
-            calls.append((name, inner(*args)))
-            return calls[-1][1]
-        monkeypatch.setattr(zeros, name, spy)
+    monkeypatch.setattr(zeros, "_polish", spy)
     return calls
 
 
-@pytest.mark.parametrize("slack", [None, 1.0])
-def test_reality_gap_is_not_certified(ctx, monkeypatch, slack):
+@pytest.mark.parametrize("kind, p", [("real", Poly([-0.5, 0, 1])),
+                                     ("gaussian", Poly([1, 0, 1]))])
+def test_residual_check_sees_a_moved_root(ctx, monkeypatch, kind, p):
+    # one root moved by 2^-100 of its size after the polish: its disc is
+    # still isolated, so only the residual bound can refuse it
+    calls = _spy_polish(monkeypatch)
+    polish = zeros._polish
+
+    def moved(cs, zs, *rest):
+        out = polish(cs, zs, *rest)
+        zr, zi = zs[0]
+        zs[0] = (zr + (zr >> 100), zi + (zi >> 100))
+        return out
+
+    monkeypatch.setattr(zeros, "_polish", moved)
+    with pytest.raises(NoConvergence, match="root residual .* exceeds"):
+        roots(p, ctx)
+    assert [k for k, _, _ in calls] == [kind]
+
+
+@pytest.mark.parametrize("forced", [False, True])
+def test_reality_gap_is_not_certified(ctx, monkeypatch, forced):
     # (x - 1)^2 + 1e-24 has the roots 1 +- 1e-12 i, below REALITY_FACTOR
-    # times the root scale.  The real path is refused: by the seeds' slack,
-    # or, with any seed let in, by the real polish, which finds no real
-    # root.  The discs, which miss the real axis, prove the pair complex,
-    # yet _require_real accepts it: today's meaning of NotReal, pinned here
-    stages = _spy_polishes(monkeypatch)
-    if slack is not None:
-        monkeypatch.setattr(zeros, "REAL_SEED_SLACK", slack)
+    # times the root scale.  The real path is refused: by the seeds' discs
+    # in double, or, with those let through, by the polish on the real
+    # line, which finds no real root.  The discs, which miss the real
+    # axis, prove the pair complex, yet _require_real accepts it: today's
+    # meaning of NotReal, pinned here
+    calls = _spy_polish(monkeypatch)
+    if forced:
+        monkeypatch.setattr(zeros, "_isolated", lambda *args: True)
     with mp.workprec(ctx.mantissa_bits):
         p = Poly([1 + mp.mpf("1e-24"), -2, 1])
     rep = roots(p, ctx)
-    assert [name for name, _ in stages] == (
-        [] if slack is None else ["_polish_real"]) + ["_polish"]
+    assert [k for k, _, _ in calls] == ["real"] * forced + ["gaussian"]
+    if forced:
+        assert calls[0][2] is not None  # the real polish stalls
     for z, r in zip(rep.roots, rep.radii):
         assert abs(abs(z.imag) - mp.mpf("1e-12")) <= mp.mpf("1e-30")
         assert r < abs(z.imag)
@@ -228,25 +226,48 @@ def test_reality_gap_is_not_certified(ctx, monkeypatch, slack):
 
 def test_overlapping_discs_fall_back(ctx, monkeypatch):
     # (x - 1)^2 + 2^-600, its roots 1 +- 2^-300 i: the monic coefficients
-    # on 2^-F hold (x - 1)^2, and from real seeds the real polish converges
-    # on two points whose discs overlap, so the Gaussian polish runs
-    stages = _spy_polishes(monkeypatch)
-    monkeypatch.setattr(zeros, "REAL_SEED_SLACK", 1.0)
+    # on 2^-F hold (x - 1)^2, and from real seeds the polish on the real
+    # line converges on two points whose discs overlap, so the Gaussian
+    # polish runs.  The seeds' discs in double overlap too, so the real
+    # path is let through by force here
     with mp.workprec(2 * ctx.mantissa_bits + 100):
         p = Poly([1 + mp.mpf(2) ** -600, -2, 1])
     rep = roots(p, ctx)
-    assert stages == [("_polish_real", True), ("_polish", None)]
     assert rep.max_imag > 0
+    calls = _spy_polish(monkeypatch)
+    monkeypatch.setattr(zeros, "_isolated", lambda *args: True)
+    rep = roots(p, ctx)
+    assert [(k, out) for k, _, out in calls] == [("real", None),
+                                                 ("gaussian", None)]
+    assert rep.max_imag > 0
+
+
+def test_isolated_refuses_pairs_and_clusters():
+    # the double-precision test that chooses the real path: simple real
+    # roots pass; a complex pair, however near the axis, and a double
+    # root fail, with the seeds at the roots themselves
+    def seeds(p, zs):
+        return zeros._isolated(zeros._DoublePoly(p.coeffs), zs)
+
+    line = Poly([-6, 11, -6, 1])  # (x - 1)(x - 2)(x - 3)
+    assert seeds(line, [1 + 1e-30j, 2, 3])
+    near = Poly([1e-30, 0, 1]) * Poly([-1, 1])  # (x^2 + 1e-30)(x - 1)
+    assert not seeds(near, [1e-15j, -1e-15j, 1])
+    double = Poly([-2, 5, -4, 1])  # (x - 1)^2 (x - 2)
+    assert not seeds(double, [1 - 1e-8, 1 + 1e-8, 2])
 
 
 def test_radii_are_smith_radii_rounded_up(fam1_quartic, ctx):
     # each radius against n|q(z_i)| / |c_n prod (z_i - z_j)| at the roots
     # returned, q = p / x^low, computed exactly in mpmath: an upper bound,
     # tight to the 64-bit floors of the distances and, at an exact root,
-    # to Horner's error bound on 2^-W, W >= mantissa_bits + 128
+    # to Horner's error bound on 2^-W, W >= mantissa_bits + 128.  The
+    # complex coefficients of (x - i)(x - 2) take no real path; their
+    # roots are checked against mp.polyroots too
     cases = [fam1_quartic.polys[m] for m in (2, 3, 12, 13)] + [
         Poly([1, 0, 1]), Poly([0, 0, -2, 0, 1]), Poly([-0.5, 3e-45, 1, 2e-45]),
         CPoly([mp.mpc(0, 2), mp.mpc(-2, -1), 1])]
+    tol = mp.mpf(2) ** (16 - ctx.mantissa_bits)
     for p in cases:
         rep = roots(p, ctx)
         assert all(r == 0 for z, r in zip(rep.roots, rep.radii) if z == 0)
@@ -260,21 +281,15 @@ def test_radii_are_smith_radii_rounded_up(fam1_quartic, ctx):
                 horner = 2 * n * (1 + 2 * n * max(1, abs(z)) ** n) / den
                 assert smith <= r <= smith * (1 + mp.mpf(2) ** -40) + mp.ldexp(
                     horner, -ctx.mantissa_bits - 128), (p, z)
-
-
-def test_complex_coefficients_against_polyroots(ctx):
-    # (x - i)(x - 2): no real path for complex coefficients
-    p = CPoly([mp.mpc(0, 2), mp.mpc(-2, -1), 1])
-    rep = roots(p, ctx)
-    tol = mp.mpf(2) ** (16 - ctx.mantissa_bits)
-    with mp.workprec(2 * ctx.mantissa_bits):
-        want = sorted(mp.polyroots(p.coeffs[::-1], maxsteps=200,
-                                   extraprec=2 * ctx.mantissa_bits),
-                      key=lambda z: (mp.re(z), mp.im(z)))
-        for g, w, r in zip(rep.roots, want, rep.radii):
-            assert abs(g - w) <= tol * max(1, abs(w)), (g, w)
-            assert abs(g - w) <= r, (g, w, r)
-    assert abs(rep.max_imag - 1) <= mp.mpf("1e-50")
+        if isinstance(p, CPoly):
+            assert abs(rep.max_imag - 1) <= mp.mpf("1e-50")
+            with mp.workprec(2 * ctx.mantissa_bits):
+                want = sorted(mp.polyroots(p.coeffs[::-1], maxsteps=200,
+                                           extraprec=2 * ctx.mantissa_bits),
+                              key=lambda z: (mp.re(z), mp.im(z)))
+                for g, w, r in zip(rep.roots, want, rep.radii):
+                    assert abs(g - w) <= tol * max(1, abs(w)), (g, w)
+                    assert abs(g - w) <= r, (g, w, r)
 
 
 def test_complex_pair(ctx):
