@@ -162,17 +162,18 @@ def _polish(cs, zs, fbits, radius, tol_bits):
 
 def _isolated(poly, zs):
     """Whether Smith's discs about the double seeds zs of the real poly,
-    from |p(z_i)| plus Horner's error bound and widened by |Im z_i|, are
-    pairwise disjoint: then each holds one root and its mirror image, a
-    real root, as in _certify, up to the rounding of this test.  A complex
-    pair or a multiple root fails it."""
+    from |p(z_i)| plus Horner's error bound, have pairwise disjoint
+    shadows on the real axis, up to the rounding of this test.  Then each
+    disc holds one root, and its conjugate, a root in a disc with the
+    same shadow, is that root: every root is real.  A complex pair or a
+    multiple root fails it."""
     n, cs = len(zs), poly.coeffs
     discs = []
     for z in zs:
         top = abs(poly(z)) + 4 * n * 2.0 ** -53 * sum(
             abs(c) * abs(z) ** k for k, c in enumerate(cs))
         den = abs(cs[-1]) * prod(abs(z - w) for w in zs if w != z)
-        discs.append((z.real, n * top / den + abs(z.imag) if den else inf))
+        discs.append((z.real, n * top / den if den else inf))
     discs.sort()
     return all(b - a > r + s for (a, r), (b, s) in zip(discs, discs[1:]))
 
