@@ -4,14 +4,15 @@ Roots come from a simultaneous Aberth-Ehrlich iteration, seeded in
 double precision from a perturbed circle and polished on integers at
 least 64 bits above the context precision, as in MPSolve
 (Bini-Fiorentino 2000): on the real line where p is real and the
-seeds already isolate real roots, else on Gaussian integers.  At each root z_i returned, p is bounded
-from above on integers, for the residual check and for Smith's
-inclusion radius r_i = n|p(z_i)| / |c_n prod_(j != i) (z_i - z_j)|
-(B. T. Smith, J. ACM 17, 1970): the discs |z - z_i| <= r_i cover every
-root, and a disc that meets no other holds exactly one.  If p and z_i
-are real and disc i meets no other, the conjugate of its one root is a
-root in the same disc, so the two coincide and the root is real: real
-points with pairwise disjoint discs are returned exactly real.
+seeds already isolate real roots, else on Gaussian integers.  At each
+root z_i returned, p is bounded from above on integers, for the
+residual check and for Smith's inclusion radius
+r_i = n|p(z_i)| / |c_n prod_(j != i) (z_i - z_j)| (B. T. Smith, J. ACM
+17, 1970): the discs |z - z_i| <= r_i cover every root, and a disc that
+meets no other holds exactly one.  If p and z_i are real and disc i
+meets no other, the conjugate of its one root is a root in the same
+disc, so the two coincide and the root is real: real points with
+pairwise disjoint discs are returned exactly real.
 Interlacing compares two root reports whose
 degrees differ by one (consecutive classical polynomials) or two
 (consecutive same-parity family members): the lower-degree roots must

@@ -217,7 +217,7 @@ def test_reality_gap_is_not_certified(ctx, monkeypatch, forced):
     rep = roots(p, ctx)
     assert [k for k, _, _ in calls] == ["real"] * forced + ["gaussian"]
     if forced:
-        assert calls[0][2] is not None  # the real polish stalls
+        assert calls[0][2] is not None  # the polish on the real line stalls
     for z, r in zip(rep.roots, rep.radii):
         assert abs(abs(z.imag) - mp.mpf("1e-12")) <= mp.mpf("1e-30")
         assert r < abs(z.imag)
@@ -225,36 +225,22 @@ def test_reality_gap_is_not_certified(ctx, monkeypatch, forced):
 
 
 def test_overlapping_discs_fall_back(ctx, monkeypatch):
-    # (x - 1)^2 + 2^-600, its roots 1 +- 2^-300 i: the monic coefficients
-    # on 2^-F hold (x - 1)^2, and from real seeds the polish on the real
-    # line converges on two points whose discs overlap, so the Gaussian
-    # polish runs.  The seeds' discs in double overlap too, so the real
-    # path is let through by force here
+    # (x - 1)^2 + 2^-600, its roots 1 +- 2^-300 i: the seeds' discs in
+    # double overlap, as for any multiple root, so the polish runs from the
+    # seeds themselves.  Let through by force, the polish on the real line
+    # converges on two points whose discs overlap (the monic coefficients
+    # on 2^-F hold (x - 1)^2), and the polish from the seeds runs after it
+    calls = _spy_polish(monkeypatch)
     with mp.workprec(2 * ctx.mantissa_bits + 100):
         p = Poly([1 + mp.mpf(2) ** -600, -2, 1])
-    rep = roots(p, ctx)
-    assert rep.max_imag > 0
-    calls = _spy_polish(monkeypatch)
-    monkeypatch.setattr(zeros, "_isolated", lambda *args: True)
-    rep = roots(p, ctx)
-    assert [(k, out) for k, _, out in calls] == [("real", None),
-                                                 ("gaussian", None)]
-    assert rep.max_imag > 0
-
-
-def test_isolated_refuses_pairs_and_clusters():
-    # the double-precision test that chooses the real path: simple real
-    # roots pass; a complex pair, however near the axis, and a double
-    # root fail, with the seeds at the roots themselves
-    def seeds(p, zs):
-        return zeros._isolated(zeros._DoublePoly(p.coeffs), zs)
-
-    line = Poly([-6, 11, -6, 1])  # (x - 1)(x - 2)(x - 3)
-    assert seeds(line, [1 + 1e-30j, 2, 3])
-    near = Poly([1e-30, 0, 1]) * Poly([-1, 1])  # (x^2 + 1e-30)(x - 1)
-    assert not seeds(near, [1e-15j, -1e-15j, 1])
-    double = Poly([-2, 5, -4, 1])  # (x - 1)^2 (x - 2)
-    assert not seeds(double, [1 - 1e-8, 1 + 1e-8, 2])
+    for forced in (False, True):
+        calls.clear()
+        if forced:
+            monkeypatch.setattr(zeros, "_isolated", lambda *args: True)
+        rep = roots(p, ctx)
+        assert [(k, out) for k, _, out in calls] == (
+            [("real", None)] * forced + [("gaussian", None)])
+        assert rep.max_imag > 0
 
 
 def test_radii_are_smith_radii_rounded_up(fam1_quartic, ctx):
