@@ -46,11 +46,6 @@ class PrecisionContext:
     def workprec(self):
         return mp.workprec(self.mantissa_bits)
 
-    @property
-    def eps(self):
-        with self.workprec():
-            return mp.mpf(2) ** (-self.mantissa_bits + 4)
-
 
 DEFAULT_CONTEXT = PrecisionContext()
 

@@ -55,17 +55,10 @@ from .numerics import (DEFAULT_CONTEXT, Poly, PrecisionContext, exp_e, fixed,
 
 
 class Potential:
-    """Even-degree polynomial V with positive leading coefficient.
+    """Even-degree polynomial V with positive leading coefficient."""
 
-    scale_n is folded into the coefficients once at construction, so the
-    stored polynomial is the effective exponent of exp(-V).
-    """
-
-    def __init__(self, coeffs, scale_n=1):
-        s = mp.mpf(scale_n)
-        if not s > 0:
-            raise IntegrabilityError("scale_n must be positive")
-        poly = Poly([s * mp.mpf(c) for c in coeffs])
+    def __init__(self, coeffs):
+        poly = Poly([mp.mpf(c) for c in coeffs])
         if poly.degree < 2 or poly.degree % 2 != 0:
             raise IntegrabilityError(
                 f"potential degree must be even and >= 2, got {poly.degree}"
@@ -78,11 +71,11 @@ class Potential:
                            for i, c in enumerate(poly.coeffs)][1:])
 
     @classmethod
-    def parse(cls, text: str, scale_n=1) -> "Potential":
+    def parse(cls, text: str) -> "Potential":
         parts = [p.strip() for p in text.split(",")]
         if not parts or any(p == "" for p in parts):
             raise ValueError(f"malformed coefficient list: {text!r}")
-        return cls([mp.mpf(p) for p in parts], scale_n=scale_n)
+        return cls([mp.mpf(p) for p in parts])
 
     @property
     def degree(self) -> int:

@@ -3,8 +3,8 @@
 For a degree-d potential the object is a (d+1) x (d+1) matrix Y(z),
 analytic off the real axis, whose rows are (p, C(p W), C(p w_0), ...,
 C(p w_{d-2})) for polynomials p pinned by moment conditions.  Row 0
-carries the top-degree family member; each lower row solves a square
-linear system built from the exp(-2V) moments and the w_n pairings,
+carries the top-degree family member; the d lower rows share one square
+linear system built from the exp(-2V) moments and the w_n pairings, each
 normalized so its diagonal entry decays like z^e with unit coefficient.
 
 Every Cauchy transform is a trapezoid sum over the weight table's lattice
@@ -85,10 +85,6 @@ class RHProblem:
     @property
     def d(self) -> int:
         return self.potential.degree
-
-    @property
-    def size(self) -> int:
-        return self.d + 1
 
 
 def jump_matrix(table: WeightTable, x):
@@ -463,110 +459,75 @@ def _monomial(j: int) -> Poly:
     return Poly([0] * j + [1])
 
 
-def _solve_row(table: WeightTable, matrix, k: int, d: int, row: int,
-               ctx: PrecisionContext) -> Poly:
-    """Degree <= 2k-1 polynomial for one lower row, before the -2*pi*i
-    scaling.  Conditions: vanishing exp(-2V) moments up to the order
-    forced by column 1, vanishing w_n pairings except the row's own,
-    and a unit normalization on the designated moment."""
-    n_unk = 2 * k
-    A, b = [], []
-    if row == 1:
-        for j in range(2 * k - d):
-            A.append([table.moment2(s + j) for s in range(n_unk)])
-            b.append(mp.mpf(0))
-        A.append([table.moment2(s + 2 * k - d) for s in range(n_unk)])
-        b.append(mp.mpf(1))
-        for n in range(d - 1):
-            A.append([matrix.entry(s, n) for s in range(n_unk)])
-            b.append(mp.mpf(0))
-    else:
-        for j in range(2 * k - d + 1):
-            A.append([table.moment2(s + j) for s in range(n_unk)])
-            b.append(mp.mpf(0))
-        for n in range(d - 1):
-            if n == row - 2:
-                continue
-            A.append([matrix.entry(s, n) for s in range(n_unk)])
-            b.append(mp.mpf(0))
-        A.append([matrix.entry(s, row - 2) for s in range(n_unk)])
-        b.append(mp.mpf(1))
-    assert len(A) == n_unk, "row condition count must match unknowns"
-    return Poly(linear_solve(A, b, ctx))
+def build(problem: RHProblem, ctx: PrecisionContext = DEFAULT_CONTEXT) -> RHSolution:
+    """The solution of problem: row 0 is p_{2k} (even) or p_{2k+1} + a_k p_{2k}
+    (odd), row r = 1 .. d is -2 pi i c_r (+ b_(r-1) p_{2k} if odd); free_params
+    (a_k, b_0 .. b_{d-1}) are read for odd problems only, omitted entries 0.
 
-
-def _solved_rows(V: Potential, k: int, ctx: PrecisionContext):
-    """The data both parities share: the table, the family, the row-1
-    normalization alpha with its collapse residual, and the row-1..d
-    polynomials c_1 .. c_d before the -2*pi*i scaling."""
-    d = V.degree
-    family = skew_orthogonal_family(V, 1, k, ctx)
-    table, matrix = family.table, family.matrix
-    den = skew_inner_1(family.polys[2 * k - 2], _monomial(2 * k - 1), matrix)
-    scale = abs(matrix.entry(2 * k - 2, 2 * k - 1)) + abs(den)
-    if not abs(den) > scale * mp.mpf(2) ** (-ctx.mantissa_bits + 16):
-        raise DegenerateInnerProduct(
-            "pairing of p_{2k-2} against y^{2k-1} degenerates")
-    # row 1 collapses onto the lower even family member
-    c1 = _solve_row(table, matrix, k, d, 1, ctx)
-    alpha = -_two_pi_i() * c1.coeff(2 * k - 2)
-    target = family.polys[2 * k - 2]
-    dev = mp.mpf(0)
-    for s in range(2 * k - 1):
-        dev = max(dev, abs(-_two_pi_i() * c1.coeff(s) - alpha * target.coeff(s)))
-    collapse = dev / max(abs(alpha), mp.mpf(1))
-    lower = [c1] + [_solve_row(table, matrix, k, d, r, ctx)
-                    for r in range(2, d + 1)]
-    return table, family, alpha, collapse, lower
+    As C(f)(z) = -(1/(2 pi i)) sum_j z^(-j-1) int x^j f, row r's entries
+    C(p W) and C(p w_n), p = -2 pi i c_r, lead with <c_r, x^j>_2 z^(-j-1)
+    and <c_r, y^n>_1 z^-1, and Y(z) diag(z^-e) -> I makes these vanish for
+    j <= 2k-d and n <= d-2 but for a unit on the diagonal: j = 2k-d for
+    r = 1, n = r-2 for r >= 2.  So with A the 2k x 2k matrix of rows
+    <x^s, x^j>_2, j = 0 .. 2k-d, then <x^s, y^n>_1, n = 0 .. d-2
+    (s = 0 .. 2k-1), the unit of row r sits at 2k-d+r-1 and
+        A [c_1 .. c_d] = [e_(2k-d) .. e_(2k-1)],
+    each c_r one residual-checked linear_solve.  Row 1 collapses onto
+    p_{2k-2}: alpha = -2 pi i c_(1,2k-2), and collapse_residual is the
+    deviation of -2 pi i c_1 from alpha p_{2k-2} over max(|alpha|, 1)."""
+    V, k, odd = problem.potential, problem.k, problem.parity == "odd"
+    d, lead = V.degree, 2 * k + odd
+    if lead < d:
+        raise UnsupportedRegime(
+            f"need {'2k+1' if odd else '2k'} >= d for a square condition "
+            f"system (k={k}, d={d})")
+    params = []
+    if odd:
+        params = [mp.mpc(p) for p in problem.free_params]
+        if len(params) > d + 1:
+            raise ValueError(f"at most d+1 = {d + 1} free parameters")
+        params += [mp.mpc(0)] * (d + 1 - len(params))
+    with ctx.workprec():
+        family = skew_orthogonal_family(V, 1, k, ctx)
+        table, matrix = family.table, family.matrix
+        den = skew_inner_1(family.polys[2 * k - 2], _monomial(2 * k - 1), matrix)
+        scale = abs(matrix.entry(2 * k - 2, 2 * k - 1)) + abs(den)
+        if not abs(den) > scale * mp.mpf(2) ** (-ctx.mantissa_bits + 16):
+            raise DegenerateInnerProduct(
+                "pairing of p_{2k-2} against y^{2k-1} degenerates")
+        cols = range(2 * k)
+        A = ([[table.moment2(s + j) for s in cols] for j in range(2 * k - d + 1)]
+             + [[matrix.entry(s, n) for s in cols] for n in range(d - 1)])
+        # c_1 .. c_d against the units at 2k-d .. 2k-1
+        lower = [Poly(linear_solve(A, [mp.mpf(int(i == u)) for i in cols], ctx))
+                 for u in range(2 * k - d, 2 * k)]
+        c1, target = lower[0], family.polys[2 * k - 2]
+        alpha = -_two_pi_i() * c1.coeff(2 * k - 2)
+        dev = max(abs(-_two_pi_i() * c1.coeff(s) - alpha * target.coeff(s))
+                  for s in range(2 * k - 1))
+        collapse = dev / max(abs(alpha), mp.mpf(1))
+        rows = [((mp.mpc(1), family.polys[lead]),)]
+        rows += [((-_two_pi_i(), c),) for c in lower]
+        if odd:
+            p2k = family.polys[2 * k]
+            rows = [row + ((b, p2k),) for row, b in zip(rows, params)]
+    problem = dataclasses.replace(problem, free_params=tuple(params))
+    return RHSolution(problem, family, table, rows, alpha, collapse, ctx)
 
 
 def build_even(V: Potential, k: int,
                ctx: PrecisionContext = DEFAULT_CONTEXT) -> RHSolution:
-    """Unique solution with corner growth z^{2k}; rows 1..d are the
-    -2*pi*i scaled moment-condition solves."""
-    d = V.degree
-    if 2 * k < d:
-        raise UnsupportedRegime(
-            f"need 2k >= d for a square condition system (k={k}, d={d})")
-    with ctx.workprec():
-        table, family, alpha, collapse, lower = _solved_rows(V, k, ctx)
-        rows = [((mp.mpc(1), family.polys[2 * k]),)]
-        rows += [((-_two_pi_i(), c),) for c in lower]
-    problem = RHProblem(potential=V, k=k, parity="even")
-    return RHSolution(problem, family, table, rows, alpha, collapse, ctx)
+    """Unique solution with corner growth z^{2k} (build)."""
+    return build(RHProblem(potential=V, k=k, parity="even"), ctx)
 
 
 def build_odd(V: Potential, k: int, free_params=None,
               ctx: PrecisionContext = DEFAULT_CONTEXT) -> RHSolution:
     """General solution with corner growth z^{2k+1}: the even-problem
-    rows shifted by gauge multiples of p_{2k}.
-
-    free_params lists (a_k, b_0 .. b_{d-1}); omitted entries default 0.
-    """
-    d = V.degree
-    if 2 * k + 1 < d:
-        raise UnsupportedRegime(
-            f"need 2k+1 >= d for a square condition system (k={k}, d={d})")
-    if free_params is None:
-        free_params = ()
-    params = [mp.mpc(p) for p in free_params]
-    if len(params) > d + 1:
-        raise ValueError(f"at most d+1 = {d + 1} free parameters")
-    params += [mp.mpc(0)] * (d + 1 - len(params))
-    with ctx.workprec():
-        table, family, alpha, collapse, lower = _solved_rows(V, k, ctx)
-        p2k = family.polys[2 * k]
-        rows = [((mp.mpc(1), family.polys[2 * k + 1]), (params[0], p2k))]
-        rows += [((-_two_pi_i(), c), (b, p2k)) for c, b in zip(lower, params[1:])]
-    problem = RHProblem(potential=V, k=k, parity="odd",
-                        free_params=tuple(params))
-    return RHSolution(problem, family, table, rows, alpha, collapse, ctx)
-
-
-def build(problem: RHProblem, ctx: PrecisionContext = DEFAULT_CONTEXT) -> RHSolution:
-    if problem.parity == "even":
-        return build_even(problem.potential, problem.k, ctx)
-    return build_odd(problem.potential, problem.k, problem.free_params, ctx)
+    rows shifted by gauge multiples (a_k, b_0 .. b_{d-1}) = free_params of
+    p_{2k}, omitted entries 0 (build)."""
+    return build(RHProblem(potential=V, k=k, parity="odd",
+                           free_params=tuple(free_params or ())), ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,8 @@ def test_precision_context_protocol(ctx):
         assert mp.prec == 256
     c2 = PrecisionContext(mantissa_bits=128, quad_tol=mp.mpf("1e-20"),
                           verify_tol=mp.mpf("1e-12"))
-    assert c2.eps == mp.mpf(2) ** (-128 + 4)  # four guard bits
+    with c2.workprec():
+        assert mp.prec == 128
 
 
 @pytest.mark.parametrize("prec", RAW_PRECS)

@@ -42,13 +42,6 @@ def test_parse_rejects_degree_below_two():
         Potential.parse("1,1")
 
 
-def test_scale_factor_folds_into_coefficients():
-    one = Potential.parse("0,0,0.5")
-    two = Potential.parse("0,0,0.5", scale_n=2)
-    x = mp.mpf("1.3")
-    assert two(x) == 2 * one(x)
-
-
 def test_deformed_adds_term(gauss):
     d = gauss.deformed(4, mp.mpf("0.25"))
     assert d.degree == 4

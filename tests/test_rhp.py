@@ -7,7 +7,8 @@ import pytest
 from mpmath import mp
 
 from skewrh.errors import MomentRangeExceeded, QuadratureFailure, UnsupportedRegime
-from skewrh.numerics import Poly, PrecisionContext, loglog_slope
+from skewrh.moments import inner_2, skew_inner_1
+from skewrh.numerics import CPoly, Poly, PrecisionContext, loglog_slope
 from skewrh import rhp
 from skewrh.potentials import Potential, WeightTable, get_weight_table
 from skewrh.rhp import (
@@ -57,6 +58,29 @@ def test_gaussian_row_polynomials(sol_gauss):
 
 def test_collapse_residual_tiny(sol_gauss):
     assert sol_gauss.collapse_residual <= mp.mpf("1e-30")
+
+
+@pytest.mark.parametrize("text,k", [
+    ("0,0,0.5", 1), ("0,0,0.5", 2), ("0,0,0.5,0,1", 2), ("0,0,0.5,0,1", 3),
+    ("0,0,0.5,0,0.3,0,0.05", 3)])
+def test_lower_rows_meet_their_conditions(text, k, ctx):
+    # row r = 1 .. d is -2 pi i c_r, and the normalization makes
+    # <c_r, x^j>_2 (j <= 2k-d) and then <c_r, y^n>_1 (n <= d-2) all 0 but
+    # for a 1 at position 2k-d+r-1 (build); read here from the rows as
+    # built, apart from linear_solve's own residual check
+    V = Potential.parse(text)
+    d, two_pi_i = V.degree, 2 * mp.pi * mp.mpc(0, 1)
+    for sol in (build_even(V, k, ctx), build_odd(V, k, ctx=ctx)):
+        for r, p in enumerate(sol.row_polys[1:], 1):
+            c = CPoly([v / -two_pi_i for v in p.coeffs])
+            got = ([inner_2(c, Poly([0] * j + [1]), sol.table)
+                    for j in range(2 * k - d + 1)]
+                   + [skew_inner_1(c, Poly([0] * n + [1]), sol.family.matrix)
+                      for n in range(d - 1)])
+            assert len(got) == 2 * k
+            for i, v in enumerate(got):
+                want = int(i == 2 * k - d + r - 1)
+                assert abs(v - want) <= mp.mpf("1e-60"), (sol.parity, r, i, v)
 
 
 def test_jump_residual_even(sol_gauss, ctx, deep_size):

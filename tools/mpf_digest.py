@@ -47,6 +47,11 @@ values (`_mpf_` / `_mpc_`: sign, mantissa, exponent, bit count) of
             table of x^2/2 + 0.3 x^4 + 0.05 x^6 at the family ranges
             i_max = 27, w_max = 13: the lattice whose half-width the
             working precision cuts most
+  rows      the rows, alpha and collapse residual of build_even and of
+            build_odd (free parameters as in odd) on the sextic at k = 3,
+            whose lower rows meet one exp(-2V) moment and five pairings,
+            and on x/4 + x^2/2 + x^3/8 + x^4 at k = 2, whose conditions
+            carry no parity zeros
 
 and prints one line per part, then the digest of all of them.  It imports
 skewrh from the src/ next to it, so two checkouts compare with
@@ -185,6 +190,13 @@ def parts():
     t = WeightTable(Potential.parse("0,0,0.5,0,0.3,0,0.05"), ctx,
                     i_max=27, w_max=13)
     yield "sextic", (t.level, t.m, t.m2, t.P)
+
+    rows = []
+    for text, k in (("0,0,0.5,0,0.3,0,0.05", 3), ("0,0.25,0.5,0.125,1", 2)):
+        V = Potential.parse(text)
+        for sol in (build_even(V, k, ctx), build_odd(V, k, params, ctx)):
+            rows.append((sol.row_terms, sol.alpha, sol.collapse_residual))
+    yield "rows", rows
 
 
 def main():
