@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from operator import mul
 from typing import Iterable, Sequence
 
 from mpmath import mp
-from mpmath.libmp import (from_man_exp, mpf_add, mpf_e, mpf_exp, mpf_log, mpf_mul,
-                          mpf_pow, to_fixed)
+from mpmath.libmp import (fzero, from_man_exp, mpf_add, mpf_e, mpf_exp, mpf_log,
+                          mpf_mul, mpf_pow, to_fixed)
 
 from .errors import SingularSystem
 
@@ -290,13 +291,14 @@ def exact_dot(a, b):
     return sum(map(mul, a[0], b[0])), a[1] + b[1]
 
 
-def power_walk(v, ks, count):
-    """The sums sum_k k^l v_k, l < count, in order, exact, for held ints v
-    and the ints ks (a range or list, read once per power): the running
-    vector k^l v, multiplied by the small ints k at each step.  A generator:
-    each power is walked when its sum is read."""
+def power_walk(v, ks, count=None):
+    """The sums sum_k k^l v_k, l < count (every l for count None), in
+    order, exact, for held ints v and the ints ks (a range or list, read
+    once per power): the running vector k^l v, multiplied by the small ints
+    k at each step.  A generator: each power is walked when its sum is
+    read, so a walk is resumed by reading on."""
     yield sum(v)
-    for _ in range(count - 1):
+    for _ in itertools.count() if count is None else range(count - 1):
         v = list(map(mul, v, ks))
         yield sum(v)
 
@@ -324,33 +326,42 @@ def mat_inf_norm(A):
     return max(max(abs(v) for v in row) for row in A)
 
 
+def _abs2(v):
+    """|v|^2 of an mpf or mpc v, exactly: no square root, and no rounding
+    that could tie two moduli that differ."""
+    re, im = v._mpc_ if type(v) is mp.mpc else (v._mpf_, fzero)
+    return mp.make_mpf(mpf_add(mpf_mul(re, re), mpf_mul(im, im)))
+
+
 def _eliminate(A, bs, ctx: PrecisionContext, pivot_rtol=None):
     """Full-pivot Gaussian elimination on a copy of A.
 
     Returns (solutions for each rhs in bs, determinant).  Raises
     SingularSystem when the best remaining pivot underflows the
-    relative threshold.
+    relative threshold.  The pivot search and the threshold compare exact
+    squared moduli (_abs2).
     """
     n = len(A)
     M = mat_copy(A)
     X = [list(b) for b in bs]
-    scale = mat_inf_norm(M)
-    if scale == 0:
+    scale2 = max(_abs2(v) for row in M for v in row)
+    if scale2 == 0:
         raise SingularSystem("zero matrix")
     if pivot_rtol is None:
         pivot_rtol = mp.mpf(2) ** (-(ctx.mantissa_bits - 16))
-    floor = scale * pivot_rtol
+    floor2 = scale2 * pivot_rtol ** 2
     colperm = list(range(n))
     det = mp.mpf(1)
     for k in range(n):
-        pr, pc, pv = k, k, abs(M[k][k])
+        pr, pc, pv = k, k, mp.mpf(-1)
         for i in range(k, n):
             for j in range(k, n):
-                a = abs(M[i][j])
+                a = _abs2(M[i][j])
                 if a > pv:
                     pr, pc, pv = i, j, a
-        if pv < floor:
-            raise SingularSystem(f"pivot {pv} below threshold {floor}")
+        if pv < floor2:
+            raise SingularSystem(
+                f"pivot {mp.sqrt(pv)} below threshold {mp.sqrt(floor2)}")
         if pr != k:
             M[k], M[pr] = M[pr], M[k]
             for b in X:

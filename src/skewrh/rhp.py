@@ -10,7 +10,10 @@ normalized so its diagonal entry decays like z^e with unit coefficient.
 Every Cauchy transform is a trapezoid sum over the weight table's lattice
 hZ, x_k = k h; near the axis the lattice's closed-form pole term keeps it
 accurate.  The sums run in exact integers from the kernel to each entry
-of Y, which is rounded once.  The kernel K = 1/(x - z) comes from the
+of Y, which is rounded once: the head p_r(z) too, and near the axis the
+pole term p_r(z) w_c is an exact product added before that rounding.  The
+column data is formed once per table version and shared by every solution
+on the table (_store).  The kernel K = 1/(x - z) comes from the
 exact dyadic offsets x_k - x0 and Im z with one integer quotient per
 node.  The dots T_(c,l) = sum_k k^l u_c(x_k) K_k of each column density
 u_c (held as ints, numerics.fixed) are the running powers of u_c K,
@@ -28,10 +31,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import weakref
+from itertools import islice
 from operator import add, mul
 
 from mpmath import mp
-from mpmath.libmp import to_fixed
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .errors import (
     DegenerateInnerProduct,
@@ -81,6 +86,9 @@ class RHProblem:
     def __post_init__(self):
         if self.parity not in ("even", "odd"):
             raise ValueError("parity must be 'even' or 'odd'")
+        if self.parity == "even" and self.free_params:
+            raise ValueError("free parameters apply to odd problems only; "
+                             "the even solution is unique")
 
     @property
     def d(self) -> int:
@@ -102,44 +110,72 @@ def jump_matrix(table: WeightTable, x):
 _GUARD = 64
 
 
-class _Columns:
-    """One table version's column data for the Cauchy sums of a solution.
+class _Store:
+    """One table version's column data, shared by every solution on it
+    (_store).  For each column c = 1 .. d, U_c = fixed(u_c) on the active
+    nodes (u_1 = exp(-2V), u_c = w_(c-2)), exact ints (vecs), each density
+    read once, with k the lattice index of each node (x_k = k h, ks); and
+    the power sums S_(c,m) = sum_k k^m U_(c,k) of the Laurent branch,
+    walked as far as a call needs and resumed by the next (power_sums)."""
 
-    For each column c = 1 .. d, U_c = fixed(u_c) on the active nodes
-    (u_1 = exp(-2V), u_c = w_(c-2)), one vector of exact ints per column
-    (vecs), with k the lattice index of each node (x_k = k h, the table's
-    ks) and L the largest row-polynomial degree.  For each row r, its
-    polynomial p_r = sum_t factor_t p_t (RHSolution.row_polys, polys) and the
-    coefficients R_(r,l) = p_(r,l) h^(l+1)/(2 pi i), held as complex ints
-    at one exponent (rows), both formed _GUARD bits above the working
-    precision: a row enters the sums only through them.  The power sums
-    S_(c,m) = sum_k k^m U_(c,k) of the Laurent branch are formed on
-    demand (power_sums)."""
-
-    def __init__(self, table: WeightTable, solution: "RHSolution", us):
-        self.version = table.version
-        self.ks = table.ks
+    def __init__(self, table: WeightTable):
+        self.version, self.ks = table.version, table.ks
+        us = [table.aew2] + [table.w_values(n)
+                             for n in range(table.potential.degree - 1)]
         self.vecs = [fixed([v._mpf_ for v in u]) for u in us]
-        with mp.workprec(mp.prec + _GUARD):
-            self.polys = solution.row_polys
-            two_pi_i = _two_pi_i()
-            self.rows = []
-            for p in self.polys:
-                cs = [c * table.h ** (l + 1) / two_pi_i
-                      for l, c in enumerate(p.coeffs)]
-                mans, exp = fixed([c.real._mpf_ for c in cs]
-                                  + [c.imag._mpf_ for c in cs])
-                self.rows.append((mans[:len(cs)], mans[len(cs):], exp))
-        self.L = max(p.degree for p in self.polys)
-        self._sums = [[]]
+        self._walks = [power_walk(vec, self.ks) for vec, _ in self.vecs]
+        self._sums = [[] for _ in self.vecs]
 
     def power_sums(self, count):
-        """[S_(c,m) for m < count, or more] for each column, exact ints
-        (power_walk from U_c); kept, and walked again only for a call that
-        needs more of them."""
-        if len(self._sums[0]) < count:
-            self._sums = [list(power_walk(vec, self.ks, count)) for vec, _ in self.vecs]
+        """[S_(c,m) for m < count, or more] for each column, exact ints."""
+        for S, walk in zip(self._sums, self._walks):
+            S.extend(islice(walk, max(0, count - len(S))))
         return self._sums
+
+
+# the store of each table's current version; it holds no reference to its
+# table, so it goes with the table
+_STORES = weakref.WeakKeyDictionary()
+
+
+def _store(table: WeightTable) -> _Store:
+    store = _STORES.get(table)
+    if store is None or store.version != table.version:
+        store = _STORES[table] = _Store(table)
+    return store
+
+
+class _Columns:
+    """A solution's column data on one table version: the table's _Store
+    (store, and its ks and vecs), L the largest row-polynomial degree, and for
+    each row r, the coefficients of p_r = sum_t factor_t p_t
+    (RHSolution.row_polys, coeffs) and R_(r,l) = p_(r,l) h^(l+1)/(2 pi i)
+    (rows), both formed _GUARD bits above the working precision and held
+    exactly (_held): a row enters Y only through them."""
+
+    def __init__(self, table: WeightTable, solution: "RHSolution"):
+        self.store = _store(table)
+        self.version, self.ks, self.vecs = table.version, table.ks, self.store.vecs
+        with mp.workprec(mp.prec + _GUARD):
+            polys = solution.row_polys
+            two_pi_i = _two_pi_i()
+            self.coeffs = [_held(p.coeffs) for p in polys]
+            self.rows = [_held([c * table.h ** (l + 1) / two_pi_i
+                                for l, c in enumerate(p.coeffs)]) for p in polys]
+        self.L = max(p.degree for p in polys)
+
+
+def _held(cs):
+    """The complex scalars cs as (re, im, exp): their real and imaginary
+    parts as ints at one exponent, exactly (fixed)."""
+    mans, exp = fixed([c.real._mpf_ for c in cs] + [c.imag._mpf_ for c in cs])
+    return mans[:len(cs)], mans[len(cs):], exp
+
+
+def _rounded(Y):
+    """The exact entries Y (RHSolution._entries), each part rounded once."""
+    return [[mp.make_mpc((fixed_round(re, e)._mpf_, fixed_round(im, e)._mpf_))
+             for re, im, e in row] for row in Y]
 
 
 class RHSolution:
@@ -147,12 +183,13 @@ class RHSolution:
     polynomials, evaluated via grid Cauchy transforms.
 
     Every Cauchy entry is a sum over the active nodes of the shared
-    lattice, formed from column data (_Columns) kept for the table's
-    current version only; a row enters only through its folded
-    coefficients.  Far from the axis that sum is the value, and beyond the
-    support it comes from a Laurent series; near the axis `_near_ladder`
-    adds the lattice's pole term per point and gives both boundary values
-    along a delta ladder.  Nothing per point outlives the call.
+    lattice, formed from column data (_Columns, on the table's shared
+    _Store) kept for the table's current version only; a row enters only
+    through its folded coefficients.  Far from the axis that sum is the
+    value, and beyond the support it comes from a Laurent series; near the
+    axis `_near_ladder` adds the lattice's pole term per point and gives
+    both boundary values along a delta ladder.  Nothing per point outlives
+    the call.
     """
 
     def __init__(self, problem: RHProblem, family: SkewFamily,
@@ -213,12 +250,11 @@ class RHSolution:
 
     def _columns(self) -> "_Columns":
         """The column data of the table's current version (_Columns),
-        formed on the first call for a version, each density read once;
-        what an earlier version held is dropped."""
+        formed on the first call for a version; what an earlier version
+        held is dropped."""
         t = self.table
         if self._cols is None or self._cols.version != t.version:
-            us = [t.aew2] + [t.w_values(n) for n in range(self.d - 1)]
-            self._cols = _Columns(t, self, us)
+            self._cols = _Columns(t, self)
         return self._cols
 
     # -- far-field evaluation ---------------------------------------------
@@ -316,7 +352,7 @@ class RHSolution:
         zinv = 1 / z
         (zr, zi), ez = fixed([zinv.real._mpf_, zinv.imag._mpf_])
         out = []
-        for (_, exp), S in zip(cols.vecs, cols.power_sums(top + 1)):
+        for (_, exp), S in zip(cols.vecs, cols.store.power_sums(top + 1)):
             # S_m A^(top - m), so that S_(l+n) A^-n = V_(l+n) A^(l - top)
             V = [s << a * (top - m) for m, s in enumerate(S[:top + 1])]
             re, im = [], []
@@ -346,22 +382,42 @@ class RHSolution:
         return out
 
     def _heads(self, z):
-        """[p_r(z)] for the rows r: the first column of Y(z)."""
-        return [p(z) for p in self._columns().polys]
+        """[p_r(z)] for the rows r, the first column of Y(z), each exactly
+        as (re, im, exp): one Horner on ints, from the held coefficients
+        (_Columns.coeffs) and z = (zr + i zi) 2^ez, held exactly too."""
+        (zr, zi), ez = fixed([z.real._mpf_, z.imag._mpf_])
+        if ez > 0:
+            zr, zi, ez = zr << ez, zi << ez, 0
+        out = []
+        for cr, ci, e in self._columns().coeffs:
+            # p(z) 2^(-e - top ez) = sum_l c_l Z^l 2^(-ez (top - l)), Z = z 2^-ez
+            ar, ai, top = cr[-1], ci[-1], len(cr) - 1
+            for l in range(top - 1, -1, -1):
+                sh = -ez * (top - l)
+                ar, ai = (ar * zr - ai * zi + (cr[l] << sh),
+                          ar * zi + ai * zr + (ci[l] << sh))
+            out.append((ar, ai, e + top * ez))
+        return out
 
-    def _assemble(self, heads, folded, side=1, poles=()):
-        """Y from its first column heads (_heads) and the row sums of
-        _fold: Y[r][c] is the row sum P + iQ (side 1) or P - iQ (side -1,
-        T conjugated), each part rounded once, plus heads[r] poles[c - 1]
-        where poles are given."""
+    def _entries(self, heads, folded, side=1, poles=()):
+        """Y exactly, each entry (re, im, exp), from its first column heads
+        (_heads) and the row sums of _fold: Y[r][c] is the row sum P + iQ
+        (side 1) or P - iQ (side -1, T conjugated), plus heads[r] w_(c-1)
+        where poles, the w_c held exactly (_held), are given."""
         Y = []
-        for y0, row in zip(heads, folded):
-            ys = [mp.mpc(fixed_round(pr - side * qi, e),
-                         fixed_round(pi + side * qr, e))
-                  for pr, pi, qr, qi, e in row]
-            if poles:
-                ys = [y + y0 * w for y, w in zip(ys, poles)]
-            Y.append([y0] + ys)
+        for (hr, hi, eh), row in zip(heads, folded):
+            ys = [(hr, hi, eh)]
+            for c, (pr, pi, qr, qi, e) in enumerate(row):
+                re, im = pr - side * qi, pi + side * qr
+                if poles:
+                    wr, wi, ew = poles[0][c], poles[1][c], poles[2]
+                    tr, ti, et = hr * wr - hi * wi, hr * wi + hi * wr, eh + ew
+                    if et < e:
+                        re, im, e = (re << e - et) + tr, (im << e - et) + ti, et
+                    else:
+                        re, im = re + (tr << et - e), im + (ti << et - e)
+                ys.append((re, im, e))
+            Y.append(ys)
         return Y
 
     def _eval_far(self, z):
@@ -374,7 +430,7 @@ class RHSolution:
         else:
             T = self._dots(next(self._kernels(self._columns().ks, t.level,
                                               mp.re(z), (mp.im(z),))))[0]
-        return self._assemble(self._heads(z), self._fold(T))
+        return _rounded(self._entries(self._heads(z), self._fold(T)))
 
     # -- near-field evaluation --------------------------------------------
 
@@ -393,9 +449,11 @@ class RHSolution:
         k, step 2h, cot(pi z/(2h))), the coarse half of the dots (_dots), must
         agree with these within tol * max(1, scale) at every delta, or
         QuadratureFailure is raised; the table is only read.  The pole term
-        of Y[r][c] is Y[r][0] u_c(z) (i pi + pi cot(pi z/h))/(2 pi i).  The
-        family polynomials are real, so the lower value takes conj(T) and
-        the conjugate of u_c(z) (i pi + pi cot(pi z/h)).
+        of Y[r][c] is Y[r][0] w_c, w_c = u_c(z) (i pi + pi cot(pi z/h))/(2 pi i)
+        held exactly, so that each entry is exact up to its one rounding,
+        and the gap is decided on exact squared moduli.  The family
+        polynomials are real, so the lower value takes conj(T) and the
+        conjugate of u_c(z) (i pi + pi cot(pi z/h)).
         """
         t, two_pi_i = self.table, _two_pi_i()
         pairs = []
@@ -403,31 +461,35 @@ class RHSolution:
                 self._columns().ks, t.level, x0, deltas)):
             z = mp.mpc(x0, delta)
             _, ex2, wn = t.weights_at(z, self.d - 1)
-            us = [ex2] + wn
-            # (i pi + pi cot(pi z/(step h)))/(2 pi i) for the steps h and 2h
-            fine_pole, coarse_pole = (
-                (mp.mpc(0, mp.pi) + mp.pi * mp.cot(mp.pi * z / (step * t.h)))
-                / two_pi_i for step in (1, 2))
-            poles = [u * fine_pole for u in us]
+            # u_c(z) (i pi + pi cot(pi z/(step h)))/(2 pi i), for the steps
+            # h and 2h, held exactly
+            fine_poles, coarse_poles = (
+                _held([u * pole for u in [ex2] + wn]) for pole in (
+                    (mp.mpc(0, mp.pi) + mp.pi * mp.cot(mp.pi * z / (step * t.h)))
+                    / two_pi_i for step in (1, 2)))
             fine, coarse = self._dots(kernel)
             folded, heads = self._fold(fine), self._heads(z)
-            Yp = self._assemble(heads, folded, 1, poles)
+            Yp = self._entries(heads, folded, 1, fine_poles)
             # conj(w)/(2 pi i) = -conj(w/(2 pi i))
-            Ym = self._assemble(self._heads(mp.conj(z)), folded, -1,
-                                [-mp.conj(v) for v in poles])
-            Yc = self._assemble(heads, self._fold(coarse), 1,
-                                [u * coarse_pole for u in us])
-            scale = max(max(abs(v) for v in row) for row in Yp)
-            gap = max(max(abs(a - b) for a, b in zip(ra, rb))
-                      for ra, rb in zip(Yp, Yc))
-            bound = t.tol * max(1, scale)
-            if gap > bound:
+            Ym = self._entries(self._heads(mp.conj(z)), folded, -1,
+                               ([-w for w in fine_poles[0]], *fine_poles[1:]))
+            Yc = self._entries(heads, self._fold(coarse), 1, coarse_poles)
+            # gap > tol * max(1, scale), decided on the exact squared moduli
+            # of the entries, all brought to their least exponent e
+            e = min(f for row in Yp + Yc for _, _, f in row)
+            P, C = ([(re << f - e, im << f - e) for row in Y for re, im, f in row]
+                    for Y in (Yp, Yc))
+            scale2, gap2 = (mp.make_mpf(from_man_exp(v, 2 * e)) for v in (
+                max(a * a + b * b for a, b in P),
+                max((a - c) ** 2 + (b - d) ** 2 for (a, b), (c, d) in zip(P, C))))
+            if t.tol < 0 or gap2 > t.tol ** 2 * max(1, scale2):
+                gap, bound = mp.sqrt(gap2), t.tol * max(1, mp.sqrt(scale2))
                 raise QuadratureFailure(
                     f"near-axis sums at x0={mp.nstr(x0, 8)}, delta="
                     f"{mp.nstr(delta, 3)}: level {t.level} and its coarse half "
                     f"differ by {mp.nstr(gap, 3)}, above the bound "
                     f"{mp.nstr(bound, 3)}")
-            pairs.append((Yp, Ym))
+            pairs.append((_rounded(Yp), _rounded(Ym)))
         return pairs
 
     # -- public evaluation -------------------------------------------------
@@ -462,7 +524,7 @@ def _monomial(j: int) -> Poly:
 def build(problem: RHProblem, ctx: PrecisionContext = DEFAULT_CONTEXT) -> RHSolution:
     """The solution of problem: row 0 is p_{2k} (even) or p_{2k+1} + a_k p_{2k}
     (odd), row r = 1 .. d is -2 pi i c_r (+ b_(r-1) p_{2k} if odd); free_params
-    (a_k, b_0 .. b_{d-1}) are read for odd problems only, omitted entries 0.
+    (a_k, b_0 .. b_{d-1}) are those of an odd problem, omitted entries 0.
 
     As C(f)(z) = -(1/(2 pi i)) sum_j z^(-j-1) int x^j f, row r's entries
     C(p W) and C(p w_n), p = -2 pi i c_r, lead with <c_r, x^j>_2 z^(-j-1)

@@ -169,6 +169,17 @@ def test_rh_verify_refuses_beta_4_and_kmax():
         assert res.stdout == ""
 
 
+def test_rh_verify_refuses_free_params_for_even():
+    # the even solution is unique, so gauge parameters would be ignored
+    # while the report echoes them
+    res = run_cli("rh-verify", "--potential", GAUSS, "--k", "1", "--parity",
+                  "even", "--free-params", "1,2", "--precision-bits", "128")
+    assert res.returncode == 2
+    assert "configuration error" in res.stderr
+    assert "odd problems only" in res.stderr
+    assert res.stdout == ""
+
+
 def test_pfaffian_minors():
     res = run_cli("pfaffian", "--potential", GAUSS, "--n", "4",
                   "--precision-bits", "128", "--format", "json")

@@ -1,6 +1,7 @@
 """Boundary-matrix construction: jump, asymptotics, normalization,
 gauge freedom, and the degenerate-collapse identity."""
 
+import weakref
 from operator import mul
 
 import pytest
@@ -8,7 +9,7 @@ from mpmath import mp
 
 from skewrh.errors import MomentRangeExceeded, QuadratureFailure, UnsupportedRegime
 from skewrh.moments import inner_2, skew_inner_1
-from skewrh.numerics import CPoly, Poly, PrecisionContext, loglog_slope
+from skewrh.numerics import CPoly, Poly, PrecisionContext, loglog_slope, power_walk
 from skewrh import rhp
 from skewrh.potentials import Potential, WeightTable, get_weight_table
 from skewrh.rhp import (
@@ -186,11 +187,15 @@ def test_column_vectors_kept_for_current_table_only(sol_gauss, gauss, ctx):
     zs = (mp.mpc("0.5", "3"), mp.mpc("30", "200"))
     before = [sol.evaluate(z) for z in zs]
     cols = sol._cols
-    assert cols.version == table.version
+    assert cols.version == table.version == cols.store.version
     table.ensure_ranges(i_max=table.i_max + 6)
     after = [sol.evaluate(z) for z in zs]
-    # one version held, the current one, and only the new data
+    # one version held, the current one, and only the new data: the
+    # widening forms a new store, which the table's registry now holds
     assert sol._cols is not cols and sol._cols.version == table.version
+    assert sol._cols.store is not cols.store
+    assert rhp._STORES[table] is sol._cols.store
+    assert sol._cols.store.version == table.version
     assert len(sol._cols.vecs) == sol.d
     # the wider grid agrees within quad_tol
     for b, a in zip(before, after):
@@ -198,9 +203,12 @@ def test_column_vectors_kept_for_current_table_only(sol_gauss, gauss, ctx):
 
 
 def test_column_vectors_read_each_density_once(sol_sextic, ctx, monkeypatch):
-    # 6 columns of one vector U_c each, whatever the degree L = 6 of p_6,
-    # whichever points are visited: direct, Laurent and near-axis ones
+    # one store of 6 columns of one vector U_c each per table version,
+    # shared by the solutions on it: two solutions read each density once
+    # between them, whatever the degree L = 6 of p_6, whichever points are
+    # visited: direct, Laurent and near-axis ones
     table = sol_sextic.table
+    monkeypatch.setattr(rhp, "_STORES", weakref.WeakKeyDictionary())
     sol = RHSolution(sol_sextic.problem, sol_sextic.family, table,
                      sol_sextic.row_terms, sol_sextic.alpha,
                      sol_sextic.collapse_residual, ctx)
@@ -208,13 +216,43 @@ def test_column_vectors_read_each_density_once(sol_sextic, ctx, monkeypatch):
     w_values = table.w_values
     monkeypatch.setattr(table, "w_values",
                         lambda n: calls.append(n) or w_values(n))
-    for z in (mp.mpc("0.3", "2"), mp.mpc("-20", "40"), mp.mpc("0.3", "0.01")):
-        sol.evaluate(z)
+    sols = (sol, sol.perturbed(1, mp.mpf(2)))
+    for other in sols:
+        for z in (mp.mpc("0.3", "2"), mp.mpc("-20", "40"), mp.mpc("0.3", "0.01")):
+            other.evaluate(z)
     assert sorted(calls) == list(range(sol.d - 1))
+    store = sol._cols.store
+    assert sols[1]._cols.store is store and rhp._STORES[table] is store
     assert sol._cols.L == 6
-    assert [len(vec) for vec, _ in sol._cols.vecs] == [len(table.axs)] * 6
+    assert [len(vec) for vec, _ in store.vecs] == [len(table.axs)] * 6
     # one row of coefficients per row polynomial, folded over its terms
     assert [len(re) for re, _, _ in sol._cols.rows] == [7] + [6] * 6
+    assert [len(re) for re, _, _ in sols[1]._cols.rows] == [7] * 2 + [6] * 5
+
+
+def test_power_sums_resume_bit_for_bit(sol_sextic, ctx, monkeypatch):
+    # the store walks the Laurent power sums S_(c,m) as far as a call needs
+    # and resumes the walk for a call that needs more: bit for bit a fresh
+    # walk, and so is a Laurent Y whichever call came first
+    table = sol_sextic.table
+    z = 10 * table.active_radius * mp.expj(1)
+    fresh = {}
+    for counts in ((3, 3, 10, 7, 25), (25,)):
+        monkeypatch.setattr(rhp, "_STORES", weakref.WeakKeyDictionary())
+        store = rhp._store(table)
+        walked = 0
+        for count in counts:
+            walked = max(walked, count)
+            assert [len(S) for S in store.power_sums(count)] == [walked] * 6
+        sums = store.power_sums(25)
+        assert sums == [list(power_walk(vec, store.ks, 25)) for vec, _ in store.vecs]
+        sol = RHSolution(sol_sextic.problem, sol_sextic.family, table,
+                         sol_sextic.row_terms, sol_sextic.alpha,
+                         sol_sextic.collapse_residual, ctx)
+        with mp.workprec(table._prec):
+            fresh[counts] = sol._eval_far(z)
+        assert sol._cols.store is store
+    assert fresh[(3, 3, 10, 7, 25)] == fresh[(25,)]
 
 
 def test_column_dots_fixed_per_point(quartic, ctx, monkeypatch):
@@ -224,7 +262,7 @@ def test_column_dots_fixed_per_point(quartic, ctx, monkeypatch):
     # and kernel part and walks its running powers k^l, l <= L = 2k+1,
     # over the even and the odd k apart: 4 d walks of L+1 sums.  A Laurent
     # point takes 2 d (L+1) exact column dots.  Either takes one rounding
-    # per row, column and part
+    # per row, column (the head column too) and part
     sol = build_odd(quartic, 2, ("0.3", "1.5", "-0.4", "0.25", "0.5"), ctx)
     d, L = sol.d, 2 * sol.k + 1
     assert all(len(terms) == 2 and terms[1][0] != 0 for terms in sol.row_terms)
@@ -244,7 +282,7 @@ def test_column_dots_fixed_per_point(quartic, ctx, monkeypatch):
             assert not walks and len(dots) == 2 * d * (L + 1)
         else:
             assert walks == [L + 1] * (4 * d) and not dots
-        assert len(calls["fixed_round"]) == 2 * d * (d + 1)
+        assert len(calls["fixed_round"]) == 2 * (d + 1) ** 2
 
 
 def test_coarse_half_is_the_separate_coarse_walk(sol_gauss, sol_sextic, quartic, ctx):
@@ -284,7 +322,9 @@ def test_laurent_branch_against_direct_sum(sol_gauss, sol_gauss_odd,
                                            sol_sextic, quartic, ctx):
     # the Laurent series of the kernel reproduces the direct lattice sums
     # within 1e-70 relative on both sides of the switch rho = 1/4, where
-    # rho = active_radius/|z|; _eval_far takes it below the switch only
+    # rho = active_radius/|z|; _eval_far takes it below the switch only.
+    # Both share the head column: p_r(z) of the held coefficients (formed
+    # _GUARD bits above the working precision), correctly rounded
     sextic = sol_sextic.problem.potential
     gauge = ("0.3", "1.5", "-0.4", "0.25", "0.5", "-0.7", "0.2")
     sols = [sol_gauss, sol_gauss_odd, build_even(quartic, 2, ctx),
@@ -297,13 +337,19 @@ def test_laurent_branch_against_direct_sum(sol_gauss, sol_gauss_odd,
                                ("0.1", "1.9"), ("0.001", "-2")):
                 z = r / mp.mpf(rho) * mp.expj(mp.mpf(theta))
                 heads = sol._heads(z)
-                direct = sol._assemble(heads, sol._fold(_direct_dots(sol, z)[0]))
-                laurent = sol._assemble(heads, sol._fold(sol._laurent(z)))
+                direct = rhp._rounded(sol._entries(
+                    heads, sol._fold(_direct_dots(sol, z)[0])))
+                laurent = rhp._rounded(sol._entries(heads, sol._fold(sol._laurent(z))))
                 scale = max(1, max(abs(v) for row in direct for v in row))
                 gap = _max_gap(direct, laurent)
                 assert gap <= mp.mpf("1e-70") * scale, (sol, rho, gap)
                 far = sol._eval_far(z)
                 assert far == (laurent if mp.mpf(rho) < 0.25 else direct)
+                with mp.workprec(sol.table._prec + rhp._GUARD):
+                    polys = sol.row_polys
+                with mp.workprec(2 ** 14):  # exact: dyadic data of < 4000 bits
+                    exact = [p(z) for p in polys]
+                assert [row[0] for row in far] == [+v for v in exact]
 
 
 def test_column_combination_against_independent_sum(sol_gauss, quartic, ctx):
@@ -312,7 +358,8 @@ def test_column_combination_against_independent_sum(sol_gauss, quartic, ctx):
     # precision, for every row and column: direct points (one near the
     # axis, also on the coarse lattice 2hZ, and the conjugate sums of the
     # lower side there) and a Laurent one, within 2^-(prec - 8) of the
-    # sum's L1 scale
+    # sum's L1 scale; and the head column p_r(z) within 2^-(prec - 8) of
+    # its L1 scale sum_l |p_(r,l)| |z|^l
     sol_q = build_odd(quartic, 2, ("0.3", "1.5", "-0.4", "0.25", "0.5"), ctx)
     for sol in (sol_gauss, sol_q):
         t = sol.table
@@ -328,17 +375,75 @@ def test_column_combination_against_independent_sum(sol_gauss, quartic, ctx):
                 else:
                     T = _direct_dots(sol, z)[how == "coarse"]
                 side, at = (-1, mp.conj(z)) if how == "lower" else (1, z)
-                got = sol._assemble(sol._heads(at), sol._fold(T), side)
+                got = rhp._rounded(sol._entries(sol._heads(at), sol._fold(T), side))
                 s, step = (t.ks.start % 2, 2) if how == "coarse" else (0, 1)
                 tol = mp.mpf(2) ** -(t._prec - 8)
                 with mp.workprec(2 * t._prec):
                     for row, p in zip(got, sol.row_polys):
+                        l1 = mp.fsum(abs(v) * abs(at) ** l
+                                     for l, v in enumerate(p.coeffs))
+                        assert abs(row[0] - p(at)) <= tol * l1, how
                         for c, u in enumerate(us, 1):
                             terms = [p(x) * v / (x - at) / (2j * mp.pi)
                                      for x, v in zip(t.axs[s::step], u[s::step])]
                             ref = step * t.h * mp.fsum(terms)
                             l1 = step * t.h * mp.fsum(abs(v) for v in terms)
                             assert abs(row[c] - ref) <= tol * l1, (how, c)
+
+
+def test_whole_entries_against_twice_the_precision(sol_gauss, sol_sextic, quartic,
+                                                  ctx, monkeypatch):
+    # every entry of Y near the axis, the head p_r(z) and for c >= 1 the
+    # lattice sum plus the pole term p_r(z) u_c(z) (+-i pi + pi cot(pi z/s))
+    # over 2 pi i, s the step, each formed exactly and rounded once: on both
+    # sides, and on the 2hZ half that the check compares (s = 2h, the third
+    # exact matrix per delta), against the same sums at twice the precision
+    # from the same densities.  Each is within 2^-(prec - 8) of its L1
+    # scale: s sum_k |p_r(x_k) u_c(x_k)/(x_k - z)|/(2 pi) plus the pole
+    # term's modulus, and sum_l |p_(r,l)| |z|^l for the head
+    made = []
+    entries = RHSolution._entries
+    monkeypatch.setattr(RHSolution, "_entries",
+                        lambda self, *a: made.append(entries(self, *a)) or made[-1])
+    sol_q = build_odd(quartic, 2, ("0.3", "1.5", "-0.4", "0.25", "0.5"), ctx)
+    for sol in (sol_gauss, sol_q, sol_sextic):
+        t = sol.table
+        tol = mp.mpf(2) ** -(t._prec - 8)
+        with mp.workprec(t._prec):
+            us = [t.aew2] + [t.w_values(n) for n in range(sol.d - 1)]
+            # a lattice node, where the node's term and the pole term
+            # cancel most, and a point between nodes
+            for x0 in (mp.mpf(0), mp.mpf("0.37")):
+                delta = mp.mpf(2) ** -12
+                made.clear()
+                (Yp, Ym), = sol._near_ladder(x0, (delta,))
+                assert len(made) == 3
+                Yc = rhp._rounded(made[2])
+                z = mp.mpc(x0, delta)
+                _, ex2, wn = t.weights_at(z, sol.d - 1)
+                uz = [ex2] + wn
+                for Y, at, step, uz in ((Yp, z, 1, uz),
+                                        (Ym, mp.conj(z), 1, [mp.conj(u) for u in uz]),
+                                        (Yc, z, 2, uz)):
+                    s = t.ks.start % 2 if step == 2 else 0
+                    with mp.workprec(2 * t._prec):
+                        sign = 1 if mp.im(at) > 0 else -1
+                        pole = (mp.mpc(0, sign * mp.pi) + mp.pi
+                                * mp.cot(mp.pi * at / (step * t.h))) / (2j * mp.pi)
+                        ks = [step * t.h / (x - at) / (2j * mp.pi)
+                              for x in t.axs[s::step]]
+                        for row, p in zip(Y, sol.row_polys):
+                            head = p(at)
+                            l1 = mp.fsum(abs(v) * abs(at) ** l
+                                         for l, v in enumerate(p.coeffs))
+                            assert abs(row[0] - head) <= tol * l1
+                            pk = [p(x) * k for x, k in zip(t.axs[s::step], ks)]
+                            for c, (u, v) in enumerate(zip(us, uz), 1):
+                                terms = list(map(mul, pk, u[s::step]))
+                                polar = head * v * pole
+                                ref = mp.fsum(terms) + polar
+                                l1 = mp.fsum(abs(w) for w in terms) + abs(polar)
+                                assert abs(row[c] - ref) <= tol * l1, (x0, step, c)
 
 
 def test_jump_residual_odd(sol_gauss_odd, ctx):
@@ -533,6 +638,10 @@ def test_problem_validation(gauss, ctx):
         RHProblem(potential=gauss, k=1, parity="sideways")
     with pytest.raises(ValueError):
         build_odd(gauss, 1, free_params=(1, 2, 3, 4), ctx=ctx)
+    # the even solution is unique: gauge parameters would be ignored
+    with pytest.raises(ValueError, match="odd problems only"):
+        RHProblem(potential=gauss, k=1, parity="even", free_params=(1, 2))
+    assert RHProblem(potential=gauss, k=1, parity="even").free_params == ()
 
 
 def test_build_dispatch(gauss, ctx, sol_gauss):

@@ -14,7 +14,7 @@ values (`_mpf_` / `_mpc_`: sign, mantissa, exponent, bit count) of
   coarse    at the same points and deltas, the sums on the lattice 2hZ
             that the near-axis check of _near_ladder compares with those
             pairs: per delta the matrix Y(x + i delta) from every second
-            node, step 2h, with its pole term
+            node, step 2h, with its pole term, each entry rounded once
   matrix    the beta = 1 skew moment matrix of x^2/2 + x^4 at n = 14
   table     what the program reads of that matrix's weight table: its
             lattice level, m, m2, aew2, every w_values(n), and weights_at
@@ -71,7 +71,7 @@ from mpmath import mp  # noqa: E402
 from skewrh import Potential, PrecisionContext, WeightTable  # noqa: E402
 from skewrh.moments import build_skew_moment_matrix  # noqa: E402
 from skewrh.quadrature import boundary_deltas  # noqa: E402
-from skewrh.rhp import (RHSolution, asymptotic_exponents,  # noqa: E402
+from skewrh.rhp import (RHSolution, _rounded, asymptotic_exponents,  # noqa: E402
                         build_even, build_odd, det_residual, jump_residual)
 from skewrh.skewalg import (gram_residual, pfaffian_polynomials,  # noqa: E402
                             skew_orthogonal_family)
@@ -111,22 +111,24 @@ def edge_points(t):
 
 def near_ladder(sol, x0, deltas):
     """sol._near_ladder(x0, deltas) and, per delta, the 2hZ matrix that its
-    check compares with the upper value.  For each delta _near_ladder
-    assembles the upper value, the lower one and the 2hZ matrix, in this
-    order, so the latter is every third matrix that _assemble returns."""
+    check compares with the upper value, each part of each entry rounded
+    once at the working precision.  For each delta _near_ladder forms the
+    exact entries (_entries) of the upper value, the lower one and the 2hZ
+    matrix, in this order, so the latter is every third matrix that
+    _entries returns."""
     made = []
 
-    def assemble(*args):
-        made.append(RHSolution._assemble(sol, *args))
+    def entries(*args):
+        made.append(RHSolution._entries(sol, *args))
         return made[-1]
 
-    sol._assemble = assemble
+    sol._entries = entries
     try:
         pairs = sol._near_ladder(x0, deltas)
     finally:
-        del sol._assemble
+        del sol._entries
     assert len(made) == 3 * len(deltas)
-    return pairs, made[2::3]
+    return pairs, [_rounded(Y) for Y in made[2::3]]
 
 
 def parts():
