@@ -33,16 +33,13 @@ class LaxL:
         return [list(r) for r in self.rows]
 
 
-def build_lax(family: SkewFamily, size: int = None,
+def build_lax(family: SkewFamily,
               ctx: PrecisionContext = DEFAULT_CONTEXT) -> LaxL:
-    """Lax matrix of size n (default: family length - 2, so that x*p_i
-    stays inside the family for every row)."""
-    avail = len(family.polys)
-    n = avail - 2 if size is None else size
-    if n < 2 or n % 2 != 0:
-        raise ValueError("Lax size must be even and >= 2")
-    if n + 1 >= avail:
-        raise ValueError("family too short for requested Lax size")
+    """Lax matrix of size n = family length - 2, so that x*p_i stays
+    inside the family for every row; a family with k_max = 0 is refused."""
+    n = len(family.polys) - 2
+    if n < 2:
+        raise ValueError("family too short for a Lax matrix (k_max = 0)")
     with ctx.workprec():
         polys = family.polys
         habs = [mp.sqrt(abs(v)) for v in family.h]

@@ -11,18 +11,21 @@ Every Cauchy transform is a trapezoid sum over the weight table's lattice
 hZ, x_k = k h; near the axis the lattice's closed-form pole term keeps it
 accurate.  The sums run in exact integers from the kernel to each entry
 of Y, which is rounded once: the head p_r(z) too, and near the axis the
-pole term p_r(z) w_c is an exact product added before that rounding.  The
-column data is formed once per table version and shared by every solution
-on the table (_store).  The kernel K = 1/(x - z) comes from the
-exact dyadic offsets x_k - x0 and Im z with one integer quotient per
-node.  The dots T_(c,l) = sum_k k^l u_c(x_k) K_k of each column density
-u_c (held as ints, numerics.fixed) are the running powers of u_c K,
-walked over the even and the odd k apart, so that the coarse 2hZ dots
-are one half of the same walk.  A row enters only through its folded
-coefficients p_(r,l) h^(l+1)/(2 pi i), and Y[r][c] is their exact dot
-with T_c.  Beyond the support the dots come from the Laurent series of
-the kernel, a single-level multipole expansion (Greengard-Rokhlin 1987)
-whose coefficients are exact lattice power sums.
+pole term p_r(z) w_c is an exact product added before that rounding.  Rows
+and columns are held apart: the column data is formed once per table
+version and shared by every solution on the table (_store, the one cache
+here), and a solution forms its row data once, when it is made, from its
+polynomials alone.  The kernel K = 1/(x - z) comes from the exact dyadic
+offsets x_k - x0 and Im z with one integer quotient per node.  The dots
+T_(c,l) = sum_k k^l u_c(x_k) K_k of each column density u_c (held as
+ints, numerics.fixed) are the running powers of u_c K, walked over the
+even and the odd k apart, so that the coarse 2hZ dots are one half of the
+same walk.  A row enters only through its held coefficients
+p_(r,l)/(2 pi i), and Y[r][c] is their exact dot with h^(l+1) T_(c,l),
+h^(l+1) an exact shift at the table's current level.  Beyond the support
+the dots come from the Laurent series of the kernel, a single-level
+multipole expansion (Greengard-Rokhlin 1987) whose coefficients are exact
+lattice power sums.
 Verification is numeric throughout: jump residuals by boundary-offset
 extrapolation on a shared delta ladder, growth exponents by log-log slope
 fits along rays, determinant structure by off-axis sampling.
@@ -105,7 +108,7 @@ def jump_matrix(table: WeightTable, x):
     return M
 
 
-# bits that the kernels and the folded row coefficients carry above the
+# bits that the kernels and the held row coefficients carry above the
 # working precision
 _GUARD = 64
 
@@ -145,26 +148,6 @@ def _store(table: WeightTable) -> _Store:
     return store
 
 
-class _Columns:
-    """A solution's column data on one table version: the table's _Store
-    (store, and its ks and vecs), L the largest row-polynomial degree, and for
-    each row r, the coefficients of p_r = sum_t factor_t p_t
-    (RHSolution.row_polys, coeffs) and R_(r,l) = p_(r,l) h^(l+1)/(2 pi i)
-    (rows), both formed _GUARD bits above the working precision and held
-    exactly (_held): a row enters Y only through them."""
-
-    def __init__(self, table: WeightTable, solution: "RHSolution"):
-        self.store = _store(table)
-        self.version, self.ks, self.vecs = table.version, table.ks, self.store.vecs
-        with mp.workprec(mp.prec + _GUARD):
-            polys = solution.row_polys
-            two_pi_i = _two_pi_i()
-            self.coeffs = [_held(p.coeffs) for p in polys]
-            self.rows = [_held([c * table.h ** (l + 1) / two_pi_i
-                                for l, c in enumerate(p.coeffs)]) for p in polys]
-        self.L = max(p.degree for p in polys)
-
-
 def _held(cs):
     """The complex scalars cs as (re, im, exp): their real and imaginary
     parts as ints at one exponent, exactly (fixed)."""
@@ -183,13 +166,14 @@ class RHSolution:
     polynomials, evaluated via grid Cauchy transforms.
 
     Every Cauchy entry is a sum over the active nodes of the shared
-    lattice, formed from column data (_Columns, on the table's shared
-    _Store) kept for the table's current version only; a row enters only
-    through its folded coefficients.  Far from the axis that sum is the
-    value, and beyond the support it comes from a Laurent series; near the
-    axis `_near_ladder` adds the lattice's pole term per point and gives
-    both boundary values along a delta ladder.  Nothing per point outlives
-    the call.
+    lattice, formed from the column data of the table's current version
+    (_store); a row enters only through its coefficients, held exactly
+    from construction on (_coeffs, _rows), and the solution keeps no
+    cache, so a table widened under it is read as it is now.  Far from the
+    axis that sum is the value, and beyond the support it comes from a
+    Laurent series; near the axis `_near_ladder` adds the lattice's pole
+    term per point and gives both boundary values along a delta ladder.
+    Nothing per point outlives the call.
     """
 
     def __init__(self, problem: RHProblem, family: SkewFamily,
@@ -202,7 +186,14 @@ class RHSolution:
         self.alpha = alpha
         self.collapse_residual = collapse_residual
         self.ctx = ctx
-        self._cols = None
+        # each row's coefficients (_heads) and p_(r,l)/(2 pi i) (_fold), formed
+        # _GUARD bits above the table's precision and held exactly (_held):
+        # a row enters Y only through them, and L is the largest degree
+        with mp.workprec(table._prec + _GUARD):
+            polys, two_pi_i = self.row_polys, _two_pi_i()
+            self._coeffs = [_held(p.coeffs) for p in polys]
+            self._rows = [_held([c / two_pi_i for c in p.coeffs]) for p in polys]
+        self._L = max(p.degree for p in polys)
 
     # -- structure ---------------------------------------------------------
 
@@ -245,17 +236,6 @@ class RHSolution:
         terms[row] = list(terms[row]) + [(mp.mpc(coeff), poly)]
         return RHSolution(self.problem, self.family, self.table, terms,
                           self.alpha, self.collapse_residual, self.ctx)
-
-    # -- column data -------------------------------------------------------
-
-    def _columns(self) -> "_Columns":
-        """The column data of the table's current version (_Columns),
-        formed on the first call for a version; what an earlier version
-        held is dropped."""
-        t = self.table
-        if self._cols is None or self._cols.version != t.version:
-            self._cols = _Columns(t, self)
-        return self._cols
 
     # -- far-field evaluation ---------------------------------------------
 
@@ -304,12 +284,12 @@ class RHSolution:
         k^l Q is walked over the even and the odd k apart (power_walk).
         The fine dot is the sum of the two halves, the coarse one the half
         on 2hZ, so both cost N multiplies by small ints per power."""
-        cols = self._columns()
-        s, n = cols.ks.start % 2, cols.L + 1
-        even, odd = cols.ks[s::2], cols.ks[1 - s::2]
+        store = _store(self.table)
+        s, n = store.ks.start % 2, self._L + 1
+        even, odd = store.ks[s::2], store.ks[1 - s::2]
         *parts, e = kernel
         fine, coarse = [], []
-        for vec, exp in cols.vecs:
+        for vec, exp in store.vecs:
             f, c = [], []
             for mans in parts:
                 Q = list(map(mul, vec, mans))
@@ -324,7 +304,7 @@ class RHSolution:
         """The fine column dots of _dots for K_k = 1/(x_k - z), from the Laurent
         series of that kernel, for |z| beyond the active radius:
             T_(c,l) = -sum_(n < M) h^n z^(-n-1) S_(c,l+n),
-        with S_(c,m) = sum_k k^m U_(c,k) exact power sums (_Columns).
+        with S_(c,m) = sum_k k^m U_(c,k) exact power sums (_Store).
 
         Every active node has |x_k| <= active_radius = rho |z|, so the
         terms n >= M of each node's series sum to at most
@@ -343,20 +323,20 @@ class RHSolution:
         sum's L1 scale.
         S_(c,l+n) A^-n and 1/z are held exactly, so each T_(c,l) is an
         exact integer sum."""
-        t, cols = self.table, self._columns()
+        t, store, L = self.table, _store(self.table), self._L
         rho = float(t.active_radius / abs(z))
         M = math.ceil((mp.prec - math.log2(1 - rho)) / -math.log2(rho)) + 1
-        top, fb = cols.L + M - 1, mp.prec + 2 * M.bit_length()
-        a = max(-cols.ks[0], cols.ks[-1]).bit_length()
+        top, fb = L + M - 1, mp.prec + 2 * M.bit_length()
+        a = max(-store.ks[0], store.ks[-1]).bit_length()
         wr, wi = fixed_powers(mp.ldexp(t.h, a) / z, M, fb)
         zinv = 1 / z
         (zr, zi), ez = fixed([zinv.real._mpf_, zinv.imag._mpf_])
         out = []
-        for (_, exp), S in zip(cols.vecs, cols.store.power_sums(top + 1)):
+        for (_, exp), S in zip(store.vecs, store.power_sums(top + 1)):
             # S_m A^(top - m), so that S_(l+n) A^-n = V_(l+n) A^(l - top)
             V = [s << a * (top - m) for m, s in enumerate(S[:top + 1])]
             re, im = [], []
-            for l in range(cols.L + 1):
+            for l in range(L + 1):
                 # sum_n w^n S_(l+n) A^-n, brought to the exponent of l = 0
                 v = V[l:l + M], exp - a * top
                 br = exact_dot((wr, -fb), v)[0] << a * l
@@ -370,12 +350,18 @@ class RHSolution:
     def _fold(self, T):
         """The row sums from the column dots T (_dots, _laurent): for each
         row r and column c, R_r . Re T_c and R_r . Im T_c, with R_r the row
-        coefficients p_(r,l) h^(l+1)/(2 pi i) (_Columns.rows), as four exact
-        ints (P.re, P.im, Q.re, Q.im) and their exponent.  R_r . T_c is
-        P + iQ, h sum_k p_r(x_k) u_c(x_k) K_k/(2 pi i), and R_r . conj(T_c)
-        is P - iQ."""
+        coefficients p_(r,l) h^(l+1)/(2 pi i), as four exact ints (P.re,
+        P.im, Q.re, Q.im) and their exponent.  R_r . T_c is P + iQ,
+        h sum_k p_r(x_k) u_c(x_k) K_k/(2 pi i), and R_r . conj(T_c) is
+        P - iQ.  The held p_(r,l)/(2 pi i) (_rows) take h^(l+1) =
+        2^(-level (l+1)) as an exact shift of T_(c,l) at the table's level;
+        a power of two commutes with their rounding."""
+        lv, L = self.table.level, self._L
+        T = [([v << lv * (L - l) for l, v in enumerate(re)],
+              [v << lv * (L - l) for l, v in enumerate(im)], e - lv * (L + 1))
+             for re, im, e in T]
         out = []
-        for Rr, Ri, eR in self._columns().rows:
+        for Rr, Ri, eR in self._rows:
             out.append([(sum(map(mul, Rr, re)), sum(map(mul, Ri, re)),
                          sum(map(mul, Rr, im)), sum(map(mul, Ri, im)), eR + e)
                         for re, im, e in T])
@@ -384,12 +370,12 @@ class RHSolution:
     def _heads(self, z):
         """[p_r(z)] for the rows r, the first column of Y(z), each exactly
         as (re, im, exp): one Horner on ints, from the held coefficients
-        (_Columns.coeffs) and z = (zr + i zi) 2^ez, held exactly too."""
+        (_coeffs) and z = (zr + i zi) 2^ez, held exactly too."""
         (zr, zi), ez = fixed([z.real._mpf_, z.imag._mpf_])
         if ez > 0:
             zr, zi, ez = zr << ez, zi << ez, 0
         out = []
-        for cr, ci, e in self._columns().coeffs:
+        for cr, ci, e in self._coeffs:
             # p(z) 2^(-e - top ez) = sum_l c_l Z^l 2^(-ez (top - l)), Z = z 2^-ez
             ar, ai, top = cr[-1], ci[-1], len(cr) - 1
             for l in range(top - 1, -1, -1):
@@ -428,7 +414,7 @@ class RHSolution:
         if 4 * t.active_radius < abs(z):
             T = self._laurent(z)
         else:
-            T = self._dots(next(self._kernels(self._columns().ks, t.level,
+            T = self._dots(next(self._kernels(_store(t).ks, t.level,
                                               mp.re(z), (mp.im(z),))))[0]
         return _rounded(self._entries(self._heads(z), self._fold(T)))
 
@@ -458,7 +444,7 @@ class RHSolution:
         t, two_pi_i = self.table, _two_pi_i()
         pairs = []
         for delta, kernel in zip(deltas, self._kernels(
-                self._columns().ks, t.level, x0, deltas)):
+                _store(t).ks, t.level, x0, deltas)):
             z = mp.mpc(x0, delta)
             _, ex2, wn = t.weights_at(z, self.d - 1)
             # u_c(z) (i pi + pi cot(pi z/(step h)))/(2 pi i), for the steps
@@ -692,16 +678,15 @@ def det_residual(sol: RHSolution, z_samples,
 
 
 def identity_2_1_residual(V: Potential, f: Poly, j: int,
-                          ctx: PrecisionContext = DEFAULT_CONTEXT,
-                          table: WeightTable = None):
+                          ctx: PrecisionContext = DEFAULT_CONTEXT):
     """|<f, pi_{j+d-1}(y)>_1 - 2 <f, x^j>_2| for the bridge polynomial
-    pi built from the potential derivative."""
+    pi built from the potential derivative, on the shared table of a
+    size-n matrix, whose moments reach 2n-1 >= f.degree + j: all that
+    inner_2 reads."""
     with ctx.workprec():
         pi = pi_polynomial(V, j)
         n = max(f.degree, pi.degree) + 1
-        if table is not None:  # inner_2 reads m2 up to f.degree + j
-            table.ensure_ranges(i_max=f.degree + j)
-        matrix = build_skew_moment_matrix(V, 1, n, ctx, table=table)
+        matrix = build_skew_moment_matrix(V, 1, n, ctx)
         lhs = skew_inner_1(f, pi, matrix)
         rhs = 2 * inner_2(f, _monomial(j), matrix.table)
         return abs(lhs - rhs)

@@ -179,17 +179,11 @@ class SkewFamily:
 
 
 def _family_from_factorization(fact: SkewFactorization):
-    rows = fact.inverse_rows()
-    polys = []
-    for i, row in enumerate(rows):
-        polys.append(Poly(row[:i + 1]))
-    # gauge: strip the x^{2j} coefficient from each odd member
-    for b in range(fact.n // 2):
-        podd = polys[2 * b + 1]
-        c = podd.coeff(2 * b)
-        if c != 0:
-            polys[2 * b + 1] = podd - polys[2 * b].scale(c)
-    return polys
+    """The monic members p_i, the rows of L^-1 (inverse_rows).  Each odd
+    member p_(2b+1) comes with the family's gauge, an exact 0 as its
+    x^(2b) coefficient, and needs no strip: skew_eliminate never writes
+    L[2b+1][2b], so row 2b+1 of L^-1 is an exact 0 at 2b."""
+    return [Poly(row[:i + 1]) for i, row in enumerate(fact.inverse_rows())]
 
 
 def skew_orthogonal_family(V: Potential, beta: int, k_max: int,

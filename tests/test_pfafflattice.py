@@ -13,6 +13,7 @@ from skewrh.pfafflattice import (
     lattice_rhs,
     project_pik,
 )
+from skewrh.skewalg import skew_orthogonal_family
 
 
 @pytest.fixture(scope="module")
@@ -27,11 +28,14 @@ def test_build_lax_shape(fam1_gauss, lax_gauss):
     assert all(len(r) == lax_gauss.n for r in lax_gauss.rows)
 
 
-def test_build_lax_size_validation(fam1_gauss, ctx):
-    with pytest.raises(ValueError):
-        build_lax(fam1_gauss, size=5, ctx=ctx)
-    with pytest.raises(ValueError):
-        build_lax(fam1_gauss, size=len(fam1_gauss.polys), ctx=ctx)
+def test_build_lax_size_validation(gauss, ctx):
+    # the size is the family length - 2: a family with k_max = 0 (p_0,
+    # p_1) leaves no Lax matrix
+    fam = skew_orthogonal_family(gauss, 1, 0, ctx)
+    assert len(fam.polys) == 2
+    with pytest.raises(ValueError, match="too short"):
+        build_lax(fam, ctx=ctx)
+    assert build_lax(skew_orthogonal_family(gauss, 1, 1, ctx), ctx=ctx).n == 2
 
 
 def test_recursion_identity_at_sample_points(fam1_gauss, lax_gauss):

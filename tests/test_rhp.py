@@ -178,25 +178,41 @@ def test_near_axis_gap_failure_leaves_table(sol_gauss, ctx, monkeypatch):
 
 
 def test_column_vectors_kept_for_current_table_only(sol_gauss, gauss, ctx):
+    def on(table):
+        return RHSolution(sol_gauss.problem, sol_gauss.family, table,
+                          sol_gauss.row_terms, sol_gauss.alpha,
+                          sol_gauss.collapse_residual, ctx)
+
     table = WeightTable(gauss, ctx, i_max=sol_gauss.table.i_max,
                         w_max=sol_gauss.table.w_max)
-    sol = RHSolution(sol_gauss.problem, sol_gauss.family, table,
-                     sol_gauss.row_terms, sol_gauss.alpha,
-                     sol_gauss.collapse_residual, ctx)
+    sol = on(table)
     # a direct point and a Laurent point (|z| > 4 active_radius)
     zs = (mp.mpc("0.5", "3"), mp.mpc("30", "200"))
     before = [sol.evaluate(z) for z in zs]
-    cols = sol._cols
-    assert cols.version == table.version == cols.store.version
+    store = rhp._STORES[table]
+    assert store.version == table.version
     table.ensure_ranges(i_max=table.i_max + 6)
     after = [sol.evaluate(z) for z in zs]
     # one version held, the current one, and only the new data: the
     # widening forms a new store, which the table's registry now holds
-    assert sol._cols is not cols and sol._cols.version == table.version
-    assert sol._cols.store is not cols.store
-    assert rhp._STORES[table] is sol._cols.store
-    assert sol._cols.store.version == table.version
-    assert len(sol._cols.vecs) == sol.d
+    new = rhp._STORES[table]
+    assert new is not store and new.version == table.version
+    assert new.ks == table.ks and len(new.vecs) == sol.d
+    # the rows a solution formed once fit the wider table: its Y is bit for
+    # bit that of the same rows on a fresh table with the wider ranges, here
+    # and where the widening halves h (level 2 at i_max 4, w_max 0, level 3
+    # at i_max 10; 0.5+6j is far from the axis on both)
+    narrow = WeightTable(gauss, ctx, i_max=4, w_max=0)
+    halved, far = on(narrow), (mp.mpc("0.5", "6"), zs[1])
+    for z in far:
+        halved.evaluate(z)
+    assert narrow.level == 2
+    narrow.ensure_ranges(i_max=10)
+    assert narrow.level == 3
+    for t, ps, Y in ((table, zs, after),
+                     (narrow, far, [halved.evaluate(z) for z in far])):
+        fresh = WeightTable(gauss, ctx, i_max=t.i_max, w_max=t.w_max)
+        assert [on(fresh).evaluate(z) for z in ps] == Y
     # the wider grid agrees within quad_tol
     for b, a in zip(before, after):
         assert abs(a[0][1] - b[0][1]) <= mp.mpf("1e-30") * abs(b[0][1])
@@ -221,13 +237,13 @@ def test_column_vectors_read_each_density_once(sol_sextic, ctx, monkeypatch):
         for z in (mp.mpc("0.3", "2"), mp.mpc("-20", "40"), mp.mpc("0.3", "0.01")):
             other.evaluate(z)
     assert sorted(calls) == list(range(sol.d - 1))
-    store = sol._cols.store
-    assert sols[1]._cols.store is store and rhp._STORES[table] is store
-    assert sol._cols.L == 6
+    store = rhp._STORES[table]
+    assert list(rhp._STORES.values()) == [store]
+    assert sol._L == sols[1]._L == 6
     assert [len(vec) for vec, _ in store.vecs] == [len(table.axs)] * 6
     # one row of coefficients per row polynomial, folded over its terms
-    assert [len(re) for re, _, _ in sol._cols.rows] == [7] + [6] * 6
-    assert [len(re) for re, _, _ in sols[1]._cols.rows] == [7] * 2 + [6] * 5
+    assert [len(re) for re, _, _ in sol._rows] == [7] + [6] * 6
+    assert [len(re) for re, _, _ in sols[1]._rows] == [7] * 2 + [6] * 5
 
 
 def test_power_sums_resume_bit_for_bit(sol_sextic, ctx, monkeypatch):
@@ -251,7 +267,7 @@ def test_power_sums_resume_bit_for_bit(sol_sextic, ctx, monkeypatch):
                          sol_sextic.collapse_residual, ctx)
         with mp.workprec(table._prec):
             fresh[counts] = sol._eval_far(z)
-        assert sol._cols.store is store
+        assert rhp._STORES[table] is store
     assert fresh[(3, 3, 10, 7, 25)] == fresh[(25,)]
 
 
@@ -291,18 +307,18 @@ def test_coarse_half_is_the_separate_coarse_walk(sol_gauss, sol_sextic, quartic,
     # sum_k k^l U_(c,k) K_k over hZ and over the nodes with k even, the
     # latter held at twice its value
     for sol in (sol_gauss, build_even(quartic, 2, ctx), sol_sextic):
-        t, cols = sol.table, sol._columns()
+        t, store = sol.table, rhp._store(sol.table)
         s = t.ks.start % 2
         with mp.workprec(t._prec):
             for x0 in (mp.mpf(0), mp.mpf("0.37")):
-                *parts, e = next(sol._kernels(cols.ks, t.level, x0,
+                *parts, e = next(sol._kernels(store.ks, t.level, x0,
                                               (mp.mpf(2) ** -20,)))
                 fine, coarse = sol._dots((*parts, e))
-                for (vec, exp), (*f, fe), (*c, ce) in zip(cols.vecs, fine, coarse):
+                for (vec, exp), (*f, fe), (*c, ce) in zip(store.vecs, fine, coarse):
                     assert (fe, ce) == (exp + e, exp + e + 1)
                     for mans, fl, cl in zip(parts, f, c):
-                        for l in range(cols.L + 1):
-                            pw = [v * k ** l for v, k in zip(vec, cols.ks)]
+                        for l in range(sol._L + 1):
+                            pw = [v * k ** l for v, k in zip(vec, store.ks)]
                             assert fl[l] == sum(map(mul, pw, mans))
                             assert cl[l] == sum(map(mul, pw[s::2], mans[s::2]))
 
@@ -310,7 +326,8 @@ def test_coarse_half_is_the_separate_coarse_walk(sol_gauss, sol_sextic, quartic,
 def _direct_dots(sol, z):
     """The fine column dots of z from the direct lattice sums, whatever
     |z| is, and their 2hZ half."""
-    return sol._dots(next(sol._kernels(sol._columns().ks, sol.table.level,
+    t = sol.table
+    return sol._dots(next(sol._kernels(rhp._store(t).ks, t.level,
                                        mp.re(z), (mp.im(z),))))
 
 
@@ -610,10 +627,9 @@ def test_identity_2_1_small_cases(gauss, quartic, ctx):
         <= mp.mpf("1e-27")
     assert identity_2_1_residual(quartic, Poly([0, 0, 1]), 0, ctx) \
         <= mp.mpf("1e-27")
-    # a given table is widened to the m2 that inner_2 reads, here m2_5
-    table = WeightTable(gauss, ctx, i_max=4, w_max=0)
-    assert identity_2_1_residual(gauss, Poly([0, 0, 0, 1]), 2, ctx,
-                                 table=table) <= mp.mpf("1e-27")
+    # inner_2 reads m2_5 here, within the shared table's moments
+    assert identity_2_1_residual(gauss, Poly([0, 0, 0, 1]), 2, ctx) \
+        <= mp.mpf("1e-27")
 
 
 def test_identity_2_1_potential_built_at_53_bits(ctx):

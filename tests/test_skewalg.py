@@ -124,16 +124,17 @@ def test_family_gaussian_closed_forms(fam1_gauss):
     assert abs(fam1_gauss.h[0] + 2 * mp.sqrt(mp.pi)) <= mp.mpf("1e-25")
 
 
-def test_family_structure(fam1_gauss):
-    fam = fam1_gauss
-    assert fam.k_max == 8
-    assert len(fam.polys) == 18
-    for i, p in enumerate(fam.polys):
-        assert p.degree == i
-        assert p.leading == 1  # monic by construction
-    # odd members carry an exactly vanishing sub-leading even coefficient
-    for b in range(len(fam.polys) // 2):
-        assert fam.polys[2 * b + 1].coeff(2 * b) == 0
+def test_family_structure(fam1_gauss, fam4_gauss, fam1_quartic):
+    for fam in (fam1_gauss, fam4_gauss, fam1_quartic):
+        assert fam.k_max == 8
+        assert len(fam.polys) == 18
+        for i, p in enumerate(fam.polys):
+            assert p.degree == i
+            assert p.leading == 1  # monic by construction
+        # odd members carry an exactly vanishing sub-leading even
+        # coefficient, straight from the elimination
+        for b in range(len(fam.polys) // 2):
+            assert fam.polys[2 * b + 1].coeff(2 * b) == 0
 
 
 def test_family_gram_residuals(fam1_gauss, fam1_quartic, fam4_gauss,

@@ -52,6 +52,12 @@ values (`_mpf_` / `_mpc_`: sign, mantissa, exponent, bit count) of
             whose lower rows meet one exp(-2V) moment and five pairings,
             and on x/4 + x^2/2 + x^3/8 + x^4 at k = 2, whose conditions
             carry no parity zeros
+  widened   the far and near Y of build_even on x^2/2 at k = 2, evaluated
+            once before and then after build_even at k = 3 has widened the
+            table they share: Y(z) at the two far points, at 100+100j
+            (beyond the support, by the Laurent series) and the
+            boundary-value pairs at x = -0.359375 on the full delta ladder,
+            from the wider table
 
 and prints one line per part, then the digest of all of them.  It imports
 skewrh from the src/ next to it, so two checkouts compare with
@@ -199,6 +205,20 @@ def parts():
         for sol in (build_even(V, k, ctx), build_odd(V, k, params, ctx)):
             rows.append((sol.row_terms, sol.alpha, sol.collapse_residual))
     yield "rows", rows
+
+    sol = build_even(gauss, 2, ctx)
+    points, x = (*far, mp.mpc(100, 100)), mp.mpf("-0.359375")
+
+    def far_and_near():
+        with mp.workprec(sol.table._prec):
+            return ([sol.evaluate(z) for z in points],
+                    sol._near_ladder(x, deltas))
+
+    far_and_near()
+    version = sol.table.version
+    assert build_even(gauss, 3, ctx).table is sol.table
+    assert sol.table.version != version
+    yield "widened", far_and_near()
 
 
 def main():
