@@ -1,7 +1,9 @@
 """Boundary-limit extrapolation, and tanh-sinh nodes kept for the bench.
 
 boundary_deltas and richardson_limit take the boundary values of Cauchy
-transforms to delta -> 0 (rhp.jump_residual).  No pipeline code
+transforms to delta -> 0 (rhp.jump_residual), on a ladder of offsets set
+by the working precision where the extrapolation's truncation meets the
+round-off of the near-node pole term.  No pipeline code
 integrates with the nodes here: the weight tables' master grid is a
 uniform lattice, and their half-line integrals come from a Taylor
 series, both in `potentials`.  ts_halfline_nodes and ts_mapped_level
@@ -11,6 +13,7 @@ it; tests take their reference rules from mpmath.
 from __future__ import annotations
 
 import functools
+import math
 
 from mpmath import mp
 
@@ -85,9 +88,36 @@ def ts_mapped_level(a, b, prec: int, level: int):
 # ---------------------------------------------------------------------------
 # boundary-limit extrapolation
 
-def boundary_deltas(lo: int = 10, hi: int = 20):
-    """Geometric ladder of approach heights 2^-lo .. 2^-hi."""
-    return tuple(mp.mpf(2) ** (-k) for k in range(lo, hi + 1))
+def boundary_deltas():
+    """The ladder of approach heights 2^-a .. 2^-(a+n-1) for the working
+    precision p = mp.prec: n = ceil(sqrt(p/8)) and a = ceil((p-n+1)/(n+1)),
+    6 points 2^-39 .. 2^-44 at p = 272 (the default context's tables),
+    5 points 2^-24 .. 2^-28 at p = 144.
+
+    The jump mismatch D(delta) extends analytically in delta: the lattice
+    pole term cancels the kernel's poles at the nodes (Trefethen-Weideman
+    2014), so D = sum_m c_m delta^m.  The polynomial through the n samples,
+    read at 0 (richardson_limit), is exact for m < n, and the first term
+    it misses leaves c_n prod_i delta_i = c_n delta_max^n 2^(-n(n-1)/2).
+    In units of the entries' scale, with the c_m below it, that truncation
+    term is bounded by delta_max^n = 2^(-a n); the dropped 2^(-n(n-1)/2)
+    (15 bits at n = 6) is the margin for a continuation that grows off the
+    axis, as exp(-2V(z)) does.  Each sample carries round-off: at a lattice
+    node x0 the pole term cancels the node's kernel term, both of size
+    1/delta, and it is formed at 2^-p of that, so the extrapolant (its
+    weights' absolute sum is below 8) carries about 2^-p/delta_min =
+    2^(a+n-1-p).  The two terms meet at a n = p - a - n + 1;
+    a is rounded up, since a level lower costs the round-off one bit and
+    saves the truncation n.  The result loses about L = a + n - 1, or
+    p/(n+1) + n, bits.  L is least, about 2 sqrt(p), near n = sqrt(p);
+    n = ceil(sqrt(p/8)) takes a third of those points, each one
+    near-axis evaluation, and loses about 1.4 times as many bits: 44
+    against 31 at p = 272.
+    """
+    p = mp.prec
+    n = math.ceil(math.sqrt(p / 8))
+    a = -(-(p - n + 1) // (n + 1))
+    return tuple(mp.ldexp(1, -k) for k in range(a, a + n))
 
 
 @functools.lru_cache(maxsize=8)
@@ -108,7 +138,8 @@ def richardson_limit(deltas, values):
     Valid whenever the sampled quantity extends analytically in delta,
     which holds for boundary values of Cauchy transforms of entire
     densities; on geometric ladders the weights stay small (their
-    absolute sum is 8.2 on boundary_deltas()).
+    absolute sum is 7.76 for 6 ratio-2 points, as boundary_deltas() gives
+    at the default precision).
     """
     n = len(values)
     if n != len(deltas) or n == 0:

@@ -27,8 +27,10 @@ the dots come from the Laurent series of the kernel, a single-level
 multipole expansion (Greengard-Rokhlin 1987) whose coefficients are exact
 lattice power sums.
 Verification is numeric throughout: jump residuals by boundary-offset
-extrapolation on a shared delta ladder, growth exponents by log-log slope
-fits along rays, determinant structure by off-axis sampling.
+extrapolation, the mismatch formed on the exact entries and rounded once,
+on a delta ladder set by the working precision (boundary_deltas), growth
+exponents by log-log slope fits along rays, determinant structure by
+off-axis sampling.
 """
 from __future__ import annotations
 
@@ -153,6 +155,16 @@ def _held(cs):
     parts as ints at one exponent, exactly (fixed)."""
     mans, exp = fixed([c.real._mpf_ for c in cs] + [c.imag._mpf_ for c in cs])
     return mans[:len(cs)], mans[len(cs):], exp
+
+
+def _add(*terms):
+    """The sum of exact complex terms (re, im, exp), exactly, at their
+    least exponent."""
+    e = min([t[2] for t in terms])
+    re = im = 0
+    for r, i, f in terms:
+        re, im = re + (r << f - e), im + (i << f - e)
+    return re, im, e
 
 
 def _rounded(Y):
@@ -394,15 +406,11 @@ class RHSolution:
         for (hr, hi, eh), row in zip(heads, folded):
             ys = [(hr, hi, eh)]
             for c, (pr, pi, qr, qi, e) in enumerate(row):
-                re, im = pr - side * qi, pi + side * qr
+                y = pr - side * qi, pi + side * qr, e
                 if poles:
                     wr, wi, ew = poles[0][c], poles[1][c], poles[2]
-                    tr, ti, et = hr * wr - hi * wi, hr * wi + hi * wr, eh + ew
-                    if et < e:
-                        re, im, e = (re << e - et) + tr, (im << e - et) + ti, et
-                    else:
-                        re, im = re + (tr << et - e), im + (ti << et - e)
-                ys.append((re, im, e))
+                    y = _add(y, (hr * wr - hi * wi, hr * wi + hi * wr, eh + ew))
+                ys.append(y)
             Y.append(ys)
         return Y
 
@@ -421,7 +429,8 @@ class RHSolution:
     # -- near-field evaluation --------------------------------------------
 
     def _near_ladder(self, x0, deltas):
-        """[(Y(x0 + i delta), Y(x0 - i delta)) for each delta > 0].
+        """[(Y(x0 + i delta), Y(x0 - i delta)) for each delta > 0], each
+        entry exact, (re, im, exp) as _entries gives it; _rounded rounds it.
 
         On the lattice hZ the sum of h/(x_k - z) over every node is
         -pi cot(pi z/h), and the integral of 1/(x - z) over the line is
@@ -447,12 +456,16 @@ class RHSolution:
                 _store(t).ks, t.level, x0, deltas)):
             z = mp.mpc(x0, delta)
             _, ex2, wn = t.weights_at(z, self.d - 1)
-            # u_c(z) (i pi + pi cot(pi z/(step h)))/(2 pi i), for the steps
-            # h and 2h, held exactly
+            # u_c(z) (i pi + pi cot(pi z/s))/(2 pi i), for the steps s = h
+            # and 2h, held exactly.  The cot's argument is first reduced,
+            # exactly, by the node of sZ nearest x0: rounded whole, it would
+            # put a relative error of 2^-prec |x0|/delta on a pole term of
+            # size s/delta near a node
             fine_poles, coarse_poles = (
                 _held([u * pole for u in [ex2] + wn]) for pole in (
-                    (mp.mpc(0, mp.pi) + mp.pi * mp.cot(mp.pi * z / (step * t.h)))
-                    / two_pi_i for step in (1, 2)))
+                    (mp.mpc(0, mp.pi)
+                     + mp.pi * mp.cot(mp.pi * (z - mp.nint(x0 / s) * s) / s))
+                    / two_pi_i for s in (t.h, 2 * t.h)))
             fine, coarse = self._dots(kernel)
             folded, heads = self._fold(fine), self._heads(z)
             Yp = self._entries(heads, folded, 1, fine_poles)
@@ -475,7 +488,7 @@ class RHSolution:
                     f"{mp.nstr(delta, 3)}: level {t.level} and its coarse half "
                     f"differ by {mp.nstr(gap, 3)}, above the bound "
                     f"{mp.nstr(bound, 3)}")
-            pairs.append((_rounded(Yp), _rounded(Ym)))
+            pairs.append((Yp, Ym))
         return pairs
 
     # -- public evaluation -------------------------------------------------
@@ -493,7 +506,7 @@ class RHSolution:
             if delta >= t.h * mp.log(10 ** 4 / t.tol) / (2 * mp.pi):
                 return self._eval_far(z)
             upper, lower = self._near_ladder(x0, (delta,))[0]
-            return upper if mp.im(z) > 0 else lower
+            return _rounded(upper if mp.im(z) > 0 else lower)
 
     def __repr__(self):
         return (f"RHSolution(parity={self.parity!r}, k={self.k}, "
@@ -588,37 +601,43 @@ def _check_ctx(sol: RHSolution, ctx):
         raise ValueError(f"ctx {ctx} differs from the solution's {sol.ctx}")
 
 
-def _jump_pair(Yp, Ym, jump_row):
-    """The mismatch Y(x0 + i delta) - Y(x0 - i delta) M(x0)."""
-    n = len(Yp)
-    D = [[mp.mpc(0)] * n for _ in range(n)]
-    for r in range(n):
-        lead = Ym[r][0]
-        D[r][0] = Yp[r][0] - lead
-        for c in range(1, n):
-            D[r][c] = Yp[r][c] - Ym[r][c] - lead * jump_row[c]
-    return D
+def _mismatch(Yp, Ym, row):
+    """The mismatch Y(x0 + i delta) - Y(x0 - i delta) M(x0) of the exact
+    entries of _near_ladder, with M's first row past its 1 held exactly
+    (row, as fixed gives it): each entry exact, then rounded once."""
+    mans, em = row
+    D = []
+    for up, (head, *low) in zip(Yp, Ym):
+        hr, hi, eh = head
+        D.append([_add(up[0], (-hr, -hi, eh))] + [
+            _add(u, (-lr, -li, el), (-hr * m, -hi * m, eh + em))
+            for u, (lr, li, el), m in zip(up[1:], low, mans)])
+    return _rounded(D)
 
 
 def jump_residual(sol: RHSolution, x,
                   ctx: PrecisionContext = None):
-    """Max entry of the delta -> 0 extrapolated two-sided mismatch.
+    """Max entry of the delta -> 0 extrapolated two-sided mismatch, on the
+    ladder boundary_deltas() sets from the working precision.
 
     It does not see the lattice sums: S(x0 +- i delta) tend to one real
-    value as delta -> 0, which cancels in Y_+ - Y_- M, and what remains is
-    the Plemelj jump of the pole term, the continuity of weights_at and
-    the Richardson error.  The near-axis check against 2hZ (_near_ladder)
-    guards the lattice sums' step, and det_residual their values."""
+    value as delta -> 0, which cancels in Y_+ - Y_- M.  What remains is
+    the Plemelj jump of the pole term, so the value measures the off-axis
+    continuation of weights_at against its values on the axis, plus the
+    ladder's own error: the pole term's round-off, about 2^-prec/delta at
+    a lattice node, and the extrapolation's truncation, which
+    boundary_deltas balances.  The near-axis check against 2hZ
+    (_near_ladder) guards the lattice sums' step, and det_residual their
+    values."""
     _check_ctx(sol, ctx)
     table = sol.table
     with mp.workprec(table._prec):
         x0 = mp.mpf(x)
         if abs(x0) > table.base_radius:
             raise ValueError("sample point outside the truncated support")
-        jump_row = jump_matrix(table, x0)[0]
+        row = fixed([v._mpf_ for v in jump_matrix(table, x0)[0][1:]])
         deltas = boundary_deltas()
-        mats = [_jump_pair(Yp, Ym, jump_row)
-                for Yp, Ym in sol._near_ladder(x0, deltas)]
+        mats = [_mismatch(Yp, Ym, row) for Yp, Ym in sol._near_ladder(x0, deltas)]
         n = sol.size
         worst = mp.mpf(0)
         for r in range(n):

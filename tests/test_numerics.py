@@ -351,15 +351,18 @@ def test_batched_near_kernels_match_per_delta_formula(prec):
     # the integer kernel against 1/(x_k - z) at twice its precision: each
     # part of each K_k within 2 units of its exponent, the largest entry
     # between 2^(prec + G - 2) and 2^(prec + G) units, G = rhp._GUARD; x0
-    # on a lattice node (0, 13/32) and between nodes, delta from 2^-20 up
-    # and below the axis (Im z < 0)
+    # on a lattice node (0, 3/8) and between nodes (13/32, 0.37), delta
+    # from the smallest offset of the default tables' ladder (2^-44 at
+    # their 272 bits) up, and below the axis (Im z < 0)
     rng = random.Random(7007 + prec)
     level, ks, G = 3, range(-40, 41), rhp._GUARD
+    with mp.workprec(272):
+        ladder = boundary_deltas()
     with mp.workprec(prec):
-        x0s = [mp.mpf(0), mp.mpf(13) / 32, mp.mpf("0.37")]
+        x0s = [mp.mpf(0), mp.mpf(3) / 8, mp.mpf(13) / 32, mp.mpf("0.37")]
         x0s += [v * 2 ** 300 for v in _random_reals(rng, 2, zeros=False)]
-        deltas = boundary_deltas() + (-mp.mpf(2) ** -20, mp.mpf("-0.7"),
-                                      mp.mpf(3))
+        deltas = ladder + tuple(mp.ldexp(1, -k) for k in (10, 20, 30)) + (
+            -ladder[-1], mp.mpf("-0.7"), mp.mpf(3))
         for x0 in x0s:
             batched = list(RHSolution._kernels(ks, level, x0, deltas))
             assert len(batched) == len(deltas)

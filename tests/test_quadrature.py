@@ -38,15 +38,20 @@ def test_integrate_line_second_moment(gauss_integral):
 
 
 def test_boundary_deltas_ladder():
-    ds = boundary_deltas(10, 20)
-    assert len(ds) == 11
-    assert ds[0] == mp.mpf(2) ** -10 and ds[-1] == mp.mpf(2) ** -20
-    for a, b in zip(ds, ds[1:]):
-        assert b == a / 2
+    # n = ceil(sqrt(p/8)) ratio-2 offsets from 2^-a, a = ceil((p-n+1)/(n+1)),
+    # set by the working precision p alone: the default tables' p = 272
+    # gives 2^-39 .. 2^-44, a 128-bit context's p = 144 gives 2^-24 .. 2^-28
+    for prec, n, a in ((272, 6, 39), (144, 5, 24), (80, 4, 16), (320, 7, 40)):
+        with mp.workprec(prec):
+            ds = boundary_deltas()
+        assert len(ds) == n, prec
+        assert ds[0] == mp.mpf(2) ** -a and ds[-1] == mp.mpf(2) ** -(a + n - 1)
+        for u, v in zip(ds, ds[1:]):
+            assert v == u / 2
 
 
 def test_richardson_limit_exact_on_polynomial_error():
-    ds = boundary_deltas(10, 16)
+    ds = boundary_deltas()
     target = mp.mpf("2.5")
     vals = [target + 3 * d + 2 * d * d for d in ds]
     assert abs(richardson_limit(ds, vals) - target) <= mp.mpf("1e-40")

@@ -154,7 +154,7 @@ def test_evaluate_branches_agree_at_the_threshold(sol_gauss, quartic, ctx):
             for x0 in (mp.mpf(0), mp.mpf("0.37"), mp.mpf("-1.2")):
                 above = mp.mpc(x0, height * mp.mpf("1.01"))
                 far = sol._eval_far(above)
-                near = sol._near_ladder(x0, (mp.im(above),))[0][0]
+                near = rhp._rounded(sol._near_ladder(x0, (mp.im(above),))[0][0])
                 assert sol.evaluate(above) == far
                 assert sol.evaluate(mp.conj(above)) == sol._eval_far(mp.conj(above))
                 scale = max(abs(v) for row in far for v in row)
@@ -163,7 +163,7 @@ def test_evaluate_branches_agree_at_the_threshold(sol_gauss, quartic, ctx):
                 assert gap <= table.tol * max(1, scale), (h, x0, gap)
                 below = mp.mpc(x0, height * mp.mpf("0.99"))
                 assert sol.evaluate(below) == \
-                    sol._near_ladder(x0, (mp.im(below),))[0][0]
+                    rhp._rounded(sol._near_ladder(x0, (mp.im(below),))[0][0])
 
 
 def test_near_axis_gap_failure_leaves_table(sol_gauss, ctx, monkeypatch):
@@ -428,14 +428,15 @@ def test_whole_entries_against_twice_the_precision(sol_gauss, sol_sextic, quarti
         tol = mp.mpf(2) ** -(t._prec - 8)
         with mp.workprec(t._prec):
             us = [t.aew2] + [t.w_values(n) for n in range(sol.d - 1)]
-            # a lattice node, where the node's term and the pole term
-            # cancel most, and a point between nodes
-            for x0 in (mp.mpf(0), mp.mpf("0.37")):
+            # lattice nodes, where the node's term and the pole term cancel
+            # most (at -1.25 only if the cot's argument is reduced
+            # exactly), and a point between nodes
+            for x0 in (mp.mpf(0), mp.mpf("-1.25"), mp.mpf("0.37")):
                 delta = mp.mpf(2) ** -12
                 made.clear()
                 (Yp, Ym), = sol._near_ladder(x0, (delta,))
                 assert len(made) == 3
-                Yc = rhp._rounded(made[2])
+                Yp, Ym, Yc = (rhp._rounded(Y) for Y in (Yp, Ym, made[2]))
                 z = mp.mpc(x0, delta)
                 _, ex2, wn = t.weights_at(z, sol.d - 1)
                 uz = [ex2] + wn
@@ -466,6 +467,51 @@ def test_whole_entries_against_twice_the_precision(sol_gauss, sol_sextic, quarti
 def test_jump_residual_odd(sol_gauss_odd, ctx):
     r = jump_residual(sol_gauss_odd, mp.mpf("0.35"), ctx)
     assert r <= mp.mpf("1e-45")
+
+
+def test_jump_residual_sees_weights_at_off_the_axis(quartic, ctx, monkeypatch):
+    # the extrapolated jump measures the off-axis continuation of
+    # weights_at: w_n scaled by 1 + 1e-60 off the axis (Im z != 0), M(x0)
+    # unchanged on it, moves the quartic k = 2 residual at x = 0.35, a point
+    # between nodes, from 1.73e-72 to 3.36e-59.  Under the former 11-point
+    # ladder 2^-10 .. 2^-20 it read 7.67e-47 with and without the change
+    sol = build_even(quartic, 2, ctx)
+    x = mp.mpf("0.35")
+    clean = jump_residual(sol, x, ctx)
+    weights_at = WeightTable.weights_at
+
+    def perturbed(self, z, n_count):
+        ex, ex2, ws = weights_at(self, z, n_count)
+        if mp.im(z):
+            ws = [w * (1 + mp.mpf("1e-60")) for w in ws]
+        return ex, ex2, ws
+
+    monkeypatch.setattr(WeightTable, "weights_at", perturbed)
+    seen = jump_residual(sol, x, ctx)
+    assert clean <= mp.mpf("1e-70")
+    assert seen >= mp.mpf("1e-60") and seen >= 1e10 * clean, (clean, seen)
+
+
+def test_jump_residual_at_128_bits(gauss, quartic):
+    # the ladder follows the working precision: at a 128-bit context the
+    # tables work at p = 144 bits, the ladder is 5 points 2^-24 .. 2^-28,
+    # and each residual sits within 8 bits of its round-off floor
+    # 2^-p/delta_min = 1.2e-35 (the worst read is 1.13e-34, at 13/32 on
+    # the quartic).  The points include lattice nodes (-2 and 0 of both
+    # lattices, 13/32 of the quartic's h = 1/32), where the node's kernel
+    # term and the pole term cancel, and -2, where the near-axis check
+    # needs the pole term's cot reduced exactly
+    ctx128 = PrecisionContext(mantissa_bits=128)
+    for V, k in ((gauss, 3), (quartic, 3)):
+        sol = build_even(V, k, ctx128)
+        p = sol.table._prec
+        with mp.workprec(p):
+            deltas = rhp.boundary_deltas()
+        assert (p, len(deltas)) == (144, 5)
+        bound = mp.ldexp(1, 8 - p) / deltas[-1]
+        for x in ("-2", "0", "0.35", "0.40625", "1.75"):
+            r = jump_residual(sol, mp.mpf(x), ctx128)
+            assert r <= bound, (V, x, r, bound)
 
 
 def test_ambient_precision_independence(gauss, ctx):

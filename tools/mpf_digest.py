@@ -7,7 +7,9 @@ and still differ in their last bits.  This tool hashes the raw mpmath
 values (`_mpf_` / `_mpc_`: sign, mantissa, exponent, bit count) of
 
   near      the jump residual and the boundary-value pairs of
-            RHSolution._near_ladder on the full delta ladder, at
+            RHSolution._near_ladder, each entry rounded once, on the
+            delta ladder that boundary_deltas sets at the tables'
+            working precision, at
             x = 0.40625 (x^2/2 + x^4, k = 2; a node of its lattice
             h = 1/32) and at x = -0.359375 (x^2/2, k = 1; between two
             nodes of its lattice h = 1/8)
@@ -56,8 +58,8 @@ values (`_mpf_` / `_mpc_`: sign, mantissa, exponent, bit count) of
             once before and then after build_even at k = 3 has widened the
             table they share: Y(z) at the two far points, at 100+100j
             (beyond the support, by the Laurent series) and the
-            boundary-value pairs at x = -0.359375 on the full delta ladder,
-            from the wider table
+            boundary-value pairs at x = -0.359375 on the delta ladder of
+            near, from the wider table
 
 and prints one line per part, then the digest of all of them.  It imports
 skewrh from the src/ next to it, so two checkouts compare with
@@ -115,10 +117,16 @@ def edge_points(t):
                 hi, (hi + above) / 2, above, r - eps, r + eps]
 
 
+def rounded_pairs(sol, x0, deltas):
+    """sol._near_ladder(x0, deltas), each part of each entry rounded once
+    at the working precision."""
+    return [tuple(map(_rounded, pair)) for pair in sol._near_ladder(x0, deltas)]
+
+
 def near_ladder(sol, x0, deltas):
-    """sol._near_ladder(x0, deltas) and, per delta, the 2hZ matrix that its
-    check compares with the upper value, each part of each entry rounded
-    once at the working precision.  For each delta _near_ladder forms the
+    """rounded_pairs(sol, x0, deltas) and, per delta, the 2hZ matrix that
+    the check of _near_ladder compares with the upper value, each part of
+    each entry rounded once.  For each delta _near_ladder forms the
     exact entries (_entries) of the upper value, the lower one and the 2hZ
     matrix, in this order, so the latter is every third matrix that
     _entries returns."""
@@ -130,7 +138,7 @@ def near_ladder(sol, x0, deltas):
 
     sol._entries = entries
     try:
-        pairs = sol._near_ladder(x0, deltas)
+        pairs = rounded_pairs(sol, x0, deltas)
     finally:
         del sol._entries
     assert len(made) == 3 * len(deltas)
@@ -141,7 +149,8 @@ def parts():
     ctx = PrecisionContext()
     quartic = Potential.parse("0,0,0.5,0,1")
     gauss = Potential.parse("0,0,0.5")
-    deltas = boundary_deltas()
+    with mp.workprec(ctx.mantissa_bits + 16):  # the tables' precision
+        deltas = boundary_deltas()
 
     sq = build_even(quartic, 2, ctx)
     sg = build_even(gauss, 1, ctx)
@@ -212,7 +221,7 @@ def parts():
     def far_and_near():
         with mp.workprec(sol.table._prec):
             return ([sol.evaluate(z) for z in points],
-                    sol._near_ladder(x, deltas))
+                    rounded_pairs(sol, x, deltas))
 
     far_and_near()
     version = sol.table.version
