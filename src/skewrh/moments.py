@@ -5,8 +5,9 @@ WeightTable, which forms and checks them when it picks its grid level, as
 the beta = 4 entries come from its moments; a matrix build never changes
 the table's level, so every entry of a matrix comes from one level.
 Antisymmetry is exact because each (i, j) pair is read once and
-reflected.  The build also owns the table ranges a size-n matrix needs;
-callers reach that table as `matrix.table`.
+reflected.  Without a table the build asks get_weight_table for the ranges
+a size-n matrix needs; a given table is read as it is, like every pairing
+here.  Callers reach that table as `matrix.table`.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ class SkewMomentMatrix:
     n: int
     rows: tuple
     potential: Potential
-    # the weight table the entries came from, grown to the ranges they need
+    # the weight table the entries were read from; a given one is not widened
     table: WeightTable = dataclasses.field(compare=False, repr=False)
 
     def entry(self, i: int, j: int):
@@ -48,7 +49,8 @@ def build_skew_moment_matrix(V: Potential, beta: int, n: int,
 
     Without a table, the shared one for (V, ctx) is grown to the ranges
     a size-n matrix needs: moments up to 2n-1, and w_0 .. w_{n-1} for
-    beta = 1.
+    beta = 1.  A given table is read as it is: an entry past its ranges
+    raises MomentRangeExceeded, and the table is not widened.
     """
     if beta not in (1, 4):
         raise ValueError("beta must be 1 or 4")
@@ -58,11 +60,8 @@ def build_skew_moment_matrix(V: Potential, beta: int, n: int,
         table = get_weight_table(V, ctx, i_max=max(2 * n - 1, 4),
                                  w_max=(n - 1 if beta == 1 else 0))
     if beta == 1:
-        table.ensure_ranges(i_max=n - 1, w_max=n - 1)
         entry = table.pairing
     else:
-        table.ensure_ranges(i_max=max(2 * n - 3, 2))
-
         def entry(i, j):
             return (j - i) * table.moment(i + j - 1)
     with mp.workprec(ctx.mantissa_bits + 16):

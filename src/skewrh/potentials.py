@@ -14,8 +14,8 @@ every moment passes one check against the coarser lattice 2hZ, or up to
 two levels finer while a beta = 1 pairing <x^i, y^j>_1 = int x^i w_j,
 i < j <= w_max, fails the same check.  It keeps the moments, the
 exp(-2V) moments and that checked pairing block, so the moment matrices in
-`moments` only read it; the Cauchy sums in `rhp` form their own vectors
-from the grid.  On the lattice x^i h = k^i h^(i+1), with k^i an exact int
+`moments` only read it; the Cauchy sums in `rhp` read its column store
+(columns).  On the lattice x^i h = k^i h^(i+1), with k^i an exact int
 and h^(i+1) a power of two, so every moment and pairing is the exact
 integer sum over the lattice indices, rounded once: correctly rounded
 (numerics.fixed, which holds every term, and numerics.power_walk).  The
@@ -36,15 +36,16 @@ Grid sums for integrands carrying exp(-V) run over the active slice
 |x| <= cut only, where cut satisfies x^i_max exp(-V(x)) < quad_tol*1e-4;
 the discarded terms are below the validated error scale by construction.
 exp(-V), exp(-2V) and the half-line integrals are read on that slice only,
-so the table keeps them there alone.  A table changes only by a rebuild for
-wider ranges, and the rebuilt table equals a fresh one.
+so the table keeps them there alone, and the column data too.  A table
+changes only by a rebuild for wider ranges, which drops the column data
+with the rest, and the rebuilt table equals a fresh one.
 """
 from __future__ import annotations
 
 import bisect
 import math
 import weakref
-from itertools import takewhile
+from itertools import islice, takewhile
 from operator import floordiv, mul
 
 from mpmath import mp
@@ -259,8 +260,9 @@ class WeightTable:
     """Grid data, moments, beta = 1 pairings and half-line integral tables
     for one potential.
 
-    Holds master-grid data only, and no caches: densities at other points,
-    real or complex, are return values of weights_at, and vectors over the
+    Holds master-grid data and the column store of the Cauchy sums
+    (columns), formed on first use and dropped by a rebuild; densities at
+    other points are return values of weights_at, and vectors over the
     active nodes (w_values) are built per call.  The nodes xs cover the
     whole lattice, out to the half-width radius that the working precision
     sets (truncation_radius); exp(-V) (aew), exp(-2V) (aew2) and the
@@ -272,8 +274,7 @@ class WeightTable:
     a lattice node (_series).  The weight of every
     node is the step h.  The level is fixed when the table is built, by the
     moments and the pairing block P together; ensure_ranges rebuilds the
-    table for wider ranges, and `version` changes whenever it does, for
-    consumers keyed on it.
+    table for wider ranges.
     """
 
     min_level = 2
@@ -287,7 +288,6 @@ class WeightTable:
         # fraction bits of the series kernel: 64 guard bits take its
         # round-off and the cancellation in its sums
         self._fbits = self._prec + 64
-        self.version = 0
         with mp.workprec(self._prec):
             self.tol = mp.mpf(ctx.quad_tol)
         self.i_max = self.w_max = -1  # no grid until ensure_ranges builds one
@@ -356,7 +356,7 @@ class WeightTable:
         self.aew = ew[lo:hi]
         self.aew2 = ew2[lo:hi]
         self._build_F()
-        self.version += 1
+        self._columns = None
 
     def _check_pairings(self):
         """P[j][i] = <x^i, y^j>_1 = h^(i+1) * sum k^i w_j(k h) over the
@@ -528,6 +528,13 @@ class WeightTable:
 
     # -- moments and grid sums --------------------------------------------
 
+    def columns(self) -> _ColumnStore:
+        """The column data of the Cauchy sums in `rhp`, formed on first use
+        and kept until a rebuild."""
+        if self._columns is None:
+            self._columns = _ColumnStore(self)
+        return self._columns
+
     def moment(self, i: int):
         """Integral of x^i exp(-V)."""
         if not 0 <= i <= self.i_max:
@@ -606,6 +613,28 @@ class WeightTable:
             Fs = self._F_at(z, max(1, n_count))
             ws = [ex * (2 * Fs[n] - self.m[n]) for n in range(n_count)]
             return ex, ex * ex, ws
+
+
+class _ColumnStore:
+    """A table's column data for the Cauchy sums of `rhp`, shared by every
+    solution on it.  For each column c = 1 .. d, U_c = fixed(u_c) on the
+    active nodes (u_1 = exp(-2V), u_c = w_(c-2)), exact ints (vecs), each
+    density read once; and the power sums S_(c,m) = sum_k k^m U_(c,k) over
+    the active lattice indices ks of the Laurent branch, walked as far as a
+    call needs and resumed by the next (power_sums)."""
+
+    def __init__(self, table: WeightTable):
+        us = [table.aew2] + [table.w_values(n)
+                             for n in range(table.potential.degree - 1)]
+        self.vecs = [fixed([v._mpf_ for v in u]) for u in us]
+        self._walks = [power_walk(vec, table.ks) for vec, _ in self.vecs]
+        self._sums = [[] for _ in self.vecs]
+
+    def power_sums(self, count):
+        """[S_(c,m) for m < count, or more] for each column, exact ints."""
+        for S, walk in zip(self._sums, self._walks):
+            S.extend(islice(walk, max(0, count - len(S))))
+        return self._sums
 
 
 # The tables used last, most recent at the end; at up to about 4 MB each,

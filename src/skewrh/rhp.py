@@ -12,11 +12,12 @@ hZ, x_k = k h; near the axis the lattice's closed-form pole term keeps it
 accurate.  The sums run in exact integers from the kernel to each entry
 of Y, which is rounded once: the head p_r(z) too, and near the axis the
 pole term p_r(z) w_c is an exact product added before that rounding.  Rows
-and columns are held apart: the column data is formed once per table
-version and shared by every solution on the table (_store, the one cache
-here), and a solution forms its row data once, when it is made, from its
-polynomials alone.  The kernel K = 1/(x - z) comes from the exact dyadic
-offsets x_k - x0 and Im z with one integer quotient per node.  The dots
+and columns are held apart: the column data is the weight table's own
+(WeightTable.columns), formed once per grid and shared by every solution
+on the table, and a solution forms its row data once, when it is made,
+from its polynomials alone; this module keeps no cache.  The kernel
+K = 1/(x - z) comes from the exact dyadic offsets x_k - x0 and Im z with
+one integer quotient per node.  The dots
 T_(c,l) = sum_k k^l u_c(x_k) K_k of each column density u_c (held as
 ints, numerics.fixed) are the running powers of u_c K, walked over the
 even and the odd k apart, so that the coarse 2hZ dots are one half of the
@@ -36,8 +37,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import weakref
-from itertools import islice
 from operator import add, mul
 
 from mpmath import mp
@@ -115,41 +114,6 @@ def jump_matrix(table: WeightTable, x):
 _GUARD = 64
 
 
-class _Store:
-    """One table version's column data, shared by every solution on it
-    (_store).  For each column c = 1 .. d, U_c = fixed(u_c) on the active
-    nodes (u_1 = exp(-2V), u_c = w_(c-2)), exact ints (vecs), each density
-    read once, with k the lattice index of each node (x_k = k h, ks); and
-    the power sums S_(c,m) = sum_k k^m U_(c,k) of the Laurent branch,
-    walked as far as a call needs and resumed by the next (power_sums)."""
-
-    def __init__(self, table: WeightTable):
-        self.version, self.ks = table.version, table.ks
-        us = [table.aew2] + [table.w_values(n)
-                             for n in range(table.potential.degree - 1)]
-        self.vecs = [fixed([v._mpf_ for v in u]) for u in us]
-        self._walks = [power_walk(vec, self.ks) for vec, _ in self.vecs]
-        self._sums = [[] for _ in self.vecs]
-
-    def power_sums(self, count):
-        """[S_(c,m) for m < count, or more] for each column, exact ints."""
-        for S, walk in zip(self._sums, self._walks):
-            S.extend(islice(walk, max(0, count - len(S))))
-        return self._sums
-
-
-# the store of each table's current version; it holds no reference to its
-# table, so it goes with the table
-_STORES = weakref.WeakKeyDictionary()
-
-
-def _store(table: WeightTable) -> _Store:
-    store = _STORES.get(table)
-    if store is None or store.version != table.version:
-        store = _STORES[table] = _Store(table)
-    return store
-
-
 def _held(cs):
     """The complex scalars cs as (re, im, exp): their real and imaginary
     parts as ints at one exponent, exactly (fixed)."""
@@ -178,14 +142,14 @@ class RHSolution:
     polynomials, evaluated via grid Cauchy transforms.
 
     Every Cauchy entry is a sum over the active nodes of the shared
-    lattice, formed from the column data of the table's current version
-    (_store); a row enters only through its coefficients, held exactly
-    from construction on (_coeffs, _rows), and the solution keeps no
-    cache, so a table widened under it is read as it is now.  Far from the
-    axis that sum is the value, and beyond the support it comes from a
-    Laurent series; near the axis `_near_ladder` adds the lattice's pole
-    term per point and gives both boundary values along a delta ladder.
-    Nothing per point outlives the call.
+    lattice, formed from the table's column data (WeightTable.columns),
+    which a rebuild drops; a row enters only through its coefficients,
+    held exactly from construction on (_coeffs, _rows), and the solution
+    keeps no cache, so a table widened under it is read as it is now.
+    Far from the axis that sum is the value, and beyond the support it
+    comes from a Laurent series; near the axis `_near_ladder` adds the
+    lattice's pole term per point and gives both boundary values along a
+    delta ladder.  Nothing per point outlives the call.
     """
 
     def __init__(self, problem: RHProblem, family: SkewFamily,
@@ -240,15 +204,6 @@ class RHSolution:
         lead = 2 * self.k + (1 if self.parity == "odd" else 0)
         return [lead, -2 * self.k + self.d - 1] + [-1] * (self.d - 1)
 
-    def perturbed(self, row: int, coeff, poly: Poly = None) -> "RHSolution":
-        """Copy with coeff*poly (default p_{2k}) added to one row."""
-        if poly is None:
-            poly = self.family.polys[2 * self.k]
-        terms = [list(t) for t in self.row_terms]
-        terms[row] = list(terms[row]) + [(mp.mpc(coeff), poly)]
-        return RHSolution(self.problem, self.family, self.table, terms,
-                          self.alpha, self.collapse_residual, self.ctx)
-
     # -- far-field evaluation ---------------------------------------------
 
     @staticmethod
@@ -296,12 +251,12 @@ class RHSolution:
         k^l Q is walked over the even and the odd k apart (power_walk).
         The fine dot is the sum of the two halves, the coarse one the half
         on 2hZ, so both cost N multiplies by small ints per power."""
-        store = _store(self.table)
-        s, n = store.ks.start % 2, self._L + 1
-        even, odd = store.ks[s::2], store.ks[1 - s::2]
+        ks = self.table.ks
+        s, n = ks.start % 2, self._L + 1
+        even, odd = ks[s::2], ks[1 - s::2]
         *parts, e = kernel
         fine, coarse = [], []
-        for vec, exp in store.vecs:
+        for vec, exp in self.table.columns().vecs:
             f, c = [], []
             for mans in parts:
                 Q = list(map(mul, vec, mans))
@@ -316,7 +271,8 @@ class RHSolution:
         """The fine column dots of _dots for K_k = 1/(x_k - z), from the Laurent
         series of that kernel, for |z| beyond the active radius:
             T_(c,l) = -sum_(n < M) h^n z^(-n-1) S_(c,l+n),
-        with S_(c,m) = sum_k k^m U_(c,k) exact power sums (_Store).
+        with S_(c,m) = sum_k k^m U_(c,k) the exact power sums of the table's
+        columns (WeightTable.columns).
 
         Every active node has |x_k| <= active_radius = rho |z|, so the
         terms n >= M of each node's series sum to at most
@@ -335,11 +291,11 @@ class RHSolution:
         sum's L1 scale.
         S_(c,l+n) A^-n and 1/z are held exactly, so each T_(c,l) is an
         exact integer sum."""
-        t, store, L = self.table, _store(self.table), self._L
+        t, store, L = self.table, self.table.columns(), self._L
         rho = float(t.active_radius / abs(z))
         M = math.ceil((mp.prec - math.log2(1 - rho)) / -math.log2(rho)) + 1
         top, fb = L + M - 1, mp.prec + 2 * M.bit_length()
-        a = max(-store.ks[0], store.ks[-1]).bit_length()
+        a = max(-t.ks[0], t.ks[-1]).bit_length()
         wr, wi = fixed_powers(mp.ldexp(t.h, a) / z, M, fb)
         zinv = 1 / z
         (zr, zi), ez = fixed([zinv.real._mpf_, zinv.imag._mpf_])
@@ -422,7 +378,7 @@ class RHSolution:
         if 4 * t.active_radius < abs(z):
             T = self._laurent(z)
         else:
-            T = self._dots(next(self._kernels(_store(t).ks, t.level,
+            T = self._dots(next(self._kernels(t.ks, t.level,
                                               mp.re(z), (mp.im(z),))))[0]
         return _rounded(self._entries(self._heads(z), self._fold(T)))
 
@@ -452,8 +408,8 @@ class RHSolution:
         """
         t, two_pi_i = self.table, _two_pi_i()
         pairs = []
-        for delta, kernel in zip(deltas, self._kernels(
-                _store(t).ks, t.level, x0, deltas)):
+        for delta, kernel in zip(deltas, self._kernels(t.ks, t.level,
+                                                       x0, deltas)):
             z = mp.mpc(x0, delta)
             _, ex2, wn = t.weights_at(z, self.d - 1)
             # u_c(z) (i pi + pi cot(pi z/s))/(2 pi i), for the steps s = h

@@ -224,7 +224,7 @@ def test_moment_range_guard(gauss, ctx, gauss_matrix):
         skew_inner_1(big, big.shift_up(1), gauss_matrix)
     # the table pairings read their table as it is, like the matrix one
     table = WeightTable(gauss, ctx, i_max=4, w_max=0)
-    version = table.version
+    xs = table.xs
     x2, x3, x4 = _monomial(2), _monomial(3), _monomial(4)
     with pytest.raises(MomentRangeExceeded):
         inner_2(x2, x3, table)
@@ -232,7 +232,21 @@ def test_moment_range_guard(gauss, ctx, gauss_matrix):
         skew_inner_4(x2, x4, table)
     with pytest.raises(MomentRangeExceeded):
         table.pairing(0, 1)
-    assert (table.i_max, table.version) == (4, version)
+    assert table.i_max == 4 and table.xs is xs
+
+
+def test_build_reads_a_given_table_as_it_is(quartic, ctx):
+    # a table passed to the build is not widened: an entry past its ranges
+    # raises, for the beta = 1 pairings (w_max < n - 1) and the beta = 4
+    # moments (i_max < 2n - 3) alike, and the table is not rebuilt
+    table = WeightTable(quartic, ctx, i_max=9, w_max=4)
+    state = (table.xs, table.level, table.i_max, table.w_max)
+    with pytest.raises(MomentRangeExceeded):
+        build_skew_moment_matrix(quartic, 1, 8, ctx, table=table)
+    with pytest.raises(MomentRangeExceeded):
+        build_skew_moment_matrix(quartic, 4, 8, ctx, table=table)
+    assert table.xs is state[0]
+    assert (table.level, table.i_max, table.w_max) == state[1:]
 
 
 def test_build_validates_arguments(gauss, ctx):
@@ -270,11 +284,11 @@ def test_builds_on_one_table_read_one_level(quartic, ctx):
     # and each entry is the lattice sum h * sum x^i w_j of the exact w_j
     # (_w_held), formed here by exact additions and rounded once
     table = WeightTable(quartic, ctx, i_max=35, w_max=17)
-    state = (table.level, table.version)
+    level, xs = table.level, table.xs
     first = build_skew_moment_matrix(quartic, 1, 18, ctx, table=table)
-    assert (table.level, table.version) == state
+    assert table.level == level and table.xs is xs
     second = build_skew_moment_matrix(quartic, 1, 18, ctx, table=table)
-    assert (table.level, table.version) == state
+    assert table.level == level and table.xs is xs
     assert table.h == mp.ldexp(1, -6)
     bits = [[v._mpf_ for v in row] for row in first.rows]
     assert bits == [[v._mpf_ for v in row] for row in second.rows]

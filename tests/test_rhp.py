@@ -1,7 +1,6 @@
 """Boundary-matrix construction: jump, asymptotics, normalization,
 gauge freedom, and the degenerate-collapse identity."""
 
-import weakref
 from operator import mul
 
 import pytest
@@ -29,6 +28,14 @@ from skewrh.rhp import (
 @pytest.fixture(scope="module")
 def sol_gauss(gauss, ctx):
     return build_even(gauss, 1, ctx)
+
+
+def _with_term(sol, row, coeff, poly):
+    """sol with coeff*poly added to one row, on the same table."""
+    terms = [list(t) for t in sol.row_terms]
+    terms[row].append((mp.mpc(coeff), poly))
+    return RHSolution(sol.problem, sol.family, sol.table, terms,
+                      sol.alpha, sol.collapse_residual, sol.ctx)
 
 
 @pytest.fixture(scope="module")
@@ -87,21 +94,22 @@ def test_lower_rows_meet_their_conditions(text, k, ctx):
 def test_jump_residual_even(sol_gauss, ctx, deep_size):
     table = sol_gauss.table
     table_before = deep_size(vars(table))
-    level, version = table.level, table.version
+    level, nodes = table.level, table.xs
     # x = 0 is a master-grid node, where the subtraction cancels most
     for xs in ("0", "-1.2", "0.8"):
         r = jump_residual(sol_gauss, mp.mpf(xs), ctx)
         assert r <= mp.mpf("1e-45"), xs
     assert jump_residual(sol_gauss, mp.mpf("0.8"), ctx) == r
-    # verification only reads the shared table
-    assert (table.level, table.version) == (level, version)
+    # verification only reads the shared table: it is not rebuilt
+    assert table.level == level and table.xs is nodes
     # near-axis work is not kept per point: what the solution holds beyond
     # its construction data stays small however many points were visited
     shared = {"family", "table", "problem", "row_terms", "ctx", "alpha",
               "collapse_residual"}
     own = {k: v for k, v in vars(sol_gauss).items() if k not in shared}
     assert deep_size(own) < 2 ** 20
-    # nor on the shared weight table, which keeps master-grid data only
+    # nor on the shared weight table, which keeps master-grid data and
+    # its one column store only
     assert deep_size(vars(sol_gauss.table)) - table_before < 2 ** 20
 
 
@@ -170,11 +178,11 @@ def test_near_axis_gap_failure_leaves_table(sol_gauss, ctx, monkeypatch):
     # no fine/coarse gap meets a negative bound: the near path raises and
     # neither refines nor rebuilds the shared table
     table = sol_gauss.table
-    level, version = table.level, table.version
+    level, xs = table.level, table.xs
     monkeypatch.setattr(table, "tol", mp.mpf("-1e-30"))
     with pytest.raises(QuadratureFailure, match="coarse half"):
         jump_residual(sol_gauss, mp.mpf("0.37"), ctx)
-    assert (table.level, table.version) == (level, version)
+    assert table.level == level and table.xs is xs
 
 
 def test_column_vectors_kept_for_current_table_only(sol_gauss, gauss, ctx):
@@ -189,15 +197,17 @@ def test_column_vectors_kept_for_current_table_only(sol_gauss, gauss, ctx):
     # a direct point and a Laurent point (|z| > 4 active_radius)
     zs = (mp.mpc("0.5", "3"), mp.mpc("30", "200"))
     before = [sol.evaluate(z) for z in zs]
-    store = rhp._STORES[table]
-    assert store.version == table.version
+    store = table._columns
+    assert store is not None and table.columns() is store
+    xs = table.xs
     table.ensure_ranges(i_max=table.i_max + 6)
+    assert table.xs is not xs and table._columns is None
     after = [sol.evaluate(z) for z in zs]
-    # one version held, the current one, and only the new data: the
-    # widening forms a new store, which the table's registry now holds
-    new = rhp._STORES[table]
-    assert new is not store and new.version == table.version
-    assert new.ks == table.ks and len(new.vecs) == sol.d
+    # one store held, the current grid's, and only the new data: the
+    # widening drops the store, and the table now holds a new one
+    new = table._columns
+    assert new is not store and table.columns() is new
+    assert [len(vec) for vec, _ in new.vecs] == [len(table.ks)] * sol.d
     # the rows a solution formed once fit the wider table: its Y is bit for
     # bit that of the same rows on a fresh table with the wider ranges, here
     # and where the widening halves h (level 2 at i_max 4, w_max 0, level 3
@@ -219,12 +229,12 @@ def test_column_vectors_kept_for_current_table_only(sol_gauss, gauss, ctx):
 
 
 def test_column_vectors_read_each_density_once(sol_sextic, ctx, monkeypatch):
-    # one store of 6 columns of one vector U_c each per table version,
+    # one store of 6 columns of one vector U_c each per table grid,
     # shared by the solutions on it: two solutions read each density once
     # between them, whatever the degree L = 6 of p_6, whichever points are
     # visited: direct, Laurent and near-axis ones
     table = sol_sextic.table
-    monkeypatch.setattr(rhp, "_STORES", weakref.WeakKeyDictionary())
+    monkeypatch.setattr(table, "_columns", None)
     sol = RHSolution(sol_sextic.problem, sol_sextic.family, table,
                      sol_sextic.row_terms, sol_sextic.alpha,
                      sol_sextic.collapse_residual, ctx)
@@ -232,13 +242,15 @@ def test_column_vectors_read_each_density_once(sol_sextic, ctx, monkeypatch):
     w_values = table.w_values
     monkeypatch.setattr(table, "w_values",
                         lambda n: calls.append(n) or w_values(n))
-    sols = (sol, sol.perturbed(1, mp.mpf(2)))
+    sols = (sol, _with_term(sol, 1, 2, sol.family.polys[2 * sol.k]))
+    stores = []
     for other in sols:
         for z in (mp.mpc("0.3", "2"), mp.mpc("-20", "40"), mp.mpc("0.3", "0.01")):
             other.evaluate(z)
+        stores.append(table._columns)
     assert sorted(calls) == list(range(sol.d - 1))
-    store = rhp._STORES[table]
-    assert list(rhp._STORES.values()) == [store]
+    store = table.columns()
+    assert stores == [store, store]
     assert sol._L == sols[1]._L == 6
     assert [len(vec) for vec, _ in store.vecs] == [len(table.axs)] * 6
     # one row of coefficients per row polynomial, folded over its terms
@@ -254,20 +266,20 @@ def test_power_sums_resume_bit_for_bit(sol_sextic, ctx, monkeypatch):
     z = 10 * table.active_radius * mp.expj(1)
     fresh = {}
     for counts in ((3, 3, 10, 7, 25), (25,)):
-        monkeypatch.setattr(rhp, "_STORES", weakref.WeakKeyDictionary())
-        store = rhp._store(table)
+        monkeypatch.setattr(table, "_columns", None)
+        store = table.columns()
         walked = 0
         for count in counts:
             walked = max(walked, count)
             assert [len(S) for S in store.power_sums(count)] == [walked] * 6
         sums = store.power_sums(25)
-        assert sums == [list(power_walk(vec, store.ks, 25)) for vec, _ in store.vecs]
+        assert sums == [list(power_walk(vec, table.ks, 25)) for vec, _ in store.vecs]
         sol = RHSolution(sol_sextic.problem, sol_sextic.family, table,
                          sol_sextic.row_terms, sol_sextic.alpha,
                          sol_sextic.collapse_residual, ctx)
         with mp.workprec(table._prec):
             fresh[counts] = sol._eval_far(z)
-        assert rhp._STORES[table] is store
+        assert table.columns() is store
     assert fresh[(3, 3, 10, 7, 25)] == fresh[(25,)]
 
 
@@ -307,18 +319,18 @@ def test_coarse_half_is_the_separate_coarse_walk(sol_gauss, sol_sextic, quartic,
     # sum_k k^l U_(c,k) K_k over hZ and over the nodes with k even, the
     # latter held at twice its value
     for sol in (sol_gauss, build_even(quartic, 2, ctx), sol_sextic):
-        t, store = sol.table, rhp._store(sol.table)
+        t, store = sol.table, sol.table.columns()
         s = t.ks.start % 2
         with mp.workprec(t._prec):
             for x0 in (mp.mpf(0), mp.mpf("0.37")):
-                *parts, e = next(sol._kernels(store.ks, t.level, x0,
+                *parts, e = next(sol._kernels(t.ks, t.level, x0,
                                               (mp.mpf(2) ** -20,)))
                 fine, coarse = sol._dots((*parts, e))
                 for (vec, exp), (*f, fe), (*c, ce) in zip(store.vecs, fine, coarse):
                     assert (fe, ce) == (exp + e, exp + e + 1)
                     for mans, fl, cl in zip(parts, f, c):
                         for l in range(sol._L + 1):
-                            pw = [v * k ** l for v, k in zip(vec, store.ks)]
+                            pw = [v * k ** l for v, k in zip(vec, t.ks)]
                             assert fl[l] == sum(map(mul, pw, mans))
                             assert cl[l] == sum(map(mul, pw[s::2], mans[s::2]))
 
@@ -327,8 +339,7 @@ def _direct_dots(sol, z):
     """The fine column dots of z from the direct lattice sums, whatever
     |z| is, and their 2hZ half."""
     t = sol.table
-    return sol._dots(next(sol._kernels(rhp._store(t).ks, t.level,
-                                       mp.re(z), (mp.im(z),))))
+    return sol._dots(next(sol._kernels(t.ks, t.level, mp.re(z), (mp.im(z),))))
 
 
 def _max_gap(A, B):
@@ -628,7 +639,7 @@ def test_gauge_freedom_spans_p2k(gauss, ctx):
 def test_normalization_pins_gauge(sol_gauss, ctx):
     # adding a multiple of row 0 to row 1 preserves the jump and, by row
     # multilinearity, the determinant; only the decay profile detects it
-    bad = sol_gauss.perturbed(1, mp.mpf(2))
+    bad = _with_term(sol_gauss, 1, 2, sol_gauss.family.polys[2 * sol_gauss.k])
     assert jump_residual(bad, mp.mpf("0.8"), ctx) <= mp.mpf("1e-43")
     pts = [mp.mpc("1.3", "1.1"), mp.mpc("-0.7", "1.6")]
     assert det_residual(bad, pts, ctx) <= mp.mpf("1e-38")
@@ -645,7 +656,7 @@ def test_determinant_detects_non_solutions(sol_gauss, ctx):
     # degree because with an even potential every det term for an
     # odd-degree row carries a parity-zero moment
     q = Poly([0, 0, 0, 0, 1])
-    bad = sol_gauss.perturbed(1, mp.mpf(1), poly=q)
+    bad = _with_term(sol_gauss, 1, 1, q)
     assert jump_residual(bad, mp.mpf("0.8"), ctx) <= mp.mpf("1e-43")
     pts = [mp.mpc("1.3", "1.1"), mp.mpc("-0.7", "1.6")]
     assert det_residual(bad, pts, ctx) > mp.mpf("1e-3")
@@ -725,6 +736,7 @@ def test_jump_matrix_structure(gauss, quartic, ctx, w_function):
     assert abs(M[0][2] - direct) <= mp.mpf("1e-28") * max(1, abs(direct))
     # the table is read as it is: a quartic M needs w_1, past this table
     narrow = WeightTable(quartic, ctx, i_max=4, w_max=0)
+    xs = narrow.xs
     with pytest.raises(MomentRangeExceeded):
         jump_matrix(narrow, x)
-    assert (narrow.i_max, narrow.w_max, narrow.version) == (4, 0, 1)
+    assert (narrow.i_max, narrow.w_max) == (4, 0) and narrow.xs is xs

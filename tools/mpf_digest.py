@@ -224,9 +224,9 @@ def parts():
                     rounded_pairs(sol, x, deltas))
 
     far_and_near()
-    version = sol.table.version
+    xs = sol.table.xs
     assert build_even(gauss, 3, ctx).table is sol.table
-    assert sol.table.version != version
+    assert sol.table.xs is not xs
     yield "widened", far_and_near()
 
 
